@@ -83,6 +83,11 @@ def _write_report(report: dict, path: str | None):
         print(text)
 
 
+def _config(args) -> dict:
+    """The parsed options, without the handler (its repr is an address)."""
+    return {k: v for k, v in vars(args).items() if k != "fn"}
+
+
 def _params_from_args(args) -> ModelParams:
     return ModelParams(
         args.family,
@@ -156,6 +161,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown corruption target {corrupt!r}")
     suite = CheckSuite("verify")
     if args.family:
+        if args.N < 2:
+            raise ConfigError("verify needs --N 2 or more: its checks pair two sites")
         params = _params_from_args(args)
         suite.extend(_verify_case(params, args, corrupt))
     else:
@@ -182,7 +189,7 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "version": __version__,
         "seed": args.seed,
-        "config": vars(args),
+        "config": _config(args),
         "pass": suite.passed,
         "suite": [i.to_json() for i in suite.items],
     }
@@ -198,7 +205,7 @@ def cmd_lattice(args) -> int:
         "command": "lattice",
         "version": __version__,
         "seed": args.seed,
-        "config": vars(args),
+        "config": _config(args),
     }
     if args.scan:
         lmax = args.Lmax or 40
@@ -269,7 +276,7 @@ def cmd_spectrum(args) -> int:
         "command": "spectrum",
         "version": __version__,
         "seed": args.seed,
-        "config": vars(args),
+        "config": _config(args),
         "params": {"family": args.family, "N": args.N, "m": args.m, "n": args.n},
         "lattice": frozen.lattice.to_json(),
         "hermiticity_residual": herm,
@@ -338,29 +345,35 @@ def _sin2_display(frozen) -> list:
 def cmd_export(args) -> int:
     name = args.object
     params = _params_from_args(args) if args.family else None
+
+    def model() -> ModelParams:
+        if params is None:
+            raise ConfigError(f"export --object {name} needs --family")
+        return params
+
     payload: dict
     if name.startswith("d") and name[1:].isdigit():
-        op = build_dunkl(params, int(name[1:]))
+        op = build_dunkl(model(), int(name[1:]))
         payload = {"operator": op.to_json()}
     elif name.startswith("Z") and name[1:].isdigit():
-        op = build_symmetric_dunkl(params, int(name[1:]))
+        op = build_symmetric_dunkl(model(), int(name[1:]))
         payload = {"operator": op.to_json()}
     elif name.startswith("Y") and name[1:].isdigit():
-        op = build_reflection_dunkl(params, int(name[1:]))
+        op = build_reflection_dunkl(model(), int(name[1:]))
         payload = {"operator": op.to_json()}
     elif name.startswith("DD") and name[2:].isdigit():
-        op = build_dunkl(params, int(name[2:]), form="image")
+        op = build_dunkl(model(), int(name[2:]), form="image")
         payload = {"operator": op.to_json()}
     elif name.startswith("I") and name[1:].isdigit():
-        payload = {"operator": build_charge(params, int(name[1:])).to_json()}
+        payload = {"operator": build_charge(model(), int(name[1:])).to_json()}
     elif name.startswith("J") and name[1:].isdigit():
-        payload = {"operator": build_charge(params, int(name[1:])).to_json()}
+        payload = {"operator": build_charge(model(), int(name[1:])).to_json()}
     elif name == "H":
-        payload = {"operator": build_hamiltonian(params).to_json()}
+        payload = {"operator": build_hamiltonian(model()).to_json()}
     elif name == "H_xdisplay":
-        payload = {"display": hamiltonian_x_display(params)}
+        payload = {"display": hamiltonian_x_display(model())}
     elif name == "Hbar":
-        payload = {"operator": build_static_hamiltonian(params).to_json()}
+        payload = {"operator": build_static_hamiltonian(model()).to_json()}
     elif name in ("Lambda", "Lambda_b"):
         if not args.n:
             raise ConfigError(f"{name} needs --n (local spin dimension)")
@@ -389,7 +402,7 @@ def cmd_export(args) -> int:
         "command": "export",
         "version": __version__,
         "seed": args.seed,
-        "config": vars(args),
+        "config": _config(args),
         "object": name,
         **payload,
     }

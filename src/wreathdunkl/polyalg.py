@@ -9,8 +9,20 @@ coefficient 1 in lexicographic order, with the stripped unit absorbed into
 the numerator.  Keeping denominators factored means the common denominator
 of a long sum is a factor-wise max instead of a product, which is what makes
 exact normal-ordering of operator sums affordable.  No polynomial gcd is
-ever computed; cancellation only trial-divides the numerator by denominator
-factors, and equality is decided by cross-multiplication.
+ever computed: cancellation asks ``divide_exact`` whether each denominator
+factor divides the numerator, and equality is decided by cross-multiplication.
+
+Most denominator factors are binomials: q_i - tau q_j, q_i q_j - tau and
+1 +- tau q_i, with q_i**2 - tau and q_i**m - q_j**m among the rest.  A
+binomial f = 0 gives a rule q_v**d = s * q**mu with s a nonzero scalar and
+q**mu a monomial, a unit of the Laurent ring; modulo f every Laurent
+polynomial reduces to degree below d in q_v, and f divides p exactly when p
+reduces to zero.  For d = 1 this is the substitution q_v := s * q**mu.
+``divide_exact`` decides divisibility this way first, in one pass over the
+terms of p, and returns None at once when a reduced exponent is reached by
+a single term or a reduced coefficient is nonzero.  Long division runs only
+for factors of three or more terms and to compute the quotient once a
+factor is known to divide.
 
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
@@ -49,8 +61,89 @@ def _coerce_scalar(value, order: int) -> CycloScalar:
     return CycloScalar.rational(value, order)
 
 
+def _times(a, b, red):
+    """Product of raw scalars where None stands for 1."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return K.scalar_mul(a[0], a[1], b[0], b[1], red)
+
+
+class _BinomialRule:
+    """The rewriting rule q_v**d = s * q**mu that a binomial f = 0 gives.
+
+    Modulo f, every Laurent polynomial reduces to one of degree below d in
+    q_v; since q**mu is a unit, the reduction is zero exactly when f divides
+    the polynomial.  ``mu`` holds -d at position v, so q**e reduces to
+    s**a * q**(e + a*mu) with a = e[v] // d.  Powers of s are raw scalars
+    computed once per factor on first use, with None standing for 1.
+    """
+
+    __slots__ = ("v", "d", "mu", "red", "_s", "_pow")
+
+    def __init__(self, v: int, d: int, mu: tuple, s: CycloScalar):
+        self.v = v
+        self.d = d
+        self.mu = mu
+        self.red = s.field.red
+        self._s = s
+        self._pow = {0: None, 1: None if s == 1 else (s.num, s.den)}
+
+    def power(self, k: int):
+        pw = self._pow
+        if k in pw:
+            return pw[k]
+        step = 1 if k > 0 else -1
+        if step not in pw:
+            inv = self._s.inverse()
+            pw[-1] = None if inv == 1 else (inv.num, inv.den)
+        j = 0
+        while j != k:
+            if j + step not in pw:
+                pw[j + step] = _times(pw[j], pw[step], self.red)
+            j += step
+        return pw[k]
+
+    def annihilates(self, terms: dict) -> bool:
+        """Whether the polynomial with these terms reduces to zero.
+
+        Terms are grouped by their reduced exponent.  A group of one term
+        can never cancel, so the exponents alone settle most rejections;
+        with more groups than half the terms one of them holds a single term.
+        """
+        v, d, mu = self.v, self.d, self.mu
+        groups: dict = {}
+        half = len(terms) // 2
+        for e, raw in terms.items():
+            k = e[v] // d
+            if k:
+                e = tuple(x + k * y for x, y in zip(e, mu))
+            group = groups.get(e)
+            if group is not None:
+                group.append((k, raw))
+            elif len(groups) == half:
+                return False
+            else:
+                groups[e] = [(k, raw)]
+        if any(len(group) == 1 for group in groups.values()):
+            return False
+        red = self.red
+        for group in groups.values():
+            acc = None
+            for k, raw in group:
+                raw = _times(raw, self.power(k), red)
+                acc = raw if acc is None else K.scalar_add(acc[0], acc[1], raw[0], raw[1])
+            if any(acc[0]):
+                return False
+        return True
+
+
+_UNSET = object()
+
+
 class LaurentPoly:
-    __slots__ = ("nvars", "order", "terms", "_key")
+    __slots__ = ("nvars", "order", "terms", "_key", "_hash", "_rule")
 
     def __init__(self, nvars: int, order: int, terms: dict, _trusted: bool = False):
         self.nvars = nvars
@@ -72,6 +165,8 @@ class LaurentPoly:
                     clean[tuple(e)] = raw
             self.terms = clean
         self._key = None
+        self._hash = None
+        self._rule = _UNSET
 
     # -- constructors ------------------------------------------------------
 
@@ -196,14 +291,15 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        out = LaurentPoly.constant(self.nvars, 1, self.order)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return LaurentPoly.constant(self.nvars, 1, self.order) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -218,7 +314,10 @@ class LaurentPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.nvars, len(self.terms)))
+        # the exponent set is the same at every order the poly is lifted to
+        if self._hash is None:
+            self._hash = hash((self.nvars, frozenset(self.terms)))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -351,33 +450,76 @@ class LaurentPoly:
             return c, shift, p
         return c, shift, p * c.inverse()
 
+    def binomial_rule(self):
+        """The ``_BinomialRule`` of self, or None when self is no binomial
+        with nonnegative exponents and zero monomial content.
+
+        Writing self = cx q_v**d q**x' + cy q**y with y free of q_v and d the
+        smallest nonzero exponent gap, self = 0 gives
+        q_v**d = -(cy/cx) q**(y - x').  Cached on the polynomial.
+        """
+        if self._rule is not _UNSET:
+            return self._rule
+        rule = None
+        if len(self.terms) == 2:
+            (x, cx), (y, cy) = self.terms.items()
+            if all(a >= 0 and b >= 0 and not (a and b) for a, b in zip(x, y)):
+                d, v = min((a + b, i) for i, (a, b) in enumerate(zip(x, y)) if a + b)
+                if y[v]:
+                    (x, cx), (y, cy) = (y, cy), (x, cx)
+                s = -CycloScalar(self.order, cy[0], cy[1], _normalized=True)
+                lead = CycloScalar(self.order, cx[0], cx[1], _normalized=True)
+                if lead != 1:
+                    s = s * lead.inverse()
+                rule = _BinomialRule(v, d, tuple(b - a for a, b in zip(x, y)), s)
+        self._rule = rule
+        return rule
+
     def divide_exact(self, f: "LaurentPoly"):
         """Exact quotient self/f, or None when f does not divide self.
 
         ``f`` must have nonnegative exponents; self may be Laurent, its
-        monomial content is carried through unchanged.
+        monomial content is carried through unchanged.  When f has a
+        ``binomial_rule``, divisibility is decided by reduction first and
+        long division only runs to produce a quotient that exists.
         """
         if self.is_zero():
             return self
         a, f = self._match(f)
+        rule = f.binomial_rule()
+        if rule is not None and not rule.annihilates(a.terms):
+            return None
         shift = a.min_exps()
         p = a.shifted(tuple(-x for x in shift)) if any(shift) else a
-        field = CyclotomicField.get(a.order)
+        rem = dict(p.terms)
+        red = CyclotomicField.get(a.order).red
         lead_f = max(f.terms)
         nf, df = f.terms[lead_f]
-        inv_cf = CycloScalar(a.order, nf, df, _normalized=True).inverse()
-        rem = dict(p.terms)
+        inv = None  # unit-normalized factors lead with 1
+        if df != 1 or nf[0] != 1 or any(nf[1:]):
+            inv = CycloScalar(a.order, nf, df, _normalized=True).inverse()
+            inv = (inv.num, inv.den)
+        tail = [(e, raw) for e, raw in f.terms.items() if e != lead_f]
         quo = {}
         while rem:
             lead_r = max(rem)
             diff = tuple(x - y for x, y in zip(lead_r, lead_f))
             if any(x < 0 for x in diff):
                 return None
-            nr, dr = rem[lead_r]
-            c = CycloScalar(a.order, nr, dr, _normalized=True) * inv_cf
-            quo[diff] = (c.num, c.den)
-            piece = K.poly_mul({diff: (c.num, c.den)}, f.terms, field.red)
-            rem = K.poly_add(rem, K.poly_neg(piece))
+            c = _times(rem.pop(lead_r), inv, red)
+            quo[diff] = c
+            for e, raw in tail:
+                t = tuple(x + y for x, y in zip(diff, e))
+                n, d = K.scalar_mul(c[0], c[1], raw[0], raw[1], red)
+                cur = rem.get(t)
+                if cur is None:
+                    rem[t] = (tuple(-x for x in n), d)
+                else:
+                    n, d = K.scalar_sub(cur[0], cur[1], n, d)
+                    if any(n):
+                        rem[t] = (n, d)
+                    else:
+                        del rem[t]
         if any(shift):
             quo = {tuple(x + s for x, s in zip(e, shift)): v for e, v in quo.items()}
         return LaurentPoly(a.nvars, a.order, quo, _trusted=True)

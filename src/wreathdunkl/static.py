@@ -148,17 +148,19 @@ def freezing_identity_check(params: ModelParams) -> CheckSuite:
 # -- lattice residual conditions ------------------------------------------------
 
 
-def _roots_of_unity(m: int, exact: bool):
-    if exact:
-        return [
-            CycloScalar.root_of_unity(m, s) if m > 1 else CycloScalar.one(1)
-            for s in range(m)
-        ]
-    return [cmath.exp(2j * cmath.pi * s / m) for s in range(m)]
-
-
 def _is_exact(positions) -> bool:
     return all(isinstance(q, CycloScalar) for q in positions)
+
+
+def _sites_and_rotations(positions, m: int):
+    """Positions and m-th roots of unity; exact ones share their lcm field."""
+    if not _is_exact(positions):
+        return positions, [cmath.exp(2j * cmath.pi * s / m) for s in range(m)], False
+    order = m
+    for q in positions:
+        order = order * q.order // gcd(order, q.order)
+    positions = [q.lift(order) for q in positions]
+    return positions, [CycloScalar.root_of_unity(m, s).lift(order) for s in range(m)], True
 
 
 def _vanishes(x) -> bool:
@@ -173,8 +175,7 @@ def residual_cyclic(positions, m: int):
     Exact cyclotomic arithmetic when the positions are exact scalars,
     complex floats otherwise.  Raises on coincident rotated images.
     """
-    exact = _is_exact(positions)
-    taus = _roots_of_unity(m, exact)
+    positions, taus, exact = _sites_and_rotations(positions, m)
     N = len(positions)
     out = []
     for i in range(N):
@@ -209,8 +210,7 @@ def residual_dihedral(positions, m: int, beta2=None, gamma2=None, mu2=None):
         raise ValueError("odd m needs beta2 and gamma2")
     if not odd and mu2 is None:
         raise ValueError("even m needs mu2")
-    exact = _is_exact(positions)
-    taus = _roots_of_unity(m, exact)
+    positions, taus, exact = _sites_and_rotations(positions, m)
     N = len(positions)
 
     def lift_coupling(c):

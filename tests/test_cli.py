@@ -1,6 +1,10 @@
 """Command-line contract: exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,44 @@ def test_reports_are_deterministic(tmp_path):
                 "--lambda", "1", "--seed", "7"], tmp_path, "b.json")
     a["config"].pop("output"), b["config"].pop("output")
     assert a == b
+
+
+def test_reports_are_byte_identical_across_processes():
+    """Same argv in two interpreters, different hash seeds: same bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["verify", "--family", "cyclic", "--N", "2", "--m", "2",
+            "--lambda", "1", "--seed", "7"]
+    outputs = []
+    for hashseed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wreathdunkl.cli", *argv],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert b'"fn"' not in outputs[0]
+
+
+def test_verify_zero_coupling_grid_point_passes(tmp_path):
+    code, data = run(
+        ["verify", "--family", "cyclic", "--N", "2", "--m", "2", "--lambda", "0"],
+        tmp_path,
+    )
+    assert code == 0 and data["pass"]
+    names = {c["relation"] for c in data["suite"] if c["relation"].startswith("wreath Dunkl")}
+    assert names == {"wreath Dunkl = one-copy Dunkl at m>1 (no coupling sees the rotations)"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--object", "d1"],
+        ["verify", "--family", "cyclic", "--N", "1", "--m", "2"],
+    ],
+)
+def test_bad_config_is_one_line_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert len(err.strip().splitlines()) == 1

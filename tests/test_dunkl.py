@@ -147,6 +147,30 @@ def test_reduction_at_unit_order():
     assert reduction_check(ModelParams("cyclic", 2, 2, Fraction(1))).passed
 
 
+@pytest.mark.parametrize("family,m", [("cyclic", 2), ("cyclic", 3), ("dihedral", 2),
+                                      ("dihedral", 3), ("dihedral", 4)])
+def test_reduction_away_from_unit_order(family, m):
+    """At m > 1 the operators agree exactly when no coupling sees the rotations.
+
+    Each verdict is asserted both ways (equal or different), so the suite
+    passing at every grid point pins the condition, including the dihedral
+    m = 2 point where mu alone lands on K_i in both operators.
+    """
+    equal = []
+    for lam in (0, 1):
+        for mu in (0, 1):
+            for rho in (0, Fraction(1, 2)):
+                p = ModelParams(family, 2, m, Fraction(lam), Fraction(mu), rho)
+                suite = reduction_check(p)
+                assert suite.passed, (p, [i.relation for i in suite.failures()])
+                if not suite.items[0].expected_nonzero:
+                    equal.append((lam, mu, rho))
+    if family == "cyclic":
+        assert equal == [(0, 0, 0), (0, 0, Fraction(1, 2)), (0, 1, 0), (0, 1, Fraction(1, 2))]
+    else:
+        assert equal == ([(0, 0, 0), (0, 1, 0)] if m == 2 else [(0, 0, 0)])
+
+
 def test_charge_commutation_and_symmetries():
     p = ModelParams("cyclic", 2, 2, Fraction(1, 2))
     suite = charge_commutation_check(p, kmax=3)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup, generator
@@ -164,3 +166,112 @@ def test_json_round_trip():
     r = RationalCoefficient.ratio(q(1), q(1) - q(2))
     rd = r.to_json()
     assert set(rd) == {"num", "den"}
+
+
+def test_hash_ignores_coefficients_not_exponents():
+    q1, q2 = q(1), q(2)
+    z3 = CycloScalar.root_of_unity(3)
+    assert hash(q1 - q2) == hash(q1 - q2 * z3)
+    assert (q1 - q2) != (q1 - q2 * z3)
+    assert hash(q1 - q2) != hash(q1 * q2 - LaurentPoly.constant(2, 1, 3))
+
+
+def test_binomial_rule_applies_to_content_free_binomials():
+    q1, q2 = q(1), q(2)
+    one = LaurentPoly.constant(2, 1, 3)
+    for f in (q1 - q2, q1 * q2 - one, one + q1, q2 * 2 - one, q1 * q1 - q2 * q2):
+        assert f.binomial_rule() is not None
+    for f in (q1 * (q1 - q2), q1 - q2 + one, q1, q(1, power=-1) - one):
+        assert f.binomial_rule() is None
+    rule = (q1**3 - q2 * q2).binomial_rule()  # q2**2 = q1**3
+    assert (rule.v, rule.d, rule.mu) == (1, 2, (3, -2))
+
+
+# -- property tests: binomial reduction against long division -------------------
+
+NVARS = 3
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def laurent(draw, order, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = tuple(draw(st.integers(-2, 2)) for _ in range(NVARS))
+        c = CycloScalar.root_of_unity(order, draw(st.integers(0, order - 1)))
+        terms[e] = c * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return LaurentPoly(NVARS, order, terms)
+
+
+@st.composite
+def binomial(draw, order):
+    """A denominator shape: q_i - tau q_j, q_i q_j - tau, 1 +- tau q_i, or a
+    nonlinear one, q_i**2 - tau or q_i**k - tau q_j**k; tau an order-th root."""
+    tau = CycloScalar.root_of_unity(order, draw(st.integers(0, order - 1)))
+    i, j = draw(st.permutations(range(1, NVARS + 1)))[:2]
+    qi, qj = q(i, NVARS, order), q(j, NVARS, order)
+    one = LaurentPoly.constant(NVARS, 1, order)
+    shape = draw(st.sampled_from(("exchange", "mirror", "plus", "minus", "boundary", "power")))
+    if shape == "exchange":
+        return qi - qj * tau
+    if shape == "mirror":
+        return qi * qj - one * tau
+    if shape == "boundary":
+        return qi * qi - one * tau
+    if shape == "power":
+        k = draw(st.integers(2, 3))
+        return qi**k - qj**k * tau
+    return one + qi * tau if shape == "plus" else one - qi * tau
+
+
+@st.composite
+def field_case(draw):
+    order = draw(st.integers(1, 6))
+    return order, draw(laurent(order)), draw(binomial(order))
+
+
+def divides_by_long_division(p, f):
+    """Reference verdict: lex-leading-term division on the LaurentPoly API."""
+    if p.is_zero():
+        return True
+    p = p.shifted(tuple(-x for x in p.min_exps()))
+    lead_f = max(f.terms)
+    while not p.is_zero():
+        lead = max(p.terms)
+        diff = tuple(a - b for a, b in zip(lead, lead_f))
+        if min(diff) < 0:
+            return False
+        c = p.coeff(lead) / f.coeff(lead_f)
+        p = p - LaurentPoly.monomial(NVARS, diff, c, p.order) * f
+    return True
+
+
+@PROPERTY
+@given(field_case())
+def test_product_divides_back_exactly(case):
+    _, a, f = case
+    assert f.binomial_rule() is not None
+    assert (a * f).divide_exact(f) == a
+
+
+@PROPERTY
+@given(field_case(), st.data())
+def test_reduction_verdict_matches_long_division(case, data):
+    order, a, f = case
+    _, _, monic = f.unit_normalize()
+    c = data.draw(st.one_of(laurent(order, max_terms=1), binomial(order)))
+    p = a * monic + c
+    expected = divides_by_long_division(p, monic)
+    assert monic.binomial_rule().annihilates(p.terms) == expected
+    assert (p.divide_exact(monic) is not None) == expected
+    assert (p.divide_exact(f) is not None) == expected
+
+
+@PROPERTY
+@given(field_case(), st.integers(1, 4))
+def test_hash_consistent_with_cross_order_equality(case, k):
+    order, a, f = case
+    for p in (a, f, a * f):
+        lifted = p.lift(order * k)
+        assert p == lifted
+        assert hash(p) == hash(lifted)

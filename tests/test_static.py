@@ -102,6 +102,17 @@ def test_residual_raises_on_coincidence():
         residual_dihedral([CycloScalar.one(1), z], 2, mu2=Fraction(1))
 
 
+def test_residuals_lift_mixed_fields():
+    """Positions in Q(zeta_8) against sixth roots of unity meet in Q(zeta_24)."""
+    z8 = CycloScalar.root_of_unity(8)
+    res = residual_dihedral([z8, z8**2], 6, mu2=Fraction(4))
+    assert [r.is_zero() for r in res] == [True, True]
+    assert all(r.order == 24 for r in res)
+    res = residual_cyclic([z8, z8**3], 3)
+    lifted = residual_cyclic([z8.lift(24), (z8**3).lift(24)], 3)
+    assert res == lifted and all(r.order == 24 for r in res)
+
+
 @pytest.mark.parametrize("m,N", [(3, 2), (3, 3), (5, 2)])
 def test_lattice_table_rows_exactly_zero(m, N):
     suite = lattice_table_check(m, [N])
