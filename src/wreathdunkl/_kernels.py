@@ -1,8 +1,8 @@
 """Kernel backend selector.
 
 Imports the compiled kernels when the extension was built, otherwise falls
-back to the pure-Python module.  ``WREATHDUNKL_PURE=1`` forces the fallback
-(used by the benchmark and by CI to exercise both paths).
+back to the pure-Python module.  ``WREATHDUNKL_PURE=1`` forces the fallback,
+so that both backends can be compared on one build.
 """
 
 import os

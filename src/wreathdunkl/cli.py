@@ -1,9 +1,18 @@
 """Command-line front end: verification suites, lattices, spectra, exports.
 
-Exit codes form a stable contract: 0 when every check passes, 1 when a
-mathematical identity fails, 2 on configuration errors.  Reports are JSON
-with the seed, the configuration and the engine version embedded, so runs
-are reproducible byte for byte.
+Exit codes form a stable contract:
+
+* 0: every check passes;
+* 1: a mathematical identity fails;
+* 2: the configuration is bad.  The arguments are validated before any work
+  starts, and the message is one line starting ``configuration error:``;
+  argparse's own usage errors also exit 2;
+* 3: an internal error, an exception the engine did not expect.  The
+  message is one line, ``internal error: <type>: <message>``.
+
+No argv prints a traceback.  Reports are JSON with the seed, the
+configuration and the engine version embedded, so runs are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 from . import __version__
 from .dunkl import (
     ModelParams,
+    boundary_element,
     build_charge,
     build_dunkl,
     build_hamiltonian,
@@ -26,12 +36,13 @@ from .dunkl import (
     charge_commutation_check,
     check_hecke_relations,
     check_recursion,
+    exchange_element,
     hamiltonian_check,
     hamiltonian_x_display,
     reduction_check,
     rotation_average_check,
 )
-from .groups import GroupSpec, corrupted_compose, enumerate_subgroup, relation_suite
+from .groups import GroupSpec, compose, corrupted_compose, enumerate_subgroup, relation_suite
 from .reports import CheckSuite
 from .spinrep import (
     SpinRepData,
@@ -43,9 +54,8 @@ from .spinrep import (
     frozen_spin_matrix,
     global_rotation_element,
     projector_check,
-    spin_matrix_of_element,
+    spin_array_of_element,
     spin_representation_check,
-    substitute_spin,
     twisted_translation_element,
     verify_agreement,
 )
@@ -56,8 +66,8 @@ from .static import (
     build_static_hamiltonian,
     equidistant_lattice,
     freezing_identity_check,
-    lattice_table_check,
     merge_chain_terms,
+    rational_sqrt,
     scan_equidistant,
     static_display_check,
 )
@@ -103,11 +113,7 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _group_suite(spec: GroupSpec, corrupt: str | None) -> CheckSuite:
-    compose_fn = corrupted_compose if corrupt == "braid" else None
-    rep = relation_suite(spec, compose_fn) if compose_fn else relation_suite(spec)
-    suite = CheckSuite(f"group-relations[{spec.family} N={spec.size} m={spec.order}]")
-    for c in rep.checks:
-        suite.add(c.name, c.indices, c.passed, c.witness)
+    suite = relation_suite(spec, corrupted_compose if corrupt == "braid" else compose)
     els = enumerate_subgroup(spec, cap=10**6)
     suite.add(
         "enumerated order equals the family cardinality",
@@ -157,12 +163,8 @@ DEFAULT_GRID = {
 
 def cmd_verify(args) -> int:
     corrupt = args.corrupt
-    if corrupt and corrupt not in ("drels", "recursion", "braid"):
-        raise ConfigError(f"unknown corruption target {corrupt!r}")
     suite = CheckSuite("verify")
     if args.family:
-        if args.N < 2:
-            raise ConfigError("verify needs --N 2 or more: its checks pair two sites")
         params = _params_from_args(args)
         suite.extend(_verify_case(params, args, corrupt))
     else:
@@ -216,11 +218,6 @@ def cmd_lattice(args) -> int:
         report["pass"] = True
         _write_report(report, args.output)
         return 0
-    if args.family == "dihedral-even":
-        raise ConfigError(
-            "the exact lattice table covers the cyclic and odd-m dihedral "
-            "families; search even m with --scan"
-        )
     label = args.label or "auto"
     lat = build_lattice(args.family, args.N, args.m, label)
     report["lattice"] = lat.to_json()
@@ -239,22 +236,20 @@ def _chain_for(args):
         lat = build_lattice("cyclic", args.N, args.m)
     elif args.family == "dihedral-odd":
         lat = build_lattice("dihedral-odd", args.N, args.m, args.label or "L2Nm")
-    elif args.family == "dihedral-even":
-        if not args.L:
-            raise ConfigError("dihedral-even chains need --L (numeric lattice)")
+    else:
         lat = equidistant_lattice(
             "dihedral-even", args.N, args.m, args.L,
             couplings={"mu2": _fraction(args.mu2 or "1/4")},
         )
-    else:
-        raise ConfigError(f"unknown chain family {args.family!r}")
+        try:
+            lat.residuals()
+        except ZeroDivisionError as exc:
+            raise ConfigError(f"--L {args.L} puts a site on an image: {exc}") from exc
     return build_frozen_hamiltonian(lat)
 
 
 def cmd_spectrum(args) -> int:
     dim = args.n**args.N
-    if dim > 4096:
-        raise ConfigError(f"spin space dimension {dim} exceeds the dense cap 4096")
     frozen = _chain_for(args)
     rep = SpinRepData(args.n, args.m, args.N)
     terms = merge_chain_terms(frozen.terms)
@@ -290,12 +285,8 @@ def cmd_spectrum(args) -> int:
     if Hx is not None and dim <= 16:
         checks["charpoly_residual"] = charpoly_residual(char_poly_exact(Hx), vals)
     if args.family == "cyclic":
-        U = spin_matrix_of_element(
-            rep, twisted_translation_element(args.N, args.m)
-        ).to_numpy()
-        R = spin_matrix_of_element(
-            rep, global_rotation_element(args.N, args.m)
-        ).to_numpy()
+        U = spin_array_of_element(rep, twisted_translation_element(args.N, args.m))
+        R = spin_array_of_element(rep, global_rotation_element(args.N, args.m))
         checks["commutant"] = {
             "twisted_translation": float(np.max(np.abs(H @ U - U @ H))),
             "global_rotation": float(np.max(np.abs(H @ R - R @ H))),
@@ -303,7 +294,7 @@ def cmd_spectrum(args) -> int:
     else:
         comms = {}
         for name, g in _dihedral_symmetry_candidates(args.N, args.m).items():
-            M = spin_matrix_of_element(rep, g).to_numpy()
+            M = spin_array_of_element(rep, g)
             comms[name] = float(np.max(np.abs(H @ M - M @ H)))
         checks["commutant_report"] = comms
     report["checks"] = checks
@@ -320,8 +311,6 @@ def cmd_spectrum(args) -> int:
 
 
 def _dihedral_symmetry_candidates(N: int, m: int) -> dict:
-    from .dunkl import boundary_element, exchange_element
-
     out = {"global_rotation": global_rotation_element(N, m)}
     out["exchange_P12"] = exchange_element(N, m, 1, 2, 0)
     out["reflection_K1"] = boundary_element(N, m, 1, 0)
@@ -342,49 +331,46 @@ def _sin2_display(frozen) -> list:
 # -- export ---------------------------------------------------------------------
 
 
+# indexed objects: prefix -> whether the index is a site (else a charge order)
+INDEXED_OBJECTS = {"DD": True, "d": True, "Z": True, "Y": True, "I": False, "J": False}
+MODEL_OBJECTS = ("H", "H_xdisplay", "Hbar")
+OTHER_OBJECTS = ("Lambda", "Lambda_b", "Hbar_spin", "qk_lattice")
+
+
+def _export_object(name: str):
+    """(kind, index) of an export object name: ("d", 2) for d2, (name, None)
+    for unindexed names."""
+    for prefix in INDEXED_OBJECTS:
+        if name.startswith(prefix) and name[len(prefix):].isdigit():
+            return prefix, int(name[len(prefix):])
+    return name, None
+
+
 def cmd_export(args) -> int:
     name = args.object
+    kind, index = _export_object(name)
     params = _params_from_args(args) if args.family else None
-
-    def model() -> ModelParams:
-        if params is None:
-            raise ConfigError(f"export --object {name} needs --family")
-        return params
-
-    payload: dict
-    if name.startswith("d") and name[1:].isdigit():
-        op = build_dunkl(model(), int(name[1:]))
-        payload = {"operator": op.to_json()}
-    elif name.startswith("Z") and name[1:].isdigit():
-        op = build_symmetric_dunkl(model(), int(name[1:]))
-        payload = {"operator": op.to_json()}
-    elif name.startswith("Y") and name[1:].isdigit():
-        op = build_reflection_dunkl(model(), int(name[1:]))
-        payload = {"operator": op.to_json()}
-    elif name.startswith("DD") and name[2:].isdigit():
-        op = build_dunkl(model(), int(name[2:]), form="image")
-        payload = {"operator": op.to_json()}
-    elif name.startswith("I") and name[1:].isdigit():
-        payload = {"operator": build_charge(model(), int(name[1:])).to_json()}
-    elif name.startswith("J") and name[1:].isdigit():
-        payload = {"operator": build_charge(model(), int(name[1:])).to_json()}
+    if kind in ("d", "DD"):
+        payload = {"operator": build_dunkl(params, index).to_json()}
+    elif kind == "Z":
+        payload = {"operator": build_symmetric_dunkl(params, index).to_json()}
+    elif kind == "Y":
+        payload = {"operator": build_reflection_dunkl(params, index).to_json()}
+    elif kind in ("I", "J"):
+        payload = {"operator": build_charge(params, index).to_json()}
     elif name == "H":
-        payload = {"operator": build_hamiltonian(model()).to_json()}
+        payload = {"operator": build_hamiltonian(params).to_json()}
     elif name == "H_xdisplay":
-        payload = {"display": hamiltonian_x_display(model())}
+        payload = {"display": hamiltonian_x_display(params)}
     elif name == "Hbar":
-        payload = {"operator": build_static_hamiltonian(model()).to_json()}
+        payload = {"operator": build_static_hamiltonian(params).to_json()}
     elif name in ("Lambda", "Lambda_b"):
-        if not args.n:
-            raise ConfigError(f"{name} needs --n (local spin dimension)")
         rep = SpinRepData(args.n, args.m, args.N)
         which = "exchange" if name == "Lambda" else "boundary"
         fam = "cyclic" if name == "Lambda" else "dihedral"
         p = params or ModelParams(fam, args.N, args.m)
         payload = {"operator": build_projector(p, rep, which).to_json()}
     elif name == "Hbar_spin":
-        if not args.n:
-            raise ConfigError("Hbar_spin needs --n")
         rep = SpinRepData(args.n, args.m, args.N)
         lat = build_lattice("cyclic", args.N, args.m)
         frozen = build_frozen_hamiltonian(lat)
@@ -393,11 +379,9 @@ def cmd_export(args) -> int:
             "lattice": lat.to_json(),
             "matrix": M.entries_json(),
         }
-    elif name == "qk_lattice":
+    else:
         lat = build_lattice("cyclic", args.N, args.m)
         payload = {"lattice": lat.to_json()}
-    else:
-        raise ConfigError(f"unknown export object {name!r}")
     report = {
         "command": "export",
         "version": __version__,
@@ -408,6 +392,63 @@ def cmd_export(args) -> int:
     }
     _write_report(report, args.output)
     return 0
+
+
+# -- validation ------------------------------------------------------------------
+
+
+def _validate(args):
+    """Raise ConfigError for any argv the commands cannot run on."""
+    for name in ("N", "m", "n", "kmax", "L", "Lmax"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {value}")
+    for name in ("lam", "mu", "rho", "mu2"):
+        if getattr(args, name, None) is not None:
+            _fraction(getattr(args, name))
+    if args.family == "dihedral-odd" and args.m % 2 == 0:
+        raise ConfigError("the dihedral-odd family needs odd --m")
+    if args.family == "dihedral-even" and args.m % 2:
+        raise ConfigError("the dihedral-even family needs even --m")
+    if args.command == "verify":
+        if args.corrupt not in (None, "drels", "recursion", "braid"):
+            raise ConfigError(f"unknown corruption target {args.corrupt!r}")
+        if args.family and args.N < 2:
+            raise ConfigError("verify needs --N 2 or more: its checks pair two sites")
+    elif args.command == "lattice":
+        if args.family is None:
+            raise ConfigError("lattice needs --family")
+        if args.family == "dihedral-even" and not args.scan:
+            raise ConfigError(
+                "the exact lattice table covers the cyclic and odd-m dihedral "
+                "families; search even m with --scan"
+            )
+    elif args.command == "spectrum":
+        dim = args.n**args.N
+        if dim > 4096:
+            raise ConfigError(f"spin space dimension {dim} exceeds the dense cap 4096")
+        if args.family == "dihedral-even" and not args.L:
+            raise ConfigError("dihedral-even chains need --L (numeric lattice)")
+        if args.mu2 is not None:
+            try:
+                rational_sqrt(_fraction(args.mu2))
+            except ValueError as exc:
+                raise ConfigError(f"--mu2: {exc}") from exc
+    elif args.command == "export":
+        _validate_export(args)
+
+
+def _validate_export(args):
+    name = args.object
+    kind, index = _export_object(name)
+    if kind not in INDEXED_OBJECTS and kind not in MODEL_OBJECTS + OTHER_OBJECTS:
+        raise ConfigError(f"unknown export object {name!r}")
+    if index is not None and (index < 1 or INDEXED_OBJECTS[kind] and index > args.N):
+        raise ConfigError(f"export --object {name}: index out of range")
+    if (index is not None or kind in MODEL_OBJECTS) and args.family is None:
+        raise ConfigError(f"export --object {name} needs --family")
+    if kind in ("Lambda", "Lambda_b", "Hbar_spin") and not args.n:
+        raise ConfigError(f"{name} needs --n (local spin dimension)")
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -456,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mu2", default=None)
     ps.add_argument("--backend", choices=("exact", "numeric"), default="exact")
     ps.add_argument("--x-display", dest="x_display", action="store_true")
-    ps.set_defaults(fn=cmd_spectrum)
+    ps.set_defaults(fn=cmd_spectrum, n=2, family="cyclic")
 
     pe = sub.add_parser("export", help="dump named operators and lattices as JSON")
     common(pe)
@@ -468,18 +509,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "spectrum" and args.n is None:
-        args.n = 2
-    if args.command == "spectrum" and args.family is None:
-        args.family = "cyclic"
     try:
+        _validate(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # an engine fault: neither a verdict nor a bad argv
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

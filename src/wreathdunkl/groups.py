@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .reports import CheckSuite
 
 FAMILIES = ("symmetric", "G(m,1,N)", "G(m,p,N)", "W(m,N)")
 
@@ -297,56 +299,17 @@ def enumerate_subgroup(spec: GroupSpec, cap: int = 10**6) -> list[WreathElement]
     return out
 
 
-@dataclass
-class RelationCheck:
-    name: str
-    indices: dict
-    passed: bool
-    witness: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "relation": self.name,
-            "params": self.indices,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
-
-
-@dataclass
-class RelationReport:
-    spec: GroupSpec
-    checks: list[RelationCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.spec.family,
-            "N": self.spec.size,
-            "m": self.spec.order,
-            "p": self.spec.p,
-            "pass": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
-def _record(report, name, indices, lhs_word, rhs_word, compose_fn):
+def _record(suite, name, indices, lhs_word, rhs_word, compose_fn):
     lhs = compose_word(lhs_word, compose_fn)
     rhs = compose_word(rhs_word, compose_fn)
     ok = lhs == rhs
     witness = None
     if not ok:
         witness = {"lhs": lhs.to_json(), "rhs": rhs.to_json()}
-    report.checks.append(RelationCheck(name, indices, ok, witness))
+    suite.add(name, indices, ok, witness)
 
 
-def relation_suite(spec: GroupSpec, compose_fn=compose) -> RelationReport:
+def relation_suite(spec: GroupSpec, compose_fn=compose) -> CheckSuite:
     """Instantiate every defining relation of the family and check it.
 
     ``compose_fn`` is injectable so that a deliberately corrupted
@@ -356,7 +319,7 @@ def relation_suite(spec: GroupSpec, compose_fn=compose) -> RelationReport:
     the realization on positions forces.
     """
     n, m = spec.size, spec.order
-    rep = RelationReport(spec)
+    rep = CheckSuite(f"group-relations[{spec.family} N={spec.size} m={spec.order}]")
     e = [None] + [generator(spec, "e", i=t) for t in range(1, n)]
     ident = WreathElement.identity(n, m)
 
@@ -494,13 +457,11 @@ def relation_suite(spec: GroupSpec, compose_fn=compose) -> RelationReport:
         gens = [ap] + ([compose_word([a.inverse(), generator(full, "e", i=1), a])] if n >= 2 else [])
         gens += [generator(full, "e", i=t) for t in range(1, n)]
         for idx, g in enumerate(gens):
-            rep.checks.append(
-                RelationCheck(
-                    "generator membership in G(m,p,N)",
-                    {"generator": idx},
-                    spec.contains(g),
-                    None if spec.contains(g) else {"element": g.to_json()},
-                )
+            rep.add(
+                "generator membership in G(m,p,N)",
+                {"generator": idx},
+                spec.contains(g),
+                None if spec.contains(g) else {"element": g.to_json()},
             )
     return rep
 

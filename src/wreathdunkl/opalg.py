@@ -56,25 +56,13 @@ class MixedOperator:
 
     @staticmethod
     def identity(nvars, order=1, group_order=1, spin_dim=1):
-        g = WreathElement.identity(nvars, group_order)
         one = RationalCoefficient.one(nvars, order)
-        mat = {(t, t): one for t in range(spin_dim)}
-        return MixedOperator(
-            nvars, order, group_order, spin_dim,
-            {((0,) * nvars, g): mat}, _trusted=True,
-        )
+        return MixedOperator.from_coefficient(one, group_order, spin_dim)
 
     @staticmethod
     def from_group(g: WreathElement, order=None, spin_dim=1, coeff=1):
-        order = order or g.order
-        order = order * g.order // gcd(order, g.order)
-        c = RationalCoefficient.from_scalar(g.size, coeff, order)
-        if c.is_zero():
-            return MixedOperator.zero(g.size, order, g.order, spin_dim)
-        mat = {(t, t): c for t in range(spin_dim)}
-        return MixedOperator(
-            g.size, order, g.order, spin_dim, {((0,) * g.size, g): mat}, _trusted=True
-        )
+        c = RationalCoefficient.from_scalar(g.size, coeff, order or g.order)
+        return MixedOperator.term(c, g, spin_dim=spin_dim)
 
     @staticmethod
     def from_coefficient(c: RationalCoefficient, group_order=1, spin_dim=1):
@@ -212,10 +200,6 @@ class MixedOperator:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloScalar)):
-            other = MixedOperator.identity(
-                self.nvars, self.order, self.group_order, self.spin_dim
-            ) * other
         return self + (-other)
 
     def __rsub__(self, other):
@@ -261,10 +245,12 @@ class MixedOperator:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("operators have no inverses here")
-        out = MixedOperator.identity(
-            self.nvars, self.order, self.group_order, self.spin_dim
-        )
-        for _ in range(k):
+        if k == 0:
+            return MixedOperator.identity(
+                self.nvars, self.order, self.group_order, self.spin_dim
+            )
+        out = self
+        for _ in range(k - 1):
             out = op_compose(out, self)
         return out
 
@@ -495,10 +481,6 @@ def op_commutator(A: MixedOperator, B: MixedOperator) -> MixedOperator:
     return op_compose(A, B) - op_compose(B, A)
 
 
-def op_anticommutator(A: MixedOperator, B: MixedOperator) -> MixedOperator:
-    return op_compose(A, B) + op_compose(B, A)
-
-
 def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     """Rotation-average projector onto the weight component at one site.
 
@@ -514,7 +496,7 @@ def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     total = MixedOperator.zero(n, order, m, A.spin_dim)
     qs = WreathElement.identity(n, m)
     for s in range(m):
-        phase = CycloScalar.root_of_unity(m, (s * weight) % m) if m > 1 else CycloScalar.one(1)
+        phase = CycloScalar.root_of_unity(m, s * weight)
         piece = op_compose(
             op_compose(MixedOperator.from_group(qs.inverse(), order, A.spin_dim), A),
             MixedOperator.from_group(qs, order, A.spin_dim),

@@ -577,18 +577,9 @@ class RationalCoefficient:
             if k <= 0:
                 raise ValueError("denominator multiplicities must be positive")
             order = order * f.order // gcd(order, f.order)
-        unit_num = num.lift(order)
-        factors: dict[LaurentPoly, int] = {}
-        for f, k in den:
-            c, shift, monic = f.lift(order).unit_normalize()
-            if not monic.is_constant():
-                factors[monic] = factors.get(monic, 0) + k
-            if c != 1 or any(shift):
-                unit_inv = LaurentPoly.monomial(
-                    num.nvars, tuple(-x * k for x in shift), c.inverse() ** k, order
-                )
-                unit_num = unit_num * unit_inv
-        self.num, self.den = _cancel(unit_num, factors)
+        self.num, self.den = _normalized(
+            num.lift(order), [(f.lift(order), k) for f, k in den]
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -680,25 +671,17 @@ class RationalCoefficient:
         for f, k in db.items():
             if lcm.get(f, 0) < k:
                 lcm[f] = k
-        na = a.num
+        na, nb = a.num, b.num
         for f, k in lcm.items():
-            extra = k - da.get(f, 0)
-            if extra:
-                na = na * f**extra
-        nb = b.num
-        for f, k in lcm.items():
-            extra = k - db.get(f, 0)
-            if extra:
-                nb = nb * f**extra
+            if k > da.get(f, 0):
+                na = na * f ** (k - da.get(f, 0))
+            if k > db.get(f, 0):
+                nb = nb * f ** (k - db.get(f, 0))
         return RationalCoefficient._reduced(na + nb, lcm)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloScalar)):
-            other = RationalCoefficient.from_scalar(self.nvars, other, self.order)
-        elif isinstance(other, LaurentPoly):
-            other = RationalCoefficient.from_poly(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -777,40 +760,14 @@ class RationalCoefficient:
         return RationalCoefficient._reduced(acc, den)
 
     def act(self, g: WreathElement) -> "RationalCoefficient":
-        num = self.num.act(g)
-        den: dict[LaurentPoly, int] = {}
-        for f, k in self.den:
-            fg = f.act(g)
-            c, shift, monic = fg.unit_normalize()
-            if not monic.is_constant():
-                den[monic] = den.get(monic, 0) + k
-            if c != 1 or any(shift):
-                unit_inv = LaurentPoly.monomial(
-                    self.nvars,
-                    tuple(-x * k for x in shift),
-                    c.inverse() ** k,
-                    fg.order,
-                )
-                num = num * unit_inv
-        return RationalCoefficient._reduced(num, den)
+        num, den = _normalized(self.num.act(g), [(f.act(g), k) for f, k in self.den])
+        return RationalCoefficient(num, den, _trusted=True)
 
     def conj_invert(self) -> "RationalCoefficient":
-        num = self.num.conj_invert()
-        den: dict[LaurentPoly, int] = {}
-        for f, k in self.den:
-            fc = f.conj_invert()
-            c, shift, monic = fc.unit_normalize()
-            if not monic.is_constant():
-                den[monic] = den.get(monic, 0) + k
-            if c != 1 or any(shift):
-                unit_inv = LaurentPoly.monomial(
-                    self.nvars,
-                    tuple(-x * k for x in shift),
-                    c.inverse() ** k,
-                    fc.order,
-                )
-                num = num * unit_inv
-        return RationalCoefficient._reduced(num, den)
+        num, den = _normalized(
+            self.num.conj_invert(), [(f.conj_invert(), k) for f, k in self.den]
+        )
+        return RationalCoefficient(num, den, _trusted=True)
 
     def eval_complex(self, point) -> complex:
         acc = self.num.eval_complex(point)
@@ -878,6 +835,24 @@ class RationalCoefficient:
         return f"({self.num!r}) / [{den}]"
 
 
+def _normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, tuple]:
+    """num / prod f**k with every factor unit-normalized, then cancelled.
+
+    The unit c * q**shift stripped from each factor moves into the
+    numerator as its inverse; constant factors vanish into it entirely.
+    """
+    factors: dict[LaurentPoly, int] = {}
+    for f, k in den:
+        c, shift, monic = f.unit_normalize()
+        if not monic.is_constant():
+            factors[monic] = factors.get(monic, 0) + k
+        if c != 1 or any(shift):
+            num = num * LaurentPoly.monomial(
+                num.nvars, tuple(-x * k for x in shift), c.inverse() ** k, f.order
+            )
+    return _cancel(num, factors)
+
+
 def _cancel(num: LaurentPoly, den: dict) -> tuple[LaurentPoly, tuple]:
     """Drop zero numerators, trial-divide by denominator factors, sort."""
     if num.is_zero():
@@ -896,23 +871,6 @@ def _cancel(num: LaurentPoly, den: dict) -> tuple[LaurentPoly, tuple]:
             out.append((f, k))
     out.sort(key=lambda fk: fk[0].key())
     return num, tuple(out)
-
-
-# module-level names for the core operations, matching how call sites read
-
-def group_action(g: WreathElement, f):
-    """Apply a wreath element to a polynomial or rational function."""
-    return f.act(g)
-
-
-def euler_apply(var: int, f):
-    """Apply the Euler derivative q_var d/dq_var."""
-    return f.euler(var)
-
-
-def rational_eq(a: RationalCoefficient, b: RationalCoefficient) -> bool:
-    """Exact equality by cross-multiplication."""
-    return a == b
 
 
 def random_torus_point(rng, nvars: int) -> tuple[complex, ...]:

@@ -17,7 +17,6 @@ which is what ``verify_agreement`` checks exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,7 +30,7 @@ from .dunkl import (
     build_charge,
     exchange_element,
 )
-from .groups import GroupSpec, WreathElement, enumerate_subgroup
+from .groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from .opalg import MixedOperator, op_compose
 from .polyalg import RationalCoefficient
 from .reports import CheckSuite
@@ -76,15 +75,6 @@ class SpinRepData:
     def dim(self) -> int:
         return self.n**self.N
 
-    def basis(self):
-        return itertools.product(range(self.n), repeat=self.N)
-
-    def index(self, t) -> int:
-        idx = 0
-        for x in t:
-            idx = idx * self.n + x
-        return idx
-
 
 class SpinMatrix:
     """Dense matrix with exact cyclotomic entries (small dimensions)."""
@@ -128,11 +118,7 @@ class SpinMatrix:
         )
 
     def __sub__(self, other):
-        a, b = self._match(other)
-        return SpinMatrix(
-            a.dim, a.order,
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-        )
+        return self + (-other)
 
     def __neg__(self):
         return SpinMatrix(self.dim, self.order, [[-x for x in row] for row in self.rows])
@@ -198,57 +184,56 @@ class SpinMatrix:
         return [[c.to_json() for c in row] for row in self.rows]
 
 
-def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> SpinMatrix:
+def monomial_image(rep: SpinRepData, g: WreathElement):
     """Image of a position-group element on the spin tensor product.
 
-    The permutation moves whole spins, a flip reverses the local weight
-    order, and rotations contribute the phase of the final local state.
+    The image is a monomial matrix: basis state t goes to state ``rows[t]``
+    with the phase tau**``phases[t]``, tau = exp(2 pi i / m).  The
+    permutation moves whole spins, a flip reverses the local weight order,
+    and rotations contribute the phase of the final local state.
     """
     if g.size != rep.N or g.order != rep.m:
         raise ValueError("group element does not fit this spin representation")
-    order = rep.m
-    out = SpinMatrix.zero(rep.dim, order)
-    n, N, m = rep.n, rep.N, rep.m
-    inv = [0] * N
-    for i, p in enumerate(g.perm):
-        inv[p] = i
-    for t in rep.basis():
-        img = [t[inv[j]] for j in range(N)]
-        phase = 0
-        for j in range(N):
-            if g.flip[j]:
-                img[j] = n - 1 - img[j]
-            phase += g.rot[j] * rep.weights[img[j]]
-        val = (
-            CycloScalar.root_of_unity(m, phase % m)
-            if m > 1
-            else CycloScalar.one(1)
-        )
-        out.rows[rep.index(img)][rep.index(t)] = val
+    n, N = rep.n, rep.N
+    # digits[t, j]: local state of site j in basis state t, site 1 leading
+    digits = np.indices((n,) * N).reshape(N, -1).T
+    inv = np.argsort(g.perm)
+    img = digits[:, inv]
+    flip = np.array(g.flip, dtype=bool)
+    img[:, flip] = n - 1 - img[:, flip]
+    phases = (np.array(rep.weights)[img] @ np.array(g.rot)) % rep.m
+    rows = img @ (n ** np.arange(N - 1, -1, -1))
+    return rows, phases
+
+
+def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> SpinMatrix:
+    """The spin image of g as an exact dense matrix."""
+    rows, phases = monomial_image(rep, g)
+    out = SpinMatrix.zero(rep.dim, rep.m)
+    for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
+        out.rows[r][t] = CycloScalar.root_of_unity(rep.m, p)
+    return out
+
+
+def spin_array_of_element(rep: SpinRepData, g: WreathElement) -> np.ndarray:
+    """The spin image of g as a dense complex array."""
+    rows, phases = monomial_image(rep, g)
+    roots = [CycloScalar.root_of_unity(rep.m, p) for p in range(rep.m)]
+    values = np.array([z.to_complex() for z in roots])
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    out[rows, np.arange(rep.dim)] = values[phases]
     return out
 
 
 def build_spin_generators(rep: SpinRepData) -> dict:
     """Exchange, rotation and reflection matrices for every site."""
-    N, m = rep.N, rep.m
+    spec = GroupSpec("W(m,N)", rep.N, rep.m)
     out = {"P": {}, "Q": {}, "K": {}}
-    for i in range(1, N + 1):
-        rot = [0] * N
-        rot[i - 1] = 1 % m
-        out["Q"][i] = spin_matrix_of_element(
-            rep, WreathElement(N, m, tuple(range(N)), tuple(rot), (0,) * N)
-        )
-        flip = [0] * N
-        flip[i - 1] = 1
-        out["K"][i] = spin_matrix_of_element(
-            rep, WreathElement(N, m, tuple(range(N)), (0,) * N, tuple(flip))
-        )
-        for j in range(i + 1, N + 1):
-            perm = list(range(N))
-            perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-            out["P"][(i, j)] = spin_matrix_of_element(
-                rep, WreathElement(N, m, tuple(perm), (0,) * N, (0,) * N)
-            )
+    for i in range(1, rep.N + 1):
+        for name in ("Q", "K"):
+            out[name][i] = spin_matrix_of_element(rep, generator(spec, name, i=i))
+        for j in range(i + 1, rep.N + 1):
+            out["P"][(i, j)] = spin_matrix_of_element(rep, generator(spec, "P", i=i, j=j))
     return out
 
 
@@ -313,57 +298,50 @@ def substitute_spin(A: MixedOperator, rep: SpinRepData) -> MixedOperator:
     """
     if A.spin_dim != 1:
         raise ValueError("substitution expects a spinless operator")
-    dim = rep.dim
     ident = WreathElement.identity(A.nvars, A.group_order)
     order = A.order * rep.m // gcd(A.order, rep.m)
     out: dict = {}
     for (k, g), mat in A.terms.items():
         c = mat[(0, 0)].lift(order)
-        M = spin_matrix_of_element(rep, g)
-        key = (k, ident)
-        entries = out.setdefault(key, {})
-        for i in range(dim):
-            for j in range(dim):
-                v = M.rows[i][j]
-                if v.is_zero():
-                    continue
-                piece = c * v.lift(order)
-                cur = entries.get((i, j))
-                piece = piece if cur is None else cur + piece
-                if piece.is_zero():
-                    entries.pop((i, j), None)
-                else:
-                    entries[(i, j)] = piece
+        entries = out.setdefault((k, ident), {})
+        for pos, v in _spin_entries(rep, g):
+            piece = c * v.lift(order)
+            cur = entries.get(pos)
+            piece = piece if cur is None else cur + piece
+            if piece.is_zero():
+                entries.pop(pos, None)
+            else:
+                entries[pos] = piece
     out = {key: mat for key, mat in out.items() if mat}
-    return MixedOperator(A.nvars, order, A.group_order, dim, out, _trusted=True)
+    return MixedOperator(A.nvars, order, A.group_order, rep.dim, out, _trusted=True)
 
 
-def doubled_element(rep: SpinRepData, g: WreathElement, order: int) -> MixedOperator:
-    """g acting simultaneously on positions and spins, as one operator."""
-    M = spin_matrix_of_element(rep, g)
-    entries = {}
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            v = M.rows[i][j]
-            if not v.is_zero():
-                entries[(i, j)] = RationalCoefficient.from_scalar(
-                    g.size, v, order
-                )
-    return MixedOperator.spin_term(g, entries, g.size, order, rep.dim)
+def _spin_entries(rep: SpinRepData, g: WreathElement):
+    """The nonzero entries ((row, column), phase) of g's spin image, by row."""
+    rows, phases = monomial_image(rep, g)
+    cols = np.argsort(rows)
+    return [
+        ((r, t), CycloScalar.root_of_unity(rep.m, p))
+        for r, (t, p) in enumerate(zip(cols.tolist(), phases[cols].tolist()))
+    ]
+
+
+def doubled_element(
+    rep: SpinRepData, g: WreathElement, order: int, position: bool = True
+) -> MixedOperator:
+    """g acting simultaneously on positions and spins, as one operator;
+    with ``position=False`` the spin image of g alone."""
+    entries = {
+        pos: RationalCoefficient.from_scalar(g.size, v, order)
+        for pos, v in _spin_entries(rep, g)
+    }
+    h = g if position else WreathElement.identity(g.size, g.order)
+    return MixedOperator.spin_term(h, entries, g.size, order, rep.dim)
 
 
 def spin_image_operator(rep: SpinRepData, g: WreathElement, order: int) -> MixedOperator:
     """The spin matrix of g alone, with a trivial position part."""
-    M = spin_matrix_of_element(rep, g)
-    entries = {}
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            v = M.rows[i][j]
-            if not v.is_zero():
-                entries[(i, j)] = RationalCoefficient.from_scalar(g.size, v, order)
-    return MixedOperator.spin_term(
-        WreathElement.identity(g.size, g.order), entries, g.size, order, rep.dim
-    )
+    return doubled_element(rep, g, order, position=False)
 
 
 def build_projector(params: ModelParams, rep: SpinRepData, which: str = "auto") -> MixedOperator:
@@ -504,61 +482,36 @@ def dynamical_spin_hamiltonian(params: ModelParams, rep: SpinRepData) -> MixedOp
     return substitute_spin(build_charge(params, 2), rep)
 
 
-def build_spin_hamiltonian(
-    params: ModelParams, rep: SpinRepData, which: str = "dynamical", lattice=None
-):
-    """Dispatch between the dynamical operator and a frozen chain matrix.
-
-    ``dynamical`` returns the spin-substituted quadratic charge as a mixed
-    operator; ``frozen`` needs a lattice whose sizes match and returns the
-    dense exact matrix of the static chain.
-    """
-    if which == "dynamical":
-        return dynamical_spin_hamiltonian(params, rep)
-    if which != "frozen":
-        raise ValueError(f"unknown spin Hamiltonian kind {which!r}")
-    if lattice is None:
-        raise ValueError("a frozen chain needs a lattice")
-    if lattice.N != rep.N or lattice.m != rep.m:
-        raise ValueError("lattice sizes do not match the spin representation")
-    from .static import build_frozen_hamiltonian, merge_chain_terms
-
-    frozen = build_frozen_hamiltonian(lattice)
-    backend = "exact" if lattice.exact else "numeric"
-    return frozen_spin_matrix(rep, merge_chain_terms(frozen.terms), backend)
-
-
 def frozen_spin_matrix(rep: SpinRepData, terms, backend: str = "exact"):
     """Assemble a frozen chain from (scalar, group element) terms.
 
     ``exact`` returns a SpinMatrix over the common cyclotomic field;
     ``numeric`` builds a dense complex array without exact intermediates.
     """
+    dim, m = rep.dim, rep.m
+    cols = np.arange(dim)
     if backend == "exact":
-        order = rep.m
+        order = m
         for c, _ in terms:
             order = order * c.order // gcd(order, c.order)
-        out = SpinMatrix.zero(rep.dim, order)
+        out = SpinMatrix.zero(dim, order)
         for c, g in terms:
-            out = out + spin_matrix_of_element(rep, g).lift(order).scale(c.lift(order))
+            c = c.lift(order)
+            values = [CycloScalar.root_of_unity(m, p).lift(order) * c for p in range(m)]
+            rows, phases = monomial_image(rep, g)
+            for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
+                out.rows[r][t] = out.rows[r][t] + values[p]
         return out
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    n, N, m = rep.n, rep.N, rep.m
+    out = np.zeros((dim, dim), dtype=complex)
     for c, g in terms:
         cval = c.to_complex() if isinstance(c, CycloScalar) else complex(c)
-        inv = [0] * N
-        for i, p in enumerate(g.perm):
-            inv[p] = i
-        for t in rep.basis():
-            img = [t[inv[j]] for j in range(N)]
-            phase = 0
-            for j in range(N):
-                if g.flip[j]:
-                    img[j] = n - 1 - img[j]
-                phase += g.rot[j] * rep.weights[img[j]]
-            val = cval * np.exp(2j * np.pi * (phase % m) / m)
-            out[rep.index(img), rep.index(t)] += val
+        values = np.array([cval * np.exp(2j * np.pi * p / m) for p in range(m)])
+        rows, phases = monomial_image(rep, g)
+        out[rows, cols] += values[phases]
     return out
+
+
+_RESIDUAL_BLOCK = 128
 
 
 def diagonalize_hermitian(matrix, tol: float = 1e-10):
@@ -570,9 +523,11 @@ def diagonalize_hermitian(matrix, tol: float = 1e-10):
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
     vals, vecs = np.linalg.eigh(matrix)
     scale = max(1.0, np.max(np.abs(matrix)))
-    for k in range(len(vals)):
-        r = np.linalg.norm(matrix @ vecs[:, k] - vals[k] * vecs[:, k])
-        if r > 1e-8 * scale * matrix.shape[0]:
+    # one norm per eigenpair, a block of columns at a time
+    for k in range(0, len(vals), _RESIDUAL_BLOCK):
+        block = vecs[:, k : k + _RESIDUAL_BLOCK]
+        r = np.linalg.norm(matrix @ block - block * vals[k : k + _RESIDUAL_BLOCK], axis=0)
+        if np.any(r > 1e-8 * scale * matrix.shape[0]):
             raise ArithmeticError("eigenpair residual out of tolerance")
     vals = np.sort(vals.real)
     degs = []

@@ -24,7 +24,6 @@ equilibria are then zeros of a Jacobi polynomial, which are not equidistant.
 from __future__ import annotations
 
 import cmath
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -32,13 +31,15 @@ from math import gcd
 from .cyclotomic import CycloScalar
 from .dunkl import (
     ModelParams,
+    balanced_sum,
     boundary_element,
     build_dunkl,
     build_hamiltonian,
     exchange_element,
+    hamiltonian_images,
+    inverse_square,
     reflected_exchange_element,
 )
-from .groups import WreathElement
 from .opalg import MixedOperator, op_commutator
 from .polyalg import LaurentPoly, RationalCoefficient
 from .reports import CheckSuite
@@ -62,24 +63,11 @@ def build_barred(params: ModelParams, i: int) -> MixedOperator:
 
 
 def scalar_potential(params: ModelParams) -> RationalCoefficient:
-    """Two-body inverse-square potential of the cyclic model (scalar part)."""
-    N, m = params.size, params.order
-    order = m
-    acc = RationalCoefficient.zero(N, order)
-    for i in range(1, N + 1):
-        qi = LaurentPoly.variable(i, N, order)
-        for j in range(1, N + 1):
-            if j == i:
-                continue
-            qj = LaurentPoly.variable(j, N, order)
-            for s in range(m):
-                tau_s = (
-                    CycloScalar.root_of_unity(m, s) if m > 1 else CycloScalar.one(1)
-                )
-                acc = acc + RationalCoefficient.ratio(
-                    tau_s * qi * qj, (qi - tau_s * qj) ** 2
-                )
-    return acc
+    """Two-body inverse-square potential of the cyclic model (scalar part):
+    the sum of x / (1 - x)^2 over the cyclic two-body images."""
+    cyclic = ModelParams("cyclic", params.size, params.order, Fraction(1))
+    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic)]
+    return balanced_sum([RationalCoefficient.zero(params.size, params.order)] + terms)
 
 
 def build_static_hamiltonian(params: ModelParams) -> MixedOperator:
@@ -282,16 +270,8 @@ class LatticeConfig:
     def residuals(self):
         if self.family == "cyclic":
             return residual_cyclic(self.positions, self.m)
-        if self.family == "dihedral-odd":
-            return residual_dihedral(
-                self.positions,
-                self.m,
-                beta2=self.couplings["beta2"],
-                gamma2=self.couplings["gamma2"],
-            )
-        return residual_dihedral(
-            self.positions, self.m, mu2=self.couplings["mu2"]
-        )
+        # the couplings are keyed by the squared-coupling arguments
+        return residual_dihedral(self.positions, self.m, **self.couplings)
 
     def residual_max(self):
         res = self.residuals()
@@ -408,15 +388,15 @@ def _static_params(lattice: LatticeConfig) -> ModelParams:
         return ModelParams("cyclic", lattice.N, lattice.m, Fraction(1))
     if lattice.family == "dihedral-odd":
         b2, g2 = lattice.couplings["beta2"], lattice.couplings["gamma2"]
-        beta, gamma = _rational_sqrt(b2), _rational_sqrt(g2)
+        beta, gamma = rational_sqrt(b2), rational_sqrt(g2)
         return ModelParams(
             "dihedral", lattice.N, lattice.m, Fraction(1), beta + gamma, beta - gamma
         )
-    mu = _rational_sqrt(lattice.couplings["mu2"])
+    mu = rational_sqrt(lattice.couplings["mu2"])
     return ModelParams("dihedral", lattice.N, lattice.m, Fraction(1), mu, 0)
 
 
-def _rational_sqrt(x) -> Fraction:
+def rational_sqrt(x) -> Fraction:
     x = Fraction(x)
     num = _isqrt(x.numerator)
     den = _isqrt(x.denominator)
@@ -426,6 +406,8 @@ def _rational_sqrt(x) -> Fraction:
 
 
 def _isqrt(v: int):
+    if v < 0:
+        return None
     r = int(v**0.5)
     for c in (r - 1, r, r + 1):
         if c >= 0 and c * c == v:
@@ -536,22 +518,12 @@ def scan_equidistant(
     else:
         grid = [{"mu2": v} for v in (Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(4))]
 
+    label = family if family == "cyclic" else ("dihedral-odd" if odd else "dihedral-even")
+
     def evaluate(candidate):
         L, offset, couplings = candidate
-        positions = [
-            cmath.exp(2j * cmath.pi * (k - float(offset)) / L)
-            for k in range(1, N + 1)
-        ]
         try:
-            if family == "cyclic":
-                res = residual_cyclic(positions, m)
-            elif odd:
-                res = residual_dihedral(
-                    positions, m,
-                    beta2=couplings["beta2"], gamma2=couplings["gamma2"],
-                )
-            else:
-                res = residual_dihedral(positions, m, mu2=couplings["mu2"])
+            res = equidistant_lattice(label, N, m, L, offset, couplings).residuals()
         except ZeroDivisionError:
             return None
         rec = {
@@ -569,15 +541,7 @@ def scan_equidistant(
         for offset in offsets
         for couplings in grid
     ]
-    workers = int(os.environ.get("WREATHDUNKL_WORKERS", "1"))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(c) for c in candidates]
-    records = [r for r in results if r is not None]
+    records = [r for r in map(evaluate, candidates) if r is not None]
     records.sort(key=lambda r: r["residual"])
     return records
 
@@ -606,16 +570,14 @@ def static_display_check(params: ModelParams) -> CheckSuite:
                 continue
             ql = LaurentPoly.variable(l, N, order)
             for s in range(m):
-                tau_s = (
-                    CycloScalar.root_of_unity(m, s) if m > 1 else CycloScalar.one(1)
-                )
-                v1 = RationalCoefficient.ratio(tau_s * ql * qk, (qk - tau_s * ql) ** 2)
+                tau_s = CycloScalar.root_of_unity(m, s)
+                v1 = RationalCoefficient.ratio(tau_s * ql * qk, qk - tau_s * ql, 2)
                 direct = direct + MixedOperator.term(
                     v1, exchange_element(N, m, l, k, (-s) % m)
                 )
                 if params.family == "dihedral":
                     v2 = RationalCoefficient.ratio(
-                        tau_s * ql * qk, (tau_s * ql * qk - one) ** 2
+                        tau_s * ql * qk, tau_s * ql * qk - one, 2
                     )
                     direct = direct + MixedOperator.term(
                         v2, reflected_exchange_element(N, m, l, k, s)
@@ -626,11 +588,11 @@ def static_display_check(params: ModelParams) -> CheckSuite:
             for l in range(1, N + 1):
                 ql = LaurentPoly.variable(l, N, order)
                 for s in range(m):
-                    tau_s = CycloScalar.root_of_unity(m, s) if m > 1 else CycloScalar.one(1)
+                    tau_s = CycloScalar.root_of_unity(m, s)
                     vb = RationalCoefficient.ratio(
-                        tau_s * ql * gamma, (one - tau_s * ql) ** 2
+                        tau_s * ql * gamma, one - tau_s * ql, 2
                     ) - RationalCoefficient.ratio(
-                        tau_s * ql * beta, (one + tau_s * ql) ** 2
+                        tau_s * ql * beta, one + tau_s * ql, 2
                     )
                     direct = direct + MixedOperator.term(
                         vb, boundary_element(N, m, l, 2 * s)
@@ -640,9 +602,9 @@ def static_display_check(params: ModelParams) -> CheckSuite:
             for l in range(1, N + 1):
                 ql = LaurentPoly.variable(l, N, order)
                 for s in range(m):
-                    tau_s = CycloScalar.root_of_unity(m, s) if m > 1 else CycloScalar.one(1)
+                    tau_s = CycloScalar.root_of_unity(m, s)
                     vb = RationalCoefficient.ratio(
-                        tau_s * ql * mu, (one - tau_s * ql) ** 2
+                        tau_s * ql * mu, one - tau_s * ql, 2
                     )
                     direct = direct + MixedOperator.term(
                         vb, boundary_element(N, m, l, 2 * s)

@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, report schema, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wreathdunkl.cli import main
 
@@ -183,3 +187,70 @@ def test_bad_config_is_one_line_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_exception_is_one_line_exit_3(monkeypatch, capsys):
+    import wreathdunkl.cli as cli
+
+    def boom(args):
+        raise KeyError("missing\nkey")
+
+    monkeypatch.setattr(cli, "cmd_export", boom)
+    assert main(["export", "--object", "qk_lattice"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError:")
+    assert len(err.strip().splitlines()) == 1
+
+
+SIZES = st.sampled_from(["-1", "0", "1", "2"])
+RATIONALS = st.sampled_from(["0", "1", "1/2", "-1", "x", "1/0", "0.5"])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["verify", "lattice", "spectrum", "export"]))
+    if command == "verify":
+        argv = ["verify", "--family", draw(st.sampled_from(["cyclic", "dihedral"]))]
+        argv += ["--kmax", draw(SIZES)]
+        corrupt = draw(st.sampled_from([None, "drels", "recursion", "braid", "bogus"]))
+        argv += ["--corrupt", corrupt] if corrupt else []
+    elif command == "export":
+        family = draw(st.sampled_from([None, "cyclic", "dihedral"]))
+        argv = ["export"] + (["--family", family] if family else [])
+        argv += ["--object", draw(st.sampled_from([
+            "d1", "d3", "DD0", "Z2", "Y1", "I0", "J2", "H", "H_xdisplay", "Hbar",
+            "Lambda", "Lambda_b", "Hbar_spin", "qk_lattice", "bogus",
+        ]))]
+    else:
+        families = [None, "cyclic", "dihedral-odd", "dihedral-even"]
+        family = draw(st.sampled_from(families))
+        argv = [command] + (["--family", family] if family else [])
+        if command == "lattice":
+            argv += ["--scan", "--Lmax", draw(SIZES)] if draw(st.booleans()) else []
+        else:
+            argv += ["--L", draw(st.sampled_from(["-1", "0", "2", "3", "8"]))]
+            argv += ["--mu2", draw(st.sampled_from(["1/4", "4", "2", "-1", "x"]))]
+    for flag in ("--N", "--m", "--n"):
+        if draw(st.booleans()):
+            argv += [flag, draw(SIZES)]
+    for flag in ("--lambda", "--mu", "--rho"):
+        if draw(st.booleans()):
+            argv += [flag, draw(RATIONALS)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+@example(["verify", "--family", "dihedral", "--kmax", "1"])
+@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "-1"])
+@example(["spectrum", "--family", "dihedral-even", "--L", "2"])
+@example(["export", "--family", "cyclic", "--object", "Z0"])
+def test_no_argv_reaches_a_traceback(argv):
+    """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

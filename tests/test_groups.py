@@ -102,13 +102,13 @@ def test_generator_words_normalize():
 )
 def test_relation_suite_passes(spec):
     rep = relation_suite(spec)
-    assert rep.passed, [c.name for c in rep.failures()]
+    assert rep.passed, [c.relation for c in rep.failures()]
 
 
 def test_relation_suite_negative_control():
     rep = relation_suite(GroupSpec("G(m,1,N)", 3, 2), compose_fn=corrupted_compose)
     assert not rep.passed
-    failing = {c.name for c in rep.failures()}
+    failing = {c.relation for c in rep.failures()}
     assert any("braid" in name or "P_ij P_jk" in name for name in failing)
     witness = rep.failures()[0].witness
     assert witness is not None and "lhs" in witness and "rhs" in witness

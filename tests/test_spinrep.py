@@ -1,5 +1,6 @@
 """Spin representation, projectors, charge agreement and chain spectra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from wreathdunkl.spinrep import (
     frozen_spin_matrix,
     projector_check,
     spectrum_from_charpoly,
+    spin_array_of_element,
+    spin_image_operator,
     spin_matrix_of_element,
     spin_representation_check,
     substitute_spin,
@@ -150,6 +153,48 @@ def test_frozen_chain_exact_vs_numeric_backends():
     exact = frozen_spin_matrix(rep, terms, "exact").to_numpy()
     numeric = frozen_spin_matrix(rep, terms, "numeric")
     assert np.max(np.abs(exact - numeric)) < 1e-12
+
+
+@pytest.mark.parametrize("family,N,m", [("cyclic", 3, 2), ("dihedral-odd", 2, 3)])
+def test_numeric_frozen_chain_equals_exact(family, N, m):
+    rep = SpinRepData(2, m, N)
+    frozen = build_frozen_hamiltonian(build_lattice(family, N, m))
+    terms = merge_chain_terms(frozen.terms)
+    exact = frozen_spin_matrix(rep, terms, "exact").to_numpy()
+    numeric = frozen_spin_matrix(rep, terms, "numeric")
+    assert np.max(np.abs(exact - numeric)) < 1e-12
+
+
+def _spin_image_by_definition(rep, g):
+    """Dense spin image of g, one basis state at a time: the permutation
+    moves whole spins, a flip reverses the local state, and each rotation
+    contributes the phase of the weight of the final local state."""
+    n, N, m = rep.n, rep.N, rep.m
+    out = SpinMatrix.zero(rep.dim, m)
+    for t in itertools.product(range(n), repeat=N):
+        img = [t[g.perm.index(j)] for j in range(N)]
+        img = [n - 1 - x if g.flip[j] else x for j, x in enumerate(img)]
+        phase = sum(g.rot[j] * rep.weights[x] for j, x in enumerate(img)) % m
+        row = sum(x * n ** (N - 1 - j) for j, x in enumerate(img))
+        col = sum(x * n ** (N - 1 - j) for j, x in enumerate(t))
+        out.rows[row][col] = CycloScalar.root_of_unity(m, phase)
+    return out
+
+
+@pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
+def test_monomial_image_equals_dense_definition(n, m, N):
+    rep = SpinRepData(n, m, N)
+    for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
+        dense = _spin_image_by_definition(rep, g)
+        assert spin_matrix_of_element(rep, g) == dense
+        assert np.array_equal(spin_array_of_element(rep, g), dense.to_numpy())
+        [(_, mat)] = spin_image_operator(rep, g, m).terms.items()
+        assert {pos: c.as_scalar() for pos, c in mat.items()} == {
+            (i, j): c
+            for i, row in enumerate(dense.rows)
+            for j, c in enumerate(row)
+            if not c.is_zero()
+        }
 
 
 def test_known_two_site_chain():
