@@ -50,11 +50,11 @@ from .spinrep import (
     build_projector,
     char_poly_exact,
     charpoly_residual,
+    commutant_residual,
     diagonalize_hermitian,
     frozen_spin_matrix,
     global_rotation_element,
     projector_check,
-    spin_array_of_element,
     spin_representation_check,
     twisted_translation_element,
     verify_agreement,
@@ -64,8 +64,10 @@ from .static import (
     build_frozen_hamiltonian,
     build_lattice,
     build_static_hamiltonian,
+    cyclic_chain_terms,
     equidistant_lattice,
     freezing_identity_check,
+    frozen_chain,
     merge_chain_terms,
     rational_sqrt,
     scan_equidistant,
@@ -234,7 +236,8 @@ def cmd_lattice(args) -> int:
 def _chain_for(args):
     if args.family == "cyclic":
         lat = build_lattice("cyclic", args.N, args.m)
-    elif args.family == "dihedral-odd":
+        return frozen_chain(lat, merge_chain_terms(cyclic_chain_terms(args.N, args.m)))
+    if args.family == "dihedral-odd":
         lat = build_lattice("dihedral-odd", args.N, args.m, args.label or "L2Nm")
     else:
         lat = equidistant_lattice(
@@ -285,18 +288,15 @@ def cmd_spectrum(args) -> int:
     if Hx is not None and dim <= 16:
         checks["charpoly_residual"] = charpoly_residual(char_poly_exact(Hx), vals)
     if args.family == "cyclic":
-        U = spin_array_of_element(rep, twisted_translation_element(args.N, args.m))
-        R = spin_array_of_element(rep, global_rotation_element(args.N, args.m))
-        checks["commutant"] = {
-            "twisted_translation": float(np.max(np.abs(H @ U - U @ H))),
-            "global_rotation": float(np.max(np.abs(H @ R - R @ H))),
+        symmetries = {
+            "twisted_translation": twisted_translation_element(args.N, args.m),
+            "global_rotation": global_rotation_element(args.N, args.m),
         }
+        key = "commutant"
     else:
-        comms = {}
-        for name, g in _dihedral_symmetry_candidates(args.N, args.m).items():
-            M = spin_array_of_element(rep, g)
-            comms[name] = float(np.max(np.abs(H @ M - M @ H)))
-        checks["commutant_report"] = comms
+        symmetries = _dihedral_symmetry_candidates(args.N, args.m)
+        key = "commutant_report"
+    checks[key] = {name: commutant_residual(H, rep, g) for name, g in symmetries.items()}
     report["checks"] = checks
     if args.x_display:
         report["coupling_display"] = _sin2_display(frozen)
@@ -312,7 +312,8 @@ def cmd_spectrum(args) -> int:
 
 def _dihedral_symmetry_candidates(N: int, m: int) -> dict:
     out = {"global_rotation": global_rotation_element(N, m)}
-    out["exchange_P12"] = exchange_element(N, m, 1, 2, 0)
+    if N >= 2:
+        out["exchange_P12"] = exchange_element(N, m, 1, 2, 0)
     out["reflection_K1"] = boundary_element(N, m, 1, 0)
     return out
 

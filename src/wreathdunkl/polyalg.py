@@ -698,6 +698,12 @@ class RationalCoefficient:
         a, b = self._match(other)
         if a.is_zero() or b.is_zero():
             return RationalCoefficient.zero(a.nvars, a.order)
+        # a unit c * q**e shares no factor with a reduced denominator, so
+        # there is nothing to cancel; the sort is _cancel's
+        for unit, other in ((a, b), (b, a)):
+            if not unit.den and len(unit.num.terms) == 1:
+                den = tuple(sorted(other.den, key=lambda fk: fk[0].key()))
+                return RationalCoefficient(a.num * b.num, den, _trusted=True)
         den = dict(a.den)
         for f, k in b.den:
             den[f] = den.get(f, 0) + k

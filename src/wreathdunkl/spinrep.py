@@ -215,16 +215,6 @@ def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> SpinMatrix:
     return out
 
 
-def spin_array_of_element(rep: SpinRepData, g: WreathElement) -> np.ndarray:
-    """The spin image of g as a dense complex array."""
-    rows, phases = monomial_image(rep, g)
-    roots = [CycloScalar.root_of_unity(rep.m, p) for p in range(rep.m)]
-    values = np.array([z.to_complex() for z in roots])
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    out[rows, np.arange(rep.dim)] = values[phases]
-    return out
-
-
 def build_spin_generators(rep: SpinRepData) -> dict:
     """Exchange, rotation and reflection matrices for every site."""
     spec = GroupSpec("W(m,N)", rep.N, rep.m)
@@ -514,22 +504,82 @@ def frozen_spin_matrix(rep: SpinRepData, terms, backend: str = "exact"):
 _RESIDUAL_BLOCK = 128
 
 
+def commutant_residual(H: np.ndarray, rep: SpinRepData, g: WreathElement) -> float:
+    """max |H M - M H| for the spin image M of g, without forming M.
+
+    M sends basis state t to ``rows[t]`` with phase w_t, so (H M)[:, t] is
+    column ``rows[t]`` of H times w_t and (M H)[rows[t], :] is row t of H
+    times w_t: two permutations with phases, O(dim^2), a block of rows at
+    a time.
+    """
+    rows, phases = monomial_image(rep, g)
+    roots = [CycloScalar.root_of_unity(rep.m, p) for p in range(rep.m)]
+    w = np.array([z.to_complex() for z in roots])[phases]
+    inv = np.argsort(rows)
+    worst = 0.0
+    for k in range(0, len(H), _RESIDUAL_BLOCK):
+        src = inv[k : k + _RESIDUAL_BLOCK]
+        diff = np.take(H[k : k + _RESIDUAL_BLOCK], rows, axis=1) * w
+        diff -= w[src, None] * H[src]
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
+def hermitian_blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the pattern ``matrix != 0``.
+
+    Every entry between two components is exactly zero, so each component
+    spans an exact invariant subspace of the matrix.  Breadth-first search
+    over the symmetrized pattern, one frontier of rows at a time.
+    """
+    pattern = matrix != 0
+    pattern |= pattern.T
+    label = np.full(len(matrix), -1)
+    blocks = []
+    for seed in range(len(matrix)):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(blocks)
+        members = [np.array([seed])]
+        frontier = members[0]
+        while frontier.size:
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+            members.append(frontier)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks
+
+
 def diagonalize_hermitian(matrix, tol: float = 1e-10):
-    """Sorted real spectrum and degeneracy profile of a Hermitian matrix."""
+    """Sorted real spectrum and degeneracy profile of a Hermitian matrix.
+
+    The Hermiticity check runs on the whole matrix.  The matrix then splits
+    into the connected components of its nonzero pattern
+    (``hermitian_blocks``); ``eigh`` runs on each component's block, and
+    every eigenpair is checked against |H v - lambda v| <= 1e-8 * scale *
+    dim, with dim the full dimension.  A matrix with one component is
+    diagonalized whole.
+    """
     if isinstance(matrix, SpinMatrix):
         matrix = matrix.to_numpy()
     herm_residual = np.max(np.abs(matrix - matrix.conj().T))
     if herm_residual > tol:
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
-    vals, vecs = np.linalg.eigh(matrix)
     scale = max(1.0, np.max(np.abs(matrix)))
-    # one norm per eigenpair, a block of columns at a time
-    for k in range(0, len(vals), _RESIDUAL_BLOCK):
-        block = vecs[:, k : k + _RESIDUAL_BLOCK]
-        r = np.linalg.norm(matrix @ block - block * vals[k : k + _RESIDUAL_BLOCK], axis=0)
-        if np.any(r > 1e-8 * scale * matrix.shape[0]):
-            raise ArithmeticError("eigenpair residual out of tolerance")
-    vals = np.sort(vals.real)
+    bound = 1e-8 * scale * matrix.shape[0]
+    blocks = hermitian_blocks(matrix)
+    spectra = []
+    for idx in blocks:
+        block = matrix if len(blocks) == 1 else matrix[np.ix_(idx, idx)]
+        vals, vecs = np.linalg.eigh(block)
+        # one norm per eigenpair, a block of columns at a time
+        for k in range(0, len(vals), _RESIDUAL_BLOCK):
+            cols = vecs[:, k : k + _RESIDUAL_BLOCK]
+            r = np.linalg.norm(block @ cols - cols * vals[k : k + _RESIDUAL_BLOCK], axis=0)
+            if np.any(r > bound):
+                raise ArithmeticError("eigenpair residual out of tolerance")
+        spectra.append(vals)
+    vals = np.sort(np.concatenate(spectra).real)
     degs = []
     i = 0
     while i < len(vals):

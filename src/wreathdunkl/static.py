@@ -437,6 +437,12 @@ def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
             val = c.eval_complex(tuple(lattice.positions))
             if abs(val) > 1e-15:
                 terms.append((val, g))
+    return frozen_chain(lattice, terms)
+
+
+def frozen_chain(lattice: LatticeConfig, terms) -> FrozenHamiltonian:
+    """The chain with couplings ``terms`` on ``lattice``, flagged with a
+    warning when the lattice residuals do not vanish."""
     rmax = lattice.residual_max()
     ok = rmax == "0" or (isinstance(rmax, float) and rmax < 1e-12)
     warning = None
@@ -456,7 +462,8 @@ def cyclic_chain_terms(N: int, m: int):
     Each ordered pair and rotation offset contributes u/(u-1)^2 times the
     rotated exchange, with u the (m N)-th root of unity at the signed site
     separation; equal, by the lattice geometry, to the inverse-square-sine
-    coupling on the chord distance.
+    coupling on the chord distance.  Once merged, these are the terms that
+    ``build_frozen_hamiltonian`` extracts on the cyclic lattice.
     """
     L = m * N
     out = []

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,37 @@ def test_spectrum_dihedral_reports_commutants(tmp_path):
     assert code == 0
     assert "commutant_report" in data["checks"]
     assert data["coupling_display"]
+
+
+@pytest.mark.parametrize("m", ["1", "3"])
+def test_spectrum_one_site_dihedral_has_no_exchange(tmp_path, m):
+    code, data = run(
+        ["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", m, "--n", "2"],
+        tmp_path,
+    )
+    assert code == 0
+    assert set(data["checks"]["commutant_report"]) == {"global_rotation", "reflection_K1"}
+
+
+def test_spectrum_haldane_shastry_beyond_extraction(tmp_path):
+    """Cyclic m = 1 at N = 8 is the Haldane-Shastry chain
+    -sum_{k<l} P_kl / (2 sin^2(pi (k - l) / N)) on (C^2)^8."""
+    N, n = 8, 2
+    code, data = run(
+        ["spectrum", "--family", "cyclic", "--N", str(N), "--m", "1", "--n", str(n)],
+        tmp_path,
+    )
+    assert code == 0
+    idx = np.arange(n**N)
+    place = [n ** (N - 1 - k) for k in range(N)]
+    digit = [(idx // p) % n for p in place]
+    H = np.zeros((n**N, n**N))
+    for k in range(N):
+        for l in range(k + 1, N):
+            swapped = idx + (digit[l] - digit[k]) * (place[k] - place[l])
+            H[swapped, idx] -= 1.0 / (2.0 * math.sin(math.pi * (k - l) / N) ** 2)
+    assert np.max(np.abs(np.array(data["eigenvalues"]) - np.linalg.eigvalsh(H))) < 1e-10
+    assert all(v < 1e-10 for v in data["checks"]["commutant"].values())
 
 
 def test_spectrum_cap(tmp_path):
@@ -245,6 +278,7 @@ def argvs(draw):
 @example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "-1"])
 @example(["spectrum", "--family", "dihedral-even", "--L", "2"])
 @example(["export", "--family", "cyclic", "--object", "Z0"])
+@example(["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", "1", "--n", "2"])
 def test_no_argv_reaches_a_traceback(argv):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2."""
     err = io.StringIO()

@@ -272,3 +272,29 @@ def test_hash_consistent_with_cross_order_equality(case, k):
         lifted = p.lift(order * k)
         assert p == lifted
         assert hash(p) == hash(lifted)
+
+
+@PROPERTY
+@given(field_case(), st.data())
+def test_unit_product_equals_reduced_product(case, data):
+    """A unit c * q**e times a reduced coefficient skips cancellation; the
+    result must be exactly the one _reduced gives, also across a lift.  A
+    denominator factor as the multiplier must still cancel."""
+    order, a, f = case
+    g = data.draw(binomial(order))
+    r = RationalCoefficient(a, ((f, data.draw(st.integers(1, 2))), (g, 1)))
+    unit_order = order * data.draw(st.integers(1, 3))
+    factor = st.just(f.lift(unit_order))
+    u = RationalCoefficient.from_poly(
+        data.draw(st.one_of(laurent(unit_order, max_terms=1), factor))
+    )
+    for left, right in ((u, r), (r, u)):
+        x, y = left._match(right)
+        den = dict(x.den)
+        for h, k in y.den:
+            den[h] = den.get(h, 0) + k
+        expected = RationalCoefficient._reduced(x.num * y.num, den)
+        got = left * right
+        assert got.num.order == expected.num.order
+        assert got.num.terms == expected.num.terms
+        assert [(h.key(), k) for h, k in got.den] == [(h.key(), k) for h, k in expected.den]

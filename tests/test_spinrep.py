@@ -19,20 +19,28 @@ from wreathdunkl.spinrep import (
     build_spin_generators,
     char_poly_exact,
     charpoly_residual,
+    commutant_residual,
     default_weights,
     diagonalize_hermitian,
     dynamical_spin_hamiltonian,
     frozen_spin_matrix,
+    global_rotation_element,
+    hermitian_blocks,
     projector_check,
     spectrum_from_charpoly,
-    spin_array_of_element,
     spin_image_operator,
     spin_matrix_of_element,
     spin_representation_check,
     substitute_spin,
+    twisted_translation_element,
     verify_agreement,
 )
-from wreathdunkl.static import build_frozen_hamiltonian, build_lattice, merge_chain_terms
+from wreathdunkl.static import (
+    build_frozen_hamiltonian,
+    build_lattice,
+    cyclic_chain_terms,
+    merge_chain_terms,
+)
 
 
 def test_default_weights():
@@ -184,10 +192,12 @@ def _spin_image_by_definition(rep, g):
 @pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
 def test_monomial_image_equals_dense_definition(n, m, N):
     rep = SpinRepData(n, m, N)
+    H = _random_complex(rep.dim, seed=n * m * N)
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         dense = _spin_image_by_definition(rep, g)
         assert spin_matrix_of_element(rep, g) == dense
-        assert np.array_equal(spin_array_of_element(rep, g), dense.to_numpy())
+        M = dense.to_numpy()
+        assert abs(commutant_residual(H, rep, g) - np.max(np.abs(H @ M - M @ H))) < 1e-12
         [(_, mat)] = spin_image_operator(rep, g, m).terms.items()
         assert {pos: c.as_scalar() for pos, c in mat.items()} == {
             (i, j): c
@@ -195,6 +205,99 @@ def test_monomial_image_equals_dense_definition(n, m, N):
             for j, c in enumerate(row)
             if not c.is_zero()
         }
+
+
+def _random_complex(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 3, 2)])
+def test_commutant_residual_equals_dense_products(n, m, N):
+    """On a frozen chain, against dense products: the chain's symmetries
+    commute with it, other elements of W(m, N) do not."""
+    rep = SpinRepData(n, m, N)
+    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, m)), "numeric")
+    residuals = {}
+    for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
+        M = spin_matrix_of_element(rep, g).to_numpy()
+        residuals[g] = commutant_residual(H, rep, g)
+        assert abs(residuals[g] - np.max(np.abs(H @ M - M @ H))) < 1e-12
+    for g in (twisted_translation_element(N, m), global_rotation_element(N, m)):
+        assert residuals[g] < 1e-12
+    assert max(residuals.values()) > 0.1
+
+
+def _multiplicities(vals, scale):
+    """Degeneracy profile of sorted eigenvalues, by diagonalize_hermitian's rule."""
+    out, i = [], 0
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) < 1e-7 * scale:
+            j += 1
+        out.append(j - i + 1)
+        i = j + 1
+    return out
+
+
+def _hidden_blocks(seed):
+    """A Hermitian matrix whose blocks are hidden by a random basis
+    permutation: random blocks, one of them twice, and one block with a
+    threefold eigenvalue."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in (1, 3, 5, 2):
+        B = _random_complex(size, seed + size)
+        blocks.append(B + B.conj().T)
+    blocks.append(blocks[2])
+    Q, _ = np.linalg.qr(_random_complex(4, seed))
+    blocks.append(Q @ np.diag([2.0, 2.0, 2.0, -1.0]) @ Q.conj().T)
+    dim = sum(len(B) for B in blocks)
+    H = np.zeros((dim, dim), dtype=complex)
+    start, members = 0, []
+    for B in blocks:
+        H[start : start + len(B), start : start + len(B)] = B
+        members.append(range(start, start + len(B)))
+        start += len(B)
+    H = (H + H.conj().T) / 2
+    perm = rng.permutation(dim)  # basis state perm[t] becomes state t
+    where = np.argsort(perm)
+    return H[np.ix_(perm, perm)], [sorted(where[list(r)]) for r in members]
+
+
+@pytest.mark.parametrize("kind", ["hidden blocks 1", "hidden blocks 2", "dense", "diagonal"])
+def test_block_diagonalization_matches_dense_eigvalsh(kind):
+    if kind == "dense":
+        B = _random_complex(12, seed=5)
+        H, members = B + B.conj().T, [range(12)]
+    elif kind == "diagonal":
+        H = np.diag([3.0, -1.0, 3.0, 0.0, 3.0, -1.0]).astype(complex)
+        members = [[t] for t in range(6)]
+    else:
+        H, members = _hidden_blocks(seed=int(kind[-1]))
+    assert sorted(list(b) for b in hermitian_blocks(H)) == sorted(list(r) for r in members)
+    vals, degs = diagonalize_hermitian(H)
+    dense = np.linalg.eigvalsh(H)
+    scale = max(1.0, np.max(np.abs(H)))
+    assert np.max(np.abs(vals - dense)) < 1e-10
+    assert [k for _, k in degs] == _multiplicities(dense, scale)
+    if kind.startswith("hidden"):
+        assert max(k for _, k in degs) >= 3
+
+
+def test_haldane_shastry_blocks_are_colour_occupations():
+    """At m = 1 the chain only exchanges spins, so each colour-occupation
+    class of (C^3)^3 is one block: C(5, 2) = 10 of them."""
+    n, N = 3, 3
+    rep = SpinRepData(n, 1, N)
+    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, 1)), "numeric")
+    states = list(itertools.product(range(n), repeat=N))
+    classes = {}
+    for t, digits in enumerate(states):
+        classes.setdefault(tuple(sorted(digits)), []).append(t)
+    blocks = hermitian_blocks(H)
+    assert len(blocks) == 10
+    assert sorted(list(b) for b in blocks) == sorted(classes.values())
 
 
 def test_known_two_site_chain():

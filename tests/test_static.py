@@ -141,11 +141,12 @@ def test_table_reduces_at_unit_order():
     assert suite.passed
 
 
-def test_frozen_cyclic_chain_matches_closed_form():
-    lat = build_lattice("cyclic", 2, 3)
+@pytest.mark.parametrize("N,m", [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_frozen_cyclic_chain_matches_closed_form(N, m):
+    lat = build_lattice("cyclic", N, m)
     frozen = build_frozen_hamiltonian(lat)
     assert frozen.integrable and frozen.residual_max == "0"
-    closed = merge_chain_terms(cyclic_chain_terms(2, 3))
+    closed = merge_chain_terms(cyclic_chain_terms(N, m))
     mine = merge_chain_terms(frozen.terms)
     assert closed == mine
 
