@@ -2,9 +2,8 @@
 
 These are the hot inner loops of the whole engine: coefficient vectors of
 cyclotomic integers over a common denominator, and sparse Laurent-polynomial
-term maps built on top of them.  A compiled twin of this module lives in
-``_kernels_cy.pyx``; both must implement exactly the same functions with the
-same semantics, and ``_kernels`` selects one at import time.
+term maps built on top of them.  This is the only implementation; the
+engine calls it through ``_kernels``.
 
 Raw scalar convention: a field element is ``(num, den)`` where ``num`` is a
 tuple of ``phi(n)`` Python ints (coefficients on the reduced power basis) and

@@ -45,6 +45,7 @@ from .dunkl import (
 from .groups import GroupSpec, compose, corrupted_compose, enumerate_subgroup, relation_suite
 from .reports import CheckSuite
 from .spinrep import (
+    SpinMatrix,
     SpinRepData,
     brute_force_eigvals,
     build_projector,
@@ -139,7 +140,7 @@ def _verify_case(params: ModelParams, args, corrupt: str | None) -> CheckSuite:
     suite.extend(static_display_check(params))
     if args.n:
         rep = SpinRepData(args.n, params.order, params.size)
-        suite.extend(spin_representation_check(rep, seed=args.seed))
+        suite.extend(spin_representation_check(rep))
         suite.extend(projector_check(params, rep))
         ks = (1, 2) if params.family == "cyclic" else (2,)
         for k in ks:
@@ -176,14 +177,12 @@ def cmd_verify(args) -> int:
                     params = ModelParams(
                         family, N, m, _fraction(lam), _fraction(mu), _fraction(rho)
                     )
-                    case_args = argparse.Namespace(
-                        n=None, kmax=args.kmax, seed=args.seed
-                    )
+                    case_args = argparse.Namespace(n=None, kmax=args.kmax)
                     suite.extend(_verify_case(params, case_args, corrupt))
         rep = SpinRepData(2, 2, 2)
         cyc = ModelParams("cyclic", 2, 2, Fraction(1, 2))
         dih = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
-        suite.extend(spin_representation_check(rep, seed=args.seed))
+        suite.extend(spin_representation_check(rep))
         suite.extend(projector_check(cyc, rep))
         suite.extend(projector_check(dih, rep))
         for k in (1, 2, 3):
@@ -233,10 +232,15 @@ def cmd_lattice(args) -> int:
 # -- spectrum ---------------------------------------------------------------------
 
 
+def _cyclic_chain(N: int, m: int):
+    """The cyclic frozen chain from its closed-form couplings."""
+    lat = build_lattice("cyclic", N, m)
+    return frozen_chain(lat, merge_chain_terms(cyclic_chain_terms(N, m)))
+
+
 def _chain_for(args):
     if args.family == "cyclic":
-        lat = build_lattice("cyclic", args.N, args.m)
-        return frozen_chain(lat, merge_chain_terms(cyclic_chain_terms(args.N, args.m)))
+        return _cyclic_chain(args.N, args.m)
     if args.family == "dihedral-odd":
         lat = build_lattice("dihedral-odd", args.N, args.m, args.label or "L2Nm")
     else:
@@ -256,15 +260,7 @@ def cmd_spectrum(args) -> int:
     frozen = _chain_for(args)
     rep = SpinRepData(args.n, args.m, args.N)
     terms = merge_chain_terms(frozen.terms)
-    backend = args.backend
-    if backend == "exact" and dim > 64:
-        backend = "numeric"
-    if backend == "exact" and frozen.lattice.exact:
-        Hx = frozen_spin_matrix(rep, terms, "exact")
-        H = Hx.to_numpy()
-    else:
-        Hx = None
-        H = frozen_spin_matrix(rep, terms, "numeric")
+    H = frozen_spin_matrix(rep, terms)
     herm = float(np.max(np.abs(H - H.conj().T)))
     if herm > 1e-10:
         raise ArithmeticError(f"frozen chain is not Hermitian: residual {herm}")
@@ -285,8 +281,9 @@ def cmd_spectrum(args) -> int:
     checks = {}
     if oracle is not None:
         checks["oracle_max_deviation"] = float(np.max(np.abs(vals - oracle)))
-    if Hx is not None and dim <= 16:
-        checks["charpoly_residual"] = charpoly_residual(char_poly_exact(Hx), vals)
+    if frozen.lattice.exact and dim <= 16:
+        exact = SpinMatrix.from_terms(rep, terms)
+        checks["charpoly_residual"] = charpoly_residual(char_poly_exact(exact), vals)
     if args.family == "cyclic":
         symmetries = {
             "twisted_translation": twisted_translation_element(args.N, args.m),
@@ -373,12 +370,10 @@ def cmd_export(args) -> int:
         payload = {"operator": build_projector(p, rep, which).to_json()}
     elif name == "Hbar_spin":
         rep = SpinRepData(args.n, args.m, args.N)
-        lat = build_lattice("cyclic", args.N, args.m)
-        frozen = build_frozen_hamiltonian(lat)
-        M = frozen_spin_matrix(rep, merge_chain_terms(frozen.terms), "exact")
+        frozen = _cyclic_chain(args.N, args.m)
         payload = {
-            "lattice": lat.to_json(),
-            "matrix": M.entries_json(),
+            "lattice": frozen.lattice.to_json(),
+            "matrix": SpinMatrix.from_terms(rep, frozen.terms).entries_json(),
         }
     else:
         lat = build_lattice("cyclic", args.N, args.m)
@@ -496,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--label", choices=LATTICE_LABELS, default=None)
     ps.add_argument("--L", type=int, default=None)
     ps.add_argument("--mu2", default=None)
-    ps.add_argument("--backend", choices=("exact", "numeric"), default="exact")
     ps.add_argument("--x-display", dest="x_display", action="store_true")
     ps.set_defaults(fn=cmd_spectrum, n=2, family="cyclic")
 

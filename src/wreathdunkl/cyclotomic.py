@@ -83,7 +83,7 @@ def euler_phi(n: int) -> int:
 
 
 class CyclotomicField:
-    """Descriptor for Q(zeta_n): minimal polynomial plus reduction tables.
+    """Descriptor for Q(zeta_n): degree and reduction tables.
 
     ``red`` reduces the powers ``z**phi .. z**(2*phi-2)`` that appear in
     products of reduced elements; ``powers`` gives every ``z**k`` for
@@ -91,14 +91,13 @@ class CyclotomicField:
     and root-of-unity construction.
     """
 
-    __slots__ = ("order", "phi", "min_poly", "red", "powers", "trace_row")
+    __slots__ = ("order", "phi", "red", "powers", "trace_row")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("field order must be a positive integer")
         self.order = order
         poly = _cyclotomic_poly(order)
-        self.min_poly = poly
         phi = len(poly) - 1
         self.phi = phi
 
@@ -307,33 +306,27 @@ class CycloScalar:
         return out
 
     def inverse(self) -> "CycloScalar":
-        """Multiplicative inverse via extended Euclid modulo the minimal poly."""
+        """Multiplicative inverse by the Galois norm.
+
+        The norm N(x), the product of the conjugates sigma_t(x) over t in
+        (Z/n)^x, is a nonzero rational for x != 0, so x^-1 is the product
+        of the conjugates with t != 1, divided by N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         field = self.field
         if field.phi == 1:
             return CycloScalar.rational(Fraction(self.den, self.num[0]), self.order)
-        a = [Fraction(c, self.den) for c in self.num]
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in field.min_poly]
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            if not any(r1):
-                raise ArithmeticError("element shares a factor with the minimal poly")
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                break
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        acc = _frac_fold(inv, field)
-        den = 1
-        for c in acc:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = tuple(int(c * den) for c in acc)
-        return CycloScalar(self.order, num, den)
+        num, den = (1,) + (0,) * (field.phi - 1), 1
+        for t in range(2, self.order):
+            if gcd(t, self.order) == 1:
+                g = self.galois(t)
+                num, den = K.scalar_mul(num, den, g.num, g.den, field.red)
+        norm, norm_den = K.scalar_mul(num, den, self.num, self.den, field.red)
+        if any(norm[1:]):
+            raise ArithmeticError("Galois norm is not rational")
+        num, den = K.scalar_rat_mul(num, den, norm_den, norm[0])
+        return CycloScalar(self.order, num, den, _normalized=True)
 
     def conj(self) -> "CycloScalar":
         """Complex conjugation, zeta -> zeta**(n-1)."""
@@ -363,11 +356,6 @@ class CycloScalar:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -460,60 +448,3 @@ class CycloScalar:
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
         return CycloScalar(order, tuple(int(c * den) for c in coeffs), den)
-
-
-def _frac_fold(vec: list[Fraction], field: CyclotomicField) -> list[Fraction]:
-    """Reduce a dense Fraction vector of any degree to the power basis."""
-    vec = list(vec)
-    phi = field.phi
-    base = field.red[0] if field.red else ()
-    while len(vec) > phi:
-        c = vec.pop()
-        if c:
-            d = len(vec) - phi  # z**(phi+d) folds into z**d * z**phi
-            for j, bj in enumerate(base):
-                if bj:
-                    vec[d + j] += c * bj
-    while len(vec) < phi:
-        vec.append(Fraction(0))
-    return vec
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of dense Fraction polynomials."""
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[k + j] -= c * bj
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, (r if r else [Fraction(0)])
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out

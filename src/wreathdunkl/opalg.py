@@ -264,31 +264,6 @@ class MixedOperator:
 
     # -- application and evaluation ---------------------------------------------
 
-    def apply(self, funcs):
-        """Apply to a spin vector of rational functions (list of length dim).
-
-        A single rational function or polynomial is accepted when the
-        operator is spinless.
-        """
-        if isinstance(funcs, LaurentPoly):
-            funcs = RationalCoefficient.from_poly(funcs)
-        if isinstance(funcs, RationalCoefficient):
-            funcs = [funcs]
-        if len(funcs) != self.spin_dim:
-            raise ValueError("spin vector length does not match the operator")
-        out = [RationalCoefficient.zero(self.nvars, self.order) for _ in funcs]
-        for (k, g), mat in self.terms.items():
-            moved = {}
-            for (i, j), c in mat.items():
-                if j not in moved:
-                    h = funcs[j].act(g)
-                    for var, p in enumerate(k):
-                        for _ in range(p):
-                            h = h.euler(var + 1)
-                    moved[j] = h
-                out[i] = out[i] + c * moved[j]
-        return out
-
     def numeric_apply(self, funcs, point):
         """Evaluate (A f)(point) term by term in complex floats.
 

@@ -333,9 +333,6 @@ class LaurentPoly:
         n, d = self.terms[(0,) * self.nvars]
         return CycloScalar(self.order, n, d, _normalized=True)
 
-    def nterms(self) -> int:
-        return len(self.terms)
-
     def coeff(self, exps) -> CycloScalar:
         raw = self.terms.get(tuple(exps))
         if raw is None:
@@ -789,12 +786,6 @@ class RationalCoefficient:
                 raise ZeroDivisionError("denominator vanishes at the given point")
             acc = acc * (v.inverse() ** k)
         return acc
-
-    def den_min_abs(self, point) -> float:
-        """Smallest |factor| at the numeric point (singularity guard)."""
-        if not self.den:
-            return float("inf")
-        return min(abs(f.eval_complex(point)) for f, _ in self.den)
 
     # -- comparison ------------------------------------------------------------
 

@@ -4,8 +4,12 @@ Each of the N particles carries an n-dimensional spin.  One unitary of
 order m acts diagonally on a single spin through integer weights, a second
 one reverses the weight order, and transpositions exchange whole spins;
 together these represent the dihedral wreath group on the N-fold tensor
-product.  The map from position-group elements to spin matrices is defined
-on normal forms and checked to be a homomorphism.
+product.  Every image is therefore a monomial matrix, a permutation of
+basis states with phases (the exchange-operator picture), and
+``monomial_image`` stores it as two integer arrays.  These arrays are the
+algebra of spin images: ``compose_images`` multiplies them, and
+``spin_representation_check`` proves on them that the map is a
+homomorphism.
 
 Physical states are selected by group-average projectors: the exchange
 projector averages the doubled (position times spin) action over the
@@ -13,6 +17,10 @@ rotation-balanced subgroup, and the dihedral boundary projector multiplies
 per-site averages over doubled even rotations and reflections.  On the
 projected space the position charges and their spin substitutes agree,
 which is what ``verify_agreement`` checks exactly.
+
+Dense exact matrices (``SpinMatrix``) serve only where an exact chain
+matrix is itself the object: the characteristic-polynomial oracle and the
+export of a frozen chain.
 """
 
 from __future__ import annotations
@@ -77,7 +85,12 @@ class SpinRepData:
 
 
 class SpinMatrix:
-    """Dense matrix with exact cyclotomic entries (small dimensions)."""
+    """Dense matrix with exact cyclotomic entries (small dimensions).
+
+    Only exact chain matrices take this form: ``char_poly_exact`` multiplies
+    them and ``export --object Hbar_spin`` writes them out.  Group images
+    are monomial and use ``monomial_image`` instead.
+    """
 
     __slots__ = ("dim", "order", "rows")
 
@@ -92,79 +105,45 @@ class SpinMatrix:
         return SpinMatrix(dim, order, [[z] * dim for _ in range(dim)])
 
     @staticmethod
-    def identity(dim: int, order: int) -> "SpinMatrix":
-        out = SpinMatrix.zero(dim, order)
-        one = CycloScalar.one(order)
-        for i in range(dim):
-            out.rows[i][i] = one
+    def from_terms(rep: SpinRepData, terms) -> "SpinMatrix":
+        """The sum of c times the spin image of g over (c, g) in ``terms``,
+        over the common cyclotomic field of m and the coefficients."""
+        order = rep.m
+        for c, _ in terms:
+            order = order * c.order // gcd(order, c.order)
+        out = SpinMatrix.zero(rep.dim, order)
+        for c, g in terms:
+            c = c.lift(order)
+            values = [CycloScalar.root_of_unity(rep.m, p).lift(order) * c for p in range(rep.m)]
+            rows, phases = monomial_image(rep, g)
+            for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
+                out.rows[r][t] = out.rows[r][t] + values[p]
         return out
 
-    def lift(self, order: int) -> "SpinMatrix":
-        if order == self.order:
-            return self
-        return SpinMatrix(
-            self.dim, order, [[c.lift(order) for c in row] for row in self.rows]
-        )
-
-    def _match(self, other: "SpinMatrix"):
-        order = self.order * other.order // gcd(self.order, other.order)
-        return self.lift(order), other.lift(order)
-
-    def __add__(self, other):
-        a, b = self._match(other)
-        return SpinMatrix(
-            a.dim, a.order,
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SpinMatrix(self.dim, self.order, [[-x for x in row] for row in self.rows])
-
-    def scale(self, c) -> "SpinMatrix":
-        return SpinMatrix(self.dim, self.order, [[x * c for x in row] for row in self.rows])
-
     def __matmul__(self, other):
-        a, b = self._match(other)
-        dim = a.dim
-        zero = CycloScalar.zero(a.order)
+        if other.order != self.order:
+            raise ValueError("matrix product needs one cyclotomic field")
+        dim = self.dim
+        zero = CycloScalar.zero(self.order)
         out = [[zero] * dim for _ in range(dim)]
         for i in range(dim):
-            arow = a.rows[i]
+            arow = self.rows[i]
             orow = out[i]
             for k in range(dim):
                 x = arow[k]
                 if x.is_zero():
                     continue
-                brow = b.rows[k]
+                brow = other.rows[k]
                 for j in range(dim):
                     y = brow[j]
                     if not y.is_zero():
                         orow[j] = orow[j] + x * y
-        return SpinMatrix(dim, a.order, out)
+        return SpinMatrix(dim, self.order, out)
 
     def __eq__(self, other):
         if not isinstance(other, SpinMatrix):
             return NotImplemented
-        a, b = self._match(other)
-        return a.rows == b.rows
-
-    def __hash__(self):
-        return hash((self.dim, self.order))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.rows for c in row)
-
-    def conj_transpose(self) -> "SpinMatrix":
-        return SpinMatrix(
-            self.dim, self.order,
-            [[self.rows[j][i].conj() for j in range(self.dim)] for i in range(self.dim)],
-        )
-
-    def is_hermitian(self) -> bool:
-        return self == self.conj_transpose()
+        return self.order == other.order and self.rows == other.rows
 
     def trace(self) -> CycloScalar:
         t = CycloScalar.zero(self.order)
@@ -206,73 +185,99 @@ def monomial_image(rep: SpinRepData, g: WreathElement):
     return rows, phases
 
 
+def compose_images(a, b, m: int):
+    """The product A B of two monomial images a = (rows, phases) and b.
+
+    B sends t to rb[t] with phase pb[t], and A then sends rb[t] to
+    ra[rb[t]] with phase pa[rb[t]]; phases add modulo m.  ``a`` may be a
+    stack of images along leading axes, which are composed with ``b`` at
+    once.
+    """
+    ra, pa = a
+    rb, pb = b
+    return ra[..., rb], (pb + pa[..., rb]) % m
+
+
 def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> SpinMatrix:
-    """The spin image of g as an exact dense matrix."""
-    rows, phases = monomial_image(rep, g)
-    out = SpinMatrix.zero(rep.dim, rep.m)
-    for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
-        out.rows[r][t] = CycloScalar.root_of_unity(rep.m, p)
-    return out
+    """The spin image of g as an exact dense matrix (a dense reference)."""
+    return SpinMatrix.from_terms(rep, [(CycloScalar.one(rep.m), g)])
 
 
-def build_spin_generators(rep: SpinRepData) -> dict:
-    """Exchange, rotation and reflection matrices for every site."""
-    spec = GroupSpec("W(m,N)", rep.N, rep.m)
-    out = {"P": {}, "Q": {}, "K": {}}
-    for i in range(1, rep.N + 1):
-        for name in ("Q", "K"):
-            out[name][i] = spin_matrix_of_element(rep, generator(spec, name, i=i))
-        for j in range(i + 1, rep.N + 1):
-            out["P"][(i, j)] = spin_matrix_of_element(rep, generator(spec, "P", i=i, j=j))
-    return out
+def generating_set(N: int, m: int) -> list[WreathElement]:
+    """e_1, ..., e_{N-1}, a and k, which generate W(m, N)."""
+    spec = GroupSpec("W(m,N)", N, m)
+    return [generator(spec, "e", i=i) for i in range(1, N)] + [
+        generator(spec, "a"),
+        generator(spec, "k"),
+    ]
 
 
-def spin_representation_check(rep: SpinRepData, samples: int = 200, seed: int = 0) -> CheckSuite:
-    """Defining relations and the homomorphism property, exactly."""
-    import random
+def spin_representation_check(rep: SpinRepData) -> CheckSuite:
+    """Defining relations and the homomorphism property, exactly.
 
+    Every image is composed as a pair of integer arrays
+    (``compose_images``), never as a dense matrix.
+
+    The homomorphism item is decided on all of W.  With S = {e_1, ...,
+    e_{N-1}, a, k}, which generates W = W(m, N), it checks M(g) M(s) =
+    M(g s) for every g in W and s in S, |W| |S| pairs.  That implies
+    M(g) M(h) = M(g h) for every pair:
+
+    * g = 1 gives M(1) M(s) = M(s), and M(s) is invertible, so M(1) = 1.
+    * Every h in the finite group W is a word s_1 ... s_k in S.  For k = 0,
+      M(g) M(1) = M(g).  If M(g) M(h) = M(g h) for all g, then for s in S
+      M(g) M(h s) = M(g) M(h) M(s) = M(g h) M(s) = M(g h s), using the
+      check at (h, s), the hypothesis, and the check at (g h, s).
+    """
     suite = CheckSuite("spin-representation")
     N, m = rep.N, rep.m
     idx = {"n": rep.n, "m": m, "N": N}
-    gens = build_spin_generators(rep)
-    ident = SpinMatrix.identity(rep.dim, m)
+    spec = GroupSpec("W(m,N)", N, m)
+    Q = {i: monomial_image(rep, generator(spec, "Q", i=i)) for i in range(1, N + 1)}
+    K = {i: monomial_image(rep, generator(spec, "K", i=i)) for i in range(1, N + 1)}
+    ident = (np.arange(rep.dim), np.zeros(rep.dim, dtype=int))
+
+    def mul(*images):
+        out = ident
+        for b in images:
+            out = compose_images(out, b, m)
+        return out
+
+    def equal(a, b) -> bool:
+        return bool(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+
     for i in range(1, N + 1):
-        Q, K = gens["Q"][i], gens["K"][i]
-        qpow = ident
-        for _ in range(m):
-            qpow = qpow @ Q
-        suite.add("Q_i^m = 1", {**idx, "i": i}, qpow == ident)
-        suite.add("K_i^2 = 1", {**idx, "i": i}, K @ K == ident)
+        suite.add("Q_i^m = 1", {**idx, "i": i}, equal(mul(*[Q[i]] * m), ident))
+        suite.add("K_i^2 = 1", {**idx, "i": i}, equal(mul(K[i], K[i]), ident))
         suite.add(
             "K_i Q_i K_i = Q_i^{-1}",
             {**idx, "i": i},
-            (K @ Q @ K) @ Q == ident,
+            equal(mul(K[i], Q[i], K[i], Q[i]), ident),
         )
         for j in range(i + 1, N + 1):
-            P = gens["P"][(i, j)]
-            suite.add("P_ij^2 = 1", {**idx, "i": i, "j": j}, P @ P == ident)
+            P = monomial_image(rep, generator(spec, "P", i=i, j=j))
+            suite.add("P_ij^2 = 1", {**idx, "i": i, "j": j}, equal(mul(P, P), ident))
             suite.add(
                 "P_ij Q_i = Q_j P_ij",
                 {**idx, "i": i, "j": j},
-                P @ Q == gens["Q"][j] @ P,
+                equal(mul(P, Q[i]), mul(Q[j], P)),
             )
             suite.add(
                 "Q_i Q_j = Q_j Q_i",
                 {**idx, "i": i, "j": j},
-                Q @ gens["Q"][j] == gens["Q"][j] @ Q,
+                equal(mul(Q[i], Q[j]), mul(Q[j], Q[i])),
             )
-    rng = random.Random(seed)
-    spec = GroupSpec("W(m,N)", N, m)
     els = enumerate_subgroup(spec, cap=10**5)
-    bad = 0
-    trials = min(samples, len(els) ** 2)
-    for _ in range(trials):
-        g, h = rng.choice(els), rng.choice(els)
-        lhs = spin_matrix_of_element(rep, g) @ spin_matrix_of_element(rep, h)
-        rhs = spin_matrix_of_element(rep, g * h)
-        if lhs != rhs:
-            bad += 1
-    suite.add("M(g) M(h) = M(g h)", {**idx, "samples": trials}, bad == 0)
+    where = {g: t for t, g in enumerate(els)}
+    images = [monomial_image(rep, g) for g in els]
+    table = (np.stack([r for r, _ in images]), np.stack([p for _, p in images]))
+    gens = generating_set(N, m)
+    ok = True
+    for s in gens:
+        target = [where[g * s] for g in els]
+        product = compose_images(table, images[where[s]], m)
+        ok = ok and equal(product, (table[0][target], table[1][target]))
+    suite.add("M(g) M(h) = M(g h)", {**idx, "samples": len(els) * len(gens)}, ok)
     return suite
 
 
@@ -464,35 +469,16 @@ def verify_agreement(
     return suite
 
 
-# -- dynamical and frozen spin Hamiltonians -------------------------------------
+# -- frozen spin chains ---------------------------------------------------------
 
 
-def dynamical_spin_hamiltonian(params: ModelParams, rep: SpinRepData) -> MixedOperator:
-    """Spin substitute of the quadratic charge (local spin-spin model)."""
-    return substitute_spin(build_charge(params, 2), rep)
-
-
-def frozen_spin_matrix(rep: SpinRepData, terms, backend: str = "exact"):
-    """Assemble a frozen chain from (scalar, group element) terms.
-
-    ``exact`` returns a SpinMatrix over the common cyclotomic field;
-    ``numeric`` builds a dense complex array without exact intermediates.
-    """
-    dim, m = rep.dim, rep.m
-    cols = np.arange(dim)
-    if backend == "exact":
-        order = m
-        for c, _ in terms:
-            order = order * c.order // gcd(order, c.order)
-        out = SpinMatrix.zero(dim, order)
-        for c, g in terms:
-            c = c.lift(order)
-            values = [CycloScalar.root_of_unity(m, p).lift(order) * c for p in range(m)]
-            rows, phases = monomial_image(rep, g)
-            for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
-                out.rows[r][t] = out.rows[r][t] + values[p]
-        return out
-    out = np.zeros((dim, dim), dtype=complex)
+def frozen_spin_matrix(rep: SpinRepData, terms) -> np.ndarray:
+    """Assemble a frozen chain from (scalar, group element) terms as a dense
+    complex array, one monomial image per term; ``SpinMatrix.from_terms``
+    is the exact counterpart."""
+    m = rep.m
+    cols = np.arange(rep.dim)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for c, g in terms:
         cval = c.to_complex() if isinstance(c, CycloScalar) else complex(c)
         values = np.array([cval * np.exp(2j * np.pi * p / m) for p in range(m)])
@@ -560,8 +546,6 @@ def diagonalize_hermitian(matrix, tol: float = 1e-10):
     dim, with dim the full dimension.  A matrix with one component is
     diagonalized whole.
     """
-    if isinstance(matrix, SpinMatrix):
-        matrix = matrix.to_numpy()
     herm_residual = np.max(np.abs(matrix - matrix.conj().T))
     if herm_residual > tol:
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
@@ -613,18 +597,6 @@ def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:
     return coeffs
 
 
-def spectrum_from_charpoly(coeffs) -> np.ndarray:
-    """Eigenvalues as roots of the exact characteristic polynomial.
-
-    Root-finding resolves a k-fold eigenvalue only to about eps**(1/k), so
-    this is a structural cross-check; the tight independent oracle is
-    ``brute_force_eigvals``.
-    """
-    arr = np.array([c.to_complex() for c in reversed(coeffs)], dtype=complex)
-    roots = np.roots(arr)
-    return np.sort(roots.real)
-
-
 def charpoly_residual(coeffs, eigenvalues) -> float:
     """Largest |p(lambda)| over the proposed eigenvalues, normalized."""
     vals = np.array([c.to_complex() for c in coeffs], dtype=complex)
@@ -644,8 +616,6 @@ def brute_force_eigvals(matrix, tol: float = 1e-13, max_sweeps: int = 100) -> np
     Plain two-by-two rotations, no library eigensolver involved; accurate
     for degenerate spectra, which polynomial root-finding is not.
     """
-    if isinstance(matrix, SpinMatrix):
-        matrix = matrix.to_numpy()
     A = np.array(matrix, dtype=complex)
     n = A.shape[0]
     scale = max(1.0, float(np.max(np.abs(A))))

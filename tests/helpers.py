@@ -1,4 +1,5 @@
-"""Shared random-object generators for the operator-algebra tests."""
+"""Shared random-object generators and the exact-application oracle of the
+operator-algebra tests."""
 
 from fractions import Fraction
 
@@ -37,3 +38,27 @@ def random_operator(rng, N=2, m=3, nterms=2, spin_dim=1, allow_euler=True):
             }
             A = A + MixedOperator.spin_term(g, entries, N, m, spin_dim, euler=k)
     return A
+
+
+def apply(A, funcs):
+    """Apply A to a spin vector of rational functions (a list of length
+    ``A.spin_dim``), exactly; a single function is accepted when A is
+    spinless."""
+    if isinstance(funcs, LaurentPoly):
+        funcs = RationalCoefficient.from_poly(funcs)
+    if isinstance(funcs, RationalCoefficient):
+        funcs = [funcs]
+    if len(funcs) != A.spin_dim:
+        raise ValueError("spin vector length does not match the operator")
+    out = [RationalCoefficient.zero(A.nvars, A.order) for _ in funcs]
+    for (k, g), mat in A.terms.items():
+        moved = {}
+        for (i, j), c in mat.items():
+            if j not in moved:
+                h = funcs[j].act(g)
+                for var, p in enumerate(k):
+                    for _ in range(p):
+                        h = h.euler(var + 1)
+                moved[j] = h
+            out[i] = out[i] + c * moved[j]
+    return out

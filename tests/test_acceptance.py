@@ -51,11 +51,11 @@ from wreathdunkl.opalg import (
     op_compose,
 )
 from wreathdunkl.spinrep import (
+    SpinMatrix,
     SpinRepData,
     brute_force_eigvals,
     build_projector,
     diagonalize_hermitian,
-    frozen_spin_matrix,
     global_rotation_element,
     projector_check,
     spin_matrix_of_element,
@@ -246,8 +246,13 @@ def test_criterion_7_frozen_chains():
         rep = SpinRepData(n, m, N)
         frozen = build_frozen_hamiltonian(build_lattice("cyclic", N, m))
         terms = merge_chain_terms(frozen.terms)
-        Hx = frozen_spin_matrix(rep, terms, "exact")
-        ok &= Hx.is_hermitian()  # exact hermiticity
+        Hx = SpinMatrix.from_terms(rep, terms)
+        # exact hermiticity: Hx equals its conjugate transpose entry by entry
+        ok &= all(
+            Hx.rows[i][j] == Hx.rows[j][i].conj()
+            for i in range(rep.dim)
+            for j in range(rep.dim)
+        )
         H = Hx.to_numpy()
         herm = float(np.max(np.abs(H - H.conj().T)))
         ok &= herm < 1e-12

@@ -172,6 +172,46 @@ def test_export_objects(tmp_path):
     assert main(["export", "--object", "whatever"]) == 2
 
 
+@pytest.mark.parametrize("N,m", [(3, 2), (2, 3)])
+def test_export_hbar_spin_equals_extracted_chain(tmp_path, N, m):
+    """The exported chain, from the closed-form couplings, equals the exact
+    assembly of the terms that symbolic extraction gives."""
+    from wreathdunkl.spinrep import SpinMatrix, SpinRepData
+    from wreathdunkl.static import build_frozen_hamiltonian, build_lattice, merge_chain_terms
+
+    code, data = run(
+        ["export", "--object", "Hbar_spin", "--N", str(N), "--m", str(m), "--n", "2"],
+        tmp_path,
+    )
+    assert code == 0
+    frozen = build_frozen_hamiltonian(build_lattice("cyclic", N, m))
+    extracted = SpinMatrix.from_terms(SpinRepData(2, m, N), merge_chain_terms(frozen.terms))
+    assert data["matrix"] == extracted.entries_json()
+
+
+def test_export_hbar_spin_six_sites(tmp_path):
+    """At N = 6, m = 1 the exported chain is the Haldane-Shastry matrix
+    -sum_{k<l} P_kl / (2 sin^2(pi (k - l) / N)) on (C^2)^6."""
+    from wreathdunkl.cyclotomic import CycloScalar
+
+    N = 6
+    code, data = run(["export", "--object", "Hbar_spin", "--N", str(N), "--m", "1",
+                      "--n", "2"], tmp_path)
+    assert code == 0
+    M = np.array([[CycloScalar.from_json(c).to_complex() for c in row]
+                  for row in data["matrix"]])
+    dim = 2**N
+    idx = np.arange(dim)
+    place = [2 ** (N - 1 - k) for k in range(N)]
+    digit = [(idx // p) % 2 for p in place]
+    H = np.zeros((dim, dim))
+    for k in range(N):
+        for l in range(k + 1, N):
+            swapped = idx + (digit[l] - digit[k]) * place[k] + (digit[k] - digit[l]) * place[l]
+            H[swapped, idx] -= 1.0 / (2.0 * math.sin(math.pi * (k - l) / N) ** 2)
+    assert np.max(np.abs(M - H)) < 1e-12
+
+
 def test_reports_are_deterministic(tmp_path):
     _, a = run(["verify", "--family", "cyclic", "--N", "2", "--m", "2",
                 "--lambda", "1", "--seed", "7"], tmp_path, "a.json")

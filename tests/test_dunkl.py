@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import apply
 from wreathdunkl.dunkl import (
     ModelParams,
     build_charge,
@@ -42,7 +43,7 @@ def test_single_copy_collapse():
     )
     assert d1 == expected
     # applied to the constant function
-    out = d1.apply(RationalCoefficient.one(2, 1))
+    out = apply(d1, RationalCoefficient.one(2, 1))
     assert out[0] == RationalCoefficient.ratio(q2, q1 - q2)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_operator
+from helpers import apply, random_operator
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
@@ -64,8 +64,8 @@ def test_apply_composes():
     for _ in range(75):
         A, B = random_operator(rng), random_operator(rng)
         fs = random_test_functions(rng, 2, 3, 1)
-        lhs = op_compose(A, B).apply(fs)
-        rhs = A.apply(B.apply(fs))
+        lhs = apply(op_compose(A, B), fs)
+        rhs = apply(A, apply(B, fs))
         assert all(x == y for x, y in zip(lhs, rhs))
 
 
@@ -75,8 +75,8 @@ def test_apply_with_spin():
         A = random_operator(rng, spin_dim=2)
         B = random_operator(rng, spin_dim=2)
         fs = random_test_functions(rng, 2, 3, 2)
-        lhs = op_compose(A, B).apply(fs)
-        rhs = A.apply(B.apply(fs))
+        lhs = apply(op_compose(A, B), fs)
+        rhs = apply(A, apply(B, fs))
         assert all(x == y for x, y in zip(lhs, rhs))
 
 

@@ -9,25 +9,26 @@ import pytest
 
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, build_charge
-from wreathdunkl.groups import GroupSpec, enumerate_subgroup
+from wreathdunkl import spinrep
+from wreathdunkl.groups import GroupSpec, enumerate_subgroup, generator
 from wreathdunkl.opalg import op_compose
 from wreathdunkl.spinrep import (
     SpinMatrix,
     SpinRepData,
     brute_force_eigvals,
     build_projector,
-    build_spin_generators,
     char_poly_exact,
     charpoly_residual,
     commutant_residual,
+    compose_images,
     default_weights,
     diagonalize_hermitian,
-    dynamical_spin_hamiltonian,
     frozen_spin_matrix,
+    generating_set,
     global_rotation_element,
     hermitian_blocks,
+    monomial_image,
     projector_check,
-    spectrum_from_charpoly,
     spin_image_operator,
     spin_matrix_of_element,
     spin_representation_check,
@@ -54,25 +55,102 @@ def test_default_weights():
 
 def test_example_matrices():
     rep = SpinRepData(2, 3, 2, weights=(1, 2))
-    gens = build_spin_generators(rep)
+    spec = GroupSpec("W(m,N)", 2, 3)
+    Q1, Q2, K1, P = (
+        monomial_image(rep, generator(spec, name, i=i))
+        for name, i in (("Q", 1), ("Q", 2), ("K", 1), ("P", 1))
+    )
     z3 = CycloScalar.root_of_unity(3)
-    Q1 = gens["Q"][1]
     # diagonal with the weight phases on the first tensor slot
-    assert Q1.rows[0][0] == z3 and Q1.rows[3][3] == z3**2
-    K1 = gens["K"][1]
-    ident = SpinMatrix.identity(4, 3)
-    assert K1 @ K1 == ident
-    assert (K1 @ Q1 @ K1) @ Q1 == ident  # K Q K = Q^{-1}
-    P = gens["P"][(1, 2)]
-    assert P @ P == ident
-    assert gens["Q"][1] @ gens["Q"][2] == gens["Q"][2] @ gens["Q"][1]
+    dense = spin_matrix_of_element(rep, generator(spec, "Q", i=1))
+    assert dense.rows[0][0] == z3 and dense.rows[3][3] == z3**2
+    assert Q1[0].tolist() == [0, 1, 2, 3] and Q1[1].tolist() == [1, 1, 2, 2]
+
+    def mul(*images):
+        out = (np.arange(4), np.zeros(4, dtype=int))
+        for b in images:
+            out = compose_images(out, b, 3)
+        return [x.tolist() for x in out]
+
+    ident = mul()
+    assert mul(K1, K1) == ident
+    assert mul(K1, Q1, K1, Q1) == ident  # K Q K = Q^{-1}
+    assert mul(P, P) == ident
+    assert mul(Q1, Q2) == mul(Q2, Q1)
+    assert mul(Q1) != ident and mul(P) != ident
 
 
-@pytest.mark.parametrize("n,m,N", [(2, 2, 2), (2, 3, 2), (3, 4, 2), (2, 2, 3)])
+SPIN_POINTS = [(2, 2, 2), (2, 3, 2), (3, 4, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("n,m,N", SPIN_POINTS)
 def test_representation_relations_and_homomorphism(n, m, N):
     rep = SpinRepData(n, m, N)
-    suite = spin_representation_check(rep, samples=120)
+    suite = spin_representation_check(rep)
     assert suite.passed, [i.relation for i in suite.failures()]
+    [hom] = [i for i in suite.items if i.relation == "M(g) M(h) = M(g h)"]
+    order = GroupSpec("W(m,N)", N, m).cardinality()
+    assert hom.params["samples"] == order * (N + 1)
+
+
+def _phase_of_unmoved_state(a, b, m):
+    ra, pa = a
+    rb, pb = b
+    return ra[..., rb], (pb + pa) % m
+
+
+def _swapped_order(a, b, m):
+    ra, pa = a
+    rb, pb = b
+    return rb[ra], (pa + pb[ra]) % m
+
+
+def _sign_flipped_image(rep, g, image=monomial_image):
+    """The image with the rotation phase of every flipped site negated."""
+    rows, _ = image(rep, g)
+    digits = (rows[:, None] // rep.n ** np.arange(rep.N - 1, -1, -1)) % rep.n
+    sign = 1 - 2 * np.array(g.flip)
+    phases = (np.array(rep.weights)[digits] @ (sign * np.array(g.rot))) % rep.m
+    return rows, phases
+
+
+@pytest.mark.parametrize(
+    "name,value,points",
+    [
+        # with all weights equal, as at n = m = 2, the phase does not depend
+        # on the state, and reading it before the move changes nothing
+        ("compose_images", _phase_of_unmoved_state, [(2, 3, 2), (3, 4, 2), (3, 2, 2)]),
+        ("compose_images", _swapped_order, SPIN_POINTS),
+        # at m = 2 a negated phase is the same phase
+        ("monomial_image", _sign_flipped_image, [(2, 3, 2), (3, 4, 2)]),
+    ],
+    ids=["phase-read-before-move", "swapped-order", "flip-negates-phase"],
+)
+def test_representation_check_catches_mutations(monkeypatch, name, value, points):
+    monkeypatch.setattr(spinrep, name, value)
+    for n, m, N in points:
+        suite = spin_representation_check(SpinRepData(n, m, N))
+        failed = {i.relation for i in suite.failures()}
+        assert "M(g) M(h) = M(g h)" in failed, (n, m, N)
+
+
+@pytest.mark.parametrize("N,m", [(1, 3), (2, 1), (2, 2), (3, 2), (2, 4)])
+def test_generating_set_generates_the_wreath_group(N, m):
+    """The homomorphism proof needs S to generate W(m, N); without k the
+    closure is a proper subgroup."""
+
+    def closure(gens):
+        seen = {g for g in gens}
+        frontier = list(seen)
+        while frontier:
+            frontier = [g * s for g in frontier for s in gens if g * s not in seen]
+            seen.update(frontier)
+        return seen
+
+    gens = generating_set(N, m)
+    order = GroupSpec("W(m,N)", N, m).cardinality()
+    assert len(closure(gens)) == order
+    assert len(closure(gens[:-1])) < order
 
 
 def test_substitution_of_single_terms():
@@ -148,7 +226,7 @@ def test_agreement_dihedral_odd_k():
 def test_dynamical_spin_hamiltonian_shape():
     p = ModelParams("cyclic", 2, 2, Fraction(1))
     rep = SpinRepData(2, 2, 2)
-    H = dynamical_spin_hamiltonian(p, rep)
+    H = substitute_spin(build_charge(p, 2), rep)
     # all group parts substituted away
     assert all(g.is_identity() for (_, g) in H.terms)
     assert H.spin_dim == 4
@@ -158,8 +236,8 @@ def test_frozen_chain_exact_vs_numeric_backends():
     rep = SpinRepData(2, 3, 2)
     frozen = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3))
     terms = merge_chain_terms(frozen.terms)
-    exact = frozen_spin_matrix(rep, terms, "exact").to_numpy()
-    numeric = frozen_spin_matrix(rep, terms, "numeric")
+    exact = SpinMatrix.from_terms(rep, terms).to_numpy()
+    numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
 
@@ -168,8 +246,8 @@ def test_numeric_frozen_chain_equals_exact(family, N, m):
     rep = SpinRepData(2, m, N)
     frozen = build_frozen_hamiltonian(build_lattice(family, N, m))
     terms = merge_chain_terms(frozen.terms)
-    exact = frozen_spin_matrix(rep, terms, "exact").to_numpy()
-    numeric = frozen_spin_matrix(rep, terms, "numeric")
+    exact = SpinMatrix.from_terms(rep, terms).to_numpy()
+    numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
 
@@ -217,7 +295,7 @@ def test_commutant_residual_equals_dense_products(n, m, N):
     """On a frozen chain, against dense products: the chain's symmetries
     commute with it, other elements of W(m, N) do not."""
     rep = SpinRepData(n, m, N)
-    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, m)), "numeric")
+    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, m)))
     residuals = {}
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         M = spin_matrix_of_element(rep, g).to_numpy()
@@ -290,7 +368,7 @@ def test_haldane_shastry_blocks_are_colour_occupations():
     class of (C^3)^3 is one block: C(5, 2) = 10 of them."""
     n, N = 3, 3
     rep = SpinRepData(n, 1, N)
-    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, 1)), "numeric")
+    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, 1)))
     states = list(itertools.product(range(n), repeat=N))
     classes = {}
     for t, digits in enumerate(states):
@@ -304,7 +382,7 @@ def test_known_two_site_chain():
     """Two sites, one rotation copy: a single exchange bond."""
     rep = SpinRepData(2, 1, 2)
     frozen = build_frozen_hamiltonian(build_lattice("cyclic", 2, 1))
-    H = frozen_spin_matrix(rep, merge_chain_terms(frozen.terms), "numeric")
+    H = frozen_spin_matrix(rep, merge_chain_terms(frozen.terms))
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
     P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("symmetric", 2, 1))[1])
     assert np.max(np.abs(H - (-0.5) * P.to_numpy())) < 1e-14
@@ -343,14 +421,17 @@ def test_charpoly_oracle_matches_eigensolvers():
                 val = val + z4 * rng.randint(-2, 2)
             M.rows[i][j] = val
             M.rows[j][i] = val.conj()
-    assert M.is_hermitian()
-    vals, _ = diagonalize_hermitian(M)
-    oracle = brute_force_eigvals(M)
+    # exact Hermiticity: M equals its conjugate transpose entry by entry
+    assert all(M.rows[i][j] == M.rows[j][i].conj() for i in range(dim) for j in range(dim))
+    H = M.to_numpy()
+    vals, _ = diagonalize_hermitian(H)
+    oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10
     coeffs = char_poly_exact(M)
     assert charpoly_residual(coeffs, vals) < 1e-9
-    roots = spectrum_from_charpoly(coeffs)
-    assert np.max(np.abs(np.sort(roots) - vals)) < 1e-5
+    # the roots of the exact polynomial, a structural cross-check
+    roots = np.roots([c.to_complex() for c in reversed(coeffs)])
+    assert np.max(np.abs(np.sort(roots.real) - vals)) < 1e-5
 
 
 def test_jacobi_oracle_on_degenerate_spectra():
