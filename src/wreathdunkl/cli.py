@@ -65,11 +65,8 @@ from .static import (
     build_frozen_hamiltonian,
     build_lattice,
     build_static_hamiltonian,
-    cyclic_chain_terms,
     equidistant_lattice,
     freezing_identity_check,
-    frozen_chain,
-    merge_chain_terms,
     rational_sqrt,
     scan_equidistant,
     static_display_check,
@@ -232,39 +229,26 @@ def cmd_lattice(args) -> int:
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _cyclic_chain(N: int, m: int):
-    """The cyclic frozen chain from its closed-form couplings."""
-    lat = build_lattice("cyclic", N, m)
-    return frozen_chain(lat, merge_chain_terms(cyclic_chain_terms(N, m)))
-
-
-def _chain_for(args):
-    if args.family == "cyclic":
-        return _cyclic_chain(args.N, args.m)
-    if args.family == "dihedral-odd":
-        lat = build_lattice("dihedral-odd", args.N, args.m, args.label or "L2Nm")
-    else:
-        lat = equidistant_lattice(
-            "dihedral-even", args.N, args.m, args.L,
-            couplings={"mu2": _fraction(args.mu2 or "1/4")},
-        )
-        try:
-            lat.residuals()
-        except ZeroDivisionError as exc:
-            raise ConfigError(f"--L {args.L} puts a site on an image: {exc}") from exc
-    return build_frozen_hamiltonian(lat)
+def _lattice_for(args):
+    if args.family != "dihedral-even":
+        return build_lattice(args.family, args.N, args.m, args.label or "auto")
+    lat = equidistant_lattice(
+        "dihedral-even", args.N, args.m, args.L,
+        couplings={"mu2": _fraction(args.mu2 or "1/4")},
+    )
+    try:
+        lat.residuals()
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"--L {args.L} puts a site on an image: {exc}") from exc
+    return lat
 
 
 def cmd_spectrum(args) -> int:
     dim = args.n**args.N
-    frozen = _chain_for(args)
+    frozen = build_frozen_hamiltonian(_lattice_for(args))
     rep = SpinRepData(args.n, args.m, args.N)
-    terms = merge_chain_terms(frozen.terms)
-    H = frozen_spin_matrix(rep, terms)
-    herm = float(np.max(np.abs(H - H.conj().T)))
-    if herm > 1e-10:
-        raise ArithmeticError(f"frozen chain is not Hermitian: residual {herm}")
-    vals, degs = diagonalize_hermitian(H)
+    H = frozen_spin_matrix(rep, frozen.terms)
+    vals, degs, herm = diagonalize_hermitian(H)
     oracle = brute_force_eigvals(H) if dim <= 64 else None
     report = {
         "command": "spectrum",
@@ -282,7 +266,7 @@ def cmd_spectrum(args) -> int:
     if oracle is not None:
         checks["oracle_max_deviation"] = float(np.max(np.abs(vals - oracle)))
     if frozen.lattice.exact and dim <= 16:
-        exact = SpinMatrix.from_terms(rep, terms)
+        exact = SpinMatrix.from_terms(rep, frozen.terms)
         checks["charpoly_residual"] = charpoly_residual(char_poly_exact(exact), vals)
     if args.family == "cyclic":
         symmetries = {
@@ -318,7 +302,7 @@ def _dihedral_symmetry_candidates(N: int, m: int) -> dict:
 def _sin2_display(frozen) -> list:
     """Couplings in inverse-square-sine form (rendering only)."""
     out = []
-    for c, g in merge_chain_terms(frozen.terms):
+    for c, g in frozen.terms:
         value = c.to_complex() if hasattr(c, "to_complex") else complex(c)
         entry = {"group": g.to_json(), "coupling": [value.real, value.imag]}
         entry["minus_quarter_inv_sin2"] = -4.0 * value.real
@@ -370,7 +354,7 @@ def cmd_export(args) -> int:
         payload = {"operator": build_projector(p, rep, which).to_json()}
     elif name == "Hbar_spin":
         rep = SpinRepData(args.n, args.m, args.N)
-        frozen = _cyclic_chain(args.N, args.m)
+        frozen = build_frozen_hamiltonian(build_lattice("cyclic", args.N, args.m))
         payload = {
             "lattice": frozen.lattice.to_json(),
             "matrix": SpinMatrix.from_terms(rep, frozen.terms).entries_json(),

@@ -18,7 +18,9 @@ element of the image: x = tau^s q_j / q_i on the rotated exchanges,
 x = tau^s q_i q_j on their mirror images, and x = +-tau^s q_i on the
 rotated boundary reflections.  The binomial 1 - x stays squared in the
 denominator, where exact division tests it as a binomial.  The scalar
-potential of the static chain sums the same table.
+potential of the static chain sums the same table, and the frozen chain's
+couplings are its terms c x / (1 - x)^2 evaluated at the lattice positions
+(``static.build_frozen_hamiltonian``).
 
 The dihedral operator is available in two algebraically equal layouts: the
 ``image`` form, whose reflected two-body terms are written against the

@@ -537,29 +537,38 @@ def hermitian_blocks(matrix: np.ndarray) -> list[np.ndarray]:
 
 
 def diagonalize_hermitian(matrix, tol: float = 1e-10):
-    """Sorted real spectrum and degeneracy profile of a Hermitian matrix.
+    """Sorted real spectrum, degeneracy profile and Hermiticity residual
+    max |H - H^H| of a Hermitian matrix.
 
-    The Hermiticity check runs on the whole matrix.  The matrix then splits
-    into the connected components of its nonzero pattern
-    (``hermitian_blocks``); ``eigh`` runs on each component's block, and
-    every eigenpair is checked against |H v - lambda v| <= 1e-8 * scale *
-    dim, with dim the full dimension.  A matrix with one component is
-    diagonalized whole.
+    The matrix splits into the connected components of its nonzero pattern
+    (``hermitian_blocks``).  The pattern is symmetrized, so an entry
+    between two components is zero in both H and H^H, and the residual and
+    max |H| over the whole matrix are their maxima over the diagonal
+    blocks.  ``eigh`` runs on each block, and every eigenpair is checked
+    against |H v - lambda v| <= 1e-8 * scale * dim, with dim the full
+    dimension.  A matrix with one component is diagonalized whole.
     """
-    herm_residual = np.max(np.abs(matrix - matrix.conj().T))
+    blocks = hermitian_blocks(matrix)
+
+    def block(idx):
+        return matrix if len(blocks) == 1 else matrix[np.ix_(idx, idx)]
+
+    herm_residual, scale = 0.0, 1.0
+    for idx in blocks:
+        B = block(idx)
+        herm_residual = max(herm_residual, float(np.max(np.abs(B - B.conj().T))))
+        scale = max(scale, float(np.max(np.abs(B))))
     if herm_residual > tol:
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
-    scale = max(1.0, np.max(np.abs(matrix)))
     bound = 1e-8 * scale * matrix.shape[0]
-    blocks = hermitian_blocks(matrix)
     spectra = []
     for idx in blocks:
-        block = matrix if len(blocks) == 1 else matrix[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(block)
+        B = block(idx)
+        vals, vecs = np.linalg.eigh(B)
         # one norm per eigenpair, a block of columns at a time
         for k in range(0, len(vals), _RESIDUAL_BLOCK):
             cols = vecs[:, k : k + _RESIDUAL_BLOCK]
-            r = np.linalg.norm(block @ cols - cols * vals[k : k + _RESIDUAL_BLOCK], axis=0)
+            r = np.linalg.norm(B @ cols - cols * vals[k : k + _RESIDUAL_BLOCK], axis=0)
             if np.any(r > bound):
                 raise ArithmeticError("eigenpair residual out of tolerance")
         spectra.append(vals)
@@ -572,7 +581,7 @@ def diagonalize_hermitian(matrix, tol: float = 1e-10):
             j += 1
         degs.append((float(vals[i]), j - i + 1))
         i = j + 1
-    return vals, degs
+    return vals, degs, herm_residual
 
 
 def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:

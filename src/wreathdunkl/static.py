@@ -3,12 +3,16 @@
 Dropping the derivative part of a Dunkl operator leaves the barred operator,
 a pure difference operator that still commutes with its siblings.  The
 static Hamiltonian is the part of the dynamical one that is linear in the
-couplings (with the boundary couplings rescaled proportionally), and the
-engine extracts it exactly by evaluating the Hamiltonian at coupling scale
-+1 and -1.  Freezing the positions at special lattices makes the extracted
-operator commute with the barred operators; the lattice conditions are
-rational identities in the positions and are checked in exact cyclotomic
-arithmetic whenever the positions are roots of unity.
+couplings (with the boundary couplings rescaled proportionally).  Its
+definition is the extraction ``build_static_hamiltonian``, which evaluates
+the Hamiltonian at coupling scale +1 and -1; that is the operator
+``verify`` checks.  Frozen chains are built from the Hamiltonian's image
+table instead, evaluated term by term at the lattice positions
+(``build_frozen_hamiltonian`` proves the two routes equal).  Freezing the
+positions at special lattices makes the static operator commute with the
+barred operators; the lattice conditions are rational identities in the
+positions and are checked in exact cyclotomic arithmetic whenever the
+positions are roots of unity.
 
 The known equidistant solutions for odd rotation order form a four-row
 table (site count, squared boundary couplings, position pattern); the
@@ -355,32 +359,15 @@ def equidistant_lattice(
 
 @dataclass
 class FrozenHamiltonian:
-    """Static chain: group terms with position-evaluated couplings."""
+    """Static chain on a lattice: (coupling, group element) terms, merged and
+    sorted by ``merge_chain_terms``; couplings are ``CycloScalar`` on exact
+    lattices and complex otherwise."""
 
-    family: str
-    N: int
-    m: int
     lattice: LatticeConfig
     terms: list  # (CycloScalar or complex, WreathElement)
     residual_max: object  # "0" or float
     integrable: bool
     warning: str | None = None
-
-    def to_json(self) -> dict:
-        terms = []
-        for c, g in self.terms:
-            cv = c.to_json() if isinstance(c, CycloScalar) else [c.real, c.imag]
-            terms.append({"coeff": cv, "group": g.to_json()})
-        return {
-            "family": self.family,
-            "N": self.N,
-            "m": self.m,
-            "lattice": self.lattice.to_json(),
-            "residual_max": self.residual_max,
-            "integrable": self.integrable,
-            "warning": self.warning,
-            "terms": terms,
-        }
 
 
 def _static_params(lattice: LatticeConfig) -> ModelParams:
@@ -416,66 +403,40 @@ def _isqrt(v: int):
 
 
 def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
-    """Static Hamiltonian with positions substituted into the couplings.
+    """The frozen chain: the static Hamiltonian with the lattice positions
+    substituted into its couplings, for every family and lattice.
+
+    It is read off the image table.  In ``dunkl._hamiltonian``,
+    H = sum_i D_i^2 - sum over images (x, c, g) of c (c + g) x / (1 - x)^2
+    with D_i the coupling-free Euler operators, so the part of H linear in
+    the couplings is -sum c g x / (1 - x)^2, and the static Hamiltonian
+    that ``build_static_hamiltonian`` extracts is sum c x / (1 - x)^2 g.
+    Evaluation at a point is a ring homomorphism on the rational functions
+    defined there, so evaluating each image's c x / (1 - x)^2 and summing
+    on g equals evaluating the extracted coefficient of g, wherever every
+    1 - x is nonzero.  Up to monomial factors those binomials are
+    q_i - tau q_j, tau q_l q_j - 1 and 1 +- tau q_l, exactly the
+    denominators the lattice residuals divide by, so both routes agree on
+    every lattice whose residuals are defined.
 
     Refuses to claim integrability when the lattice residuals do not
-    vanish; the object is still built, flagged with a warning.
+    vanish; the chain is still built, flagged with a warning.
     """
-    params = _static_params(lattice)
-    hbar = build_static_hamiltonian(params)
-    terms = []
-    ident = (0,) * lattice.N
-    for (k, g), mat in hbar.sorted_terms():
-        if k != ident:
-            raise AssertionError("static Hamiltonian acquired a derivative part")
-        c = mat[(0, 0)]
-        if lattice.exact:
-            val = c.eval_exact(lattice.positions)
-            if not val.is_zero():
-                terms.append((val, g))
-        else:
-            val = c.eval_complex(tuple(lattice.positions))
-            if abs(val) > 1e-15:
-                terms.append((val, g))
-    return frozen_chain(lattice, terms)
-
-
-def frozen_chain(lattice: LatticeConfig, terms) -> FrozenHamiltonian:
-    """The chain with couplings ``terms`` on ``lattice``, flagged with a
-    warning when the lattice residuals do not vanish."""
     rmax = lattice.residual_max()
+    terms = []
+    for x, c, g in hamiltonian_images(_static_params(lattice)):
+        if c:
+            coupling = inverse_square(x) * c
+            if lattice.exact:
+                terms.append((coupling.eval_exact(lattice.positions), g))
+            else:
+                terms.append((coupling.eval_complex(tuple(lattice.positions)), g))
     ok = rmax == "0" or (isinstance(rmax, float) and rmax < 1e-12)
-    warning = None
-    if not ok:
-        warning = (
-            "lattice residuals do not vanish; the chain is built but no "
-            "commutation claims are made"
-        )
-    return FrozenHamiltonian(
-        lattice.family, lattice.N, lattice.m, lattice, terms, rmax, ok, warning
+    warning = None if ok else (
+        "lattice residuals do not vanish; the chain is built but no "
+        "commutation claims are made"
     )
-
-
-def cyclic_chain_terms(N: int, m: int):
-    """Closed-form couplings of the cyclic frozen chain.
-
-    Each ordered pair and rotation offset contributes u/(u-1)^2 times the
-    rotated exchange, with u the (m N)-th root of unity at the signed site
-    separation; equal, by the lattice geometry, to the inverse-square-sine
-    coupling on the chord distance.  Once merged, these are the terms that
-    ``build_frozen_hamiltonian`` extracts on the cyclic lattice.
-    """
-    L = m * N
-    out = []
-    for k in range(1, N + 1):
-        for l in range(1, N + 1):
-            if k == l:
-                continue
-            for s in range(m):
-                u = CycloScalar.root_of_unity(L, (k - l - N * s) % L)
-                coeff = u / ((u - 1) ** 2)
-                out.append((coeff, exchange_element(N, m, k, l, s)))
-    return out
+    return FrozenHamiltonian(lattice, merge_chain_terms(terms), rmax, ok, warning)
 
 
 def merge_chain_terms(terms):

@@ -1,5 +1,5 @@
-"""Shared random-object generators and the exact-application oracle of the
-operator-algebra tests."""
+"""Shared random-object generators, the exact-application oracle of the
+operator-algebra tests and the extraction reference of the frozen chains."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
+from wreathdunkl.static import _static_params, build_static_hamiltonian, merge_chain_terms
 
 
 def random_operator(rng, N=2, m=3, nterms=2, spin_dim=1, allow_euler=True):
@@ -62,3 +63,19 @@ def apply(A, funcs):
                 moved[j] = h
             out[i] = out[i] + c * moved[j]
     return out
+
+
+def extracted_chain(lattice):
+    """Merged terms of the frozen chain by symbolic extraction: the static
+    Hamiltonian's coefficients, evaluated at the lattice positions (exactly
+    on exact lattices).  The reference for ``build_frozen_hamiltonian``."""
+    hbar = build_static_hamiltonian(_static_params(lattice))
+    terms = []
+    for (k, g), mat in hbar.sorted_terms():
+        assert k == (0,) * lattice.N, "static Hamiltonian acquired a derivative part"
+        c = mat[(0, 0)]
+        if lattice.exact:
+            terms.append((c.eval_exact(lattice.positions), g))
+        else:
+            terms.append((c.eval_complex(tuple(lattice.positions)), g))
+    return merge_chain_terms(terms)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from helpers import extracted_chain
 
 from wreathdunkl.cli import main
 
@@ -149,6 +150,39 @@ def test_spectrum_haldane_shastry_beyond_extraction(tmp_path):
     assert all(v < 1e-10 for v in data["checks"]["commutant"].values())
 
 
+def test_spectrum_dihedral_beyond_extraction(tmp_path):
+    """Six sites of the m = 1 dihedral chain (dim 64, the largest the Jacobi
+    oracle checks), out of reach of symbolic extraction."""
+    code, data = run(
+        ["spectrum", "--family", "dihedral-odd", "--N", "6", "--m", "1", "--n", "2"],
+        tmp_path,
+    )
+    assert code == 0 and data["pass"]
+    assert data["checks"]["oracle_max_deviation"] < 1e-8
+
+
+def test_no_chain_is_built_by_extraction(tmp_path, monkeypatch):
+    """Chains come from the image table: with the extraction disabled, every
+    chain family and the Hbar_spin export still run."""
+    import wreathdunkl.cli as cli
+    import wreathdunkl.static as static
+
+    def refuse(params):
+        raise AssertionError("a chain was built by symbolic extraction")
+
+    monkeypatch.setattr(static, "build_static_hamiltonian", refuse)
+    monkeypatch.setattr(cli, "build_static_hamiltonian", refuse)
+    for argv in (
+        ["spectrum", "--family", "cyclic", "--N", "3", "--m", "2"],
+        ["spectrum", "--family", "dihedral-odd", "--N", "2", "--m", "3"],
+        ["spectrum", "--family", "dihedral-even", "--N", "2", "--m", "2", "--L", "8",
+         "--mu2", "4"],
+        ["export", "--object", "Hbar_spin", "--N", "3", "--m", "2", "--n", "2"],
+    ):
+        assert run(argv, tmp_path)[0] == 0, argv
+    assert main(["export", "--object", "Hbar", "--family", "cyclic"]) == 3
+
+
 def test_spectrum_cap(tmp_path):
     assert main(["spectrum", "--family", "cyclic", "--N", "13", "--m", "1", "--n", "2"]) == 2
 
@@ -174,19 +208,18 @@ def test_export_objects(tmp_path):
 
 @pytest.mark.parametrize("N,m", [(3, 2), (2, 3)])
 def test_export_hbar_spin_equals_extracted_chain(tmp_path, N, m):
-    """The exported chain, from the closed-form couplings, equals the exact
-    assembly of the terms that symbolic extraction gives."""
+    """The exported chain, from the image table, equals the exact assembly
+    of the terms that symbolic extraction gives."""
     from wreathdunkl.spinrep import SpinMatrix, SpinRepData
-    from wreathdunkl.static import build_frozen_hamiltonian, build_lattice, merge_chain_terms
+    from wreathdunkl.static import build_lattice
 
     code, data = run(
         ["export", "--object", "Hbar_spin", "--N", str(N), "--m", str(m), "--n", "2"],
         tmp_path,
     )
     assert code == 0
-    frozen = build_frozen_hamiltonian(build_lattice("cyclic", N, m))
-    extracted = SpinMatrix.from_terms(SpinRepData(2, m, N), merge_chain_terms(frozen.terms))
-    assert data["matrix"] == extracted.entries_json()
+    extracted = extracted_chain(build_lattice("cyclic", N, m))
+    assert data["matrix"] == SpinMatrix.from_terms(SpinRepData(2, m, N), extracted).entries_json()
 
 
 def test_export_hbar_spin_six_sites(tmp_path):

@@ -36,12 +36,7 @@ from wreathdunkl.spinrep import (
     twisted_translation_element,
     verify_agreement,
 )
-from wreathdunkl.static import (
-    build_frozen_hamiltonian,
-    build_lattice,
-    cyclic_chain_terms,
-    merge_chain_terms,
-)
+from wreathdunkl.static import build_frozen_hamiltonian, build_lattice
 
 
 def test_default_weights():
@@ -234,8 +229,7 @@ def test_dynamical_spin_hamiltonian_shape():
 
 def test_frozen_chain_exact_vs_numeric_backends():
     rep = SpinRepData(2, 3, 2)
-    frozen = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3))
-    terms = merge_chain_terms(frozen.terms)
+    terms = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3)).terms
     exact = SpinMatrix.from_terms(rep, terms).to_numpy()
     numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
@@ -244,8 +238,7 @@ def test_frozen_chain_exact_vs_numeric_backends():
 @pytest.mark.parametrize("family,N,m", [("cyclic", 3, 2), ("dihedral-odd", 2, 3)])
 def test_numeric_frozen_chain_equals_exact(family, N, m):
     rep = SpinRepData(2, m, N)
-    frozen = build_frozen_hamiltonian(build_lattice(family, N, m))
-    terms = merge_chain_terms(frozen.terms)
+    terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
     exact = SpinMatrix.from_terms(rep, terms).to_numpy()
     numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
@@ -295,7 +288,7 @@ def test_commutant_residual_equals_dense_products(n, m, N):
     """On a frozen chain, against dense products: the chain's symmetries
     commute with it, other elements of W(m, N) do not."""
     rep = SpinRepData(n, m, N)
-    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, m)))
+    H = frozen_spin_matrix(rep, build_frozen_hamiltonian(build_lattice("cyclic", N, m)).terms)
     residuals = {}
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         M = spin_matrix_of_element(rep, g).to_numpy()
@@ -354,7 +347,8 @@ def test_block_diagonalization_matches_dense_eigvalsh(kind):
     else:
         H, members = _hidden_blocks(seed=int(kind[-1]))
     assert sorted(list(b) for b in hermitian_blocks(H)) == sorted(list(r) for r in members)
-    vals, degs = diagonalize_hermitian(H)
+    vals, degs, herm = diagonalize_hermitian(H)
+    assert herm == np.max(np.abs(H - H.conj().T))
     dense = np.linalg.eigvalsh(H)
     scale = max(1.0, np.max(np.abs(H)))
     assert np.max(np.abs(vals - dense)) < 1e-10
@@ -368,7 +362,7 @@ def test_haldane_shastry_blocks_are_colour_occupations():
     class of (C^3)^3 is one block: C(5, 2) = 10 of them."""
     n, N = 3, 3
     rep = SpinRepData(n, 1, N)
-    H = frozen_spin_matrix(rep, merge_chain_terms(cyclic_chain_terms(N, 1)))
+    H = frozen_spin_matrix(rep, build_frozen_hamiltonian(build_lattice("cyclic", N, 1)).terms)
     states = list(itertools.product(range(n), repeat=N))
     classes = {}
     for t, digits in enumerate(states):
@@ -382,11 +376,12 @@ def test_known_two_site_chain():
     """Two sites, one rotation copy: a single exchange bond."""
     rep = SpinRepData(2, 1, 2)
     frozen = build_frozen_hamiltonian(build_lattice("cyclic", 2, 1))
-    H = frozen_spin_matrix(rep, merge_chain_terms(frozen.terms))
+    H = frozen_spin_matrix(rep, frozen.terms)
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
     P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("symmetric", 2, 1))[1])
     assert np.max(np.abs(H - (-0.5) * P.to_numpy())) < 1e-14
-    vals, degs = diagonalize_hermitian(H)
+    vals, degs, herm = diagonalize_hermitian(H)
+    assert herm == 0.0
     assert np.allclose(vals, [-0.5, -0.5, -0.5, 0.5])
     assert [d for _, d in degs] == [3, 1]
 
@@ -395,16 +390,27 @@ def test_diagonalize_guards():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         diagonalize_hermitian(bad)
+    # two Hermitian blocks linked by a lone entry whose mirror is missing:
+    # the symmetrized pattern joins them, so the per-block check sees it
+    linked = np.zeros((4, 4), dtype=complex)
+    linked[:2, :2] = [[1.0, 1j], [-1j, 2.0]]
+    linked[2:, 2:] = [[0.0, 3.0], [3.0, 1.0]]
+    linked[0, 3] = 1e-3
+    with pytest.raises(ValueError):
+        diagonalize_hermitian(linked)
+    # a non-real diagonal entry is a one-by-one block of its own
+    with pytest.raises(ValueError):
+        diagonalize_hermitian(np.diag([1.0, 2.0 + 1e-6j, 3.0]))
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    vals, degs = diagonalize_hermitian(good)
-    assert np.allclose(vals, [-1.0, 1.0])
+    vals, degs, herm = diagonalize_hermitian(good)
+    assert np.allclose(vals, [-1.0, 1.0]) and herm == 0.0
 
 
 def test_spectral_reconstruction_random():
     rng = np.random.default_rng(1)
     B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     H = B + B.conj().T
-    vals, _ = diagonalize_hermitian(H)
+    vals, _, _ = diagonalize_hermitian(H)
     w, v = np.linalg.eigh(H)
     assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - H)) < 1e-8
 
@@ -424,7 +430,7 @@ def test_charpoly_oracle_matches_eigensolvers():
     # exact Hermiticity: M equals its conjugate transpose entry by entry
     assert all(M.rows[i][j] == M.rows[j][i].conj() for i in range(dim) for j in range(dim))
     H = M.to_numpy()
-    vals, _ = diagonalize_hermitian(H)
+    vals, _, _ = diagonalize_hermitian(H)
     oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10
     coeffs = char_poly_exact(M)

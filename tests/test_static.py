@@ -4,6 +4,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from helpers import extracted_chain
 
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, exchange_element
@@ -15,11 +16,9 @@ from wreathdunkl.static import (
     build_frozen_hamiltonian,
     build_lattice,
     build_static_hamiltonian,
-    cyclic_chain_terms,
     equidistant_lattice,
     freezing_identity_check,
     lattice_table_check,
-    merge_chain_terms,
     residual_cyclic,
     residual_dihedral,
     scan_equidistant,
@@ -143,12 +142,41 @@ def test_table_reduces_at_unit_order():
 
 @pytest.mark.parametrize("N,m", [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_frozen_cyclic_chain_matches_closed_form(N, m):
+    """The chain evaluated from the image table equals symbolic extraction,
+    term by term and exactly."""
     lat = build_lattice("cyclic", N, m)
     frozen = build_frozen_hamiltonian(lat)
     assert frozen.integrable and frozen.residual_max == "0"
-    closed = merge_chain_terms(cyclic_chain_terms(N, m))
-    mine = merge_chain_terms(frozen.terms)
-    assert closed == mine
+    assert frozen.terms == extracted_chain(lat)
+
+
+@pytest.mark.parametrize(
+    "family,N,m,lattice",
+    [
+        ("dihedral-odd", N, m, label)
+        for N, m in [(1, 1), (2, 1), (3, 1), (1, 3), (2, 3)]
+        for label in LATTICE_LABELS
+    ]
+    + [("dihedral-odd", 2, 5, "L2Nm")]
+    + [
+        pytest.param("dihedral-even", N, 2, (L, mu2), id=f"dihedral-even-{N}-2-L{L}-mu2_{mu2}")
+        for N, L, mu2 in [(2, 8, 4), (2, 10, 1), (3, 11, 1)]
+    ],
+)
+def test_frozen_dihedral_chain_matches_extraction(family, N, m, lattice):
+    """The same on every table row, exactly, and on numeric even-m lattices
+    (the second and third have nonzero residuals) within 1e-12."""
+    if family == "dihedral-odd":
+        lat = build_lattice(family, N, m, lattice)
+    else:
+        L, mu2 = lattice
+        lat = equidistant_lattice(family, N, m, L, couplings={"mu2": Fraction(mu2)})
+    terms, reference = build_frozen_hamiltonian(lat).terms, extracted_chain(lat)
+    if lat.exact:
+        assert terms == reference
+    else:
+        assert [g for _, g in terms] == [g for _, g in reference]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(terms, reference)) < 1e-12
 
 
 def test_frozen_chain_couplings_are_inverse_square_sines():
