@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .cyclotomic import CycloScalar
 from .dunkl import (
     ModelParams,
     boundary_element,
@@ -42,7 +43,15 @@ from .dunkl import (
     reduction_check,
     rotation_average_check,
 )
-from .groups import GroupSpec, compose, corrupted_compose, enumerate_subgroup, relation_suite
+from .groups import (
+    GroupSpec,
+    WreathElement,
+    compose,
+    corrupted_compose,
+    enumerate_subgroup,
+    relation_suite,
+)
+from .polyalg import RationalCoefficient
 from .reports import CheckSuite
 from .spinrep import (
     SpinMatrix,
@@ -328,6 +337,20 @@ def _export_object(name: str):
     return name, None
 
 
+def _projector_json(weights: dict, rep: SpinRepData) -> list:
+    """The terms g (x) p_g rho(g) of a projector in ``MixedOperator.to_json``
+    layout, each spin block p_g rho(g) written out densely."""
+    out = []
+    for g in sorted(weights, key=WreathElement.sort_key):
+        block = SpinMatrix.from_terms(rep, [(CycloScalar.rational(weights[g], rep.m), g)])
+        matrix = [
+            [RationalCoefficient.from_scalar(rep.N, v, rep.m).to_json() for v in row]
+            for row in block.rows
+        ]
+        out.append({"euler": [0] * rep.N, "group": g.to_json(), "matrix": matrix})
+    return out
+
+
 def cmd_export(args) -> int:
     name = args.object
     kind, index = _export_object(name)
@@ -351,7 +374,7 @@ def cmd_export(args) -> int:
         which = "exchange" if name == "Lambda" else "boundary"
         fam = "cyclic" if name == "Lambda" else "dihedral"
         p = params or ModelParams(fam, args.N, args.m)
-        payload = {"operator": build_projector(p, rep, which).to_json()}
+        payload = {"operator": _projector_json(build_projector(p, which), rep)}
     elif name == "Hbar_spin":
         rep = SpinRepData(args.n, args.m, args.N)
         frozen = build_frozen_hamiltonian(build_lattice("cyclic", args.N, args.m))

@@ -1,20 +1,26 @@
 """Shared random-object generators, the exact-application oracle of the
-operator-algebra tests and the extraction reference of the frozen chains."""
+operator-algebra tests, the dense oracles of the projector and agreement
+checks, and the extraction reference of the frozen chains."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
+
+import numpy as np
 
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
+from wreathdunkl.spinrep import SpinMatrix
 from wreathdunkl.static import _static_params, build_static_hamiltonian, merge_chain_terms
 
 
-def random_operator(rng, N=2, m=3, nterms=2, spin_dim=1, allow_euler=True):
+def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
     """Small random mixed operator with simple pole structure."""
     els = enumerate_subgroup(GroupSpec("W(m,N)", N, m))
     z = CycloScalar.root_of_unity(m) if m > 1 else CycloScalar.one(1)
-    A = MixedOperator.zero(N, m, m, spin_dim)
+    A = MixedOperator.zero(N, m, m)
     for _ in range(nterms):
         g = rng.choice(els)
         k = tuple(rng.randint(0, 1) if allow_euler else 0 for _ in range(N))
@@ -31,38 +37,129 @@ def random_operator(rng, N=2, m=3, nterms=2, spin_dim=1, allow_euler=True):
             coeff = RationalCoefficient.ratio(poly, den)
         else:
             coeff = RationalCoefficient.from_poly(poly)
-        if spin_dim == 1:
-            A = A + MixedOperator.term(coeff, g, euler=k)
-        else:
-            entries = {
-                (rng.randrange(spin_dim), rng.randrange(spin_dim)): coeff
-            }
-            A = A + MixedOperator.spin_term(g, entries, N, m, spin_dim, euler=k)
+        A = A + MixedOperator.term(coeff, g, euler=k)
     return A
 
 
-def apply(A, funcs):
-    """Apply A to a spin vector of rational functions (a list of length
-    ``A.spin_dim``), exactly; a single function is accepted when A is
-    spinless."""
-    if isinstance(funcs, LaurentPoly):
-        funcs = RationalCoefficient.from_poly(funcs)
-    if isinstance(funcs, RationalCoefficient):
-        funcs = [funcs]
-    if len(funcs) != A.spin_dim:
-        raise ValueError("spin vector length does not match the operator")
-    out = [RationalCoefficient.zero(A.nvars, A.order) for _ in funcs]
-    for (k, g), mat in A.terms.items():
-        moved = {}
-        for (i, j), c in mat.items():
-            if j not in moved:
-                h = funcs[j].act(g)
-                for var, p in enumerate(k):
-                    for _ in range(p):
-                        h = h.euler(var + 1)
-                moved[j] = h
-            out[i] = out[i] + c * moved[j]
+def _derive(h, k):
+    for var, p in enumerate(k):
+        for _ in range(p):
+            h = h.euler(var + 1)
+    return h
+
+
+def apply(A, f):
+    """Apply A to one rational function, exactly."""
+    if isinstance(f, LaurentPoly):
+        f = RationalCoefficient.from_poly(f)
+    out = RationalCoefficient.zero(A.nvars, A.order)
+    for (k, g), c in A.terms.items():
+        out = out + c * _derive(f.act(g), k)
     return out
+
+
+def spin_image_by_definition(rep, g):
+    """Dense spin image of g, one basis state at a time: the permutation
+    moves whole spins, a flip reverses the local state, and each rotation
+    contributes the phase of the weight of the final local state."""
+    n, N, m = rep.n, rep.N, rep.m
+    out = SpinMatrix.zero(rep.dim, m)
+    for t in itertools.product(range(n), repeat=N):
+        img = [t[g.perm.index(j)] for j in range(N)]
+        img = [n - 1 - x if g.flip[j] else x for j, x in enumerate(img)]
+        phase = sum(g.rot[j] * rep.weights[x] for j, x in enumerate(img)) % m
+        row = sum(x * n ** (N - 1 - j) for j, x in enumerate(img))
+        col = sum(x * n ** (N - 1 - j) for j, x in enumerate(t))
+        out.rows[row][col] = CycloScalar.root_of_unity(m, phase)
+    return out
+
+
+def left_regular(els, g):
+    """L(g) on the group algebra with basis ``els``: e_h goes to e_{gh}."""
+    where = {h: i for i, h in enumerate(els)}
+    L = np.zeros((len(els), len(els)))
+    for h in els:
+        L[where[g * h], where[h]] = 1.0
+    return L
+
+
+def dense_iota(weights, rep, els):
+    """sum_g p_g L(g) (x) rho(g) as a dense complex matrix.
+
+    L is the left-regular representation of W = ``els``, so this image of
+    the group algebra is faithful: column e_1 (x) v of the g-th term is
+    e_g (x) rho(g) v, and distinct g fill distinct blocks."""
+    dim = len(els) * rep.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for g, p in weights.items():
+        rho = spin_image_by_definition(rep, g).to_numpy()
+        out += float(p) * np.kron(left_regular(els, g), rho)
+    return out
+
+
+def apply_agreement(A, rep, proj, funcs):
+    """(spin A - A) iota(P) applied to the spin vector ``funcs`` (one
+    function per basis state), exactly.
+
+    iota(P) v has components sum_x p_x sum_t rho(x)[r, t] (x . v_t), A acts
+    on each component, and spin A replaces each term c D^k g of A by
+    c D^k (x) rho(g).  Spin images come from ``spin_image_by_definition``."""
+    order = A.order * rep.m // gcd(A.order, rep.m)
+    zero = RationalCoefficient.zero(A.nvars, order)
+    funcs = [f.lift(order) for f in funcs]
+
+    def entries(g):
+        rows = spin_image_by_definition(rep, g).rows
+        return [
+            (r, t, v.lift(order))
+            for r, row in enumerate(rows)
+            for t, v in enumerate(row)
+            if not v.is_zero()
+        ]
+
+    w = [zero] * rep.dim
+    for x, p in proj.items():
+        for r, t, v in entries(x):
+            w[r] = w[r] + funcs[t].act(x) * (v * p)
+    out = [-apply(A.lift_order(order), wr) for wr in w]
+    derived = {}
+    for (k, g), c in A.terms.items():
+        c = c.lift(order)
+        for r, t, v in entries(g):
+            if (k, t) not in derived:
+                derived[(k, t)] = _derive(w[t], k)
+            out[r] = out[r] + c * v * derived[(k, t)]
+    return out
+
+
+def agreement_blocks_by_definition(A, rep, proj, point):
+    """Nonzero blocks (k, x) of (spin A - A) iota(P), counted densely.
+
+    Block (k, x) is p_x S_k rho(x) - sum_g c_{k,g} p_{g^{-1}x} rho(g^{-1}x)
+    with S_k = sum_g c_{k,g} rho(g); every coefficient is evaluated at the
+    torus ``point`` and every image comes from the definition, so no coset
+    and no monomial array is involved."""
+    images = {}
+
+    def rho(g):
+        if g not in images:
+            images[g] = spin_image_by_definition(rep, g).to_numpy()
+        return images[g]
+
+    by_k = {}
+    for (k, g), c in A.terms.items():
+        by_k.setdefault(k, []).append((c.eval_complex(point), g))
+    keys = set(proj) | {g * y for (_, g) in A.terms for y in proj}
+    count = 0
+    for terms in by_k.values():
+        S_k = sum(c * rho(g) for c, g in terms)
+        for x in keys:
+            block = float(proj.get(x, 0)) * S_k @ rho(x)
+            for c, g in terms:
+                h = g.inverse() * x
+                block = block - c * float(proj.get(h, 0)) * rho(h)
+            count += bool(np.max(np.abs(block)) > 1e-9)
+    return count
 
 
 def extracted_chain(lattice):
@@ -71,9 +168,8 @@ def extracted_chain(lattice):
     on exact lattices).  The reference for ``build_frozen_hamiltonian``."""
     hbar = build_static_hamiltonian(_static_params(lattice))
     terms = []
-    for (k, g), mat in hbar.sorted_terms():
+    for (k, g), c in hbar.sorted_terms():
         assert k == (0,) * lattice.N, "static Hamiltonian acquired a derivative part"
-        c = mat[(0, 0)]
         if lattice.exact:
             terms.append((c.eval_exact(lattice.positions), g))
         else:

@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import random_operator
+from helpers import dense_iota, random_operator
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -48,13 +48,13 @@ from wreathdunkl.opalg import (
     ad_projector,
     numeric_residual,
     op_commutator,
-    op_compose,
 )
 from wreathdunkl.spinrep import (
     SpinMatrix,
     SpinRepData,
     brute_force_eigvals,
     build_projector,
+    convolve,
     diagonalize_hermitian,
     global_rotation_element,
     projector_check,
@@ -214,7 +214,7 @@ def test_criterion_6b_even_order_scan_clause():
     ok &= records[0]["residual"] < 1e-12 and records[1]["residual"] > 1e-6
 
     ham = build_hamiltonian(ModelParams("dihedral", 2, 2, Fraction(1), Fraction(2)))
-    potential = ham.terms[((0, 0), WreathElement.identity(2, 2))][(0, 0)]
+    potential = ham.terms[((0, 0), WreathElement.identity(2, 2))]
     for L, at_equilibrium in ((8, True), (10, False)):
         q = [CycloScalar.root_of_unity(L, k) for k in (1, 2)]
         res = residual_dihedral(q, 2, mu2=Fraction(4))
@@ -294,12 +294,17 @@ def test_criterion_8_backend_consistency():
     pd = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     zeros.append(build_dunkl(pd, 1, "image") - build_dunkl(pd, 1, "split"))
     zeros.append(op_commutator(build_dunkl(pd, 1), build_dunkl(pd, 2)))
-    rep = SpinRepData(2, 2, 2)
-    lam = build_projector(ModelParams("cyclic", 2, 2, Fraction(1)), rep, "exchange")
-    zeros.append(op_compose(lam, lam) - lam)
     for idx, z in enumerate(zeros):
         ok &= z.is_zero()
         ok &= numeric_residual(z, seed=idx, npoints=5) < 1e-10
+    # the fifth, Lambda^2 - Lambda: an empty weight difference, and a dense
+    # residual in the faithful representation L (x) rho
+    rep = SpinRepData(2, 2, 2)
+    lam = build_projector(ModelParams("cyclic", 2, 2, Fraction(1)), "exchange")
+    square = convolve(lam, lam)
+    ok &= not {g for g in square.keys() | lam.keys() if square.get(g, 0) != lam.get(g, 0)}
+    dense = dense_iota(lam, rep, enumerate_subgroup(GroupSpec("W(m,N)", 2, 2)))
+    ok &= np.max(np.abs(dense @ dense - dense)) < 1e-10
     # 1000 random scalars match the reference evaluation at 53-bit precision
     import random
 

@@ -44,7 +44,7 @@ def test_single_copy_collapse():
     assert d1 == expected
     # applied to the constant function
     out = apply(d1, RationalCoefficient.one(2, 1))
-    assert out[0] == RationalCoefficient.ratio(q2, q1 - q2)
+    assert out == RationalCoefficient.ratio(q2, q1 - q2)
 
 
 @pytest.mark.parametrize("N,m", [(2, 2), (2, 3), (3, 2)])

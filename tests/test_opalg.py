@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import apply, random_operator
 from wreathdunkl.cyclotomic import CycloScalar
@@ -50,34 +52,22 @@ def test_rewrite_rules():
     assert not op_commutator(ops["Q1"], ops["K1"]).is_zero()
 
 
-def test_compose_is_associative_and_confluent():
-    rng = random.Random(3)
-    for _ in range(100):
-        A = random_operator(rng)
-        B = random_operator(rng)
-        C = random_operator(rng)
-        assert op_compose(op_compose(A, B), C) == op_compose(A, op_compose(B, C))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compose_is_associative_and_confluent(seed):
+    rng = random.Random(seed)
+    A = random_operator(rng)
+    B = random_operator(rng)
+    C = random_operator(rng)
+    assert op_compose(op_compose(A, B), C) == op_compose(A, op_compose(B, C))
 
 
 def test_apply_composes():
     rng = random.Random(5)
     for _ in range(75):
         A, B = random_operator(rng), random_operator(rng)
-        fs = random_test_functions(rng, 2, 3, 1)
-        lhs = apply(op_compose(A, B), fs)
-        rhs = apply(A, apply(B, fs))
-        assert all(x == y for x, y in zip(lhs, rhs))
-
-
-def test_apply_with_spin():
-    rng = random.Random(6)
-    for _ in range(25):
-        A = random_operator(rng, spin_dim=2)
-        B = random_operator(rng, spin_dim=2)
-        fs = random_test_functions(rng, 2, 3, 2)
-        lhs = apply(op_compose(A, B), fs)
-        rhs = apply(A, apply(B, fs))
-        assert all(x == y for x, y in zip(lhs, rhs))
+        [f] = random_test_functions(rng, 2, 3, 1)
+        assert apply(op_compose(A, B), f) == apply(A, apply(B, f))
 
 
 def test_ad_projector_properties():
@@ -86,7 +76,7 @@ def test_ad_projector_properties():
     for _ in range(8):
         A = random_operator(rng)
         # resolution of identity
-        total = MixedOperator.zero(2, m, m, 1)
+        total = MixedOperator.zero(2, m, m)
         for r in range(m):
             total = total + ad_projector(1, r, A)
         assert total == A
@@ -133,9 +123,6 @@ def test_dimension_mismatch_raises():
     B = MixedOperator.euler(3, 1, order=3, group_order=3)
     with pytest.raises(ValueError):
         op_compose(A, B)
-    C = MixedOperator.euler(2, 1, order=3, group_order=3, spin_dim=2)
-    with pytest.raises(ValueError):
-        op_compose(A, C)
 
 
 def test_operator_json_dump_shape():

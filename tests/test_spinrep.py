@@ -7,20 +7,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import (
+    agreement_blocks_by_definition,
+    apply_agreement,
+    dense_iota,
+    left_regular,
+    random_operator,
+    spin_image_by_definition,
+)
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.dunkl import ModelParams, build_charge
+from wreathdunkl.dunkl import ModelParams, boundary_element, build_charge, exchange_element
 from wreathdunkl import spinrep
-from wreathdunkl.groups import GroupSpec, enumerate_subgroup, generator
-from wreathdunkl.opalg import op_compose
+from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
+from wreathdunkl.opalg import MixedOperator, random_test_functions
+from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient, random_torus_point
 from wreathdunkl.spinrep import (
     SpinMatrix,
     SpinRepData,
+    adjoint_weights,
+    agreement_blocks,
     brute_force_eigvals,
     build_projector,
     char_poly_exact,
     charpoly_residual,
     commutant_residual,
     compose_images,
+    convolve,
     default_weights,
     diagonalize_hermitian,
     frozen_spin_matrix,
@@ -29,7 +41,6 @@ from wreathdunkl.spinrep import (
     hermitian_blocks,
     monomial_image,
     projector_check,
-    spin_image_operator,
     spin_matrix_of_element,
     spin_representation_check,
     substitute_spin,
@@ -161,10 +172,10 @@ def test_substitution_of_single_terms():
     g = exchange_element(2, 2, 1, 2, 0)
     A = MixedOperator.term(c, g)
     S = substitute_spin(A, rep)
-    # one term, identity group part, the exchange matrix tensored in
-    assert S.term_count() == 1
-    (k, gg), mat = next(iter(S.terms.items()))
-    assert gg.is_identity()
+    # one Euler index, no group part, the exchange matrix tensored in
+    assert len(S) == 1
+    (k, mat), = S.items()
+    assert k == (0, 0)
     assert set(mat) == {(0, 0), (1, 2), (2, 1), (3, 3)}
     assert all(v == c for v in mat.values())
 
@@ -187,8 +198,8 @@ def test_projector_term_count():
     # the exchange average over the balanced group on two sites of order 2
     p = ModelParams("cyclic", 2, 2, Fraction(1))
     rep = SpinRepData(2, 2, 2)
-    lam = build_projector(p, rep, "exchange")
-    assert lam.term_count() == 4  # one term per group element
+    lam = build_projector(p, "exchange")
+    assert len(lam) == 4  # one weight per group element
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -222,9 +233,187 @@ def test_dynamical_spin_hamiltonian_shape():
     p = ModelParams("cyclic", 2, 2, Fraction(1))
     rep = SpinRepData(2, 2, 2)
     H = substitute_spin(build_charge(p, 2), rep)
-    # all group parts substituted away
-    assert all(g.is_identity() for (_, g) in H.terms)
-    assert H.spin_dim == 4
+    # all group parts substituted away: keyed by Euler index alone
+    assert all(len(k) == 2 and all(isinstance(e, int) for e in k) for k in H)
+    # spin matrices of dimension 4
+    assert {i for mat in H.values() for pos in mat for i in pos} == set(range(4))
+
+
+# -- projectors and agreement against dense oracles ------------------------------
+
+
+def _family_params(family, N, m):
+    if family == "cyclic":
+        return ModelParams("cyclic", N, m, Fraction(1, 2))
+    return ModelParams("dihedral", N, m, Fraction(1), Fraction(1), Fraction(1, 2))
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) < 1e-10
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+@pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])
+def test_projector_check_agrees_with_dense_iota(family, n, m, N):
+    """Every projector_check item against the same identity among dense
+    matrices of the faithful representation L (x) rho, with the projectors
+    built from their definitions by matrix products, not by convolution."""
+    rep = SpinRepData(n, m, N)
+    params = _family_params(family, N, m)
+    spec = GroupSpec("W(m,N)", N, m)
+    els = enumerate_subgroup(spec)
+
+    def iota(g):
+        return dense_iota({g: 1}, rep, els)
+
+    balanced = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m))
+    lam = sum(iota(g) for g in balanced) / len(balanced)
+    assert _close(dense_iota(build_projector(params, "exchange"), rep, els), lam)
+    if family == "dihedral":
+        lam_b = np.eye(len(els) * rep.dim)
+        for j in range(1, N + 1):
+            Q, K = generator(spec, "Q", i=j), generator(spec, "K", i=j)
+            site, rot = 0, WreathElement.identity(N, m)
+            for _ in range(m):
+                site = site + iota(rot) + iota(rot * K)
+                rot = rot * Q * Q
+            lam_b = lam_b @ (site / (2 * m))
+        assert _close(dense_iota(build_projector(params, "boundary"), rep, els), lam_b)
+        plam = lam @ lam_b
+    items = projector_check(params, rep).items
+    assert len(items) == 2 + N * (N - 1) * m + (4 + N * m) * (family == "dihedral")
+    for item in items:
+        rel, p = item.relation, item.params
+        if rel == "Lambda^2 = Lambda":
+            dense = _close(lam @ lam, lam)
+        elif rel == "Lambda hermitian":
+            dense = _close(lam.conj().T, lam)
+        elif rel == "exchange acts like its spin image on Lambda":
+            g = exchange_element(N, m, p["i"], p["j"], p["s"])
+            rho = spin_image_by_definition(rep, g).to_numpy()
+            left = np.kron(left_regular(els, g), np.eye(rep.dim))
+            dense = _close(left @ lam, np.kron(np.eye(len(els)), rho) @ lam)
+        elif rel == "Lambda_b^2 = Lambda_b":
+            dense = _close(lam_b @ lam_b, lam_b)
+        elif rel == "Lambda Lambda_b = Lambda_b Lambda":
+            dense = _close(plam, lam_b @ lam)
+        elif rel == "(Lambda Lambda_b)^2 = Lambda Lambda_b":
+            dense = _close(plam @ plam, plam)
+        elif rel == "Lambda Lambda_b hermitian":
+            dense = _close(plam.conj().T, plam)
+        else:
+            assert rel == "doubled reflection fixes Lambda Lambda_b"
+            dense = _close(iota(boundary_element(N, m, p["i"], 2 * p["s"])) @ plam, plam)
+        assert item.passed == dense, (rel, p)
+
+
+def test_group_algebra_operations_match_dense_iota():
+    """convolve and adjoint_weights against products and adjoints of dense
+    matrices, on random signed weights that are neither Hermitian nor
+    idempotent."""
+    rep = SpinRepData(2, 3, 2)
+    els = enumerate_subgroup(GroupSpec("W(m,N)", 2, 3))
+    rng = random.Random(7)
+    for _ in range(3):
+        a, b = (
+            {g: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for g in rng.sample(els, 5)}
+            for _ in range(2)
+        )
+        Da, Db = dense_iota(a, rep, els), dense_iota(b, rep, els)
+        assert _close(dense_iota(convolve(a, b), rep, els), Da @ Db)
+        assert _close(dense_iota(adjoint_weights(a), rep, els), Da.conj().T)
+
+
+@pytest.mark.parametrize(
+    "family,N,m,k,zero",
+    [
+        ("cyclic", 2, 2, 1, True),
+        ("cyclic", 2, 2, 2, True),
+        ("cyclic", 2, 2, 3, True),
+        ("cyclic", 2, 3, 2, True),
+        ("dihedral", 2, 2, 1, True),
+        ("dihedral", 2, 2, 2, True),
+        ("dihedral", 2, 2, 3, False),
+    ],
+)
+def test_agreement_matches_application_and_block_count(family, N, m, k, zero):
+    """The agreement verdict against (spin charge - charge) * projector
+    applied exactly to a random spin vector, and its term count against
+    the blocks counted densely at a random torus point."""
+    rep = SpinRepData(2, m, N)
+    params = _family_params(family, N, m)
+    [item] = verify_agreement(params, rep, k, expect="report").items
+    assert item.witness["zero"] == zero
+    charge = build_charge(params, k)
+    proj = build_projector(params)
+    rng = random.Random(k)
+    count = agreement_blocks_by_definition(charge, rep, proj, random_torus_point(rng, N))
+    assert item.witness["terms"] == count
+    funcs = random_test_functions(rng, N, m, rep.dim)
+    applied = apply_agreement(charge, rep, proj, funcs)
+    assert all(v.is_zero() for v in applied) == zero
+
+
+def _uniform(els):
+    return {g: Fraction(1, len(els)) for g in els}
+
+
+def test_agreement_blocks_by_cosets_on_subgroups():
+    """agreement_blocks against the dense block count on random operators,
+    for normal and non-normal subgroups S of W(3, 2): left cosets xS and
+    right cosets Sx differ for the two-element ones."""
+    N, m = 2, 3
+    rep = SpinRepData(2, m, N)
+    spec = GroupSpec("W(m,N)", N, m)
+    ident = WreathElement.identity(N, m)
+    subgroups = [
+        [ident, generator(spec, "P", i=1, j=2)],
+        [ident, generator(spec, "K", i=1)],
+        enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m)),
+        enumerate_subgroup(spec),
+    ]
+    rng = random.Random(11)
+    for S in subgroups:
+        proj = _uniform(S)
+        for _ in range(4):
+            A = random_operator(rng, N, m, nterms=4)
+            point = random_torus_point(rng, N)
+            assert agreement_blocks(A, rep, proj) == agreement_blocks_by_definition(
+                A, rep, proj, point
+            )
+
+
+def test_agreement_blocks_cancel_within_left_cosets():
+    """At n = m = 2 every rotation acts on the spins as -1 at its site, so
+    A = c g (1 + Q_1) vanishes against the average over S = {1, Q_1}: the
+    terms g and g Q_1 share the left coset gS and cancel there.  S is not
+    normal, and for g = P_12 the two terms lie in different right cosets."""
+    N, m = 2, 2
+    rep = SpinRepData(2, m, N)
+    spec = GroupSpec("W(m,N)", N, m)
+    Q1 = generator(spec, "Q", i=1)
+    proj = _uniform([WreathElement.identity(N, m), Q1])
+    q1, q2 = LaurentPoly.variable(1, N, m), LaurentPoly.variable(2, N, m)
+    c = RationalCoefficient.ratio(q1, q1 - q2)
+    for g in enumerate_subgroup(spec):
+        A = MixedOperator.term(c, g) + MixedOperator.term(c, g * Q1)
+        assert agreement_blocks(A, rep, proj) == 0
+        funcs = random_test_functions(random.Random(3), N, m, rep.dim)
+        assert all(v.is_zero() for v in apply_agreement(A, rep, proj, funcs))
+    A = MixedOperator.term(c, generator(spec, "P", i=1, j=2))
+    assert agreement_blocks(A, rep, proj) == 2 * 2  # the cosets S and P_12 S
+
+
+def test_agreement_blocks_require_a_subgroup_average():
+    rep = SpinRepData(2, 3, 2)
+    spec = GroupSpec("W(m,N)", 2, 3)
+    ident = WreathElement.identity(2, 3)
+    A = MixedOperator.from_group(generator(spec, "P", i=1, j=2))
+    with pytest.raises(ValueError):  # not closed: Q_1^2 is missing
+        agreement_blocks(A, rep, _uniform([ident, generator(spec, "Q", i=1)]))
+    with pytest.raises(ValueError):  # a subgroup, but not uniform on it
+        K1 = generator(spec, "K", i=1)
+        agreement_blocks(A, rep, {ident: Fraction(1, 3), K1: Fraction(2, 3)})
 
 
 def test_frozen_chain_exact_vs_numeric_backends():
@@ -244,38 +433,15 @@ def test_numeric_frozen_chain_equals_exact(family, N, m):
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
 
-def _spin_image_by_definition(rep, g):
-    """Dense spin image of g, one basis state at a time: the permutation
-    moves whole spins, a flip reverses the local state, and each rotation
-    contributes the phase of the weight of the final local state."""
-    n, N, m = rep.n, rep.N, rep.m
-    out = SpinMatrix.zero(rep.dim, m)
-    for t in itertools.product(range(n), repeat=N):
-        img = [t[g.perm.index(j)] for j in range(N)]
-        img = [n - 1 - x if g.flip[j] else x for j, x in enumerate(img)]
-        phase = sum(g.rot[j] * rep.weights[x] for j, x in enumerate(img)) % m
-        row = sum(x * n ** (N - 1 - j) for j, x in enumerate(img))
-        col = sum(x * n ** (N - 1 - j) for j, x in enumerate(t))
-        out.rows[row][col] = CycloScalar.root_of_unity(m, phase)
-    return out
-
-
 @pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
 def test_monomial_image_equals_dense_definition(n, m, N):
     rep = SpinRepData(n, m, N)
     H = _random_complex(rep.dim, seed=n * m * N)
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
-        dense = _spin_image_by_definition(rep, g)
+        dense = spin_image_by_definition(rep, g)
         assert spin_matrix_of_element(rep, g) == dense
         M = dense.to_numpy()
         assert abs(commutant_residual(H, rep, g) - np.max(np.abs(H @ M - M @ H))) < 1e-12
-        [(_, mat)] = spin_image_operator(rep, g, m).terms.items()
-        assert {pos: c.as_scalar() for pos, c in mat.items()} == {
-            (i, j): c
-            for i, row in enumerate(dense.rows)
-            for j, c in enumerate(row)
-            if not c.is_zero()
-        }
 
 
 def _random_complex(dim, seed):
