@@ -7,7 +7,7 @@ exact cyclotomic arithmetic with a floating-point cross-check backend.
 
 __version__ = "0.1.0"
 
-from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError, make_root_field
+from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError
 from .dunkl import ModelParams, build_charge, build_dunkl, build_hamiltonian
 from .groups import GroupSpec, WreathElement, enumerate_subgroup, generator, relation_suite
 from .opalg import MixedOperator, ad_projector, normalize_is_zero, op_commutator, op_compose
@@ -37,7 +37,6 @@ __all__ = [
     "build_projector",
     "enumerate_subgroup",
     "generator",
-    "make_root_field",
     "normalize_is_zero",
     "op_commutator",
     "op_compose",

@@ -228,8 +228,7 @@ def cmd_lattice(args) -> int:
     label = args.label or "auto"
     lat = build_lattice(args.family, args.N, args.m, label)
     report["lattice"] = lat.to_json()
-    rmax = lat.residual_max()
-    passed = rmax == "0"
+    passed = lat.residual_max == "0"
     report["pass"] = passed
     _write_report(report, args.output)
     return 0 if passed else 1
@@ -246,7 +245,7 @@ def _lattice_for(args):
         couplings={"mu2": _fraction(args.mu2 or "1/4")},
     )
     try:
-        lat.residuals()
+        lat.residual_max  # computed once and kept; raises on a coincidence
     except ZeroDivisionError as exc:
         raise ConfigError(f"--L {args.L} puts a site on an image: {exc}") from exc
     return lat

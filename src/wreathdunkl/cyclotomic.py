@@ -146,11 +146,6 @@ class CyclotomicField:
         return CyclotomicField(order)
 
 
-def make_root_field(n: int) -> CyclotomicField:
-    """Field descriptor for Q(zeta_n); n = 1 yields the rationals."""
-    return CyclotomicField.get(n)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

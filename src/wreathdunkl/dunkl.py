@@ -17,10 +17,12 @@ with x a monomial times a root of unity, c its coupling and g the group
 element of the image: x = tau^s q_j / q_i on the rotated exchanges,
 x = tau^s q_i q_j on their mirror images, and x = +-tau^s q_i on the
 rotated boundary reflections.  The binomial 1 - x stays squared in the
-denominator, where exact division tests it as a binomial.  The scalar
-potential of the static chain sums the same table, and the frozen chain's
-couplings are its terms c x / (1 - x)^2 evaluated at the lattice positions
-(``static.build_frozen_hamiltonian``).
+denominator, where exact division tests it as a binomial.  The part of H
+linear in the couplings is therefore minus ``image_operator``, the sum of
+c x / (1 - x)^2 g over the table.  At unit exchange coupling that sum is
+the static Hamiltonian (``static.build_static_hamiltonian``), and its
+coefficients at the lattice positions are the frozen chain's couplings.
+The scalar potential of the static chain sums the same table.
 
 The dihedral operator is available in two algebraically equal layouts: the
 ``image`` form, whose reflected two-body terms are written against the
@@ -375,23 +377,38 @@ def hamiltonian_images(params: ModelParams, simplified: bool = False):
     return out
 
 
+def image_operator(params: ModelParams, simplified: bool = False) -> MixedOperator:
+    """sum over images (x, c, g) of c x / (1 - x)^2 g, one balanced sum per g.
+
+    This is minus the part of the Hamiltonian linear in the couplings.
+    """
+    N, m = params.size, params.order
+    pieces: dict = {}
+    for x, c, g in hamiltonian_images(params, simplified):
+        if c:
+            pieces.setdefault(g, []).append(inverse_square(x) * c)
+    total = MixedOperator.zero(N, 2 * m if simplified else m, m)
+    for g, coeffs in pieces.items():
+        total = total + MixedOperator.term(balanced_sum(coeffs), g)
+    return total
+
+
 def _hamiltonian(params: ModelParams, simplified: bool = False) -> MixedOperator:
     """H = sum_i D_i^2 - sum over images of c (c + g) x / (1 - x)^2."""
     N, m = params.size, params.order
     order = 2 * m if simplified else m
-    ident = WreathElement.identity(N, m)
-    pieces: dict = {}
-    for x, c, g in hamiltonian_images(params, simplified):
-        if c:
-            v = inverse_square(x)
-            pieces.setdefault(ident, []).append(v * (-c * c))
-            pieces.setdefault(g, []).append(v * (-c))
+    squares = [
+        inverse_square(x) * (-c * c)
+        for x, c, _ in hamiltonian_images(params, simplified)
+        if c
+    ]
     total = MixedOperator.zero(N, order, m)
     for i in range(1, N + 1):
         total = total + MixedOperator.euler(N, i, order=order, group_order=m) ** 2
-    for g, coeffs in pieces.items():
-        total = total + MixedOperator.term(balanced_sum(coeffs), g)
-    return total
+    if squares:
+        ident = WreathElement.identity(N, m)
+        total = total + MixedOperator.term(balanced_sum(squares), ident)
+    return total - image_operator(params, simplified)
 
 
 def balanced_sum(items: list):

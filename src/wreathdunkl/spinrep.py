@@ -158,14 +158,6 @@ class SpinMatrix:
             t = t + self.rows[i][i]
         return t
 
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    out[i, j] = c.to_complex()
-        return out
-
     def entries_json(self) -> list:
         return [[c.to_json() for c in row] for row in self.rows]
 
@@ -493,15 +485,18 @@ def verify_agreement(
 ) -> CheckSuite:
     """Position charge and spin-substituted charge agree on projected states.
 
-    The agreement theorem covers every k in the cyclic family and even k in
-    the dihedral family.  For odd dihedral k there is no general statement:
-    k = 1 still vanishes (every group element it contains is an involution
-    inside the invariance group, so its position and spin actions coincide
-    on projected states), while k = 3 is nonzero under the substitution
-    g -> rho(g) that ``substitute_spin`` makes.  ``expect`` can
-    force "zero", "nonzero", or "report" (record the outcome, never fail);
-    "auto" asserts zero exactly where the theorem applies and reports
-    otherwise.  The projector of either family is uniform on a subgroup:
+    ``expect`` can force "zero", "nonzero", or "report" (record the outcome,
+    never fail); "auto" asserts zero in the cyclic family and for even k in
+    the dihedral family, and reports otherwise.  The CLI runs "auto" at
+    k = 1, 2 (cyclic) and k = 2 (dihedral), and at k = 3 on the default
+    grid's two-site cyclic point.  Zero is not expected at every k: under
+    the substitution g -> rho(g) that ``substitute_spin`` makes, the cyclic
+    charge at N = 3, m = 2, n = 2, k = 3 leaves 24 nonzero blocks, and the
+    dihedral one at N = 2, m = 2, n = 2, k = 3 leaves 48.  Dihedral k = 1
+    vanishes (every group element it contains is an involution inside the
+    invariance group, so its position and spin actions coincide on
+    projected states).  The projector of either family is uniform on a
+    subgroup:
     G(m, m, N), or HB for Lambda Lambda_b, a convolution of two subgroup
     averages; ``agreement_blocks`` checks that and decides the product.
     """

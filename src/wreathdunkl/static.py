@@ -3,12 +3,12 @@
 Dropping the derivative part of a Dunkl operator leaves the barred operator,
 a pure difference operator that still commutes with its siblings.  The
 static Hamiltonian is the part of the dynamical one that is linear in the
-couplings (with the boundary couplings rescaled proportionally).  Its
-definition is the extraction ``build_static_hamiltonian``, which evaluates
-the Hamiltonian at coupling scale +1 and -1; that is the operator
-``verify`` checks.  Frozen chains are built from the Hamiltonian's image
-table instead, evaluated term by term at the lattice positions
-(``build_frozen_hamiltonian`` proves the two routes equal).  Freezing the
+couplings (with the boundary couplings rescaled proportionally), up to
+sign.  The Hamiltonian is written as a sum over its image table, so that
+part is read off the table: ``build_static_hamiltonian`` is
+``dunkl.image_operator`` at unit exchange coupling.  ``verify`` checks it
+against its literal layout and the barred operators, and the frozen chain
+is its coefficients evaluated at the lattice positions.  Freezing the
 positions at special lattices makes the static operator commute with the
 barred operators; the lattice conditions are rational identities in the
 positions and are checked in exact cyclotomic arithmetic whenever the
@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .cyclotomic import CycloScalar
@@ -38,9 +39,9 @@ from .dunkl import (
     balanced_sum,
     boundary_element,
     build_dunkl,
-    build_hamiltonian,
     exchange_element,
     hamiltonian_images,
+    image_operator,
     inverse_square,
     reflected_exchange_element,
 )
@@ -75,29 +76,20 @@ def scalar_potential(params: ModelParams) -> RationalCoefficient:
 
 
 def build_static_hamiltonian(params: ModelParams) -> MixedOperator:
-    """Coupling-linear part of the dynamical Hamiltonian, extracted exactly.
+    """The static Hamiltonian: sum over images of c x / (1 - x)^2 g.
 
-    With every coupling scaled by t, the Hamiltonian is quadratic in t; the
-    static Hamiltonian is minus the linear coefficient, recovered from the
-    values at t = +1 and t = -1.  The exchange coupling is normalized to
+    It is the coupling-linear part of the dynamical Hamiltonian up to sign
+    (``dunkl.image_operator``), with the exchange coupling normalized to
     one (the static chain carries no free exchange strength; the boundary
-    couplings of ``params`` survive linearly).  The result has no
-    derivative part and no scalar potential, only group terms.
+    couplings of ``params`` survive linearly).  It has no derivative part
+    and no scalar potential, only group terms.
     """
-    plus = build_hamiltonian(
+    return image_operator(
         ModelParams(
             params.family, params.size, params.order,
             Fraction(1), params.mu, params.rho,
         )
     )
-    minus = build_hamiltonian(
-        ModelParams(
-            params.family, params.size, params.order,
-            Fraction(-1), -params.mu, -params.rho,
-        )
-    )
-    half = Fraction(-1, 2)
-    return (plus - minus).scale(half)
 
 
 def freezing_identity_check(params: ModelParams) -> CheckSuite:
@@ -277,7 +269,10 @@ class LatticeConfig:
         # the couplings are keyed by the squared-coupling arguments
         return residual_dihedral(self.positions, self.m, **self.couplings)
 
+    @cached_property
     def residual_max(self):
+        """The string "0" when every residual vanishes exactly, else the
+        largest magnitude; computed once per configuration."""
         res = self.residuals()
         if self.exact:
             if all(r.is_zero() for r in res):
@@ -298,7 +293,7 @@ class LatticeConfig:
             "label": self.label,
             "positions": pos,
             "couplings": {k: str(v) for k, v in self.couplings.items()},
-            "residual_max": self.residual_max(),
+            "residual_max": self.residual_max,
         }
 
 
@@ -359,9 +354,9 @@ def equidistant_lattice(
 
 @dataclass
 class FrozenHamiltonian:
-    """Static chain on a lattice: (coupling, group element) terms, merged and
-    sorted by ``merge_chain_terms``; couplings are ``CycloScalar`` on exact
-    lattices and complex otherwise."""
+    """Static chain on a lattice: (coupling, group element) terms, one per
+    group element, nonzero and sorted; couplings are ``CycloScalar`` on
+    exact lattices and complex otherwise."""
 
     lattice: LatticeConfig
     terms: list  # (CycloScalar or complex, WreathElement)
@@ -404,58 +399,29 @@ def _isqrt(v: int):
 
 def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
     """The frozen chain: the static Hamiltonian with the lattice positions
-    substituted into its couplings, for every family and lattice.
-
-    It is read off the image table.  In ``dunkl._hamiltonian``,
-    H = sum_i D_i^2 - sum over images (x, c, g) of c (c + g) x / (1 - x)^2
-    with D_i the coupling-free Euler operators, so the part of H linear in
-    the couplings is -sum c g x / (1 - x)^2, and the static Hamiltonian
-    that ``build_static_hamiltonian`` extracts is sum c x / (1 - x)^2 g.
-    Evaluation at a point is a ring homomorphism on the rational functions
-    defined there, so evaluating each image's c x / (1 - x)^2 and summing
-    on g equals evaluating the extracted coefficient of g, wherever every
-    1 - x is nonzero.  Up to monomial factors those binomials are
-    q_i - tau q_j, tau q_l q_j - 1 and 1 +- tau q_l, exactly the
-    denominators the lattice residuals divide by, so both routes agree on
-    every lattice whose residuals are defined.
+    substituted into its coefficients, for every family and lattice.
+    Couplings that vanish there are dropped.
 
     Refuses to claim integrability when the lattice residuals do not
     vanish; the chain is still built, flagged with a warning.
     """
-    rmax = lattice.residual_max()
+    rmax = lattice.residual_max
     terms = []
-    for x, c, g in hamiltonian_images(_static_params(lattice)):
-        if c:
-            coupling = inverse_square(x) * c
-            if lattice.exact:
-                terms.append((coupling.eval_exact(lattice.positions), g))
-            else:
-                terms.append((coupling.eval_complex(tuple(lattice.positions)), g))
+    for (_, g), c in build_static_hamiltonian(_static_params(lattice)).sorted_terms():
+        if lattice.exact:
+            value = c.eval_exact(lattice.positions)
+            if not value.is_zero():
+                terms.append((value, g))
+        else:
+            value = c.eval_complex(tuple(lattice.positions))
+            if abs(value) > 1e-15:
+                terms.append((value, g))
     ok = rmax == "0" or (isinstance(rmax, float) and rmax < 1e-12)
     warning = None if ok else (
         "lattice residuals do not vanish; the chain is built but no "
         "commutation claims are made"
     )
-    return FrozenHamiltonian(lattice, merge_chain_terms(terms), rmax, ok, warning)
-
-
-def merge_chain_terms(terms):
-    """Combine coefficients on equal group elements, dropping zeros."""
-    acc: dict = {}
-    for c, g in terms:
-        if g in acc:
-            acc[g] = acc[g] + c
-        else:
-            acc[g] = c
-    out = []
-    for g in sorted(acc, key=lambda e: e.sort_key()):
-        c = acc[g]
-        if isinstance(c, CycloScalar):
-            if not c.is_zero():
-                out.append((c, g))
-        elif abs(c) > 1e-15:
-            out.append((c, g))
-    return out
+    return FrozenHamiltonian(lattice, terms, rmax, ok, warning)
 
 
 # -- equidistant scan ------------------------------------------------------------------
@@ -515,9 +481,10 @@ def scan_equidistant(
 
 
 def static_display_check(params: ModelParams) -> CheckSuite:
-    """Static Hamiltonian versus its literal two-body/boundary layout.
+    """Static Hamiltonian versus its literal two-body/boundary layout,
+    written out independently of the image table.
 
-    For the cyclic family the extraction equals the layout as printed.  For
+    For the cyclic family the two agree as printed.  For
     the dihedral family the direct-exchange terms must be read with the
     rotation offset reversed relative to the group element they multiply;
     the engine pins that orientation here (the two readings differ for
@@ -582,21 +549,4 @@ def static_display_check(params: ModelParams) -> CheckSuite:
         idx,
         hbar == direct,
     )
-    return suite
-
-
-def lattice_table_check(m: int, sizes) -> CheckSuite:
-    """Exact zero residuals for every table row at the given sizes."""
-    suite = CheckSuite("lattice-table")
-    for N in sizes:
-        for label in LATTICE_LABELS:
-            lat = build_lattice("dihedral-odd", N, m, label)
-            res = lat.residuals()
-            ok = all(r.is_zero() for r in res)
-            suite.add(
-                "table-row residual exactly zero",
-                {"label": label, "N": N, "m": m, "L": lat.L},
-                ok,
-                None if ok else {"residuals": [repr(r) for r in res]},
-            )
     return suite

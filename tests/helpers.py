@@ -1,6 +1,7 @@
 """Shared random-object generators, the exact-application oracle of the
 operator-algebra tests, the dense oracles of the projector and agreement
-checks, and the extraction reference of the frozen chains."""
+checks, the extraction reference of the static Hamiltonian and the frozen
+chains, and the lattice-table suite."""
 
 import itertools
 from fractions import Fraction
@@ -9,11 +10,13 @@ from math import gcd
 import numpy as np
 
 from wreathdunkl.cyclotomic import CycloScalar
+from wreathdunkl.dunkl import ModelParams, build_hamiltonian
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
+from wreathdunkl.reports import CheckSuite
 from wreathdunkl.spinrep import SpinMatrix
-from wreathdunkl.static import _static_params, build_static_hamiltonian, merge_chain_terms
+from wreathdunkl.static import LATTICE_LABELS, _static_params, build_lattice
 
 
 def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
@@ -92,7 +95,7 @@ def dense_iota(weights, rep, els):
     dim = len(els) * rep.dim
     out = np.zeros((dim, dim), dtype=complex)
     for g, p in weights.items():
-        rho = spin_image_by_definition(rep, g).to_numpy()
+        rho = to_numpy(spin_image_by_definition(rep, g))
         out += float(p) * np.kron(left_regular(els, g), rho)
     return out
 
@@ -143,7 +146,7 @@ def agreement_blocks_by_definition(A, rep, proj, point):
 
     def rho(g):
         if g not in images:
-            images[g] = spin_image_by_definition(rep, g).to_numpy()
+            images[g] = to_numpy(spin_image_by_definition(rep, g))
         return images[g]
 
     by_k = {}
@@ -162,16 +165,66 @@ def agreement_blocks_by_definition(A, rep, proj, point):
     return count
 
 
+def to_numpy(M: SpinMatrix) -> np.ndarray:
+    """The exact matrix ``M`` as a dense complex array."""
+    out = np.zeros((M.dim, M.dim), dtype=complex)
+    for i, row in enumerate(M.rows):
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                out[i, j] = c.to_complex()
+    return out
+
+
+def extracted_static(params):
+    """The static Hamiltonian by symbolic extraction.
+
+    With every coupling scaled by t the Hamiltonian is quadratic in t; the
+    static Hamiltonian is minus its linear coefficient, recovered from the
+    values at t = +1 and t = -1, with the exchange coupling normalized to
+    one.  The reference for ``build_static_hamiltonian``."""
+    def at(t):
+        return build_hamiltonian(
+            ModelParams(
+                params.family, params.size, params.order,
+                Fraction(t), t * params.mu, t * params.rho,
+            )
+        )
+
+    return (at(1) - at(-1)).scale(Fraction(-1, 2))
+
+
 def extracted_chain(lattice):
-    """Merged terms of the frozen chain by symbolic extraction: the static
+    """Terms of the frozen chain by symbolic extraction: the extracted static
     Hamiltonian's coefficients, evaluated at the lattice positions (exactly
-    on exact lattices).  The reference for ``build_frozen_hamiltonian``."""
-    hbar = build_static_hamiltonian(_static_params(lattice))
+    on exact lattices), zeros dropped.  The reference for
+    ``build_frozen_hamiltonian``."""
+    hbar = extracted_static(_static_params(lattice))
     terms = []
     for (k, g), c in hbar.sorted_terms():
         assert k == (0,) * lattice.N, "static Hamiltonian acquired a derivative part"
         if lattice.exact:
-            terms.append((c.eval_exact(lattice.positions), g))
+            value = c.eval_exact(lattice.positions)
+            if not value.is_zero():
+                terms.append((value, g))
         else:
-            terms.append((c.eval_complex(tuple(lattice.positions)), g))
-    return merge_chain_terms(terms)
+            value = c.eval_complex(tuple(lattice.positions))
+            if abs(value) > 1e-15:
+                terms.append((value, g))
+    return terms
+
+
+def lattice_table_check(m: int, sizes) -> CheckSuite:
+    """Exact zero residuals for every dihedral table row at the given sizes."""
+    suite = CheckSuite("lattice-table")
+    for N in sizes:
+        for label in LATTICE_LABELS:
+            lat = build_lattice("dihedral-odd", N, m, label)
+            res = lat.residuals()
+            ok = all(r.is_zero() for r in res)
+            suite.add(
+                "table-row residual exactly zero",
+                {"label": label, "N": N, "m": m, "L": lat.L},
+                ok,
+                None if ok else {"residuals": [repr(r) for r in res]},
+            )
+    return suite

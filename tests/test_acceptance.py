@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import dense_iota, random_operator
+from helpers import dense_iota, lattice_table_check, random_operator, to_numpy
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -65,7 +65,6 @@ from wreathdunkl.spinrep import (
 from wreathdunkl.static import (
     build_frozen_hamiltonian,
     build_lattice,
-    lattice_table_check,
     residual_cyclic,
     residual_dihedral,
     scan_equidistant,
@@ -251,7 +250,7 @@ def test_criterion_7_frozen_chains():
             for i in range(rep.dim)
             for j in range(rep.dim)
         )
-        H = Hx.to_numpy()
+        H = to_numpy(Hx)
         herm = float(np.max(np.abs(H - H.conj().T)))
         ok &= herm < 1e-12
         vals, _, _ = diagonalize_hermitian(H)
@@ -262,7 +261,7 @@ def test_criterion_7_frozen_chains():
             ("translation", twisted_translation_element(N, m)),
             ("rotation", global_rotation_element(N, m)),
         ):
-            M = spin_matrix_of_element(rep, g).to_numpy()
+            M = to_numpy(spin_matrix_of_element(rep, g))
             ok &= float(np.max(np.abs(H @ M - M @ H))) < 1e-10
         # exchange images: commute for one rotation copy at these sizes;
         # for m = 3 they do not, and the norms are reported, not asserted
@@ -270,9 +269,9 @@ def test_criterion_7_frozen_chains():
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 for s in range(m):
-                    M = spin_matrix_of_element(
-                        rep, exchange_element(N, m, i, j, s)
-                    ).to_numpy()
+                    M = to_numpy(
+                        spin_matrix_of_element(rep, exchange_element(N, m, i, j, s))
+                    )
                     worst_exchange = max(
                         worst_exchange, float(np.max(np.abs(H @ M - M @ H)))
                     )

@@ -162,25 +162,56 @@ def test_spectrum_dihedral_beyond_extraction(tmp_path):
 
 
 def test_no_chain_is_built_by_extraction(tmp_path, monkeypatch):
-    """Chains come from the image table: with the extraction disabled, every
-    chain family and the Hbar_spin export still run."""
+    """Chains and the static Hamiltonian come from the image table: with the
+    dynamical Hamiltonian disabled, every chain family and both static
+    exports still run, and the export of H shows the patch takes effect."""
     import wreathdunkl.cli as cli
+    import wreathdunkl.dunkl as dunkl
     import wreathdunkl.static as static
 
-    def refuse(params):
-        raise AssertionError("a chain was built by symbolic extraction")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dynamical Hamiltonian was built")
 
-    monkeypatch.setattr(static, "build_static_hamiltonian", refuse)
-    monkeypatch.setattr(cli, "build_static_hamiltonian", refuse)
+    assert not hasattr(static, "build_hamiltonian")
+    monkeypatch.setattr(dunkl, "build_hamiltonian", refuse)
+    monkeypatch.setattr(cli, "build_hamiltonian", refuse)
     for argv in (
         ["spectrum", "--family", "cyclic", "--N", "3", "--m", "2"],
         ["spectrum", "--family", "dihedral-odd", "--N", "2", "--m", "3"],
         ["spectrum", "--family", "dihedral-even", "--N", "2", "--m", "2", "--L", "8",
          "--mu2", "4"],
+        ["export", "--object", "Hbar", "--family", "dihedral", "--N", "2", "--m", "3",
+         "--lambda", "1", "--mu", "1", "--rho", "1/2"],
         ["export", "--object", "Hbar_spin", "--N", "3", "--m", "2", "--n", "2"],
     ):
         assert run(argv, tmp_path)[0] == 0, argv
-    assert main(["export", "--object", "Hbar", "--family", "cyclic"]) == 3
+    assert main(["export", "--object", "H", "--family", "cyclic"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--family", "cyclic", "--N", "3", "--m", "2"],
+        ["spectrum", "--family", "dihedral-odd", "--N", "2", "--m", "3"],
+        ["spectrum", "--family", "dihedral-even", "--N", "2", "--m", "2", "--L", "8",
+         "--mu2", "4"],
+        ["lattice", "--family", "dihedral-odd", "--N", "2", "--m", "3"],
+    ],
+    ids=["cyclic", "dihedral-odd", "dihedral-even", "lattice"],
+)
+def test_residuals_are_computed_once_per_run(tmp_path, monkeypatch, argv):
+    from wreathdunkl.static import LatticeConfig
+
+    calls = []
+    residuals = LatticeConfig.residuals
+
+    def counted(self):
+        calls.append(self.label)
+        return residuals(self)
+
+    monkeypatch.setattr(LatticeConfig, "residuals", counted)
+    assert run(argv, tmp_path)[0] == 0
+    assert len(calls) == 1
 
 
 def test_spectrum_cap(tmp_path):

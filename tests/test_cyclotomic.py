@@ -12,7 +12,6 @@ from wreathdunkl.cyclotomic import (
     CyclotomicField,
     FieldMismatchError,
     _cyclotomic_poly,
-    make_root_field,
 )
 
 
@@ -24,7 +23,7 @@ def test_standard_cyclotomic_polynomials():
     assert _cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     # phi(n) degrees
     for n, phi in [(1, 1), (4, 2), (8, 4), (9, 6), (24, 8)]:
-        assert make_root_field(n).phi == phi
+        assert CyclotomicField.get(n).phi == phi
 
 
 def test_root_relations():

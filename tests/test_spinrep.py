@@ -14,6 +14,7 @@ from helpers import (
     left_regular,
     random_operator,
     spin_image_by_definition,
+    to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, boundary_element, build_charge, exchange_element
@@ -229,6 +230,14 @@ def test_agreement_dihedral_odd_k():
     assert verify_agreement(p, rep, 1, expect="zero").passed
 
 
+def test_agreement_cyclic_k3_fails_at_three_sites():
+    """Cyclic agreement is asserted only where the CLI runs it: at N = 3,
+    k = 3 the substitution g -> rho(g) leaves 24 nonzero blocks."""
+    p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+    [item] = verify_agreement(p, SpinRepData(2, 2, 3), 3, expect="report").items
+    assert item.witness == {"zero": False, "terms": 24}
+
+
 def test_dynamical_spin_hamiltonian_shape():
     p = ModelParams("cyclic", 2, 2, Fraction(1))
     rep = SpinRepData(2, 2, 2)
@@ -290,7 +299,7 @@ def test_projector_check_agrees_with_dense_iota(family, n, m, N):
             dense = _close(lam.conj().T, lam)
         elif rel == "exchange acts like its spin image on Lambda":
             g = exchange_element(N, m, p["i"], p["j"], p["s"])
-            rho = spin_image_by_definition(rep, g).to_numpy()
+            rho = to_numpy(spin_image_by_definition(rep, g))
             left = np.kron(left_regular(els, g), np.eye(rep.dim))
             dense = _close(left @ lam, np.kron(np.eye(len(els)), rho) @ lam)
         elif rel == "Lambda_b^2 = Lambda_b":
@@ -419,7 +428,7 @@ def test_agreement_blocks_require_a_subgroup_average():
 def test_frozen_chain_exact_vs_numeric_backends():
     rep = SpinRepData(2, 3, 2)
     terms = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3)).terms
-    exact = SpinMatrix.from_terms(rep, terms).to_numpy()
+    exact = to_numpy(SpinMatrix.from_terms(rep, terms))
     numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
@@ -428,7 +437,7 @@ def test_frozen_chain_exact_vs_numeric_backends():
 def test_numeric_frozen_chain_equals_exact(family, N, m):
     rep = SpinRepData(2, m, N)
     terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
-    exact = SpinMatrix.from_terms(rep, terms).to_numpy()
+    exact = to_numpy(SpinMatrix.from_terms(rep, terms))
     numeric = frozen_spin_matrix(rep, terms)
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
@@ -440,7 +449,7 @@ def test_monomial_image_equals_dense_definition(n, m, N):
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         dense = spin_image_by_definition(rep, g)
         assert spin_matrix_of_element(rep, g) == dense
-        M = dense.to_numpy()
+        M = to_numpy(dense)
         assert abs(commutant_residual(H, rep, g) - np.max(np.abs(H @ M - M @ H))) < 1e-12
 
 
@@ -457,7 +466,7 @@ def test_commutant_residual_equals_dense_products(n, m, N):
     H = frozen_spin_matrix(rep, build_frozen_hamiltonian(build_lattice("cyclic", N, m)).terms)
     residuals = {}
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
-        M = spin_matrix_of_element(rep, g).to_numpy()
+        M = to_numpy(spin_matrix_of_element(rep, g))
         residuals[g] = commutant_residual(H, rep, g)
         assert abs(residuals[g] - np.max(np.abs(H @ M - M @ H))) < 1e-12
     for g in (twisted_translation_element(N, m), global_rotation_element(N, m)):
@@ -545,7 +554,7 @@ def test_known_two_site_chain():
     H = frozen_spin_matrix(rep, frozen.terms)
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
     P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("symmetric", 2, 1))[1])
-    assert np.max(np.abs(H - (-0.5) * P.to_numpy())) < 1e-14
+    assert np.max(np.abs(H - (-0.5) * to_numpy(P))) < 1e-14
     vals, degs, herm = diagonalize_hermitian(H)
     assert herm == 0.0
     assert np.allclose(vals, [-0.5, -0.5, -0.5, 0.5])
@@ -595,7 +604,7 @@ def test_charpoly_oracle_matches_eigensolvers():
             M.rows[j][i] = val.conj()
     # exact Hermiticity: M equals its conjugate transpose entry by entry
     assert all(M.rows[i][j] == M.rows[j][i].conj() for i in range(dim) for j in range(dim))
-    H = M.to_numpy()
+    H = to_numpy(M)
     vals, _, _ = diagonalize_hermitian(H)
     oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10

@@ -4,8 +4,9 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from helpers import extracted_chain
+from helpers import extracted_chain, extracted_static, lattice_table_check
 
+from wreathdunkl.cli import DEFAULT_GRID
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, exchange_element
 from wreathdunkl.opalg import MixedOperator, op_commutator
@@ -18,7 +19,6 @@ from wreathdunkl.static import (
     build_static_hamiltonian,
     equidistant_lattice,
     freezing_identity_check,
-    lattice_table_check,
     residual_cyclic,
     residual_dihedral,
     scan_equidistant,
@@ -56,6 +56,26 @@ def test_static_hamiltonian_is_the_two_body_sum():
                 v = RationalCoefficient.ratio(tau * qi * qj, (qi - tau * qj) ** 2)
                 direct = direct + MixedOperator.term(v, exchange_element(N, m, i, j, s))
     assert hbar == direct
+
+
+@pytest.mark.parametrize(
+    "family,N,m,lam,mu,rho",
+    [
+        (family, N, m, *couplings)
+        for family, grid in DEFAULT_GRID.items()
+        for N, m in grid["cases"]
+        for couplings in grid["couplings"]
+    ]
+    + [("dihedral", 3, 2, "1/2", "1", "1/2"), ("dihedral", 2, 5, "1/2", "1", "1/2")],
+)
+def test_static_hamiltonian_equals_extraction(family, N, m, lam, mu, rho):
+    """The static Hamiltonian read off the image table equals the symbolic
+    extraction from the Hamiltonian at coupling scale +1 and -1, exactly and
+    in its exported layout."""
+    p = ModelParams(family, N, m, Fraction(lam), Fraction(mu), Fraction(rho))
+    hbar, reference = build_static_hamiltonian(p), extracted_static(p)
+    assert hbar == reference
+    assert hbar.to_json() == reference.to_json()
 
 
 def test_static_display_orientation():

@@ -5,11 +5,19 @@ attribute); a deletion or rename in ``src/`` that one of them names would
 otherwise surface only as a failed traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "wreathdunkl"
+
+# Imports kept for their binding alone: the package's public names, the
+# kernel names the engine reaches through ``_kernels``, and the
+# ``spinrep.op_compose`` binding that perfbench's tracer rebinds.
+REEXPORTS = {"__init__": "*", "_kernels": "*", "spinrep": {"op_compose"}}
 
 
 def _targets():
@@ -86,3 +94,39 @@ def test_tracer_result_hooks_accept_engine_results():
     # a failed trial division is counted
     hooked["polyalg.divide_exact"](tr, LaurentPoly.divide_exact(q1, q1 - q2), (q1, q1 - q2), 0.5)
     assert tr.metrics()["polyalg.divide_exact.fail"] == 1
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{path.stem}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_engine_modules_use_what_they_import():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = REEXPORTS.get(path.stem, set())
+        if allowed != "*":
+            stale += [s for s in _unused_imports(path) if s.split()[1] not in allowed]
+    assert stale == []
+
+
+def test_unused_import_check_sees_a_stale_import(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "def f(x: Fraction) -> int:\n"
+        "    return gcd(x, 2)\n"
+    )
+    assert _unused_imports(module) == ["probe:2 os", "probe:3 least"]
