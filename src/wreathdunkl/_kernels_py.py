@@ -12,9 +12,18 @@ tuple of ``phi(n)`` Python ints (coefficients on the reduced power basis) and
 
 ``red`` is the reduction table of the field: row ``t`` expresses the power
 ``zeta**(phi+t)`` on the power basis, for ``t`` in ``range(phi-1)``.
+
+``poly_mul`` works on integers until the end: it brings each operand to
+one denominator, accumulates for each output exponent the unreduced
+integer convolution (length ``2*phi - 1``) of every pair of terms that
+lands there, and only then reduces each vector modulo the cyclotomic
+polynomial and normalizes it against the product of the two denominators.
+A unit coefficient costs one integer multiply per entry, and no pair pays
+for a gcd.
 """
 
 from math import gcd
+from operator import add
 
 
 def scalar_normalize(num, den):
@@ -108,26 +117,51 @@ def poly_scalar_mul(ta, nb, db, red):
     return out
 
 
+def _over_one_den(terms):
+    """The terms as ([(exponents, [(j, coefficient)])], den): every numerator
+    brought to the lcm ``den`` of the denominators, zero entries left out."""
+    den = 1
+    for _, d in terms.values():
+        if d != 1:
+            den = den * d // gcd(den, d)
+    out = []
+    for e, (n, d) in terms.items():
+        s = den // d
+        out.append((e, [(j, v * s) for j, v in enumerate(n) if v]))
+    return out, den
+
+
 def poly_mul(ta, tb, red):
-    """Sparse product of two term maps over the same field."""
+    """Sparse product of two term maps over the same field, accumulated on
+    integers over one denominator (see the module docstring)."""
     if not ta or not tb:
         return {}
     if len(ta) > len(tb):
         ta, tb = tb, ta
+    va, da = _over_one_den(ta)
+    vb, db = _over_one_den(tb)
+    den = da * db
+    phi = len(red) + 1  # one row of red per power phi .. 2 phi - 2
+    width = 2 * phi - 1
+    acc = {}
+    for ea, xa in va:
+        for eb, xb in vb:
+            e = tuple(map(add, ea, eb))
+            conv = acc.get(e)
+            if conv is None:
+                conv = acc[e] = [0] * width
+            for i, x in xa:
+                for j, y in xb:
+                    conv[i + j] += x * y
     out = {}
-    for ea, (na, da) in ta.items():
-        for eb, (nb, db) in tb.items():
-            s = scalar_mul(na, da, nb, db, red)
-            if not any(s[0]):
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
-            cur = out.get(e)
-            if cur is None:
-                out[e] = s
-            else:
-                s = scalar_add(cur[0], cur[1], s[0], s[1])
-                if any(s[0]):
-                    out[e] = s
-                else:
-                    del out[e]
+    for e, conv in acc.items():
+        for k in range(phi, width):
+            c = conv[k]
+            if c:
+                for j, rj in enumerate(red[k - phi]):
+                    if rj:
+                        conv[j] += c * rj
+        s = scalar_normalize(conv[:phi], den)
+        if any(s[0]):
+            out[e] = s
     return out

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycloScalar
 from .groups import GroupSpec, WreathElement, generator
@@ -146,7 +147,17 @@ def _tau(m: int, s: int, order: int) -> CycloScalar:
 
 
 def build_dunkl(params: ModelParams, i: int, form: str = "image") -> MixedOperator:
-    """The commuting Dunkl operator attached to site i."""
+    """The commuting Dunkl operator attached to site i.
+
+    Recent operators are kept and shared (enough for every model of the
+    default ``verify`` grid), so each is built once per model; callers
+    never mutate an operator in place.
+    """
+    return _dunkl(params, i, form)
+
+
+@lru_cache(maxsize=256)
+def _dunkl(params: ModelParams, i: int, form: str) -> MixedOperator:
     if not 1 <= i <= params.size:
         raise ValueError(f"site {i} out of range")
     if params.family == "cyclic":
@@ -284,8 +295,12 @@ def _one_copy_dunkl(params: ModelParams, i: int) -> MixedOperator:
 # -- charges and Hamiltonians --------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def build_charge(params: ModelParams, k: int) -> MixedOperator:
-    """Power-sum conserved charge: sum over sites of the k-th Dunkl power."""
+    """Power-sum conserved charge: sum over sites of the k-th Dunkl power.
+
+    Kept and shared like ``build_dunkl``.
+    """
     if k < 1:
         raise ValueError("charge index must be at least 1")
     total = None
@@ -377,38 +392,50 @@ def hamiltonian_images(params: ModelParams, simplified: bool = False):
     return out
 
 
-def image_operator(params: ModelParams, simplified: bool = False) -> MixedOperator:
-    """sum over images (x, c, g) of c x / (1 - x)^2 g, one balanced sum per g.
+def _image_kernels(params: ModelParams, simplified: bool):
+    """(x / (1 - x)^2, c, g) for every image with a nonzero coupling."""
+    return [
+        (inverse_square(x), c, g)
+        for x, c, g in hamiltonian_images(params, simplified)
+        if c
+    ]
 
-    This is minus the part of the Hamiltonian linear in the couplings.
-    """
+
+def _image_sum(params: ModelParams, simplified: bool, kernels) -> MixedOperator:
     N, m = params.size, params.order
     pieces: dict = {}
-    for x, c, g in hamiltonian_images(params, simplified):
-        if c:
-            pieces.setdefault(g, []).append(inverse_square(x) * c)
+    for kernel, c, g in kernels:
+        pieces.setdefault(g, []).append(kernel * c)
     total = MixedOperator.zero(N, 2 * m if simplified else m, m)
     for g, coeffs in pieces.items():
         total = total + MixedOperator.term(balanced_sum(coeffs), g)
     return total
 
 
+def image_operator(params: ModelParams, simplified: bool = False) -> MixedOperator:
+    """sum over images (x, c, g) of c x / (1 - x)^2 g, one balanced sum per g.
+
+    This is minus the part of the Hamiltonian linear in the couplings.
+    """
+    return _image_sum(params, simplified, _image_kernels(params, simplified))
+
+
 def _hamiltonian(params: ModelParams, simplified: bool = False) -> MixedOperator:
-    """H = sum_i D_i^2 - sum over images of c (c + g) x / (1 - x)^2."""
+    """H = sum_i D_i^2 - sum over images of c (c + g) x / (1 - x)^2.
+
+    Each kernel x / (1 - x)^2 is built once and feeds both sums.
+    """
     N, m = params.size, params.order
     order = 2 * m if simplified else m
-    squares = [
-        inverse_square(x) * (-c * c)
-        for x, c, _ in hamiltonian_images(params, simplified)
-        if c
-    ]
+    kernels = _image_kernels(params, simplified)
+    squares = [kernel * (-c * c) for kernel, c, _ in kernels]
     total = MixedOperator.zero(N, order, m)
     for i in range(1, N + 1):
         total = total + MixedOperator.euler(N, i, order=order, group_order=m) ** 2
     if squares:
         ident = WreathElement.identity(N, m)
         total = total + MixedOperator.term(balanced_sum(squares), ident)
-    return total - image_operator(params, simplified)
+    return total - _image_sum(params, simplified, kernels)
 
 
 def balanced_sum(items: list):

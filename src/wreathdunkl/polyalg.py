@@ -24,6 +24,15 @@ a single term or a reduced coefficient is nonzero.  Long division runs only
 for factors of three or more terms and to compute the quotient once a
 factor is known to divide.
 
+Every coefficient is kept reduced: no listed factor divides the numerator.
+Cancellation skips the trial divisions that provably fail on reduced
+operands.  ``act`` and ``conj_invert`` are ring automorphisms, which keep a
+quotient reduced and distinct normalized factors distinct, so they never
+trial-divide.  A binomial with d = 1 is prime, and distinct normalized
+primes are coprime; when every factor of a sum's common denominator is such
+a prime, ``__add__`` keeps each factor whose multiplicities in the two
+operands differ without testing it (the proof is in ``__add__``).
+
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
 Euler derivatives ``D_i = q_i d/dq_i`` act monomial-wise.
@@ -574,8 +583,8 @@ class RationalCoefficient:
             if k <= 0:
                 raise ValueError("denominator multiplicities must be positive")
             order = order * f.order // gcd(order, f.order)
-        self.num, self.den = _normalized(
-            num.lift(order), [(f.lift(order), k) for f, k in den]
+        self.num, self.den = _cancel(
+            *_unit_normalized(num.lift(order), [(f.lift(order), k) for f, k in den])
         )
 
     # -- constructors ------------------------------------------------------
@@ -652,6 +661,19 @@ class RationalCoefficient:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        """a + b over the factor-wise lcm L of the denominators, cancelled.
+
+        With D_a, D_b the operands' denominators, the sum's numerator is
+        S = n_a L/D_a + n_b L/D_b.  When every factor of L is a d = 1
+        binomial (prime), a factor f whose multiplicities differ cannot
+        divide S.  Say k_a > k_b: then f divides L/D_b and so n_b L/D_b.
+        But f divides neither n_a (a is reduced) nor L/D_a, which holds only
+        the other factors, primes not associate to f.  So f does not divide
+        n_a L/D_a, and S is not divisible by f; no trial division is made.
+        A nonlinear factor such as q_i**2 - tau may be divisible by a listed
+        linear one, and then every factor is trial-divided:
+        1/(q - 1) + x/(q**2 - 1) cancels q - 1.
+        """
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = RationalCoefficient.from_scalar(self.nvars, other, self.order)
         elif isinstance(other, LaurentPoly):
@@ -674,7 +696,10 @@ class RationalCoefficient:
                 na = na * f ** (k - da.get(f, 0))
             if k > db.get(f, 0):
                 nb = nb * f ** (k - db.get(f, 0))
-        return RationalCoefficient._reduced(na + nb, lcm)
+        coprime = ()
+        if all(_is_linear_binomial(f) for f in lcm):
+            coprime = {f for f in lcm if da.get(f, 0) != db.get(f, 0)}
+        return RationalCoefficient._reduced(na + nb, lcm, coprime)
 
     __radd__ = __add__
 
@@ -735,8 +760,8 @@ class RationalCoefficient:
         return out
 
     @staticmethod
-    def _reduced(num: LaurentPoly, den: dict) -> "RationalCoefficient":
-        num, dentuple = _cancel(num, den)
+    def _reduced(num: LaurentPoly, den: dict, coprime=()) -> "RationalCoefficient":
+        num, dentuple = _cancel(num, den, coprime)
         return RationalCoefficient(num, dentuple, _trusted=True)
 
     # -- calculus, action, evaluation -----------------------------------------
@@ -763,11 +788,13 @@ class RationalCoefficient:
         return RationalCoefficient._reduced(acc, den)
 
     def act(self, g: WreathElement) -> "RationalCoefficient":
-        num, den = _normalized(self.num.act(g), [(f.act(g), k) for f, k in self.den])
+        num, den = _automorphic_image(
+            self.num.act(g), [(f.act(g), k) for f, k in self.den]
+        )
         return RationalCoefficient(num, den, _trusted=True)
 
     def conj_invert(self) -> "RationalCoefficient":
-        num, den = _normalized(
+        num, den = _automorphic_image(
             self.num.conj_invert(), [(f.conj_invert(), k) for f, k in self.den]
         )
         return RationalCoefficient(num, den, _trusted=True)
@@ -832,8 +859,8 @@ class RationalCoefficient:
         return f"({self.num!r}) / [{den}]"
 
 
-def _normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, tuple]:
-    """num / prod f**k with every factor unit-normalized, then cancelled.
+def _unit_normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, dict]:
+    """num / prod f**k with every factor unit-normalized, not cancelled.
 
     The unit c * q**shift stripped from each factor moves into the
     numerator as its inverse; constant factors vanish into it entirely.
@@ -847,18 +874,41 @@ def _normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, tuple]:
             num = num * LaurentPoly.monomial(
                 num.nvars, tuple(-x * k for x in shift), c.inverse() ** k, f.order
             )
-    return _cancel(num, factors)
+    return num, factors
 
 
-def _cancel(num: LaurentPoly, den: dict) -> tuple[LaurentPoly, tuple]:
-    """Drop zero numerators, trial-divide by denominator factors, sort."""
+def _automorphic_image(num: LaurentPoly, den) -> tuple[LaurentPoly, tuple]:
+    """The image of a reduced quotient under a ring automorphism sigma
+    (the group action, or conjugation with q -> 1/q), given as sigma(num)
+    and the sigma(f), unit-normalized and sorted without trial division.
+
+    sigma preserves divisibility both ways, so no sigma(f) divides
+    sigma(num); and it maps non-associate factors to non-associate ones,
+    so distinct normalized factors stay distinct.
+    """
+    num, factors = _unit_normalized(num, den)
+    return _cancel(num, factors, coprime=factors)
+
+
+def _is_linear_binomial(f: LaurentPoly) -> bool:
+    """Whether f has a binomial rule with d = 1, so that f is prime."""
+    rule = f.binomial_rule()
+    return rule is not None and rule.d == 1
+
+
+def _cancel(num: LaurentPoly, den: dict, coprime=()) -> tuple[LaurentPoly, tuple]:
+    """Drop zero numerators, trial-divide by denominator factors, sort.
+
+    Factors in ``coprime`` are known not to divide ``num`` and are kept
+    without a trial division.
+    """
     if num.is_zero():
         return num, ()
     out = []
     for f, k in den.items():
         if f.order != num.order:
             f = f.lift(num.order)
-        while k > 0:
+        while k > 0 and f not in coprime:
             q = num.divide_exact(f)
             if q is None:
                 break

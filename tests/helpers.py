@@ -1,7 +1,8 @@
 """Shared random-object generators, the exact-application oracle of the
-operator-algebra tests, the dense oracles of the projector and agreement
-checks, the extraction reference of the static Hamiltonian and the frozen
-chains, and the lattice-table suite."""
+operator-algebra tests, the reduced-form predicate of rational
+coefficients, the dense oracles of the projector and agreement checks, the
+extraction reference of the static Hamiltonian and the frozen chains, and
+the lattice-table suite."""
 
 import itertools
 from fractions import Fraction
@@ -163,6 +164,22 @@ def agreement_blocks_by_definition(A, rep, proj, point):
                 block = block - c * float(proj.get(h, 0)) * rho(h)
             count += bool(np.max(np.abs(block)) > 1e-9)
     return count
+
+
+def is_reduced(c: RationalCoefficient) -> bool:
+    """Whether c is in the form cancellation leaves: no listed factor divides
+    the numerator, and the factors are distinct, unit-normalized, of
+    positive multiplicity and sorted.  Skipped trial divisions rely on it."""
+    keys = [f.key() for f, _ in c.den]
+    if keys != sorted(set(keys)):
+        return False
+    for f, k in c.den:
+        unit, shift, monic = f.unit_normalize()
+        if k < 1 or unit != 1 or any(shift) or monic.terms != f.terms:
+            return False
+        if c.num.divide_exact(f) is not None:
+            return False
+    return True
 
 
 def to_numpy(M: SpinMatrix) -> np.ndarray:

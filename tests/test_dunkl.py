@@ -1,11 +1,13 @@
 """Dunkl operators, charges, Hamiltonians and the relation suites."""
 
+import argparse
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import apply
+from helpers import apply, is_reduced
+from wreathdunkl.cli import DEFAULT_GRID, _verify_case
 from wreathdunkl.dunkl import (
     ModelParams,
     build_charge,
@@ -220,3 +222,35 @@ def test_exchange_element_normal_form():
     # swapping the pair and negating the offset gives the same element
     assert exchange_element(3, 4, 3, 1, -1) == g
     assert exchange_element(3, 4, 3, 1, 1) == exchange_element(3, 4, 1, 3, -1)
+
+
+def _grid_points():
+    for family, grid in DEFAULT_GRID.items():
+        for N, m in grid["cases"]:
+            for lam, mu, rho in grid["couplings"]:
+                yield ModelParams(family, N, m, Fraction(lam), Fraction(mu), Fraction(rho))
+
+
+def test_charges_and_hamiltonians_are_reduced():
+    """Every coefficient of the charges (k <= 3) and of the Hamiltonian is in
+    reduced form at the 15 default-grid points: the invariant under which
+    ``RationalCoefficient.act`` and ``__add__`` skip trial divisions."""
+    points = list(_grid_points())
+    assert len(points) == 15
+    for p in points:
+        ops = [build_charge(p, k) for k in (1, 2, 3)] + [build_hamiltonian(p)]
+        for op in ops:
+            for key, c in op.terms.items():
+                assert is_reduced(c), (p, key)
+
+
+def test_charges_are_built_once_and_never_mutated():
+    p = ModelParams("cyclic", 2, 2, Fraction(1, 2))
+    j2 = build_charge(p, 2)
+    assert build_charge(p, 2) is j2
+    assert build_dunkl(p, 1) is build_dunkl(p, 1)
+    before = j2.to_json()
+    suite = _verify_case(p, argparse.Namespace(n=2, kmax=3), None)
+    assert suite.passed
+    assert build_charge(p, 2) is j2
+    assert j2.to_json() == before

@@ -72,9 +72,9 @@ def test_scalar_ops_match_pure_python():
             assert _kernels.scalar_rat_mul(a, da, 7, 3) == _raw([u * Fraction(7, 3) for u in x])
 
 
-def _rand_poly(rng, nvars, phi):
+def _rand_poly(rng, nvars, phi, max_terms=6):
     terms = {}
-    for _ in range(rng.randint(0, 6)):
+    for _ in range(rng.randint(0, max_terms)):
         e = tuple(rng.randint(-3, 3) for _ in range(nvars))
         v = _rand_scalar(rng, phi)
         if any(v[0]):
@@ -104,22 +104,46 @@ def _poly_mul(ta, tb, order):
     return _poly_raw(acc)
 
 
+def _cancelling_pair(order, field, nvars):
+    """Two term maps and an exponent whose coefficient in their product
+    cancels to zero.  For m > 1, sum_a tau**a q1**a times sum_b q1**-b q2
+    puts 1 + tau + ... + tau**(m-1) = 0 on q2; at m = 1,
+    (1 + q1/3)(1 - q1/3) has no q1 term."""
+    if order > 1:
+        ta = {(a,) + (0,) * (nvars - 1): (field.powers[a], 1) for a in range(order)}
+        tb = {(-b, 1) + (0,) * (nvars - 2): (field.powers[0], 1) for b in range(order)}
+        return ta, tb, (0, 1) + (0,) * (nvars - 2)
+    one = (field.powers[0], 1)
+    minus = ((-1,), 3)
+    ta = {(0,) * nvars: one, (1,) + (0,) * (nvars - 1): ((1,), 3)}
+    tb = {(0,) * nvars: one, (1,) + (0,) * (nvars - 1): minus}
+    return ta, tb, (1,) + (0,) * (nvars - 1)
+
+
 def test_poly_ops_match_pure_python():
     rng = random.Random(1)
-    for order in (1, 3, 4, 6):
+    for order in (1, 3, 4, 5, 6, 8):
         field = CyclotomicField.get(order)
-        for _ in range(120):
-            ta = _rand_poly(rng, 2, field.phi)
-            tb = _rand_poly(rng, 2, field.phi)
-            assert _kernels.poly_add(ta, tb) == _poly_add(ta, tb)
-            assert _kernels.poly_neg(ta) == _poly_raw(
-                {e: [-u for u in _value(v)] for e, v in ta.items()}
-            )
-            assert _kernels.poly_mul(ta, tb, field.red) == _poly_mul(ta, tb, order)
-            c, dc = _rand_scalar(rng, field.phi)
-            assert _kernels.poly_scalar_mul(ta, c, dc, field.red) == _poly_raw(
-                {e: _mul(_value(v), _value((c, dc)), order) for e, v in ta.items()}
-            )
+        for nvars in (2, 3):
+            for trial in range(80):
+                # one-term operands on every fourth trial
+                size = 1 if trial % 4 == 0 else 6
+                ta = _rand_poly(rng, nvars, field.phi, max_terms=size)
+                tb = _rand_poly(rng, nvars, field.phi)
+                assert _kernels.poly_add(ta, tb) == _poly_add(ta, tb)
+                assert _kernels.poly_neg(ta) == _poly_raw(
+                    {e: [-u for u in _value(v)] for e, v in ta.items()}
+                )
+                assert _kernels.poly_mul(ta, tb, field.red) == _poly_mul(ta, tb, order)
+                assert _kernels.poly_mul(tb, ta, field.red) == _poly_mul(ta, tb, order)
+                c, dc = _rand_scalar(rng, field.phi)
+                assert _kernels.poly_scalar_mul(ta, c, dc, field.red) == _poly_raw(
+                    {e: _mul(_value(v), _value((c, dc)), order) for e, v in ta.items()}
+                )
+            ta, tb, cancelled = _cancelling_pair(order, field, nvars)
+            got = _kernels.poly_mul(ta, tb, field.red)
+            assert got == _poly_mul(ta, tb, order)
+            assert got and cancelled not in got
 
 
 def test_normalization_invariants():

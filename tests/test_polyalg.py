@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_reduced
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.groups import GroupSpec, enumerate_subgroup, generator
+from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.polyalg import (
     LaurentPoly,
     RationalCoefficient,
+    _cancel,
+    _unit_normalized,
     random_torus_point,
 )
 
@@ -298,3 +301,141 @@ def test_unit_product_equals_reduced_product(case, data):
         assert got.num.order == expected.num.order
         assert got.num.terms == expected.num.terms
         assert [(h.key(), k) for h, k in got.den] == [(h.key(), k) for h, k in expected.den]
+
+
+# -- property tests: cancellation without impossible trial divisions ------------
+
+
+def _structure(num, den):
+    return num.order, num.terms, [(f.key(), k) for f, k in den]
+
+
+def _sum_by_trial_division(a, b):
+    """a + b by the route that trial-divides the sum by every factor of the
+    common denominator."""
+    a, b = a._match(b)
+    if a.is_zero():
+        return b.num, b.den
+    if b.is_zero():
+        return a.num, a.den
+    da, db = dict(a.den), dict(b.den)
+    lcm = dict(da)
+    for f, k in db.items():
+        lcm[f] = max(lcm.get(f, 0), k)
+    na, nb = a.num, b.num
+    for f, k in lcm.items():
+        if k > da.get(f, 0):
+            na = na * f ** (k - da.get(f, 0))
+        if k > db.get(f, 0):
+            nb = nb * f ** (k - db.get(f, 0))
+    return _cancel(na + nb, lcm)
+
+
+def linear_factor(order):
+    """A prime binomial: a ``binomial`` shape with d = 1."""
+    return binomial(order).filter(lambda f: f.binomial_rule().d == 1)
+
+
+@st.composite
+def divisible_pair(draw, order):
+    """(f, h): a linear f and a nonlinear h that f divides, such as q_i - tau
+    and q_i**k - tau**k, or q_i - tau q_j and q_i**k - tau**k q_j**k."""
+    tau = CycloScalar.root_of_unity(order, draw(st.integers(0, order - 1)))
+    k = draw(st.integers(2, 3))
+    i, j = draw(st.permutations(range(1, NVARS + 1)))[:2]
+    qi, qj = q(i, NVARS, order), q(j, NVARS, order)
+    one = LaurentPoly.constant(NVARS, 1, order)
+    if draw(st.booleans()):
+        return qi - one * tau, qi**k - one * tau**k
+    return qi - qj * tau, qi**k - qj**k * tau**k
+
+
+@st.composite
+def reduced_over(draw, order, factors, listed=()):
+    """A reduced coefficient over a random selection of the given factors,
+    and over every ``listed`` one."""
+    picked = draw(st.lists(st.sampled_from(factors), max_size=3)) + list(listed)
+    den = [(f, draw(st.integers(1, 2))) for f in picked]
+    return RationalCoefficient(draw(laurent(order, max_terms=4)), tuple(den))
+
+
+@st.composite
+def addends(draw, nonlinear):
+    """(a, b) over a shared pool of factors.  b is either independent of a,
+    or (-a) + s summed by full trial division, so that a + b = s needs
+    factors of equal multiplicity to cancel.  With ``nonlinear`` the pool
+    holds a pair f | h, and a lists f where b lists h."""
+    order = draw(st.integers(1, 4))
+    pool = draw(st.lists(linear_factor(order), min_size=1, max_size=3))
+    if nonlinear:
+        f, h = draw(divisible_pair(order))
+        return draw(reduced_over(order, pool, [f])), draw(reduced_over(order, pool, [h]))
+    a = draw(reduced_over(order, pool))
+    if draw(st.booleans()):
+        b = draw(reduced_over(order, pool))
+    else:
+        s = draw(reduced_over(order, pool))
+        b = RationalCoefficient(*_sum_by_trial_division(-a, s), _trusted=True)
+    return a, b
+
+
+@PROPERTY
+@given(addends(nonlinear=False))
+def test_sum_over_linear_factors_equals_trial_division(pair):
+    """All factors prime: a factor whose multiplicities differ is kept
+    untested, and the result is still the fully cancelled one."""
+    a, b = pair
+    assert is_reduced(a) and is_reduced(b)
+    got = a + b
+    assert _structure(got.num, got.den) == _structure(*_sum_by_trial_division(a, b))
+    assert is_reduced(got)
+
+
+@PROPERTY
+@given(addends(nonlinear=True))
+def test_sum_with_nonlinear_factor_equals_trial_division(pair):
+    """A nonlinear factor h in the common denominator turns the skip off:
+    a linear f with f | h may cancel although its multiplicities differ."""
+    a, b = pair
+    got = a + b
+    assert _structure(got.num, got.den) == _structure(*_sum_by_trial_division(a, b))
+    assert is_reduced(got)
+
+
+def test_linear_factor_cancels_against_nonlinear_one():
+    """1/(q1 - 1) + q2/(q1**2 - 1) = (q1 + 1 + q2)/(q1**2 - 1)."""
+    q1, q2 = q(1), q(2)
+    one = LaurentPoly.constant(2, 1, 3)
+    got = RationalCoefficient.ratio(one, q1 - one) + RationalCoefficient.ratio(
+        q2, q1 * q1 - one
+    )
+    assert got.num == q1 + one + q2
+    assert [(f, k) for f, k in got.den] == [(q1 * q1 - one, 1)]
+
+
+@st.composite
+def wreath_element(draw, m):
+    perm = tuple(draw(st.permutations(range(NVARS))))
+    rot = tuple(draw(st.integers(0, m - 1)) for _ in range(NVARS))
+    flip = tuple(draw(st.integers(0, 1)) for _ in range(NVARS))
+    return WreathElement(NVARS, m, perm, rot, flip)
+
+
+@PROPERTY
+@given(st.data())
+def test_automorphic_images_equal_trial_division(data):
+    """c.act(g) and c.conj_invert() unit-normalize the moved factors and make
+    no trial division; the result is the one full cancellation gives."""
+    order = data.draw(st.integers(1, 4))
+    f, h = data.draw(divisible_pair(order))
+    pool = data.draw(st.lists(linear_factor(order), min_size=1, max_size=2)) + [h]
+    c = data.draw(reduced_over(order, pool))
+    g = data.draw(wreath_element(data.draw(st.integers(1, 3))))
+    for got, (num, den) in (
+        (c.act(g), (c.num.act(g), [(x.act(g), k) for x, k in c.den])),
+        (c.conj_invert(), (c.num.conj_invert(), [(x.conj_invert(), k) for x, k in c.den])),
+    ):
+        assert _structure(got.num, got.den) == _structure(
+            *_cancel(*_unit_normalized(num, den))
+        )
+        assert is_reduced(got)
