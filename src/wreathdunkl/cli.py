@@ -432,8 +432,13 @@ def _validate(args):
         if args.family == "dihedral-even" and not args.L:
             raise ConfigError("dihedral-even chains need --L (numeric lattice)")
         if args.mu2 is not None:
+            mu2 = _fraction(args.mu2)
             try:
-                rational_sqrt(_fraction(args.mu2))
+                float(mu2)  # the numeric lattice works in floats
+            except OverflowError as exc:
+                raise ConfigError("--mu2 has no finite float value") from exc
+            try:
+                rational_sqrt(mu2)
             except ValueError as exc:
                 raise ConfigError(f"--mu2: {exc}") from exc
     elif args.command == "export":

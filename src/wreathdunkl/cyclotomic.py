@@ -352,10 +352,6 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def to_complex(self, precision: int = 53):
         """Numeric value with ``precision`` bits of working precision.
 

@@ -22,7 +22,8 @@ linear in the couplings is therefore minus ``image_operator``, the sum of
 c x / (1 - x)^2 g over the table.  At unit exchange coupling that sum is
 the static Hamiltonian (``static.build_static_hamiltonian``), and its
 coefficients at the lattice positions are the frozen chain's couplings.
-The scalar potential of the static chain sums the same table.
+The scalar potential of the static chain sums the same table, and the
+lattice condition (``static.lattice_residuals``) differentiates it.
 
 The dihedral operator is available in two algebraically equal layouts: the
 ``image`` form, whose reflected two-body terms are written against the
@@ -349,7 +350,8 @@ def inverse_square(x: LaurentPoly) -> RationalCoefficient:
     return RationalCoefficient.ratio(x, LaurentPoly.constant(x.nvars, 1, x.order) - x, 2)
 
 
-def hamiltonian_images(params: ModelParams, simplified: bool = False):
+@lru_cache(maxsize=256)
+def hamiltonian_images(params: ModelParams, simplified: bool) -> tuple:
     """The image table (x, c, g) of the closed-form Hamiltonian.
 
     Two-body images x = tau^s q_j / q_i with c = lambda on the rotated
@@ -358,7 +360,10 @@ def hamiltonian_images(params: ModelParams, simplified: bool = False):
     x = -tau^s q_i with c = beta and x = tau^s q_i with c = gamma for odd
     m, x = tau^s q_i with c = mu for even m.  ``simplified`` (odd m,
     rho = 0) replaces the boundary by x = zeta_{2m}^s q_i, c = beta on
-    Q_i^s K_i over the 2m phases.
+    Q_i^s K_i over the 2m phases.  Each x is one monomial.  The table is
+    built once per model and shared (read-only) by ``image_operator``, the
+    Hamiltonian and the lattice condition; ``simplified`` has no default,
+    so that every call passes it and hits the same cache entry.
     """
     N, m, lam = params.size, params.order, params.lam
     order = 2 * m if simplified else m
@@ -370,7 +375,7 @@ def hamiltonian_images(params: ModelParams, simplified: bool = False):
             x = q[j] * _q(i, N, order, -1) * _tau(m, s, order)
             out.append((x, lam, exchange_element(N, m, i, j, s)))
     if params.family == "cyclic":
-        return out
+        return tuple(out)
     for i, j in pairs:
         for s in range(m):
             x = q[i] * q[j] * _tau(m, s, order)
@@ -389,7 +394,7 @@ def hamiltonian_images(params: ModelParams, simplified: bool = False):
                 out.append((x, params.gamma, g))
             else:
                 out.append((x, params.mu, g))
-    return out
+    return tuple(out)
 
 
 def _image_kernels(params: ModelParams, simplified: bool):

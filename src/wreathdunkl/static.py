@@ -8,11 +8,12 @@ sign.  The Hamiltonian is written as a sum over its image table, so that
 part is read off the table: ``build_static_hamiltonian`` is
 ``dunkl.image_operator`` at unit exchange coupling.  ``verify`` checks it
 against its literal layout and the barred operators, and the frozen chain
-is its coefficients evaluated at the lattice positions.  Freezing the
-positions at special lattices makes the static operator commute with the
-barred operators; the lattice conditions are rational identities in the
-positions and are checked in exact cyclotomic arithmetic whenever the
-positions are roots of unity.
+is its coefficients evaluated at the lattice positions.  The sites freeze
+at an equilibrium of the classical potential W = -sum c^2 x / (1 - x)^2
+over the same table, the identity coefficient of the Hamiltonian: the
+lattice condition is dW/dq_l = 0 at every site, and ``lattice_residuals``
+evaluates dW/dq_l in exact cyclotomic arithmetic whenever the positions are
+roots of unity.
 
 The known equidistant solutions for odd rotation order form a four-row
 table (site count, squared boundary couplings, position pattern); the
@@ -31,7 +32,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import isqrt, lcm
 
 from .cyclotomic import CycloScalar
 from .dunkl import (
@@ -71,7 +72,7 @@ def scalar_potential(params: ModelParams) -> RationalCoefficient:
     """Two-body inverse-square potential of the cyclic model (scalar part):
     the sum of x / (1 - x)^2 over the cyclic two-body images."""
     cyclic = ModelParams("cyclic", params.size, params.order, Fraction(1))
-    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic)]
+    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic, False)]
     return balanced_sum([RationalCoefficient.zero(params.size, params.order)] + terms)
 
 
@@ -129,119 +130,54 @@ def freezing_identity_check(params: ModelParams) -> CheckSuite:
     return suite
 
 
-# -- lattice residual conditions ------------------------------------------------
+# -- the lattice condition --------------------------------------------------------
 
 
 def _is_exact(positions) -> bool:
     return all(isinstance(q, CycloScalar) for q in positions)
 
 
-def _sites_and_rotations(positions, m: int):
-    """Positions and m-th roots of unity; exact ones share their lcm field."""
-    if not _is_exact(positions):
-        return positions, [cmath.exp(2j * cmath.pi * s / m) for s in range(m)], False
-    order = m
-    for q in positions:
-        order = order * q.order // gcd(order, q.order)
-    positions = [q.lift(order) for q in positions]
-    return positions, [CycloScalar.root_of_unity(m, s).lift(order) for s in range(m)], True
+def lattice_residuals(family: str, positions, m: int, couplings=None) -> list:
+    """dW/dq_l at the positions, one value per site.
 
-
-def _vanishes(x) -> bool:
-    if isinstance(x, CycloScalar):
-        return x.is_zero()
-    return abs(x) < 1e-12
-
-
-def residual_cyclic(positions, m: int):
-    """Left side of the cyclic lattice condition, one value per site.
-
-    Exact cyclotomic arithmetic when the positions are exact scalars,
-    complex floats otherwise.  Raises on coincident rotated images.
+    W = -sum over the image table of c^2 x / (1 - x)^2 is the classical
+    potential, the identity coefficient of the Hamiltonian of
+    ``_static_params``; the sites freeze at its equilibria.  An image
+    x = s q^e with coupling c contributes -c^2 e_l x (1 + x) / (q_l (1 - x)^3)
+    to site l.  The arithmetic is exact when the positions are exact
+    scalars, lifted once into one field, and in complex floats otherwise.
+    Raises ``ZeroDivisionError`` when 1 - x vanishes at an image (in floats:
+    |1 - x|^3 below 1e-12, with |q| = 1).
     """
-    positions, taus, exact = _sites_and_rotations(positions, m)
-    N = len(positions)
-    out = []
-    for i in range(N):
-        qi = positions[i]
-        acc = None
-        for j in range(N):
-            if j == i:
-                continue
-            qj = positions[j]
-            for t in taus:
-                den = (qi - t * qj) ** 3
-                if _vanishes(den):
-                    raise ZeroDivisionError(
-                        f"sites {i+1} and {j+1} coincide under rotation"
-                    )
-                piece = t * qi * qj * (qi + t * qj) / den
-                acc = piece if acc is None else acc + piece
-        if acc is None:
-            acc = CycloScalar.zero(1) if exact else 0j
-        out.append(acc)
-    return out
-
-
-def residual_dihedral(positions, m: int, beta2=None, gamma2=None, mu2=None):
-    """Left side of the dihedral lattice condition, one value per site.
-
-    Odd m takes the squared boundary couplings (beta2, gamma2); even m
-    takes mu2.  Everything else mirrors the cyclic case.
-    """
-    odd = m % 2 == 1
-    if odd and (beta2 is None or gamma2 is None):
-        raise ValueError("odd m needs beta2 and gamma2")
-    if not odd and mu2 is None:
-        raise ValueError("even m needs mu2")
-    positions, taus, exact = _sites_and_rotations(positions, m)
-    N = len(positions)
-
-    def lift_coupling(c):
-        if exact:
-            return CycloScalar.rational(Fraction(c))
-        return complex(Fraction(c))
-
-    if odd:
-        b2, g2 = lift_coupling(beta2), lift_coupling(gamma2)
+    params = _static_params(family, len(positions), m, couplings or {})
+    exact = _is_exact(positions)
+    if exact:
+        order = lcm(m, *(q.order for q in positions))
+        q = [p.lift(order) for p in positions]
+        zero = CycloScalar.zero(order)
     else:
-        u2 = lift_coupling(mu2)
-    one = CycloScalar.one(1) if exact else 1.0
-    out = []
-    for l in range(N):
-        ql = positions[l]
-        acc = None
-        for t in taus:
-            inner = None
-            for j in range(N):
-                if j == l:
-                    continue
-                qj = positions[j]
-                den1 = (ql - t * qj) ** 3
-                den2 = (t * ql * qj - one) ** 3
-                if _vanishes(den1) or _vanishes(den2):
-                    raise ZeroDivisionError(
-                        f"sites {l+1} and {j+1} coincide under the dihedral images"
-                    )
-                piece = qj * (ql + t * qj) / den1 + qj * (t * ql * qj + one) / den2
-                inner = piece if inner is None else inner + piece
-            if inner is None:
-                inner = CycloScalar.zero(1) if exact else 0j
-            inner = inner + inner  # the two-body part enters twice
-            denp = (one + t * ql) ** 3
-            denm = (one - t * ql) ** 3
-            if _vanishes(denp) or _vanishes(denm):
-                raise ZeroDivisionError(
-                    f"site {l+1} coincides with a boundary image"
-                )
-            if odd:
-                inner = inner + b2 * (one - t * ql) / denp - g2 * (one + t * ql) / denm
-            else:
-                inner = inner - u2 * (one + t * ql) / denm
-            piece = t * inner
-            acc = piece if acc is None else acc + piece
-        out.append(acc)
-    return out
+        q, zero = list(positions), 0j
+    inv = [1 / p for p in q]
+    grad = [zero] * len(q)
+    for x, c, _ in hamiltonian_images(params, False):
+        ((e, _),) = x.terms.items()
+        if exact:
+            v = x.coeff(e).lift(order)
+            for k, a in enumerate(e):
+                for _ in range(abs(a)):
+                    v = v * (q[k] if a > 0 else inv[k])
+        else:
+            v = x.eval_complex(q)
+        d = 1 - v
+        den = d * d * d
+        if den.is_zero() if exact else abs(den) < 1e-12:
+            sites = [k + 1 for k, a in enumerate(e) if a]
+            raise ZeroDivisionError(f"sites {sites} meet their image {x!r}: 1 - x = 0")
+        w = v * (1 + v) / den * (c * c)
+        for k, a in enumerate(e):
+            if a:
+                grad[k] = grad[k] - w * a
+    return [g * i for g, i in zip(grad, inv)]
 
 
 # -- lattice configurations -------------------------------------------------------
@@ -264,10 +200,9 @@ class LatticeConfig:
         return _is_exact(self.positions)
 
     def residuals(self):
-        if self.family == "cyclic":
-            return residual_cyclic(self.positions, self.m)
-        # the couplings are keyed by the squared-coupling arguments
-        return residual_dihedral(self.positions, self.m, **self.couplings)
+        """dW/dq_l at every site, W the potential over the image table
+        (``lattice_residuals``); all vanish on a lattice."""
+        return lattice_residuals(self.family, self.positions, self.m, self.couplings)
 
     @cached_property
     def residual_max(self):
@@ -365,36 +300,27 @@ class FrozenHamiltonian:
     warning: str | None = None
 
 
-def _static_params(lattice: LatticeConfig) -> ModelParams:
-    if lattice.family == "cyclic":
-        return ModelParams("cyclic", lattice.N, lattice.m, Fraction(1))
-    if lattice.family == "dihedral-odd":
-        b2, g2 = lattice.couplings["beta2"], lattice.couplings["gamma2"]
-        beta, gamma = rational_sqrt(b2), rational_sqrt(g2)
-        return ModelParams(
-            "dihedral", lattice.N, lattice.m, Fraction(1), beta + gamma, beta - gamma
-        )
-    mu = rational_sqrt(lattice.couplings["mu2"])
-    return ModelParams("dihedral", lattice.N, lattice.m, Fraction(1), mu, 0)
+def _static_params(family: str, N: int, m: int, couplings: dict) -> ModelParams:
+    """The model whose image table a lattice family freezes: unit exchange
+    coupling, boundary couplings the square roots of the squared ones."""
+    if family == "cyclic":
+        return ModelParams("cyclic", N, m, Fraction(1))
+    if (family == "dihedral-odd") != (m % 2 == 1):
+        raise ValueError(f"the {family} family does not take m = {m}")
+    if family == "dihedral-odd":
+        beta = rational_sqrt(couplings["beta2"])
+        gamma = rational_sqrt(couplings["gamma2"])
+        return ModelParams("dihedral", N, m, Fraction(1), beta + gamma, beta - gamma)
+    return ModelParams("dihedral", N, m, Fraction(1), rational_sqrt(couplings["mu2"]))
 
 
 def rational_sqrt(x) -> Fraction:
     x = Fraction(x)
-    num = _isqrt(x.numerator)
-    den = _isqrt(x.denominator)
-    if num is None or den is None:
-        raise ValueError(f"{x} has no rational square root; positive roots only")
-    return Fraction(num, den)
-
-
-def _isqrt(v: int):
-    if v < 0:
-        return None
-    r = int(v**0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == v:
-            return c
-    return None
+    if x >= 0:
+        num, den = isqrt(x.numerator), isqrt(x.denominator)
+        if num * num == x.numerator and den * den == x.denominator:
+            return Fraction(num, den)
+    raise ValueError(f"{x} has no rational square root; positive roots only")
 
 
 def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
@@ -407,7 +333,8 @@ def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
     """
     rmax = lattice.residual_max
     terms = []
-    for (_, g), c in build_static_hamiltonian(_static_params(lattice)).sorted_terms():
+    params = _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
+    for (_, g), c in build_static_hamiltonian(params).sorted_terms():
         if lattice.exact:
             value = c.eval_exact(lattice.positions)
             if not value.is_zero():

@@ -215,7 +215,9 @@ def extracted_chain(lattice):
     Hamiltonian's coefficients, evaluated at the lattice positions (exactly
     on exact lattices), zeros dropped.  The reference for
     ``build_frozen_hamiltonian``."""
-    hbar = extracted_static(_static_params(lattice))
+    hbar = extracted_static(
+        _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
+    )
     terms = []
     for (k, g), c in hbar.sorted_terms():
         assert k == (0,) * lattice.N, "static Hamiltonian acquired a derivative part"

@@ -65,8 +65,7 @@ from wreathdunkl.spinrep import (
 from wreathdunkl.static import (
     build_frozen_hamiltonian,
     build_lattice,
-    residual_cyclic,
-    residual_dihedral,
+    lattice_residuals,
     scan_equidistant,
 )
 
@@ -216,7 +215,7 @@ def test_criterion_6b_even_order_scan_clause():
     potential = ham.terms[((0, 0), WreathElement.identity(2, 2))]
     for L, at_equilibrium in ((8, True), (10, False)):
         q = [CycloScalar.root_of_unity(L, k) for k in (1, 2)]
-        res = residual_dihedral(q, 2, mu2=Fraction(4))
+        res = lattice_residuals("dihedral-even", q, 2, {"mu2": Fraction(4)})
         for l in (1, 2):
             gradient = potential.euler(l).eval_exact(q)
             ok &= res[l - 1].is_zero() == at_equilibrium

@@ -317,6 +317,7 @@ def test_verify_zero_coupling_grid_point_passes(tmp_path):
     [
         ["export", "--object", "d1"],
         ["verify", "--family", "cyclic", "--N", "1", "--m", "2"],
+        ["spectrum", "--mu2", "1" + "0" * 400],
     ],
 )
 def test_bad_config_is_one_line_exit_2(argv, capsys):
@@ -340,6 +341,10 @@ def test_unexpected_exception_is_one_line_exit_3(monkeypatch, capsys):
 
 
 SIZES = st.sampled_from(["-1", "0", "1", "2"])
+# a square too large for the float square root, and one with no float value
+BIG_SQUARE = "10000000000000000600000000000000009/10000000000000000200000000000000001"
+NO_FLOAT = "1" + "0" * 400
+MU2S = ["1/4", "4", "9/4", "0", "2", "-1", "x", BIG_SQUARE, NO_FLOAT]
 RATIONALS = st.sampled_from(["0", "1", "1/2", "-1", "x", "1/0", "0.5"])
 
 
@@ -365,8 +370,9 @@ def argvs(draw):
         if command == "lattice":
             argv += ["--scan", "--Lmax", draw(SIZES)] if draw(st.booleans()) else []
         else:
-            argv += ["--L", draw(st.sampled_from(["-1", "0", "2", "3", "8"]))]
-            argv += ["--mu2", draw(st.sampled_from(["1/4", "4", "2", "-1", "x"]))]
+            # L = 1, 2, 3, 4 and 6 put one of two sites on an image (exit 2)
+            argv += ["--L", str(draw(st.integers(-1, 12)))]
+            argv += ["--mu2", draw(st.sampled_from(MU2S))]
     for flag in ("--N", "--m", "--n"):
         if draw(st.booleans()):
             argv += [flag, draw(SIZES)]
@@ -383,6 +389,8 @@ def argvs(draw):
 @example(["spectrum", "--family", "dihedral-even", "--L", "2"])
 @example(["export", "--family", "cyclic", "--object", "Z0"])
 @example(["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", "1", "--n", "2"])
+@example(["spectrum", "--mu2", BIG_SQUARE])
+@example(["spectrum", "--mu2", NO_FLOAT])
 def test_no_argv_reaches_a_traceback(argv):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2."""
     err = io.StringIO()

@@ -3,13 +3,14 @@
 import cmath
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_reduced
-from wreathdunkl.cyclotomic import CycloScalar
+from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.polyalg import (
     LaurentPoly,
@@ -275,6 +276,34 @@ def test_hash_consistent_with_cross_order_equality(case, k):
         lifted = p.lift(order * k)
         assert p == lifted
         assert hash(p) == hash(lifted)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_lift_eq_and_hash_agree_across_orders(d, ka, kb, data):
+    """A value of Q(zeta_d), as a CycloScalar and as a RationalCoefficient, is
+    equal to its lifts to orders a = d ka and b = d kb, which need not divide
+    one another, with one hash; a coefficient built at order a equals the
+    lift of the one built at d.  Against a second value at order b, ``==``
+    gives the verdict of comparing both lifted to lcm(a, b), and equal
+    values hash alike."""
+    a, b = d * ka, d * kb
+    phi = CyclotomicField.get(d).phi
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    s = CycloScalar(d, coeffs, data.draw(st.integers(1, 4)))
+    num, den = data.draw(laurent(d)), data.draw(binomial(d))
+    r = RationalCoefficient.ratio(num, den)
+    assert RationalCoefficient.ratio(num.lift(a), den.lift(a)) == r.lift(b)
+    shift = CycloScalar.root_of_unity(b, data.draw(st.integers(0, b - 1)))
+    shift = shift * Fraction(data.draw(st.sampled_from([0, 1, -1, 2])), 2)
+    others = (s.lift(b) + shift, r.lift(b) + RationalCoefficient.from_scalar(NVARS, shift, b))
+    for x, y in zip((s, r), others):
+        xa, xb = x.lift(a), x.lift(b)
+        assert x == xa and xa == xb and xb == xa
+        assert hash(x) == hash(xa) == hash(xb)
+        assert (xa == y) == (y == xa) == (xa.lift(lcm(a, b)) == y.lift(lcm(a, b)))
+        if xa == y:
+            assert hash(xa) == hash(y)
 
 
 @PROPERTY

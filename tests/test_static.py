@@ -8,7 +8,8 @@ from helpers import extracted_chain, extracted_static, lattice_table_check
 
 from wreathdunkl.cli import DEFAULT_GRID
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.dunkl import ModelParams, exchange_element
+from wreathdunkl.dunkl import ModelParams, build_charge, exchange_element
+from wreathdunkl.groups import WreathElement
 from wreathdunkl.opalg import MixedOperator, op_commutator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.static import (
@@ -19,8 +20,8 @@ from wreathdunkl.static import (
     build_static_hamiltonian,
     equidistant_lattice,
     freezing_identity_check,
-    residual_cyclic,
-    residual_dihedral,
+    lattice_residuals,
+    rational_sqrt,
     scan_equidistant,
     scalar_potential,
     static_display_check,
@@ -103,7 +104,7 @@ def test_cyclic_residual_exactly_zero(N, m):
 def test_cyclic_residual_perturbed():
     pos = [cmath.exp(2j * cmath.pi * k / 6) for k in range(1, 3)]
     pos[0] *= 1.001
-    res = residual_cyclic(pos, 3)
+    res = lattice_residuals("cyclic", pos, 3)
     assert max(abs(r) for r in res) > 1e-4
 
 
@@ -115,21 +116,58 @@ def test_single_site_residual_is_empty_sum():
 def test_residual_raises_on_coincidence():
     z = CycloScalar.root_of_unity(6)
     with pytest.raises(ZeroDivisionError):
-        residual_cyclic([z, z], 1)
+        lattice_residuals("cyclic", [z, z], 1)
     with pytest.raises(ZeroDivisionError):
         # a site sitting at +1 collides with its boundary image
-        residual_dihedral([CycloScalar.one(1), z], 2, mu2=Fraction(1))
+        lattice_residuals(
+            "dihedral-even", [CycloScalar.one(1), z], 2, {"mu2": Fraction(1)}
+        )
 
 
 def test_residuals_lift_mixed_fields():
     """Positions in Q(zeta_8) against sixth roots of unity meet in Q(zeta_24)."""
     z8 = CycloScalar.root_of_unity(8)
-    res = residual_dihedral([z8, z8**2], 6, mu2=Fraction(4))
+    res = lattice_residuals("dihedral-even", [z8, z8**2], 6, {"mu2": Fraction(4)})
     assert [r.is_zero() for r in res] == [True, True]
     assert all(r.order == 24 for r in res)
-    res = residual_cyclic([z8, z8**3], 3)
-    lifted = residual_cyclic([z8.lift(24), (z8**3).lift(24)], 3)
+    res = lattice_residuals("cyclic", [z8, z8**3], 3)
+    lifted = lattice_residuals("cyclic", [z8.lift(24), (z8**3).lift(24)], 3)
     assert res == lifted and all(r.order == 24 for r in res)
+
+
+@pytest.mark.parametrize(
+    "family,params,couplings,sites",
+    [
+        ("cyclic", ModelParams("cyclic", 3, 2, Fraction(1)), {}, (1, 2, 4)),
+        (
+            "dihedral-odd",
+            ModelParams("dihedral", 2, 3, Fraction(1), Fraction(2), Fraction(-1)),
+            {"beta2": Fraction(1, 4), "gamma2": Fraction(9, 4)},
+            (1, 3),
+        ),
+        (
+            "dihedral-even",
+            ModelParams("dihedral", 2, 2, Fraction(1), Fraction(3, 2)),
+            {"mu2": Fraction(9, 4)},
+            (1, 3),
+        ),
+    ],
+    ids=["cyclic", "dihedral-odd", "dihedral-even"],
+)
+def test_lattice_residuals_are_the_gradient_of_the_charge_potential(
+    family, params, couplings, sites
+):
+    """Off every equilibrium the residual at site l is q_l^-1 euler_l(W2),
+    with W2 the identity coefficient of the second charge sum_i d_i^2.  The
+    charge is built from the Dunkl operators, which never read the image
+    table the residuals sum over."""
+    N = params.size
+    charge = build_charge(params, 2)
+    w2 = charge.terms[((0,) * N, WreathElement.identity(N, params.order))]
+    q = [CycloScalar.root_of_unity(14, k) for k in sites]
+    res = lattice_residuals(family, q, params.order, couplings)
+    assert not any(r.is_zero() for r in res)
+    assert res == [w2.euler(l).eval_exact(q) / q[l - 1] for l in range(1, N + 1)]
 
 
 @pytest.mark.parametrize("m,N", [(3, 2), (3, 3), (5, 2)])
@@ -199,6 +237,15 @@ def test_frozen_dihedral_chain_matches_extraction(family, N, m, lattice):
         assert max(abs(a - b) for (a, _), (b, _) in zip(terms, reference)) < 1e-12
 
 
+def test_rational_sqrt_is_exact_beyond_float_precision():
+    r = 10**16 + 3
+    assert rational_sqrt(Fraction(r * r, (r - 2) ** 2)) == Fraction(r, r - 2)
+    assert rational_sqrt(10**400) == 10**200
+    for x in (r * r + 1, Fraction(1, r * r - 1), -4):
+        with pytest.raises(ValueError):
+            rational_sqrt(x)
+
+
 def test_frozen_chain_couplings_are_inverse_square_sines():
     # u/(u-1)^2 = -(1/4) / sin^2(pi a / L) at u = exp(2 pi i a / L)
     import math
@@ -247,11 +294,11 @@ def test_even_m_scan_finds_the_doubled_coupling_solution():
     assert best["L"] == 8 and best["couplings"] == {"mu2": "4"}
     # exact confirmation
     q = [CycloScalar.root_of_unity(8, k) for k in range(1, 3)]
-    res = residual_dihedral(q, 2, mu2=Fraction(4))
+    res = lattice_residuals("dihedral-even", q, 2, {"mu2": Fraction(4)})
     assert all(r.is_zero() for r in res)
     # and the three-site analogue does not vanish
     q3 = [CycloScalar.root_of_unity(12, k) for k in range(1, 4)]
-    res3 = residual_dihedral(q3, 2, mu2=Fraction(4))
+    res3 = lattice_residuals("dihedral-even", q3, 2, {"mu2": Fraction(4)})
     assert not all(r.is_zero() for r in res3)
 
 
