@@ -102,9 +102,17 @@ def _write_report(report: dict, path: str | None):
         print(text)
 
 
-def _config(args) -> dict:
-    """The parsed options, without the handler (its repr is an address)."""
-    return {k: v for k, v in vars(args).items() if k != "fn"}
+def _report(args, fields: dict) -> dict:
+    """A report: the command, the engine version, the seed and the parsed
+    options (without the handler, whose repr is an address), then ``fields``."""
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    return {
+        "command": args.command,
+        "version": __version__,
+        "seed": args.seed,
+        "config": config,
+        **fields,
+    }
 
 
 def _params_from_args(args) -> ModelParams:
@@ -132,7 +140,9 @@ def _group_suite(spec: GroupSpec, corrupt: str | None) -> CheckSuite:
     return suite
 
 
-def _verify_case(params: ModelParams, args, corrupt: str | None) -> CheckSuite:
+def _verify_case(
+    params: ModelParams, n: int | None, kmax: int, corrupt: str | None
+) -> CheckSuite:
     suite = CheckSuite(f"verify[{params.family} N={params.size} m={params.order}]")
     suite.extend(_group_suite(params.group_spec, corrupt))
     suite.extend(check_hecke_relations(params, corrupt=corrupt))
@@ -140,12 +150,12 @@ def _verify_case(params: ModelParams, args, corrupt: str | None) -> CheckSuite:
     suite.extend(rotation_average_check(params))
     suite.extend(reduction_check(params))
     suite.extend(hamiltonian_check(params))
-    suite.extend(charge_commutation_check(params, kmax=args.kmax))
+    suite.extend(charge_commutation_check(params, kmax=kmax))
     if params.family == "cyclic":
         suite.extend(freezing_identity_check(params))
     suite.extend(static_display_check(params))
-    if args.n:
-        rep = SpinRepData(args.n, params.order, params.size)
+    if n:
+        rep = SpinRepData(n, params.order, params.size)
         suite.extend(spin_representation_check(rep))
         suite.extend(projector_check(params, rep))
         ks = (1, 2) if params.family == "cyclic" else (2,)
@@ -175,7 +185,7 @@ def cmd_verify(args) -> int:
     suite = CheckSuite("verify")
     if args.family:
         params = _params_from_args(args)
-        suite.extend(_verify_case(params, args, corrupt))
+        suite.extend(_verify_case(params, args.n, args.kmax, corrupt))
     else:
         for family, grid in DEFAULT_GRID.items():
             for (N, m) in grid["cases"]:
@@ -183,8 +193,7 @@ def cmd_verify(args) -> int:
                     params = ModelParams(
                         family, N, m, _fraction(lam), _fraction(mu), _fraction(rho)
                     )
-                    case_args = argparse.Namespace(n=None, kmax=args.kmax)
-                    suite.extend(_verify_case(params, case_args, corrupt))
+                    suite.extend(_verify_case(params, None, args.kmax, corrupt))
         rep = SpinRepData(2, 2, 2)
         cyc = ModelParams("cyclic", 2, 2, Fraction(1, 2))
         dih = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
@@ -194,14 +203,9 @@ def cmd_verify(args) -> int:
         for k in (1, 2, 3):
             suite.extend(verify_agreement(cyc, rep, k))
         suite.extend(verify_agreement(dih, rep, 2))
-    report = {
-        "command": "verify",
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config(args),
-        "pass": suite.passed,
-        "suite": [i.to_json() for i in suite.items],
-    }
+    report = _report(
+        args, {"pass": suite.passed, "suite": [i.to_json() for i in suite.items]}
+    )
     _write_report(report, args.output)
     return 0 if suite.passed else 1
 
@@ -210,27 +214,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    report = {
-        "command": "lattice",
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config(args),
-    }
     if args.scan:
         lmax = args.Lmax or 40
         lo = max(2, args.m)
         records = scan_equidistant(args.family, args.N, args.m, range(lo, lmax + 1))
-        report["scan"] = records[:50]
-        report["min_residual"] = records[0]["residual"] if records else None
-        report["pass"] = True
+        report = _report(args, {
+            "scan": records[:50],
+            "min_residual": records[0]["residual"] if records else None,
+            "pass": True,
+        })
         _write_report(report, args.output)
         return 0
-    label = args.label or "auto"
-    lat = build_lattice(args.family, args.N, args.m, label)
-    report["lattice"] = lat.to_json()
+    lat = build_lattice(args.family, args.N, args.m, args.label or "auto")
     passed = lat.residual_max == "0"
-    report["pass"] = passed
-    _write_report(report, args.output)
+    _write_report(_report(args, {"lattice": lat.to_json(), "pass": passed}), args.output)
     return 0 if passed else 1
 
 
@@ -258,18 +255,14 @@ def cmd_spectrum(args) -> int:
     H = frozen_spin_matrix(rep, frozen.terms)
     vals, degs, herm = diagonalize_hermitian(H)
     oracle = brute_force_eigvals(H) if dim <= 64 else None
-    report = {
-        "command": "spectrum",
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config(args),
+    report = _report(args, {
         "params": {"family": args.family, "N": args.N, "m": args.m, "n": args.n},
         "lattice": frozen.lattice.to_json(),
         "hermiticity_residual": herm,
         "eigenvalues": [float(v) for v in vals],
         "degeneracies": [{"value": v, "multiplicity": k} for v, k in degs],
         "warning": frozen.warning,
-    }
+    })
     checks = {}
     if oracle is not None:
         checks["oracle_max_deviation"] = float(np.max(np.abs(vals - oracle)))
@@ -384,15 +377,7 @@ def cmd_export(args) -> int:
     else:
         lat = build_lattice("cyclic", args.N, args.m)
         payload = {"lattice": lat.to_json()}
-    report = {
-        "command": "export",
-        "version": __version__,
-        "seed": args.seed,
-        "config": _config(args),
-        "object": name,
-        **payload,
-    }
-    _write_report(report, args.output)
+    _write_report(_report(args, {"object": name, **payload}), args.output)
     return 0
 
 

@@ -12,17 +12,18 @@ exact normal-ordering of operator sums affordable.  No polynomial gcd is
 ever computed: cancellation asks ``divide_exact`` whether each denominator
 factor divides the numerator, and equality is decided by cross-multiplication.
 
-Most denominator factors are binomials: q_i - tau q_j, q_i q_j - tau and
-1 +- tau q_i, with q_i**2 - tau and q_i**m - q_j**m among the rest.  A
-binomial f = 0 gives a rule q_v**d = s * q**mu with s a nonzero scalar and
-q**mu a monomial, a unit of the Laurent ring; modulo f every Laurent
-polynomial reduces to degree below d in q_v, and f divides p exactly when p
-reduces to zero.  For d = 1 this is the substitution q_v := s * q**mu.
-``divide_exact`` decides divisibility this way first, in one pass over the
-terms of p, and returns None at once when a reduced exponent is reached by
-a single term or a reduced coefficient is nonzero.  Long division runs only
-for factors of three or more terms and to compute the quotient once a
-factor is known to divide.
+Every denominator factor is a binomial: q_i - tau q_j, q_i q_j - tau and
+1 +- tau q_i, with q_i**2 - tau and q_i**m - tau q_j**m among the rest.  A
+binomial is f = c_x q**x (1 - s q**mu), with mu holding -d at one variable
+q_v, and reads as the rule w = s for the monomial w = q**(-mu).  Every
+Laurent polynomial is p = sum_r q**r P_r(w), where the entry of r at v lies
+in [0, d), and f divides p exactly when every P_r vanishes at s.
+``divide_exact`` makes one pass: it groups the terms of p by r, returns
+None at once when a group holds a single term, divides each P_r by w - s
+synthetically and returns None at the first nonzero remainder; the quotient
+is built only when every group divides.  It refuses any other divisor, and
+since the constructor trial-divides every factor listed under a nonzero
+numerator, so does ``RationalCoefficient``.
 
 Every coefficient is kept reduced: no listed factor divides the numerator.
 Cancellation skips the trial divisions that provably fail on reduced
@@ -80,72 +81,79 @@ def _times(a, b, red):
 
 
 class _BinomialRule:
-    """The rewriting rule q_v**d = s * q**mu that a binomial f = 0 gives.
+    """A binomial f = c_x q**x (1 - s q**mu) read as the rule q**(-mu) = s.
 
-    Modulo f, every Laurent polynomial reduces to one of degree below d in
-    q_v; since q**mu is a unit, the reduction is zero exactly when f divides
-    the polynomial.  ``mu`` holds -d at position v, so q**e reduces to
-    s**a * q**(e + a*mu) with a = e[v] // d.  Powers of s are raw scalars
-    computed once per factor on first use, with None standing for 1.
+    ``mu`` holds -d at position v, where x holds d.  With w = q**(-mu),
+    every monomial is q**e = q**r w**a for a = e[v] // d and r = e + a*mu,
+    whose entry at v lies in [0, d); so a Laurent polynomial is
+    p = sum_r q**r P_r(w).  Since f = c_x q**(x + mu) (w - s), and
+    multiplying by w keeps every r, f divides p exactly when every P_r
+    vanishes at s.  Scalars are raw, with None standing for 1.
     """
 
-    __slots__ = ("v", "d", "mu", "red", "_s", "_pow")
+    __slots__ = ("v", "d", "mu", "x", "red", "_s", "_inv_cx")
 
-    def __init__(self, v: int, d: int, mu: tuple, s: CycloScalar):
+    def __init__(self, v: int, d: int, x: tuple, mu: tuple, s: CycloScalar,
+                 inv_cx: CycloScalar):
         self.v = v
         self.d = d
+        self.x = x
         self.mu = mu
         self.red = s.field.red
-        self._s = s
-        self._pow = {0: None, 1: None if s == 1 else (s.num, s.den)}
+        self._s = None if s == 1 else (s.num, s.den)
+        self._inv_cx = None if inv_cx == 1 else (inv_cx.num, inv_cx.den)
 
-    def power(self, k: int):
-        pw = self._pow
-        if k in pw:
-            return pw[k]
-        step = 1 if k > 0 else -1
-        if step not in pw:
-            inv = self._s.inverse()
-            pw[-1] = None if inv == 1 else (inv.num, inv.den)
-        j = 0
-        while j != k:
-            if j + step not in pw:
-                pw[j + step] = _times(pw[j], pw[step], self.red)
-            j += step
-        return pw[k]
+    def quotient(self, terms: dict):
+        """The terms of p/f for the polynomial p with these terms, or None
+        when f does not divide p.
 
-    def annihilates(self, terms: dict) -> bool:
-        """Whether the polynomial with these terms reduces to zero.
-
-        Terms are grouped by their reduced exponent.  A group of one term
-        can never cancel, so the exponents alone settle most rejections;
-        with more groups than half the terms one of them holds a single term.
+        Terms are grouped by r.  A group of one term cannot vanish at s, so
+        the exponents alone settle most rejections; with more groups than
+        half the terms one of them holds a single term.  Each P_r is divided
+        by w - s synthetically, from its highest power of w down, and the
+        first nonzero remainder P_r(s) rejects.  Only when every group
+        divides are the quotient terms built: the coefficient b of w**(k-1)
+        in P_r/(w - s) becomes b/c_x at q**(r - x - k*mu).
         """
         v, d, mu = self.v, self.d, self.mu
         groups: dict = {}
         half = len(terms) // 2
         for e, raw in terms.items():
-            k = e[v] // d
-            if k:
-                e = tuple(x + k * y for x, y in zip(e, mu))
+            a = e[v] // d
+            if a:
+                e = tuple(x + a * y for x, y in zip(e, mu))
             group = groups.get(e)
             if group is not None:
-                group.append((k, raw))
+                group.append((a, raw))
             elif len(groups) == half:
-                return False
+                return None
             else:
-                groups[e] = [(k, raw)]
+                groups[e] = [(a, raw)]
         if any(len(group) == 1 for group in groups.values()):
-            return False
-        red = self.red
-        for group in groups.values():
-            acc = None
-            for k, raw in group:
-                raw = _times(raw, self.power(k), red)
-                acc = raw if acc is None else K.scalar_add(acc[0], acc[1], raw[0], raw[1])
-            if any(acc[0]):
-                return False
-        return True
+            return None
+        s, red = self._s, self.red
+        divided = []
+        for r, group in groups.items():
+            group.sort(reverse=True)  # the powers a in a group are distinct
+            k, b = group[0]
+            out = []  # (k, b): b is the coefficient of w**(k - 1)
+            for a, raw in group[1:]:
+                while k > a:
+                    out.append((k, b))
+                    b = _times(s, b, red)
+                    k -= 1
+                b = K.scalar_add(b[0], b[1], raw[0], raw[1])
+            if any(b[0]):
+                return None
+            divided.append((r, out))
+        x, inv = self.x, self._inv_cx
+        quo = {}
+        for r, out in divided:
+            for k, b in out:
+                if any(b[0]):
+                    e = tuple(ri - xi - k * mi for ri, xi, mi in zip(r, x, mu))
+                    quo[e] = _times(b, inv, red)
+        return quo
 
 
 _UNSET = object()
@@ -460,9 +468,10 @@ class LaurentPoly:
         """The ``_BinomialRule`` of self, or None when self is no binomial
         with nonnegative exponents and zero monomial content.
 
-        Writing self = cx q_v**d q**x' + cy q**y with y free of q_v and d the
-        smallest nonzero exponent gap, self = 0 gives
-        q_v**d = -(cy/cx) q**(y - x').  Cached on the polynomial.
+        Writing self = cx q**x + cy q**y, where x holds q_v**d, y is free
+        of q_v and d is the smallest nonzero exponent gap, self is
+        cx q**x (1 - s q**(y - x)) with s = -cy/cx.  Cached on the
+        polynomial.
         """
         if self._rule is not _UNSET:
             return self._rule
@@ -473,62 +482,27 @@ class LaurentPoly:
                 d, v = min((a + b, i) for i, (a, b) in enumerate(zip(x, y)) if a + b)
                 if y[v]:
                     (x, cx), (y, cy) = (y, cy), (x, cx)
-                s = -CycloScalar(self.order, cy[0], cy[1], _normalized=True)
                 lead = CycloScalar(self.order, cx[0], cx[1], _normalized=True)
-                if lead != 1:
-                    s = s * lead.inverse()
-                rule = _BinomialRule(v, d, tuple(b - a for a, b in zip(x, y)), s)
+                inv = lead if lead == 1 else lead.inverse()
+                s = -CycloScalar(self.order, cy[0], cy[1], _normalized=True) * inv
+                rule = _BinomialRule(v, d, x, tuple(b - a for a, b in zip(x, y)), s, inv)
         self._rule = rule
         return rule
 
     def divide_exact(self, f: "LaurentPoly"):
         """Exact quotient self/f, or None when f does not divide self.
 
-        ``f`` must have nonnegative exponents; self may be Laurent, its
-        monomial content is carried through unchanged.  When f has a
-        ``binomial_rule``, divisibility is decided by reduction first and
-        long division only runs to produce a quotient that exists.
+        ``f`` must be a binomial with nonnegative exponents and no monomial
+        content, the only shape of denominator factor; any other divisor
+        raises ValueError.  self may be Laurent.  One pass of f's
+        ``binomial_rule`` decides divisibility and builds the quotient.
         """
-        if self.is_zero():
-            return self
         a, f = self._match(f)
         rule = f.binomial_rule()
-        if rule is not None and not rule.annihilates(a.terms):
-            return None
-        shift = a.min_exps()
-        p = a.shifted(tuple(-x for x in shift)) if any(shift) else a
-        rem = dict(p.terms)
-        red = CyclotomicField.get(a.order).red
-        lead_f = max(f.terms)
-        nf, df = f.terms[lead_f]
-        inv = None  # unit-normalized factors lead with 1
-        if df != 1 or nf[0] != 1 or any(nf[1:]):
-            inv = CycloScalar(a.order, nf, df, _normalized=True).inverse()
-            inv = (inv.num, inv.den)
-        tail = [(e, raw) for e, raw in f.terms.items() if e != lead_f]
-        quo = {}
-        while rem:
-            lead_r = max(rem)
-            diff = tuple(x - y for x, y in zip(lead_r, lead_f))
-            if any(x < 0 for x in diff):
-                return None
-            c = _times(rem.pop(lead_r), inv, red)
-            quo[diff] = c
-            for e, raw in tail:
-                t = tuple(x + y for x, y in zip(diff, e))
-                n, d = K.scalar_mul(c[0], c[1], raw[0], raw[1], red)
-                cur = rem.get(t)
-                if cur is None:
-                    rem[t] = (tuple(-x for x in n), d)
-                else:
-                    n, d = K.scalar_sub(cur[0], cur[1], n, d)
-                    if any(n):
-                        rem[t] = (n, d)
-                    else:
-                        del rem[t]
-        if any(shift):
-            quo = {tuple(x + s for x, s in zip(e, shift)): v for e, v in quo.items()}
-        return LaurentPoly(a.nvars, a.order, quo, _trusted=True)
+        if rule is None:
+            raise ValueError(f"cannot divide by {f!r}: not a content-free binomial")
+        quo = rule.quotient(a.terms)
+        return None if quo is None else LaurentPoly(a.nvars, a.order, quo, _trusted=True)
 
     # -- io -------------------------------------------------------------------
 
@@ -733,23 +707,9 @@ class RationalCoefficient:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return self * Fraction(f.denominator, f.numerator)
-        if isinstance(other, CycloScalar):
-            return self * other.inverse()
-        return self * other.reciprocal()
-
-    def reciprocal(self) -> "RationalCoefficient":
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero rational function")
-        num = self.den_poly()
-        return RationalCoefficient(num, ((self.num, 1),))
-
     def __pow__(self, k: int):
         if k < 0:
-            return self.reciprocal() ** (-k)
+            raise ValueError("negative powers of rational functions are not defined")
         out = RationalCoefficient.one(self.nvars, self.order)
         base = self
         while k:

@@ -594,7 +594,8 @@ def hermitian_blocks(matrix: np.ndarray) -> list[np.ndarray]:
 
 def diagonalize_hermitian(matrix, tol: float = 1e-10):
     """Sorted real spectrum, degeneracy profile and Hermiticity residual
-    max |H - H^H| of a Hermitian matrix.
+    max |H - H^H| of a Hermitian matrix.  The residual must stay within
+    ``tol`` times scale = max(1, max |H|).
 
     The matrix splits into the connected components of its nonzero pattern
     (``hermitian_blocks``).  The pattern is symmetrized, so an entry
@@ -614,7 +615,7 @@ def diagonalize_hermitian(matrix, tol: float = 1e-10):
         B = block(idx)
         herm_residual = max(herm_residual, float(np.max(np.abs(B - B.conj().T))))
         scale = max(scale, float(np.max(np.abs(B))))
-    if herm_residual > tol:
+    if herm_residual > tol * scale:
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
     bound = 1e-8 * scale * matrix.shape[0]
     spectra = []

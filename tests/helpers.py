@@ -168,8 +168,8 @@ def agreement_blocks_by_definition(A, rep, proj, point):
 
 def is_reduced(c: RationalCoefficient) -> bool:
     """Whether c is in the form cancellation leaves: no listed factor divides
-    the numerator, and the factors are distinct, unit-normalized, of
-    positive multiplicity and sorted.  Skipped trial divisions rely on it."""
+    the numerator, and the factors are distinct, unit-normalized binomials,
+    of positive multiplicity and sorted.  Skipped trial divisions rely on it."""
     keys = [f.key() for f, _ in c.den]
     if keys != sorted(set(keys)):
         return False
@@ -177,7 +177,7 @@ def is_reduced(c: RationalCoefficient) -> bool:
         unit, shift, monic = f.unit_normalize()
         if k < 1 or unit != 1 or any(shift) or monic.terms != f.terms:
             return False
-        if c.num.divide_exact(f) is not None:
+        if f.binomial_rule() is None or c.num.divide_exact(f) is not None:
             return False
     return True
 

@@ -344,7 +344,7 @@ SIZES = st.sampled_from(["-1", "0", "1", "2"])
 # a square too large for the float square root, and one with no float value
 BIG_SQUARE = "10000000000000000600000000000000009/10000000000000000200000000000000001"
 NO_FLOAT = "1" + "0" * 400
-MU2S = ["1/4", "4", "9/4", "0", "2", "-1", "x", BIG_SQUARE, NO_FLOAT]
+MU2S = ["1/4", "4", "9/4", "0", "2", "-1", "x", "1e200", BIG_SQUARE, NO_FLOAT]
 RATIONALS = st.sampled_from(["0", "1", "1/2", "-1", "x", "1/0", "0.5"])
 
 
@@ -391,6 +391,7 @@ def argvs(draw):
 @example(["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", "1", "--n", "2"])
 @example(["spectrum", "--mu2", BIG_SQUARE])
 @example(["spectrum", "--mu2", NO_FLOAT])
+@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "1e200"])
 def test_no_argv_reaches_a_traceback(argv):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2."""
     err = io.StringIO()

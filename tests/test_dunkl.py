@@ -1,6 +1,5 @@
 """Dunkl operators, charges, Hamiltonians and the relation suites."""
 
-import argparse
 import random
 from fractions import Fraction
 
@@ -250,7 +249,7 @@ def test_charges_are_built_once_and_never_mutated():
     assert build_charge(p, 2) is j2
     assert build_dunkl(p, 1) is build_dunkl(p, 1)
     before = j2.to_json()
-    suite = _verify_case(p, argparse.Namespace(n=2, kmax=3), None)
+    suite = _verify_case(p, 2, 3, None)
     assert suite.passed
     assert build_charge(p, 2) is j2
     assert j2.to_json() == before

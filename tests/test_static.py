@@ -54,7 +54,7 @@ def test_static_hamiltonian_is_the_two_body_sum():
             qj = LaurentPoly.variable(j, N, m)
             for s in range(m):
                 tau = CycloScalar.root_of_unity(m, s)
-                v = RationalCoefficient.ratio(tau * qi * qj, (qi - tau * qj) ** 2)
+                v = RationalCoefficient.ratio(tau * qi * qj, qi - tau * qj, 2)
                 direct = direct + MixedOperator.term(v, exchange_element(N, m, i, j, s))
     assert hbar == direct
 

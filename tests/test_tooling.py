@@ -130,3 +130,72 @@ def test_unused_import_check_sees_a_stale_import(tmp_path):
         "    return gcd(x, 2)\n"
     )
     assert _unused_imports(module) == ["probe:2 os", "probe:3 least"]
+
+
+# Definitions kept for tests, which use them as oracles.
+TEST_ORACLES = {"CheckSuite.failures", "MixedOperator.adjoint"}
+
+
+def _definitions(node, prefix=""):
+    """(name, qualified name, whether a method) of every function and class
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child.name, prefix + child.name, isinstance(node, ast.ClassDef)
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _dead_definitions(package: Path, pinned=frozenset(), allowed=frozenset()) -> list[str]:
+    """Every non-dunder function, method or class in ``package`` that no
+    module there references, unless ``pinned`` holds its name or
+    ``allowed`` its qualified name.  A method is referenced only as an
+    attribute; anything else also as a name or an imported name, so a
+    local variable that shares a method's name does not keep it alive."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    attributes, names = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return sorted(
+        f"{stem}:{qualified}"
+        for stem, tree in trees.items()
+        for name, qualified, method in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in (attributes if method else attributes | names)
+        and name not in pinned
+        and qualified not in allowed
+    )
+
+
+def test_engine_defines_nothing_it_never_references():
+    pinned = {attr for _, _, attr in _targets()}
+    assert _dead_definitions(PACKAGE, pinned, TEST_ORACLES) == []
+
+
+def test_dead_definition_check_sees_an_unreferenced_method(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class Rule:\n"
+        "    def power(self, k):\n"
+        "        return k\n"
+        "    def quotient(self, terms):\n"
+        "        return terms\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "def divide(rule, terms, power=1):\n"
+        "    return rule.quotient(terms) * power\n"
+        "def unused():\n"
+        "    def helper():\n"
+        "        return divide(Rule(), ())\n"
+        "    return 0\n"
+    )
+    assert _dead_definitions(tmp_path) == [
+        "probe:Rule.power", "probe:unused", "probe:unused.helper"
+    ]
+    assert _dead_definitions(tmp_path, {"unused", "helper"}, {"Rule.power"}) == []
