@@ -352,13 +352,9 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def to_complex(self, precision: int = 53):
-        """Numeric value with ``precision`` bits of working precision.
-
-        Returns a builtin complex for the default precision, an mpmath
-        complex above it.
-        """
-        with mpmath.workprec(precision + 20):
+    def to_complex(self) -> complex:
+        """Numeric value, summed with 73 bits of working precision."""
+        with mpmath.workprec(73):
             z = mpmath.expjpi(mpmath.mpf(2) / self.order)
             acc = mpmath.mpc(0)
             p = mpmath.mpc(1)
@@ -366,10 +362,7 @@ class CycloScalar:
                 if c:
                     acc += c * p
                 p *= z
-            acc /= self.den
-            if precision <= 53:
-                return complex(acc)
-            return +acc
+            return complex(acc / self.den)
 
     def _normalized_trace(self) -> Fraction:
         """Tr(x)/phi(n), which is invariant under field embeddings."""
@@ -382,7 +375,7 @@ class CycloScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycloScalar.rational(other, 1)
+            return self.is_rational() and Fraction(self.num[0], self.den) == other
         if not isinstance(other, CycloScalar):
             return NotImplemented
         try:
@@ -427,15 +420,3 @@ class CycloScalar:
             "order": self.order,
             "coeffs": [str(Fraction(c, self.den)) for c in self.num],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "CycloScalar":
-        order = int(data["order"])
-        coeffs = [Fraction(s) for s in data["coeffs"]]
-        phi = CyclotomicField.get(order).phi
-        if len(coeffs) != phi:
-            raise ValueError("coefficient list has wrong length for the order")
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return CycloScalar(order, tuple(int(c * den) for c in coeffs), den)

@@ -311,40 +311,6 @@ def build_charge(params: ModelParams, k: int) -> MixedOperator:
     return total
 
 
-# form: (family, parity of m it needs, or None)
-HAMILTONIAN_FORMS = {
-    "ham": ("cyclic", None),
-    "odd": ("dihedral", 1),
-    "even": ("dihedral", 0),
-    "odd_simplified": ("dihedral", 1),
-}
-
-
-def build_hamiltonian(params: ModelParams, which: str = "auto") -> MixedOperator:
-    """Closed-form Hamiltonians matching the second conserved charge.
-
-    ``which`` selects the displayed form: ``ham`` for the cyclic family,
-    ``odd``/``even`` for the dihedral family by parity of m, and
-    ``odd_simplified`` for the odd form with its boundary collapsed into a
-    single sum over the doubled rotation group (requires rho = 0).
-    """
-    if which == "auto":
-        if params.family == "cyclic":
-            which = "ham"
-        else:
-            which = "odd" if params.order % 2 else "even"
-    if which not in HAMILTONIAN_FORMS:
-        raise ValueError(f"unknown Hamiltonian form {which!r}")
-    family, parity = HAMILTONIAN_FORMS[which]
-    if params.family != family:
-        raise ValueError(f"the {which} Hamiltonian belongs to the {family} family")
-    if parity is not None and params.order % 2 != parity:
-        raise ValueError(f"the {which} Hamiltonian needs {('even', 'odd')[parity]} m")
-    if which == "odd_simplified" and params.rho != 0:
-        raise ValueError("the simplified boundary needs rho = 0")
-    return _hamiltonian(params, simplified=which == "odd_simplified")
-
-
 def inverse_square(x: LaurentPoly) -> RationalCoefficient:
     """The image kernel x / (1 - x)^2, with the binomial 1 - x kept squared."""
     return RationalCoefficient.ratio(x, LaurentPoly.constant(x.nvars, 1, x.order) - x, 2)
@@ -417,19 +383,26 @@ def _image_sum(params: ModelParams, simplified: bool, kernels) -> MixedOperator:
     return total
 
 
-def image_operator(params: ModelParams, simplified: bool = False) -> MixedOperator:
+def image_operator(params: ModelParams) -> MixedOperator:
     """sum over images (x, c, g) of c x / (1 - x)^2 g, one balanced sum per g.
 
     This is minus the part of the Hamiltonian linear in the couplings.
     """
-    return _image_sum(params, simplified, _image_kernels(params, simplified))
+    return _image_sum(params, False, _image_kernels(params, False))
 
 
-def _hamiltonian(params: ModelParams, simplified: bool = False) -> MixedOperator:
-    """H = sum_i D_i^2 - sum over images of c (c + g) x / (1 - x)^2.
+def build_hamiltonian(params: ModelParams, simplified: bool = False) -> MixedOperator:
+    """Closed-form Hamiltonian matching the second conserved charge,
+    H = sum_i D_i^2 - sum over images of c (c + g) x / (1 - x)^2.
 
-    Each kernel x / (1 - x)^2 is built once and feeds both sums.
+    ``simplified`` writes the odd-m dihedral form with its boundary
+    collapsed into a single sum over the doubled rotation group (requires
+    rho = 0).  Each kernel x / (1 - x)^2 is built once and feeds both sums.
     """
+    if simplified and not (
+        params.family == "dihedral" and params.order % 2 and params.rho == 0
+    ):
+        raise ValueError("the simplified boundary needs a dihedral model, odd m, rho = 0")
     N, m = params.size, params.order
     order = 2 * m if simplified else m
     kernels = _image_kernels(params, simplified)
@@ -456,7 +429,7 @@ def balanced_sum(items: list):
     return items[0]
 
 
-def hamiltonian_x_display(params: ModelParams, which: str = "auto") -> str:
+def hamiltonian_x_display(params: ModelParams) -> str:
     """Human-readable angular form of the Hamiltonian.
 
     Rendering only: the engine computes in multiplicative coordinates, and
@@ -714,7 +687,7 @@ def hamiltonian_check(params: ModelParams) -> CheckSuite:
     j2 = build_charge(params, 2)
     _is_zero_item(suite, "H = sum_i d_i^2", idx, h - j2)
     if params.family == "dihedral" and params.order % 2 and params.rho == 0:
-        hs = build_hamiltonian(params, "odd_simplified")
+        hs = build_hamiltonian(params, simplified=True)
         _is_zero_item(
             suite,
             "simplified boundary form agrees",

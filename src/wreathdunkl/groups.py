@@ -1,9 +1,8 @@
 """Wreath-product group layer.
 
-Elements of the full dihedral wreath group on N sites with rotation order m,
-together with its subgroups: the rotation wreath family, its index-p
-subfamily, and the plain symmetric group.  An element is kept in the normal
-form
+Elements of the full dihedral wreath group W(m,N) on N sites with rotation
+order m, together with its subgroups: the rotation wreath family G(m,1,N)
+and its index-p subfamily G(m,p,N).  An element is kept in the normal form
 
     (product over sites i of  Q_i**r_i * K_i**eps_i) * P_sigma
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 from .reports import CheckSuite
 
-FAMILIES = ("symmetric", "G(m,1,N)", "G(m,p,N)", "W(m,N)")
+FAMILIES = ("G(m,1,N)", "G(m,p,N)", "W(m,N)")
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class WreathElement:
 
     size: int
     order: int
-    perm: tuple[int, ...]  # site map, 0-based: site i comes from perm[i]... see compose
+    perm: tuple[int, ...]  # 0-based: site i moves to perm[i], so q_i -> q_{perm[i]}
     rot: tuple[int, ...]
     flip: tuple[int, ...]
 
@@ -106,13 +105,6 @@ class WreathElement:
             "flip": list(self.flip),
         }
 
-    @staticmethod
-    def from_json(data: dict, order: int) -> "WreathElement":
-        perm = tuple(p - 1 for p in data["perm"])
-        return WreathElement(
-            len(perm), order, perm, tuple(data["rot"]), tuple(data["flip"])
-        )
-
     def __repr__(self):
         if self.is_identity():
             return "id"
@@ -172,16 +164,12 @@ class GroupSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.size < 1 or self.order < 1:
             raise ValueError("size and order must be positive")
-        if self.family == "symmetric" and self.order != 1:
-            raise ValueError("the symmetric family has rotation order 1")
         if self.family == "G(m,p,N)" and self.order % self.p:
             raise ValueError("p must divide m for G(m,p,N)")
 
     def cardinality(self) -> int:
         n, m = self.size, self.order
         fact = math.factorial(n)
-        if self.family == "symmetric":
-            return fact
         if self.family == "G(m,1,N)":
             return m**n * fact
         if self.family == "G(m,p,N)":
@@ -191,8 +179,6 @@ class GroupSpec:
     def contains(self, g: WreathElement) -> bool:
         if g.size != self.size:
             return False
-        if self.family == "symmetric":
-            return not any(g.rot) and not any(g.flip)
         if g.order != self.order:
             return False
         if self.family == "G(m,1,N)":
@@ -277,10 +263,7 @@ def enumerate_subgroup(spec: GroupSpec, cap: int = 10**6) -> list[WreathElement]
         raise ValueError(f"group order {total} exceeds cap {cap}")
     perms = list(itertools.permutations(range(n)))
     out = []
-    if spec.family == "symmetric":
-        rots = [(0,) * n]
-        flips = [(0,) * n]
-    elif spec.family in ("G(m,1,N)", "G(m,p,N)"):
+    if spec.family in ("G(m,1,N)", "G(m,p,N)"):
         rots = [
             r
             for r in itertools.product(range(m), repeat=n)
@@ -345,78 +328,77 @@ def relation_suite(spec: GroupSpec, compose_fn=compose) -> CheckSuite:
                 compose_fn,
             )
 
-    if spec.family != "symmetric":
-        a = generator(spec, "a")
-        _record(rep, "a^m = 1", {"m": m}, [a] * m, [ident], compose_fn)
-        if n >= 2:
-            _record(
-                rep,
-                "a e_1 a e_1 = e_1 a e_1 a",
-                {},
-                [a, e[1], a, e[1]],
-                [e[1], a, e[1], a],
-                compose_fn,
-            )
-        for j in range(2, n):
-            _record(rep, "a e_j = e_j a", {"j": j}, [a, e[j]], [e[j], a], compose_fn)
+    a = generator(spec, "a")
+    _record(rep, "a^m = 1", {"m": m}, [a] * m, [ident], compose_fn)
+    if n >= 2:
+        _record(
+            rep,
+            "a e_1 a e_1 = e_1 a e_1 a",
+            {},
+            [a, e[1], a, e[1]],
+            [e[1], a, e[1], a],
+            compose_fn,
+        )
+    for j in range(2, n):
+        _record(rep, "a e_j = e_j a", {"j": j}, [a, e[j]], [e[j], a], compose_fn)
 
-        # derived presentation on transpositions and site rotations
-        P = {
-            (i, j): generator(spec, "P", i=i, j=j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        }
-        Q = {i: generator(spec, "Q", i=i) for i in range(1, n + 1)}
-        for (i, j), pij in P.items():
-            if i < j:
-                _record(rep, "P_ij^2 = 1", {"i": i, "j": j}, [pij, pij], [ident], compose_fn)
-            _record(
-                rep,
-                "P_ij Q_i = Q_j P_ij",
-                {"i": i, "j": j},
-                [pij, Q[i]],
-                [Q[j], pij],
-                compose_fn,
-            )
-            for k in range(1, n + 1):
-                if k not in (i, j):
-                    _record(
-                        rep,
-                        "P_ij Q_k = Q_k P_ij",
-                        {"i": i, "j": j, "k": k},
-                        [pij, Q[k]],
-                        [Q[k], pij],
-                        compose_fn,
-                    )
-        for i, j, k in itertools.permutations(range(1, n + 1), 3):
-            _record(
-                rep,
-                "P_ij P_jk = P_ik P_ij",
-                {"i": i, "j": j, "k": k},
-                [P[i, j], P[j, k]],
-                [P[i, k], P[i, j]],
-                compose_fn,
-            )
-            _record(
-                rep,
-                "P_ij P_jk = P_jk P_ik",
-                {"i": i, "j": j, "k": k},
-                [P[i, j], P[j, k]],
-                [P[j, k], P[i, k]],
-                compose_fn,
-            )
-        for i in range(1, n + 1):
-            _record(rep, "Q_i^m = 1", {"i": i}, [Q[i]] * m, [ident], compose_fn)
-            for j in range(i + 1, n + 1):
+    # derived presentation on transpositions and site rotations
+    P = {
+        (i, j): generator(spec, "P", i=i, j=j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
+    Q = {i: generator(spec, "Q", i=i) for i in range(1, n + 1)}
+    for (i, j), pij in P.items():
+        if i < j:
+            _record(rep, "P_ij^2 = 1", {"i": i, "j": j}, [pij, pij], [ident], compose_fn)
+        _record(
+            rep,
+            "P_ij Q_i = Q_j P_ij",
+            {"i": i, "j": j},
+            [pij, Q[i]],
+            [Q[j], pij],
+            compose_fn,
+        )
+        for k in range(1, n + 1):
+            if k not in (i, j):
                 _record(
                     rep,
-                    "Q_i Q_j = Q_j Q_i",
-                    {"i": i, "j": j},
-                    [Q[i], Q[j]],
-                    [Q[j], Q[i]],
+                    "P_ij Q_k = Q_k P_ij",
+                    {"i": i, "j": j, "k": k},
+                    [pij, Q[k]],
+                    [Q[k], pij],
                     compose_fn,
                 )
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        _record(
+            rep,
+            "P_ij P_jk = P_ik P_ij",
+            {"i": i, "j": j, "k": k},
+            [P[i, j], P[j, k]],
+            [P[i, k], P[i, j]],
+            compose_fn,
+        )
+        _record(
+            rep,
+            "P_ij P_jk = P_jk P_ik",
+            {"i": i, "j": j, "k": k},
+            [P[i, j], P[j, k]],
+            [P[j, k], P[i, k]],
+            compose_fn,
+        )
+    for i in range(1, n + 1):
+        _record(rep, "Q_i^m = 1", {"i": i}, [Q[i]] * m, [ident], compose_fn)
+        for j in range(i + 1, n + 1):
+            _record(
+                rep,
+                "Q_i Q_j = Q_j Q_i",
+                {"i": i, "j": j},
+                [Q[i], Q[j]],
+                [Q[j], Q[i]],
+                compose_fn,
+            )
 
     if spec.family == "W(m,N)":
         a = generator(spec, "a")

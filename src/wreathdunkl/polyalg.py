@@ -162,25 +162,12 @@ _UNSET = object()
 class LaurentPoly:
     __slots__ = ("nvars", "order", "terms", "_key", "_hash", "_rule")
 
-    def __init__(self, nvars: int, order: int, terms: dict, _trusted: bool = False):
+    def __init__(self, nvars: int, order: int, terms: dict):
+        """``terms`` maps exponent tuples to nonzero raw scalars (num, den)
+        of Q(zeta_order) in normal form; it is taken as is."""
         self.nvars = nvars
         self.order = order
-        if _trusted:
-            self.terms = terms
-        else:
-            clean = {}
-            for e, v in terms.items():
-                if isinstance(v, CycloScalar):
-                    v = v.lift(order)
-                    raw = (v.num, v.den)
-                elif isinstance(v, (int, Fraction)):
-                    s = CycloScalar.rational(v, order)
-                    raw = (s.num, s.den)
-                else:
-                    raw = K.scalar_normalize(tuple(v[0]), v[1])
-                if any(raw[0]):
-                    clean[tuple(e)] = raw
-            self.terms = clean
+        self.terms = terms
         self._key = None
         self._hash = None
         self._rule = _UNSET
@@ -189,16 +176,14 @@ class LaurentPoly:
 
     @staticmethod
     def zero(nvars: int, order: int = 1) -> "LaurentPoly":
-        return LaurentPoly(nvars, order, {}, _trusted=True)
+        return LaurentPoly(nvars, order, {})
 
     @staticmethod
     def constant(nvars: int, value, order: int = 1) -> "LaurentPoly":
         s = _coerce_scalar(value, order)
         if s.is_zero():
             return LaurentPoly.zero(nvars, s.order)
-        return LaurentPoly(
-            nvars, s.order, {(0,) * nvars: (s.num, s.den)}, _trusted=True
-        )
+        return LaurentPoly(nvars, s.order, {(0,) * nvars: (s.num, s.den)})
 
     @staticmethod
     def variable(var: int, nvars: int, order: int = 1, power: int = 1) -> "LaurentPoly":
@@ -208,14 +193,14 @@ class LaurentPoly:
         e = [0] * nvars
         e[var - 1] = power
         one = CycloScalar.one(order)
-        return LaurentPoly(nvars, order, {tuple(e): (one.num, one.den)}, _trusted=True)
+        return LaurentPoly(nvars, order, {tuple(e): (one.num, one.den)})
 
     @staticmethod
     def monomial(nvars: int, exps, coeff, order: int = 1) -> "LaurentPoly":
         s = _coerce_scalar(coeff, order)
         if s.is_zero():
             return LaurentPoly.zero(nvars, s.order)
-        return LaurentPoly(nvars, s.order, {tuple(exps): (s.num, s.den)}, _trusted=True)
+        return LaurentPoly(nvars, s.order, {tuple(exps): (s.num, s.den)})
 
     # -- plumbing ----------------------------------------------------------
 
@@ -230,7 +215,7 @@ class LaurentPoly:
         for e, (n, d) in self.terms.items():
             s = CycloScalar(self.order, n, d, _normalized=True).lift(order)
             out[e] = (s.num, s.den)
-        return LaurentPoly(self.nvars, order, out, _trusted=True)
+        return LaurentPoly(self.nvars, order, out)
 
     def _match(self, other: "LaurentPoly"):
         if self.nvars != other.nvars:
@@ -258,7 +243,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = LaurentPoly.constant(self.nvars, other, self.order)
         a, b = self._match(other)
-        return LaurentPoly(a.nvars, a.order, K.poly_add(a.terms, b.terms), _trusted=True)
+        return LaurentPoly(a.nvars, a.order, K.poly_add(a.terms, b.terms))
 
     __radd__ = __add__
 
@@ -266,15 +251,13 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = LaurentPoly.constant(self.nvars, other, self.order)
         a, b = self._match(other)
-        return LaurentPoly(
-            a.nvars, a.order, K.poly_add(a.terms, K.poly_neg(b.terms)), _trusted=True
-        )
+        return LaurentPoly(a.nvars, a.order, K.poly_add(a.terms, K.poly_neg(b.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, self.order, K.poly_neg(self.terms), _trusted=True)
+        return LaurentPoly(self.nvars, self.order, K.poly_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -284,7 +267,7 @@ class LaurentPoly:
                 raw = K.scalar_rat_mul(n, d, f.numerator, f.denominator)
                 if any(raw[0]):
                     out[e] = raw
-            return LaurentPoly(self.nvars, self.order, out, _trusted=True)
+            return LaurentPoly(self.nvars, self.order, out)
         if isinstance(other, CycloScalar):
             order = self.order
             if other.order != order:
@@ -296,12 +279,10 @@ class LaurentPoly:
                     raise FieldMismatchError("scalar order incompatible with poly")
             field = CyclotomicField.get(order)
             out = K.poly_scalar_mul(self.terms, other.num, other.den, field.red)
-            return LaurentPoly(self.nvars, order, out, _trusted=True)
+            return LaurentPoly(self.nvars, order, out)
         a, b = self._match(other)
         field = CyclotomicField.get(a.order)
-        return LaurentPoly(
-            a.nvars, a.order, K.poly_mul(a.terms, b.terms, field.red), _trusted=True
-        )
+        return LaurentPoly(a.nvars, a.order, K.poly_mul(a.terms, b.terms, field.red))
 
     __rmul__ = __mul__
 
@@ -370,7 +351,7 @@ class LaurentPoly:
             a = e[i]
             if a:
                 out[e] = K.scalar_rat_mul(n, d, a, 1)
-        return LaurentPoly(self.nvars, self.order, out, _trusted=True)
+        return LaurentPoly(self.nvars, self.order, out)
 
     def act(self, g: WreathElement) -> "LaurentPoly":
         """Substitution action of a wreath element on the variables."""
@@ -392,7 +373,7 @@ class LaurentPoly:
                 row = field.powers[(t * step) % order]
                 raw = K.scalar_mul(raw[0], raw[1], row, 1, field.red)
             out[new_e] = raw
-        return LaurentPoly(self.nvars, order, out, _trusted=True)
+        return LaurentPoly(self.nvars, order, out)
 
     def conj_invert(self) -> "LaurentPoly":
         """Conjugate coefficients and invert all variables (q on the torus)."""
@@ -400,7 +381,7 @@ class LaurentPoly:
         for e, (n, d) in self.terms.items():
             s = CycloScalar(self.order, n, d, _normalized=True).conj()
             out[tuple(-x for x in e)] = (s.num, s.den)
-        return LaurentPoly(self.nvars, self.order, out, _trusted=True)
+        return LaurentPoly(self.nvars, self.order, out)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -445,7 +426,7 @@ class LaurentPoly:
         out = {
             tuple(x + dx for x, dx in zip(e, delta)): v for e, v in self.terms.items()
         }
-        return LaurentPoly(self.nvars, self.order, out, _trusted=True)
+        return LaurentPoly(self.nvars, self.order, out)
 
     def unit_normalize(self):
         """Write self = coeff * q**shift * monic and return all three.
@@ -502,7 +483,7 @@ class LaurentPoly:
         if rule is None:
             raise ValueError(f"cannot divide by {f!r}: not a content-free binomial")
         quo = rule.quotient(a.terms)
-        return None if quo is None else LaurentPoly(a.nvars, a.order, quo, _trusted=True)
+        return None if quo is None else LaurentPoly(a.nvars, a.order, quo)
 
     # -- io -------------------------------------------------------------------
 
@@ -511,19 +492,6 @@ class LaurentPoly:
         for e, s in self.items():
             out.append({"exp": list(e), "coeff": s.to_json()})
         return out
-
-    @staticmethod
-    def from_json(data: list, nvars: int) -> "LaurentPoly":
-        order = 1
-        pairs = []
-        for item in data:
-            s = CycloScalar.from_json(item["coeff"])
-            order = order * s.order // gcd(order, s.order)
-            pairs.append((tuple(item["exp"]), s))
-        p = LaurentPoly.zero(nvars, order)
-        for e, s in pairs:
-            p = p + LaurentPoly.monomial(nvars, e, s.lift(order), order)
-        return p
 
     def __repr__(self):
         if self.is_zero():

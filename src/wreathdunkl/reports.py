@@ -28,7 +28,7 @@ class CheckItem:
 @dataclass
 class CheckSuite:
     name: str
-    items: list[CheckItem] = field(default_factory=list)
+    items: list[CheckItem] = field(default_factory=list, init=False)
 
     def add(self, relation, params, passed, witness=None, expected_nonzero=False):
         self.items.append(

@@ -295,9 +295,7 @@ class FrozenHamiltonian:
 
     lattice: LatticeConfig
     terms: list  # (CycloScalar or complex, WreathElement)
-    residual_max: object  # "0" or float
-    integrable: bool
-    warning: str | None = None
+    warning: str | None  # set when the lattice residuals do not vanish
 
 
 def _static_params(family: str, N: int, m: int, couplings: dict) -> ModelParams:
@@ -348,7 +346,7 @@ def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
         "lattice residuals do not vanish; the chain is built but no "
         "commutation claims are made"
     )
-    return FrozenHamiltonian(lattice, terms, rmax, ok, warning)
+    return FrozenHamiltonian(lattice, terms, warning)
 
 
 # -- equidistant scan ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared random-object generators, the exact-application oracle of the
-operator-algebra tests, the reduced-form predicate of rational
+operator-algebra tests, a reader of exported scalars, the reduced-form predicate of rational
 coefficients, the dense oracles of the projector and agreement checks, the
 extraction reference of the static Hamiltonian and the frozen chains, and
 the lattice-table suite."""
@@ -41,7 +41,7 @@ def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
             coeff = RationalCoefficient.ratio(poly, den)
         else:
             coeff = RationalCoefficient.from_poly(poly)
-        A = A + MixedOperator.term(coeff, g, euler=k)
+        A = A + MixedOperator(N, m, m, {(k, g): coeff})
     return A
 
 
@@ -180,6 +180,16 @@ def is_reduced(c: RationalCoefficient) -> bool:
         if f.binomial_rule() is None or c.num.divide_exact(f) is not None:
             return False
     return True
+
+
+def scalar_from_json(data: dict) -> CycloScalar:
+    """The scalar ``CycloScalar.to_json`` wrote: the sum of its power-basis
+    coefficients times the powers of the root of unity."""
+    order = data["order"]
+    total = CycloScalar.zero(order)
+    for j, c in enumerate(data["coeffs"]):
+        total = total + CycloScalar.root_of_unity(order, j) * Fraction(c)
+    return total
 
 
 def to_numpy(M: SpinMatrix) -> np.ndarray:

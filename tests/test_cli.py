@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from helpers import extracted_chain
+from helpers import extracted_chain, scalar_from_json
 
 from wreathdunkl.cli import main
 
@@ -256,13 +256,11 @@ def test_export_hbar_spin_equals_extracted_chain(tmp_path, N, m):
 def test_export_hbar_spin_six_sites(tmp_path):
     """At N = 6, m = 1 the exported chain is the Haldane-Shastry matrix
     -sum_{k<l} P_kl / (2 sin^2(pi (k - l) / N)) on (C^2)^6."""
-    from wreathdunkl.cyclotomic import CycloScalar
-
     N = 6
     code, data = run(["export", "--object", "Hbar_spin", "--N", str(N), "--m", "1",
                       "--n", "2"], tmp_path)
     assert code == 0
-    M = np.array([[CycloScalar.from_json(c).to_complex() for c in row]
+    M = np.array([[scalar_from_json(c).to_complex() for c in row]
                   for row in data["matrix"]])
     dim = 2**N
     idx = np.arange(dim)
@@ -274,6 +272,17 @@ def test_export_hbar_spin_six_sites(tmp_path):
             swapped = idx + (digit[l] - digit[k]) * place[k] + (digit[k] - digit[l]) * place[l]
             H[swapped, idx] -= 1.0 / (2.0 * math.sin(math.pi * (k - l) / N) ** 2)
     assert np.max(np.abs(M - H)) < 1e-12
+
+
+def test_oracle_bound_scales_with_the_couplings(tmp_path):
+    """At couplings of 1e100 the Jacobi oracle deviates from eigh by far
+    more than 1e-8, but by 1e-12 of the spectrum's size or less; the bound
+    is relative to max(1, max |H|), so the chain passes."""
+    code, data = run(["spectrum", "--family", "dihedral-even", "--L", "8",
+                      "--mu2", "1e200"], tmp_path)
+    assert code == 0 and data["pass"]
+    deviation = data["checks"]["oracle_max_deviation"]
+    assert 1e-8 < deviation < 1e-12 * max(abs(v) for v in data["eigenvalues"])
 
 
 def test_reports_are_deterministic(tmp_path):

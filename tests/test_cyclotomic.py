@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import scalar_from_json
 from wreathdunkl.cyclotomic import (
     CycloScalar,
     CyclotomicField,
@@ -109,13 +112,17 @@ def test_to_complex_is_ring_homomorphism():
 
 
 def test_to_complex_high_precision():
-    z7 = CycloScalar.root_of_unity(7)
-    v = z7.to_complex(200)
+    """Every power of zeta_7, and a sum with a large denominator, is the
+    double nearest a 220-bit reference."""
     import mpmath
 
+    z7 = CycloScalar.root_of_unity(7)
+    values = [z7**k for k in range(7)] + [(z7 + z7**3 * 5 - 2) / 12345]
     with mpmath.workprec(220):
-        ref = mpmath.expjpi(mpmath.mpf(2) / 7)
-        assert abs(v - ref) < mpmath.mpf(2) ** (-190)
+        z = mpmath.expjpi(mpmath.mpf(2) / 7)
+        refs = [z**k for k in range(7)] + [(z + 5 * z**3 - 2) / 12345]
+        for v, ref in zip(values, refs):
+            assert v.to_complex() == complex(ref)
 
 
 def test_json_round_trip():
@@ -123,7 +130,28 @@ def test_json_round_trip():
     data = json.loads(json.dumps(s.to_json()))
     assert data["order"] == 6
     assert len(data["coeffs"]) == 2
-    assert CycloScalar.from_json(data) == s
+    assert data["coeffs"] == ["-3", "1/2"]
+    assert scalar_from_json(data) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eq_and_hash_against_rationals(data):
+    """Comparing a scalar with an int or a Fraction agrees with comparing it
+    with the rational scalar of its own field, and so do the hashes."""
+    order = data.draw(st.integers(1, 12))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = data.draw(st.lists(small, min_size=1, max_size=CyclotomicField.get(order).phi))
+    s = CycloScalar.zero(order)
+    for j, c in enumerate(coeffs):
+        s = s + CycloScalar.root_of_unity(order, j) * c
+    v = data.draw(st.one_of(st.just(coeffs[0]), small, st.integers(-3, 3)))
+    if isinstance(v, Fraction) and v.denominator == 1 and data.draw(st.booleans()):
+        v = v.numerator
+    lifted = CycloScalar.rational(v, order)
+    assert (s == v) == (v == s) == (s == lifted)
+    if s == v:
+        assert hash(s) == hash(v) == hash(lifted)
 
 
 def test_galois_substitution():

@@ -123,14 +123,15 @@ def test_dihedral_hamiltonians():
     # odd m with the simplified boundary at rho = 0
     p3 = ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(0))
     assert hamiltonian_check(p3).passed
+    # the simplified boundary needs a dihedral model with odd m and rho = 0
     with pytest.raises(ValueError):
-        build_hamiltonian(p, "odd")
+        build_hamiltonian(p, simplified=True)
     with pytest.raises(ValueError):
-        build_hamiltonian(p3, "even")
+        build_hamiltonian(ModelParams("cyclic", 2, 3, Fraction(1)), simplified=True)
     with pytest.raises(ValueError):
         build_hamiltonian(
             ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1)),
-            "odd_simplified",
+            simplified=True,
         )
 
 

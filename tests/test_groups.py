@@ -1,5 +1,7 @@
 """Wreath group layer: normal form, generators, enumeration, relations."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from wreathdunkl.groups import (
 @pytest.mark.parametrize(
     "family,N,m,p,size",
     [
-        ("symmetric", 3, 1, 1, 6),
+        ("G(m,1,N)", 3, 1, 1, 6),
         ("G(m,1,N)", 2, 2, 1, 8),
         ("G(m,1,N)", 2, 3, 1, 18),
         ("G(m,p,N)", 2, 2, 2, 4),
@@ -32,6 +34,15 @@ def test_enumeration_counts(family, N, m, p, size):
     els = enumerate_subgroup(spec)
     assert len(els) == size == spec.cardinality()
     assert len(set(els)) == size  # each element exactly once
+
+
+def test_m_equal_one_is_the_symmetric_group():
+    """G(m,1,N) at m = 1 holds the N! permutations and no rotation or flip."""
+    for N in (1, 2, 3, 4):
+        els = enumerate_subgroup(GroupSpec("G(m,1,N)", N, 1))
+        assert len(els) == math.factorial(N)
+        assert sorted(g.perm for g in els) == sorted(itertools.permutations(range(N)))
+        assert not any(any(g.rot) or any(g.flip) for g in els)
 
 
 def test_enumeration_cap():
@@ -93,7 +104,7 @@ def test_generator_words_normalize():
 @pytest.mark.parametrize(
     "spec",
     [
-        GroupSpec("symmetric", 4, 1),
+        GroupSpec("G(m,1,N)", 4, 1),
         GroupSpec("G(m,1,N)", 3, 3),
         GroupSpec("G(m,p,N)", 3, 4, 2),
         GroupSpec("W(m,N)", 3, 2),
@@ -130,5 +141,4 @@ def test_action_homomorphism_on_monomials():
 def test_json_round_trip():
     g = WreathElement(3, 4, (2, 0, 1), (1, 0, 3), (0, 1, 0))
     data = g.to_json()
-    assert data["perm"] == [3, 1, 2]
-    assert WreathElement.from_json(data, 4) == g
+    assert data == {"perm": [3, 1, 2], "rot": [1, 0, 3], "flip": [0, 1, 0]}

@@ -56,12 +56,17 @@ def test_default_weights():
     assert default_weights(2, 2) == (1, 1)
     assert default_weights(3, 4) == (1, 0, 3)
     assert default_weights(4, 5) == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        SpinRepData(2, 4, 2, weights=(1, 2))
+    # one weight per local state, with a_i + a_{n+1-i} = 0 (mod m)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            a = default_weights(n, m)
+            assert len(a) == n and SpinRepData(n, m, 2).weights == a
+            assert all((a[i] + a[n - 1 - i]) % m == 0 for i in range(n))
 
 
 def test_example_matrices():
-    rep = SpinRepData(2, 3, 2, weights=(1, 2))
+    rep = SpinRepData(2, 3, 2)
+    assert rep.weights == (1, 2)
     spec = GroupSpec("W(m,N)", 2, 3)
     Q1, Q2, K1, P = (
         monomial_image(rep, generator(spec, name, i=i))
@@ -214,7 +219,7 @@ def test_agreement_cyclic(k):
 def test_agreement_dihedral_even_k():
     p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     rep = SpinRepData(2, 2, 2)
-    assert verify_agreement(p, rep, 2, expect="zero").passed
+    assert agreement_blocks(build_charge(p, 2), rep, build_projector(p)) == 0
 
 
 def test_agreement_dihedral_odd_k():
@@ -226,16 +231,19 @@ def test_agreement_dihedral_odd_k():
     """
     p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     rep = SpinRepData(2, 2, 2)
-    assert verify_agreement(p, rep, 3, expect="nonzero").passed
-    assert verify_agreement(p, rep, 1, expect="zero").passed
+    assert agreement_blocks(build_charge(p, 3), rep, build_projector(p)) == 48
+    assert agreement_blocks(build_charge(p, 1), rep, build_projector(p)) == 0
+    # odd dihedral k is recorded, not asserted
+    [item] = verify_agreement(p, rep, 3).items
+    assert item.passed and item.witness == {"zero": False, "terms": 48}
 
 
 def test_agreement_cyclic_k3_fails_at_three_sites():
     """Cyclic agreement is asserted only where the CLI runs it: at N = 3,
     k = 3 the substitution g -> rho(g) leaves 24 nonzero blocks."""
     p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
-    [item] = verify_agreement(p, SpinRepData(2, 2, 3), 3, expect="report").items
-    assert item.witness == {"zero": False, "terms": 24}
+    rep = SpinRepData(2, 2, 3)
+    assert agreement_blocks(build_charge(p, 3), rep, build_projector(p)) == 24
 
 
 def test_dynamical_spin_hamiltonian_shape():
@@ -351,13 +359,13 @@ def test_agreement_matches_application_and_block_count(family, N, m, k, zero):
     the blocks counted densely at a random torus point."""
     rep = SpinRepData(2, m, N)
     params = _family_params(family, N, m)
-    [item] = verify_agreement(params, rep, k, expect="report").items
-    assert item.witness["zero"] == zero
     charge = build_charge(params, k)
     proj = build_projector(params)
+    terms = agreement_blocks(charge, rep, proj)
+    assert (terms == 0) == zero
     rng = random.Random(k)
     count = agreement_blocks_by_definition(charge, rep, proj, random_torus_point(rng, N))
-    assert item.witness["terms"] == count
+    assert terms == count
     funcs = random_test_functions(rng, N, m, rep.dim)
     applied = apply_agreement(charge, rep, proj, funcs)
     assert all(v.is_zero() for v in applied) == zero
@@ -553,7 +561,7 @@ def test_known_two_site_chain():
     frozen = build_frozen_hamiltonian(build_lattice("cyclic", 2, 1))
     H = frozen_spin_matrix(rep, frozen.terms)
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
-    P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("symmetric", 2, 1))[1])
+    P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("G(m,1,N)", 2, 1))[1])
     assert np.max(np.abs(H - (-0.5) * to_numpy(P))) < 1e-14
     vals, degs, herm = diagonalize_hermitian(H)
     assert herm == 0.0

@@ -199,3 +199,129 @@ def test_dead_definition_check_sees_an_unreferenced_method(tmp_path):
         "probe:Rule.power", "probe:unused", "probe:unused.helper"
     ]
     assert _dead_definitions(tmp_path, {"unused", "helper"}, {"Rule.power"}) == []
+
+
+# Defaulted parameters that no engine call sets: the console script calls
+# ``main()`` while tests pass an argv, and tests use the other three to
+# state other claims.
+UNSET_DEFAULTS = {
+    "cli:main(argv)",
+    "opalg:normalize_is_zero(seed)",
+    "opalg:random_test_functions(count)",
+    "static:scan_equidistant(offsets)",
+    "static:scan_equidistant(coupling_grid)",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _in_init(value) -> bool:
+    """Whether a dataclass field with this right-hand side is an
+    ``__init__`` parameter: all but ``field(..., init=False)``."""
+    return not (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in value.keywords)
+    )
+
+
+def _defaulted_parameters(node, prefix="", cls=None):
+    """(qualified name, name a call uses, position or None for keyword-only,
+    parameter) of every parameter with a default under ``node``.  A class
+    is called by its name for ``__init__``, and a dataclass's fields are
+    its parameters; methods count positions after the receiver, static
+    methods from the first argument."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                fields = [s for s in child.body
+                          if isinstance(s, ast.AnnAssign) and _in_init(s.value)]
+                for pos, f in enumerate(fields):
+                    if f.value is not None:
+                        yield prefix + child.name, child.name, pos, f.target.id
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.", child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            called = cls.name if cls is not None and child.name == "__init__" else child.name
+            first = len(positional) - len(a.defaults)
+            for pos, arg in enumerate(positional):
+                if pos >= first:
+                    yield prefix + child.name, called, pos - skip, arg.arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield prefix + child.name, called, None, arg.arg
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defaulted_parameters(child, prefix, cls)
+
+
+def _unset_defaults(package: Path) -> list[str]:
+    """Every defaulted parameter in ``package`` that no call there passes,
+    by position or by keyword.  Calls are matched by name, so any call of
+    a same-named function or method counts; a call with ``*args`` or
+    ``**kwargs`` passes everything."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, pos, param):
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        if pos is not None and len(call.args) > pos:
+            return True
+        return any(k.arg is None or k.arg == param for k in call.keywords)
+
+    return sorted(
+        f"{stem}:{qualified}({param})"
+        for stem, tree in trees.items()
+        for qualified, called, pos, param in _defaulted_parameters(tree)
+        if not any(passes(call, pos, param) for call in calls.get(called, ()))
+    )
+
+
+def test_engine_sets_every_default_it_declares():
+    """A default no engine call overrides is an option with one value in
+    use: a constant belongs in its place."""
+    assert [p for p in _unset_defaults(PACKAGE) if p not in UNSET_DEFAULTS] == []
+
+
+def test_unset_default_check_sees_each_kind_of_parameter(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "class Rule:\n"
+        "    def __init__(self, v, d=1):\n"
+        "        self.v = v\n"
+        "    def quotient(self, terms, strict=False, lazy=True):\n"
+        "        return terms\n"
+        "    @staticmethod\n"
+        "    def make(v, d=2, *, cache=None):\n"
+        "        return Rule(v)\n"
+        "@dataclass\n"
+        "class Case:\n"
+        "    name: str\n"
+        "    weight: int = 1\n"
+        "    items: list = field(default_factory=list, init=False)\n"
+        "    tags: list = field(default_factory=list)\n"
+        "def run(rule, terms, seed=0, **options):\n"
+        "    Case('x', 2)\n"
+        "    rule.quotient(terms, lazy=False)\n"
+        "    return rule.quotient(terms, True), Rule.make(1)\n"
+    )
+    assert _unset_defaults(tmp_path) == [
+        "probe:Case(tags)", "probe:Rule.__init__(d)", "probe:Rule.make(cache)",
+        "probe:Rule.make(d)", "probe:run(seed)",
+    ]
