@@ -254,7 +254,7 @@ def cmd_spectrum(args) -> int:
     rep = SpinRepData(args.n, args.m, args.N)
     H = frozen_spin_matrix(rep, frozen.terms)
     vals, degs, herm = diagonalize_hermitian(H)
-    oracle = brute_force_eigvals(H) if dim <= 64 else None
+    oracle = brute_force_eigvals(H.dense()) if dim <= 64 else None
     report = _report(args, {
         "params": {"family": args.family, "N": args.N, "m": args.m, "n": args.n},
         "lattice": frozen.lattice.to_json(),
@@ -285,7 +285,7 @@ def cmd_spectrum(args) -> int:
     passed = True
     if "oracle_max_deviation" in checks:
         # relative to max(1, max |H|), the scale diagonalize_hermitian uses
-        scale = max(1.0, float(np.max(np.abs(H))))
+        scale = max(1.0, float(np.max(np.abs(H.values), initial=0.0)))
         passed = passed and checks["oracle_max_deviation"] < 1e-8 * scale
     if args.family == "cyclic":
         passed = passed and all(v < 1e-10 for v in checks["commutant"].values())
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", default="0")
         p.add_argument("--rho", default="0")
         p.add_argument("--n", type=int, default=None, help="local spin dimension")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="only recorded in the report")
         p.add_argument("--output", default=None, help="write the JSON report here")
 
     pv = sub.add_parser("verify", help="run the exact identity suites")

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 from .cyclotomic import CycloScalar
 from .groups import GroupSpec, WreathElement, generator
-from .opalg import MixedOperator, ad_projector, normalize_is_zero, op_commutator, op_compose
+from .opalg import MixedOperator, ad_projector, first_term_witness, op_commutator, op_compose
 from .polyalg import LaurentPoly, RationalCoefficient
 from .reports import CheckSuite
 
@@ -476,8 +476,7 @@ def _is_zero_item(suite, name, indices, op, expect_zero=True):
     if not expect_zero:
         suite.add(name, indices, not ok, expected_nonzero=True)
         return
-    witness = None if ok else normalize_is_zero(op)["witness"]
-    suite.add(name, indices, ok, witness)
+    suite.add(name, indices, ok, first_term_witness(op))
 
 
 def check_recursion(params: ModelParams, corrupt: bool = False) -> CheckSuite:

@@ -347,30 +347,34 @@ def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     return total.scale(Fraction(1, m))
 
 
+def first_term_witness(A: MixedOperator) -> dict | None:
+    """The first surviving term of A, None when A is zero; its ``entry`` is
+    always [0, 0], the coefficient's place in the 1 x 1 block of
+    ``to_json``."""
+    if A.is_zero():
+        return None
+    (k, g), c = A.sorted_terms()[0]
+    return {
+        "euler": list(k),
+        "group": g.to_json(),
+        "entry": [0, 0],
+        "coefficient": c.to_json(),
+    }
+
+
 def normalize_is_zero(A: MixedOperator, seed: int = 0) -> dict:
     """Exact zero test plus a numeric residual report.
 
     The residual is the largest |(A f)(point)| over a few random torus
     points and random polynomial test functions, evaluated term by term so
-    it does not reuse the exact merging path.  The witness names the first
-    surviving term; its ``entry`` is always [0, 0], the coefficient's
-    place in the 1 x 1 block of ``to_json``.
+    it does not reuse the exact merging path.  The witness is
+    ``first_term_witness``.
     """
-    residual = numeric_residual(A, seed=seed)
-    witness = None
-    if not A.is_zero():
-        (k, g), c = A.sorted_terms()[0]
-        witness = {
-            "euler": list(k),
-            "group": g.to_json(),
-            "entry": [0, 0],
-            "coefficient": c.to_json(),
-        }
     return {
         "zero": A.is_zero(),
         "terms": A.term_count(),
-        "numeric_residual": residual,
-        "witness": witness,
+        "numeric_residual": numeric_residual(A, seed=seed),
+        "witness": first_term_witness(A),
     }
 
 

@@ -23,9 +23,14 @@ the position charges and their spin substitutes agree, which
 ``verify_agreement`` decides exactly, one left coset of the projector's
 subgroup at a time.
 
-Dense exact matrices (``SpinMatrix``) serve only where an exact chain
-matrix is itself the object: the characteristic-polynomial oracle and the
-export of a frozen chain.
+A numeric frozen chain is a ``SparseChain``, its nonzero entries sorted
+by position: the commutant residuals are evaluated on those entries, and
+the spectrum comes from one dense block per connected component of the
+nonzero pattern, so no array of dim x dim entries is formed.  Exact
+matrices (``SpinMatrix``, with every entry stored) serve only where an
+exact chain matrix is itself the object: the characteristic-polynomial
+oracle, which also works one block at a time, and the export of a frozen
+chain.
 """
 
 from __future__ import annotations
@@ -87,11 +92,13 @@ class SpinRepData:
 
 
 class SpinMatrix:
-    """Dense matrix with exact cyclotomic entries (small dimensions).
+    """Matrix with exact cyclotomic entries, every entry stored (small
+    dimensions: ``spectrum`` builds one only up to dim 16).
 
-    Only exact chain matrices take this form: ``char_poly_exact`` multiplies
-    them and ``export --object Hbar_spin`` writes them out.  Group images
-    are monomial and use ``monomial_image`` instead.
+    Only exact chain matrices take this form: ``char_poly_exact`` splits
+    them into blocks and multiplies those, and ``export --object
+    Hbar_spin`` writes them out.  Group images are monomial and use
+    ``monomial_image`` instead; numeric chains are ``SparseChain``.
     """
 
     __slots__ = ("dim", "order", "rows")
@@ -510,105 +517,144 @@ def verify_agreement(params: ModelParams, rep: SpinRepData, k: int) -> CheckSuit
 # -- frozen spin chains ---------------------------------------------------------
 
 
-def frozen_spin_matrix(rep: SpinRepData, terms) -> np.ndarray:
-    """Assemble a frozen chain from (scalar, group element) terms as a dense
-    complex array, one monomial image per term; ``SpinMatrix.from_terms``
-    is the exact counterpart."""
-    m = rep.m
-    cols = np.arange(rep.dim)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+@dataclass(frozen=True, eq=False)
+class SparseChain:
+    """A frozen chain as sorted sparse entries: for each nonzero H[r, c]
+    the linear key r * dim + c in ``keys`` (ascending) and the complex
+    value in ``values``.  No stored value is zero."""
+
+    dim: int
+    keys: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """H as a dense complex array, for the small-dimension oracle."""
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[self.keys] = self.values
+        return out.reshape(self.dim, self.dim)
+
+
+def _summed(keys: np.ndarray, values: np.ndarray):
+    """The distinct keys, ascending, and for each the sum from zero of its
+    values in the order given; keys whose sum is exactly zero are dropped."""
+    distinct, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(distinct), dtype=complex)
+    np.add.at(sums, where, values)  # unbuffered: one key's values in order
+    keep = sums != 0
+    return distinct[keep], sums[keep]
+
+
+def frozen_spin_matrix(rep: SpinRepData, terms) -> SparseChain:
+    """Assemble a frozen chain from (scalar, group element) terms, one
+    monomial image per term; ``SpinMatrix.from_terms`` is the exact
+    counterpart.
+
+    Every entry is summed term by term in the order of ``terms``, from
+    zero, so each stored value is bit for bit the entry a dense
+    accumulation of the images would hold, and the exact zeros of that
+    accumulation are left out.  Memory is O(terms * dim).
+    """
+    m, dim = rep.m, rep.dim
+    cols = np.arange(dim)
+    keys, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for c, g in terms:
         cval = c.to_complex() if isinstance(c, CycloScalar) else complex(c)
         values = np.array([cval * np.exp(2j * np.pi * p / m) for p in range(m)])
         rows, phases = monomial_image(rep, g)
-        out[rows, cols] += values[phases]
-    return out
+        keys.append(rows * dim + cols)
+        vals.append(values[phases])
+    return SparseChain(dim, *_summed(np.concatenate(keys), np.concatenate(vals)))
 
 
-_RESIDUAL_BLOCK = 128
-
-
-def commutant_residual(H: np.ndarray, rep: SpinRepData, g: WreathElement) -> float:
+def commutant_residual(H: SparseChain, rep: SpinRepData, g: WreathElement) -> float:
     """max |H M - M H| for the spin image M of g, without forming M.
 
-    M sends basis state t to ``rows[t]`` with phase w_t, so (H M)[:, t] is
-    column ``rows[t]`` of H times w_t and (M H)[rows[t], :] is row t of H
-    times w_t: two permutations with phases, O(dim^2), a block of rows at
-    a time.
+    M sends basis state t to ``rows[t]`` with phase w_t, so an entry
+    H[r, c] lands in H M at (r, t) with rows[t] = c, times w_t, and in M H
+    at (rows[r], c), times w_r.  The difference is summed over the union
+    of the two supports, O(entries of H); everywhere else it is zero.
     """
     rows, phases = monomial_image(rep, g)
     roots = [CycloScalar.root_of_unity(rep.m, p) for p in range(rep.m)]
     w = np.array([z.to_complex() for z in roots])[phases]
     inv = np.argsort(rows)
-    worst = 0.0
-    for k in range(0, len(H), _RESIDUAL_BLOCK):
-        src = inv[k : k + _RESIDUAL_BLOCK]
-        diff = np.take(H[k : k + _RESIDUAL_BLOCK], rows, axis=1) * w
-        diff -= w[src, None] * H[src]
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    r, c = np.divmod(H.keys, H.dim)
+    _, diff = _summed(
+        np.concatenate([r * H.dim + inv[c], rows[r] * H.dim + c]),
+        np.concatenate([H.values * w[inv[c]], -(w[r] * H.values)]),
+    )
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
-def hermitian_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the pattern ``matrix != 0``.
+def pattern_blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the pattern with nonzeros
+    at (rows[e], cols[e]), symmetrized, ordered by least member.
 
-    Every entry between two components is exactly zero, so each component
-    spans an exact invariant subspace of the matrix.  Breadth-first search
-    over the symmetrized pattern, one frontier of rows at a time.
+    Every entry between two components is zero in both directions, so each
+    component spans an exact invariant subspace.  Each state starts as its
+    own label; a round lowers both ends of every entry to the smaller of
+    their labels, then replaces labels by their labels' labels until they
+    settle.  Labels only fall and stay within a component, so at the fixed
+    point each state carries the least state of its component.
     """
-    pattern = matrix != 0
-    pattern |= pattern.T
-    label = np.full(len(matrix), -1)
-    blocks = []
-    for seed in range(len(matrix)):
-        if label[seed] >= 0:
-            continue
-        label[seed] = len(blocks)
-        members = [np.array([seed])]
-        frontier = members[0]
-        while frontier.size:
-            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (label < 0))
-            label[frontier] = len(blocks)
-            members.append(frontier)
-        blocks.append(np.sort(np.concatenate(members)))
-    return blocks
+    label = np.arange(dim)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
 
 
-def diagonalize_hermitian(matrix):
+_RESIDUAL_BLOCK = 128
+
+
+def diagonalize_hermitian(H: SparseChain):
     """Sorted real spectrum, degeneracy profile and Hermiticity residual
-    max |H - H^H| of a Hermitian matrix.  The residual must stay within
-    1e-10 times scale = max(1, max |H|).
+    max |H - H^H| of a Hermitian sparse chain.  The residual must stay
+    within 1e-10 times scale = max(1, max |H|).
 
-    The matrix splits into the connected components of its nonzero pattern
-    (``hermitian_blocks``).  The pattern is symmetrized, so an entry
-    between two components is zero in both H and H^H, and the residual and
-    max |H| over the whole matrix are their maxima over the diagonal
-    blocks.  ``eigh`` runs on each block, and every eigenpair is checked
-    against |H v - lambda v| <= 1e-8 * scale * dim, with dim the full
-    dimension.  A matrix with one component is diagonalized whole.
+    The chain splits into the connected components of its symmetrized
+    nonzero pattern (``pattern_blocks``), and each block is H restricted to
+    the rows and columns of one component, built densely.  An entry
+    between two components is zero in both H and H^H, so the residual and
+    max |H| over the whole matrix are their maxima over the blocks.
+    ``eigh`` runs on each block, and every eigenpair is checked against
+    |H v - lambda v| <= 1e-8 * scale * dim, with dim the full dimension.
     """
-    blocks = hermitian_blocks(matrix)
-
-    def block(idx):
-        return matrix if len(blocks) == 1 else matrix[np.ix_(idx, idx)]
-
+    dim = H.dim
+    rows, cols = np.divmod(H.keys, dim)
+    local = np.zeros(dim, dtype=int)
+    inside = np.zeros(dim, dtype=bool)
+    blocks = []
     herm_residual, scale = 0.0, 1.0
-    for idx in blocks:
-        B = block(idx)
+    for idx in pattern_blocks(dim, rows, cols):
+        local[idx] = np.arange(len(idx))
+        inside[idx] = True
+        e = inside[rows] & inside[cols]
+        inside[idx] = False
+        B = np.zeros((len(idx), len(idx)), dtype=complex)
+        B[local[rows[e]], local[cols[e]]] = H.values[e]
         herm_residual = max(herm_residual, float(np.max(np.abs(B - B.conj().T))))
         scale = max(scale, float(np.max(np.abs(B))))
+        blocks.append(B)
     if herm_residual > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian (residual {herm_residual:.2e})")
-    bound = 1e-8 * scale * matrix.shape[0]
+    bound = 1e-8 * scale * dim
     spectra = []
-    for idx in blocks:
-        B = block(idx)
+    for B in blocks:
         vals, vecs = np.linalg.eigh(B)
         # one norm per eigenpair, a block of columns at a time
         for k in range(0, len(vals), _RESIDUAL_BLOCK):
-            cols = vecs[:, k : k + _RESIDUAL_BLOCK]
-            r = np.linalg.norm(B @ cols - cols * vals[k : k + _RESIDUAL_BLOCK], axis=0)
-            if np.any(r > bound):
+            part = vecs[:, k : k + _RESIDUAL_BLOCK]
+            res = np.linalg.norm(B @ part - part * vals[k : k + _RESIDUAL_BLOCK], axis=0)
+            if np.any(res > bound):
                 raise ArithmeticError("eigenpair residual out of tolerance")
         spectra.append(vals)
     vals = np.sort(np.concatenate(spectra).real)
@@ -623,13 +669,9 @@ def diagonalize_hermitian(matrix):
     return vals, degs, herm_residual
 
 
-def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:
-    """Characteristic polynomial by the trace recursion, exact.
-
-    Returns [c_0, ..., c_dim] with c_dim = 1, lowest degree first; only
-    exact field operations and division by integers are used, so this is an
-    eigenvalue oracle independent of any numeric eigensolver.
-    """
+def _trace_recursion(M: SpinMatrix) -> list[CycloScalar]:
+    """Characteristic polynomial of M by the trace recursion, lowest
+    degree first."""
     dim = M.dim
     order = M.order
     coeffs = [CycloScalar.zero(order) for _ in range(dim + 1)]
@@ -644,6 +686,33 @@ def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:
         product = M @ product
         ck = -(product.trace() / k)
         coeffs[dim - k] = ck
+    return coeffs
+
+
+def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:
+    """Characteristic polynomial, exact.
+
+    Returns [c_0, ..., c_dim] with c_dim = 1, lowest degree first; only
+    exact field operations and division by integers are used, so this is an
+    eigenvalue oracle independent of any numeric eigensolver.  M splits
+    into the components of its symmetrized exact zero pattern
+    (``pattern_blocks``); up to a permutation of the basis it is their
+    direct sum, so its polynomial is the product of theirs, each from the
+    trace recursion.
+    """
+    dim, order = M.dim, M.order
+    nonzero = [(i, j) for i in range(dim) for j in range(dim) if not M.rows[i][j].is_zero()]
+    rows, cols = np.array(nonzero, dtype=int).reshape(-1, 2).T
+    coeffs = [CycloScalar.one(order)]
+    for idx in pattern_blocks(dim, rows, cols):
+        idx = idx.tolist()
+        sub = SpinMatrix(len(idx), order, [[M.rows[i][j] for j in idx] for i in idx])
+        block = _trace_recursion(sub)
+        product = [CycloScalar.zero(order)] * (len(coeffs) + len(block) - 1)
+        for a, x in enumerate(coeffs):
+            for b, y in enumerate(block):
+                product[a + b] = product[a + b] + x * y
+        coeffs = product
     return coeffs
 
 

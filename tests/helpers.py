@@ -1,6 +1,7 @@
 """Shared random-object generators, the exact-application oracle of the
 operator-algebra tests, a reader of exported scalars, the reduced-form predicate of rational
 coefficients, the dense oracles of the projector and agreement checks, the
+dense references of the frozen chain and its characteristic polynomial, the
 extraction reference of the static Hamiltonian and the frozen chains, and
 the lattice-table suite."""
 
@@ -16,7 +17,7 @@ from wreathdunkl.groups import GroupSpec, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
-from wreathdunkl.spinrep import SpinMatrix
+from wreathdunkl.spinrep import SparseChain, SpinMatrix, monomial_image
 from wreathdunkl.static import LATTICE_LABELS, _static_params, build_lattice
 
 
@@ -200,6 +201,46 @@ def to_numpy(M: SpinMatrix) -> np.ndarray:
             if not c.is_zero():
                 out[i, j] = c.to_complex()
     return out
+
+
+def dense_frozen_chain(rep, terms) -> np.ndarray:
+    """A frozen chain accumulated densely, one monomial image per term in
+    the order of ``terms``: the reference for ``frozen_spin_matrix``."""
+    m = rep.m
+    cols = np.arange(rep.dim)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for c, g in terms:
+        cval = c.to_complex() if isinstance(c, CycloScalar) else complex(c)
+        values = np.array([cval * np.exp(2j * np.pi * p / m) for p in range(m)])
+        rows, phases = monomial_image(rep, g)
+        out[rows, cols] += values[phases]
+    return out
+
+
+def chain_from_dense(H) -> SparseChain:
+    """The sparse chain holding the nonzero entries of the square array H."""
+    flat = np.asarray(H, dtype=complex).ravel()
+    keys = np.flatnonzero(flat)
+    return SparseChain(len(H), keys, flat[keys])
+
+
+def char_poly_by_trace_recursion(M: SpinMatrix) -> list:
+    """Characteristic polynomial of the whole matrix M by the trace
+    recursion, lowest degree first: the reference for ``char_poly_exact``,
+    which splits M into blocks first."""
+    dim = M.dim
+    order = M.order
+    coeffs = [CycloScalar.zero(order) for _ in range(dim + 1)]
+    coeffs[dim] = CycloScalar.one(order)
+    product = SpinMatrix.zero(dim, order)
+    ck = CycloScalar.one(order)
+    for k in range(1, dim + 1):
+        for i in range(dim):
+            product.rows[i][i] = product.rows[i][i] + ck
+        product = M @ product
+        ck = -(product.trace() / k)
+        coeffs[dim - k] = ck
+    return coeffs
 
 
 def extracted_static(params):

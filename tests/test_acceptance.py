@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import dense_iota, lattice_table_check, random_operator, to_numpy
+from helpers import chain_from_dense, dense_iota, lattice_table_check, random_operator, to_numpy
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -255,7 +255,7 @@ def test_criterion_7_frozen_chains():
         H = to_numpy(Hx)
         herm = float(np.max(np.abs(H - H.conj().T)))
         ok &= herm < 1e-12
-        vals, _, _ = diagonalize_hermitian(H)
+        vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
         oracle = brute_force_eigvals(H)
         ok &= float(np.max(np.abs(vals - oracle))) < 1e-8
         # symmetries inherited from the construction lattice

@@ -129,6 +129,32 @@ def test_spectrum_one_site_dihedral_has_no_exchange(tmp_path, m):
     assert set(data["checks"]["commutant_report"]) == {"global_rotation", "reflection_K1"}
 
 
+def test_spectrum_of_a_chain_without_terms(tmp_path):
+    """One cyclic site has no exchange: every basis state is its own block."""
+    code, data = run(
+        ["spectrum", "--family", "cyclic", "--N", "1", "--m", "1", "--n", "2"], tmp_path
+    )
+    assert code == 0 and data["pass"]
+    assert data["eigenvalues"] == [0.0, 0.0] and data["hermiticity_residual"] == 0.0
+    assert data["checks"]["commutant"] == {"twisted_translation": 0.0, "global_rotation": 0.0}
+
+
+def test_spectrum_memory_stays_below_a_dense_chain():
+    """Python-tracked peak of a dim-1024 spectrum run: below 8 MiB, half of
+    one dense 1024 x 1024 complex matrix, so no such array is formed."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["spectrum", "--family", "cyclic", "--N", "10", "--m", "1", "--n", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+
+
 def test_spectrum_haldane_shastry_beyond_extraction(tmp_path):
     """Cyclic m = 1 at N = 8 is the Haldane-Shastry chain
     -sum_{k<l} P_kl / (2 sin^2(pi (k - l) / N)) on (C^2)^8."""

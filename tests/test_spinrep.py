@@ -10,6 +10,9 @@ import pytest
 from helpers import (
     agreement_blocks_by_definition,
     apply_agreement,
+    chain_from_dense,
+    char_poly_by_trace_recursion,
+    dense_frozen_chain,
     dense_iota,
     left_regular,
     random_operator,
@@ -39,8 +42,8 @@ from wreathdunkl.spinrep import (
     frozen_spin_matrix,
     generating_set,
     global_rotation_element,
-    hermitian_blocks,
     monomial_image,
+    pattern_blocks,
     projector_check,
     spin_matrix_of_element,
     spin_representation_check,
@@ -48,7 +51,7 @@ from wreathdunkl.spinrep import (
     twisted_translation_element,
     verify_agreement,
 )
-from wreathdunkl.static import build_frozen_hamiltonian, build_lattice
+from wreathdunkl.static import build_frozen_hamiltonian, build_lattice, equidistant_lattice
 
 
 def test_default_weights():
@@ -437,7 +440,7 @@ def test_frozen_chain_exact_vs_numeric_backends():
     rep = SpinRepData(2, 3, 2)
     terms = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3)).terms
     exact = to_numpy(SpinMatrix.from_terms(rep, terms))
-    numeric = frozen_spin_matrix(rep, terms)
+    numeric = frozen_spin_matrix(rep, terms).dense()
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
 
@@ -446,8 +449,58 @@ def test_numeric_frozen_chain_equals_exact(family, N, m):
     rep = SpinRepData(2, m, N)
     terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
     exact = to_numpy(SpinMatrix.from_terms(rep, terms))
-    numeric = frozen_spin_matrix(rep, terms)
+    numeric = frozen_spin_matrix(rep, terms).dense()
     assert np.max(np.abs(exact - numeric)) < 1e-12
+
+
+def _chain_lattice(family, N, m):
+    if family == "dihedral-even":
+        return equidistant_lattice(family, N, m, 8, couplings={"mu2": Fraction(4)})
+    return build_lattice(family, N, m)
+
+
+@pytest.mark.parametrize(
+    "family,N,m,n",
+    [
+        ("cyclic", 3, 2, 2),
+        ("cyclic", 4, 1, 2),
+        ("cyclic", 3, 1, 3),
+        ("cyclic", 1, 1, 2),
+        ("dihedral-odd", 2, 3, 2),
+        ("dihedral-odd", 3, 1, 2),
+        ("dihedral-even", 2, 2, 2),
+    ],
+)
+def test_sparse_chain_equals_dense_assembly(family, N, m, n):
+    """Bit for bit the dense accumulation, with its nonzero pattern."""
+    rep = SpinRepData(n, m, N)
+    terms = build_frozen_hamiltonian(_chain_lattice(family, N, m)).terms
+    chain = frozen_spin_matrix(rep, terms)
+    reference = dense_frozen_chain(rep, terms)
+    assert np.array_equal(chain.dense(), reference)
+    assert np.array_equal(chain.keys, np.flatnonzero(reference))
+    assert np.all(chain.values != 0)
+
+
+def test_cancelling_terms_leave_no_entries():
+    """A term and its negative sum to exact zeros, which are not stored;
+    a chain without entries has one block per basis state."""
+    rep = SpinRepData(2, 2, 3)
+    terms = build_frozen_hamiltonian(build_lattice("cyclic", 3, 2)).terms
+    c, g = terms[0]
+    chain = frozen_spin_matrix(rep, [(c, g), (-c, g)])
+    assert chain.keys.size == 0 and chain.values.size == 0
+    assert np.array_equal(chain.dense(), dense_frozen_chain(rep, [(c, g), (-c, g)]))
+    blocks = pattern_blocks(rep.dim, *np.divmod(chain.keys, rep.dim))
+    assert [b.tolist() for b in blocks] == [[t] for t in range(rep.dim)]
+    vals, degs, herm = diagonalize_hermitian(chain)
+    assert vals.tolist() == [0.0] * rep.dim and degs == [(0.0, rep.dim)] and herm == 0.0
+    assert commutant_residual(chain, rep, g) == 0.0
+    # and the same chain with the cancelling pair appended
+    full = frozen_spin_matrix(rep, terms + [(c, g), (-c, g)])
+    reference = dense_frozen_chain(rep, terms + [(c, g), (-c, g)])
+    assert np.array_equal(full.dense(), reference)
+    assert np.array_equal(full.keys, np.flatnonzero(reference))
 
 
 @pytest.mark.parametrize("n,m,N", [(2, 2, 2), (3, 3, 2), (2, 1, 3)])
@@ -458,7 +511,8 @@ def test_monomial_image_equals_dense_definition(n, m, N):
         dense = spin_image_by_definition(rep, g)
         assert spin_matrix_of_element(rep, g) == dense
         M = to_numpy(dense)
-        assert abs(commutant_residual(H, rep, g) - np.max(np.abs(H @ M - M @ H))) < 1e-12
+        residual = commutant_residual(chain_from_dense(H), rep, g)
+        assert abs(residual - np.max(np.abs(H @ M - M @ H))) < 1e-12
 
 
 def _random_complex(dim, seed):
@@ -471,11 +525,12 @@ def test_commutant_residual_equals_dense_products(n, m, N):
     """On a frozen chain, against dense products: the chain's symmetries
     commute with it, other elements of W(m, N) do not."""
     rep = SpinRepData(n, m, N)
-    H = frozen_spin_matrix(rep, build_frozen_hamiltonian(build_lattice("cyclic", N, m)).terms)
+    chain = frozen_spin_matrix(rep, build_frozen_hamiltonian(build_lattice("cyclic", N, m)).terms)
+    H = chain.dense()
     residuals = {}
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         M = to_numpy(spin_matrix_of_element(rep, g))
-        residuals[g] = commutant_residual(H, rep, g)
+        residuals[g] = commutant_residual(chain, rep, g)
         assert abs(residuals[g] - np.max(np.abs(H @ M - M @ H))) < 1e-12
     for g in (twisted_translation_element(N, m), global_rotation_element(N, m)):
         assert residuals[g] < 1e-12
@@ -529,8 +584,10 @@ def test_block_diagonalization_matches_dense_eigvalsh(kind):
         members = [[t] for t in range(6)]
     else:
         H, members = _hidden_blocks(seed=int(kind[-1]))
-    assert sorted(list(b) for b in hermitian_blocks(H)) == sorted(list(r) for r in members)
-    vals, degs, herm = diagonalize_hermitian(H)
+    chain = chain_from_dense(H)
+    blocks = pattern_blocks(len(H), *np.divmod(chain.keys, len(H)))
+    assert sorted(list(b) for b in blocks) == sorted(list(r) for r in members)
+    vals, degs, herm = diagonalize_hermitian(chain)
     assert herm == np.max(np.abs(H - H.conj().T))
     dense = np.linalg.eigvalsh(H)
     scale = max(1.0, np.max(np.abs(H)))
@@ -550,7 +607,7 @@ def test_haldane_shastry_blocks_are_colour_occupations():
     classes = {}
     for t, digits in enumerate(states):
         classes.setdefault(tuple(sorted(digits)), []).append(t)
-    blocks = hermitian_blocks(H)
+    blocks = pattern_blocks(H.dim, *np.divmod(H.keys, H.dim))
     assert len(blocks) == 10
     assert sorted(list(b) for b in blocks) == sorted(classes.values())
 
@@ -562,7 +619,7 @@ def test_known_two_site_chain():
     H = frozen_spin_matrix(rep, frozen.terms)
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
     P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("G(m,1,N)", 2, 1))[1])
-    assert np.max(np.abs(H - (-0.5) * to_numpy(P))) < 1e-14
+    assert np.max(np.abs(H.dense() - (-0.5) * to_numpy(P))) < 1e-14
     vals, degs, herm = diagonalize_hermitian(H)
     assert herm == 0.0
     assert np.allclose(vals, [-0.5, -0.5, -0.5, 0.5])
@@ -572,7 +629,7 @@ def test_known_two_site_chain():
 def test_diagonalize_guards():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        diagonalize_hermitian(bad)
+        diagonalize_hermitian(chain_from_dense(bad))
     # two Hermitian blocks linked by a lone entry whose mirror is missing:
     # the symmetrized pattern joins them, so the per-block check sees it
     linked = np.zeros((4, 4), dtype=complex)
@@ -580,12 +637,12 @@ def test_diagonalize_guards():
     linked[2:, 2:] = [[0.0, 3.0], [3.0, 1.0]]
     linked[0, 3] = 1e-3
     with pytest.raises(ValueError):
-        diagonalize_hermitian(linked)
+        diagonalize_hermitian(chain_from_dense(linked))
     # a non-real diagonal entry is a one-by-one block of its own
     with pytest.raises(ValueError):
-        diagonalize_hermitian(np.diag([1.0, 2.0 + 1e-6j, 3.0]))
+        diagonalize_hermitian(chain_from_dense(np.diag([1.0, 2.0 + 1e-6j, 3.0])))
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    vals, degs, herm = diagonalize_hermitian(good)
+    vals, degs, herm = diagonalize_hermitian(chain_from_dense(good))
     assert np.allclose(vals, [-1.0, 1.0]) and herm == 0.0
 
 
@@ -593,7 +650,7 @@ def test_spectral_reconstruction_random():
     rng = np.random.default_rng(1)
     B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     H = B + B.conj().T
-    vals, _, _ = diagonalize_hermitian(H)
+    vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
     w, v = np.linalg.eigh(H)
     assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - H)) < 1e-8
 
@@ -613,7 +670,7 @@ def test_charpoly_oracle_matches_eigensolvers():
     # exact Hermiticity: M equals its conjugate transpose entry by entry
     assert all(M.rows[i][j] == M.rows[j][i].conj() for i in range(dim) for j in range(dim))
     H = to_numpy(M)
-    vals, _, _ = diagonalize_hermitian(H)
+    vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
     oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10
     coeffs = char_poly_exact(M)
@@ -621,6 +678,38 @@ def test_charpoly_oracle_matches_eigensolvers():
     # the roots of the exact polynomial, a structural cross-check
     roots = np.roots([c.to_complex() for c in reversed(coeffs)])
     assert np.max(np.abs(np.sort(roots.real) - vals)) < 1e-5
+
+
+# the nine chains of dimension 16 or less in the spectrum benchmark workload
+WORKLOAD_SMALL_CHAINS = [
+    ("cyclic", 2, 1), ("cyclic", 3, 1), ("cyclic", 4, 1), ("cyclic", 3, 2),
+    ("cyclic", 4, 2), ("cyclic", 3, 3),
+    ("dihedral-odd", 2, 1), ("dihedral-odd", 3, 1), ("dihedral-odd", 2, 3),
+]
+
+
+@pytest.mark.parametrize("family,N,m", WORKLOAD_SMALL_CHAINS)
+def test_block_char_poly_equals_whole_matrix_recursion(family, N, m):
+    rep = SpinRepData(2, m, N)
+    M = SpinMatrix.from_terms(rep, build_frozen_hamiltonian(build_lattice(family, N, m)).terms)
+    assert char_poly_exact(M) == char_poly_by_trace_recursion(M)
+
+
+def test_block_char_poly_with_a_one_sided_entry():
+    """Two blocks joined only by M[3][0]: the polynomial is the whole
+    matrix's.  The pattern is symmetrized before its components are taken,
+    so the lone entries (0, 1) and (3, 0) alone join 0, 1 and 3."""
+    z3 = CycloScalar.root_of_unity(3)
+    one = CycloScalar.one(3)
+    M = SpinMatrix.zero(5, 3)
+    M.rows[0][0], M.rows[0][1], M.rows[1][0], M.rows[1][1] = one, z3, z3.conj(), -one
+    M.rows[2][2], M.rows[2][3], M.rows[3][2] = one * 2, one, one
+    M.rows[3][0] = z3 * 5
+    M.rows[4][4] = one * 3
+    assert [b.tolist() for b in pattern_blocks(5, np.array([0, 3]), np.array([1, 0]))] == [
+        [0, 1, 3], [2], [4]
+    ]
+    assert char_poly_exact(M) == char_poly_by_trace_recursion(M)
 
 
 def test_jacobi_oracle_on_degenerate_spectra():
