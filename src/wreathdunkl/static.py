@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt, lcm
 
 from .cyclotomic import CycloScalar
@@ -94,13 +94,21 @@ def build_static_hamiltonian(params: ModelParams) -> MixedOperator:
 
 
 def freezing_identity_check(params: ModelParams) -> CheckSuite:
-    """Operator-level identities behind the freezing construction."""
+    """Operator-level identities behind the freezing construction.
+
+    The barred operators, the static Hamiltonian and the scalar potential
+    are built at unit coupling, so the verdicts of [barred_i, barred_j] = 0
+    and [static H, barred_i] = euler_i(potential) depend on (N, m) alone:
+    ``_unit_freezing`` computes them once per (N, m) and process, and every
+    coupling reuses them.  Only Dunkl = Euler + lambda * barred is checked
+    at each coupling.
+    """
     N = params.size
     suite = CheckSuite("freezing-identities")
     idx = params.to_json()
     if params.family != "cyclic":
         raise ValueError("the freezing identities are checked for the cyclic family")
-    barred = [build_barred(params, i) for i in range(1, N + 1)]
+    barred, commuting, static = _unit_freezing(N, params.order)
     for i in range(1, N + 1):
         d = build_dunkl(params, i)
         euler = MixedOperator.euler(N, i, order=d.order, group_order=params.order)
@@ -108,26 +116,33 @@ def freezing_identity_check(params: ModelParams) -> CheckSuite:
         suite.add(
             "Dunkl = Euler + lambda * barred", {**idx, "i": i}, d == recomposed
         )
-    for i in range(N):
-        for j in range(i + 1, N):
-            suite.add(
-                "[barred_i, barred_j] = 0",
-                {**idx, "i": i + 1, "j": j + 1},
-                op_commutator(barred[i], barred[j]).is_zero(),
-            )
-    hbar = build_static_hamiltonian(
-        ModelParams("cyclic", N, params.order, Fraction(1))
-    )
-    v = scalar_potential(params)
-    for i in range(1, N + 1):
-        comm = op_commutator(hbar, barred[i - 1])
-        target = MixedOperator.from_coefficient(v.euler(i), params.order)
-        suite.add(
-            "[static H, barred_i] = euler_i(potential)",
-            {**idx, "i": i},
-            comm == target,
-        )
+    for i, j, ok in commuting:
+        suite.add("[barred_i, barred_j] = 0", {**idx, "i": i, "j": j}, ok)
+    for i, ok in enumerate(static, 1):
+        suite.add("[static H, barred_i] = euler_i(potential)", {**idx, "i": i}, ok)
     return suite
+
+
+@lru_cache(maxsize=16)
+def _unit_freezing(N: int, m: int) -> tuple:
+    """(barred operators, (i, j, [barred_i, barred_j] = 0) for i < j,
+    [static H, barred_i] = euler_i(potential) for each i), all at unit
+    coupling."""
+    unit = ModelParams("cyclic", N, m, Fraction(1))
+    barred = tuple(build_barred(unit, i) for i in range(1, N + 1))
+    commuting = tuple(
+        (i + 1, j + 1, op_commutator(barred[i], barred[j]).is_zero())
+        for i in range(N)
+        for j in range(i + 1, N)
+    )
+    hbar = build_static_hamiltonian(unit)
+    v = scalar_potential(unit)
+    static = tuple(
+        op_commutator(hbar, barred[i - 1])
+        == MixedOperator.from_coefficient(v.euler(i), m)
+        for i in range(1, N + 1)
+    )
+    return barred, commuting, static
 
 
 # -- the lattice condition --------------------------------------------------------

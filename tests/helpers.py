@@ -2,8 +2,9 @@
 operator-algebra tests, a reader of exported scalars, the reduced-form predicate of rational
 coefficients, the dense oracles of the projector and agreement checks, the
 dense references of the frozen chain and its characteristic polynomial, the
-extraction reference of the static Hamiltonian and the frozen chains, and
-the lattice-table suite."""
+extraction reference of the static Hamiltonian and the frozen chains, the
+direct-product references of the charge commutators and the freezing
+identities, and the lattice-table suite."""
 
 import itertools
 from fractions import Fraction
@@ -12,13 +13,20 @@ from math import gcd
 import numpy as np
 
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.dunkl import ModelParams, build_hamiltonian
+from wreathdunkl.dunkl import ModelParams, build_charge, build_dunkl, build_hamiltonian
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup
-from wreathdunkl.opalg import MixedOperator
+from wreathdunkl.opalg import MixedOperator, op_commutator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
 from wreathdunkl.spinrep import SparseChain, SpinMatrix, monomial_image
-from wreathdunkl.static import LATTICE_LABELS, _static_params, build_lattice
+from wreathdunkl.static import (
+    LATTICE_LABELS,
+    _static_params,
+    build_barred,
+    build_lattice,
+    build_static_hamiltonian,
+    scalar_potential,
+)
 
 
 def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
@@ -281,6 +289,48 @@ def extracted_chain(lattice):
             if abs(value) > 1e-15:
                 terms.append((value, g))
     return terms
+
+
+def charge_commutator_by_products(A, params, l):
+    """[A, I^(l)] as the difference of the two products with the built
+    charge.  The reference for ``dunkl.charge_commutator``."""
+    return op_commutator(A, build_charge(params, l))
+
+
+def freezing_identities_by_products(params) -> CheckSuite:
+    """The freezing identities with every commutator recomputed at the
+    given coupling.  The reference for ``static.freezing_identity_check``."""
+    N = params.size
+    suite = CheckSuite("freezing-identities")
+    idx = params.to_json()
+    barred = [build_barred(params, i) for i in range(1, N + 1)]
+    for i in range(1, N + 1):
+        d = build_dunkl(params, i)
+        euler = MixedOperator.euler(N, i, order=d.order, group_order=params.order)
+        recomposed = euler + barred[i - 1].scale(params.lam)
+        suite.add(
+            "Dunkl = Euler + lambda * barred", {**idx, "i": i}, d == recomposed
+        )
+    for i in range(N):
+        for j in range(i + 1, N):
+            suite.add(
+                "[barred_i, barred_j] = 0",
+                {**idx, "i": i + 1, "j": j + 1},
+                op_commutator(barred[i], barred[j]).is_zero(),
+            )
+    hbar = build_static_hamiltonian(
+        ModelParams("cyclic", N, params.order, Fraction(1))
+    )
+    v = scalar_potential(params)
+    for i in range(1, N + 1):
+        comm = op_commutator(hbar, barred[i - 1])
+        target = MixedOperator.from_coefficient(v.euler(i), params.order)
+        suite.add(
+            "[static H, barred_i] = euler_i(potential)",
+            {**idx, "i": i},
+            comm == target,
+        )
+    return suite
 
 
 def lattice_table_check(m: int, sizes) -> CheckSuite:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import apply, is_reduced
+from helpers import apply, charge_commutator_by_products, is_reduced
 from wreathdunkl.cli import DEFAULT_GRID, _verify_case
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -15,6 +15,7 @@ from wreathdunkl.dunkl import (
     build_reflection_dunkl,
     build_symmetric_dunkl,
     charge_commutation_check,
+    charge_commutator,
     check_hecke_relations,
     check_recursion,
     exchange_element,
@@ -181,6 +182,45 @@ def test_charge_commutation_and_symmetries():
     pd = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     suite = charge_commutation_check(pd, kmax=2)
     assert suite.passed, [i.relation for i in suite.failures()]
+
+
+_CYCLIC = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+_DIHEDRAL = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
+
+
+def _K1(p):
+    return MixedOperator.from_group(generator(p.group_spec, "K", i=1), order=p.order)
+
+
+_OPERANDS = {
+    "I1": lambda p: build_charge(p, 1),
+    "I2": lambda p: build_charge(p, 2),
+    "K1": _K1,
+    "I1+K1": lambda p: build_charge(p, 1) + _K1(p),
+}
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize(
+    "p,operand",
+    [(_CYCLIC, "I1"), (_CYCLIC, "I2"), (_DIHEDRAL, "I1"), (_DIHEDRAL, "K1"),
+     (_DIHEDRAL, "I1+K1")],
+    ids=lambda v: v if isinstance(v, str) else v.family,
+)
+def test_charge_commutator_equals_direct_products(p, operand, l):
+    """The Leibniz sum is the direct commutator [A, I^(l)] in normal form,
+    including where it does not vanish."""
+    A = _OPERANDS[operand](p)
+    got = charge_commutator(A, p, l)
+    want = charge_commutator_by_products(A, p, l)
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("operand", ["K1", "I1+K1"])
+def test_charge_commutator_does_not_vanish_off_the_charges(operand):
+    A = _OPERANDS[operand](_DIHEDRAL)
+    assert charge_commutator(A, _DIHEDRAL, 3).term_count() == 46
 
 
 def test_decomposition_into_barred_part():

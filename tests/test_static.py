@@ -4,9 +4,14 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from helpers import extracted_chain, extracted_static, lattice_table_check
+from helpers import (
+    extracted_chain,
+    extracted_static,
+    freezing_identities_by_products,
+    lattice_table_check,
+)
 
-from wreathdunkl.cli import DEFAULT_GRID
+from wreathdunkl.cli import DEFAULT_GRID, main
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, build_charge, exchange_element
 from wreathdunkl.groups import WreathElement
@@ -14,6 +19,7 @@ from wreathdunkl.opalg import MixedOperator, op_commutator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.static import (
     LATTICE_LABELS,
+    _unit_freezing,
     build_barred,
     build_frozen_hamiltonian,
     build_lattice,
@@ -39,6 +45,36 @@ def test_freezing_identities(N, m):
     p = ModelParams("cyclic", N, m, Fraction(1))
     suite = freezing_identity_check(p)
     assert suite.passed, [i.relation for i in suite.failures()]
+
+
+def _cyclic_grid_points():
+    grid = DEFAULT_GRID["cyclic"]
+    return [
+        ModelParams("cyclic", N, m, Fraction(lam), Fraction(mu), Fraction(rho))
+        for N, m in grid["cases"]
+        for lam, mu, rho in grid["couplings"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "p", _cyclic_grid_points(), ids=lambda p: f"N{p.size}-m{p.order}-lambda{p.lam}".replace("/", "_")
+)
+def test_freezing_identities_equal_direct_products(p):
+    """The (N, m)-keyed verdicts give the same items, in the same order,
+    as recomputing every commutator at the point's coupling."""
+    assert freezing_identity_check(p).to_json() == (
+        freezing_identities_by_products(p).to_json()
+    )
+
+
+def test_freezing_verdicts_are_computed_once_per_size(tmp_path):
+    _unit_freezing.cache_clear()
+    assert main(["verify", "--output", str(tmp_path / "grid.json")]) == 0
+    info = _unit_freezing.cache_info()
+    assert info.currsize == 3
+    for N, m in ((2, 2), (2, 3), (3, 2)):
+        _unit_freezing(N, m)
+    assert _unit_freezing.cache_info().misses == info.misses
 
 
 def test_static_hamiltonian_is_the_two_body_sum():
