@@ -51,7 +51,7 @@ from .groups import (
     enumerate_subgroup,
     relation_suite,
 )
-from .polyalg import RationalCoefficient
+from .polyalg import RationalCoefficient, result_table
 from .reports import CheckSuite
 from .spinrep import (
     SpinMatrix,
@@ -143,24 +143,34 @@ def _group_suite(spec: GroupSpec, corrupt: str | None) -> CheckSuite:
 def _verify_case(
     params: ModelParams, n: int | None, kmax: int, corrupt: str | None
 ) -> CheckSuite:
+    """Every suite of one parameter point.
+
+    The suites act on and multiply the same Dunkl coefficients again and
+    again, so the case runs inside one ``polyalg.result_table`` scope: an
+    ``act``, ``euler``, or ``+`` or ``*`` of two coefficients already made
+    in this case on the same operand values (keyed exactly, by nvars,
+    order, numerator terms and denominator factors) returns the stored
+    result.  The table is dropped when the case ends or raises.
+    """
     suite = CheckSuite(f"verify[{params.family} N={params.size} m={params.order}]")
-    suite.extend(_group_suite(params.group_spec, corrupt))
-    suite.extend(check_hecke_relations(params, corrupt=corrupt))
-    suite.extend(check_recursion(params, corrupt=corrupt == "recursion"))
-    suite.extend(rotation_average_check(params))
-    suite.extend(reduction_check(params))
-    suite.extend(hamiltonian_check(params))
-    suite.extend(charge_commutation_check(params, kmax=kmax))
-    if params.family == "cyclic":
-        suite.extend(freezing_identity_check(params))
-    suite.extend(static_display_check(params))
-    if n:
-        rep = SpinRepData(n, params.order, params.size)
-        suite.extend(spin_representation_check(rep))
-        suite.extend(projector_check(params, rep))
-        ks = (1, 2) if params.family == "cyclic" else (2,)
-        for k in ks:
-            suite.extend(verify_agreement(params, rep, k))
+    with result_table():
+        suite.extend(_group_suite(params.group_spec, corrupt))
+        suite.extend(check_hecke_relations(params, corrupt=corrupt))
+        suite.extend(check_recursion(params, corrupt=corrupt == "recursion"))
+        suite.extend(rotation_average_check(params))
+        suite.extend(reduction_check(params))
+        suite.extend(hamiltonian_check(params))
+        suite.extend(charge_commutation_check(params, kmax=kmax))
+        if params.family == "cyclic":
+            suite.extend(freezing_identity_check(params))
+        suite.extend(static_display_check(params))
+        if n:
+            rep = SpinRepData(n, params.order, params.size)
+            suite.extend(spin_representation_check(rep))
+            suite.extend(projector_check(params, rep))
+            ks = (1, 2) if params.family == "cyclic" else (2,)
+            for k in ks:
+                suite.extend(verify_agreement(params, rep, k))
     return suite
 
 

@@ -37,13 +37,27 @@ operands differ without testing it (the proof is in ``__add__``).
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
 Euler derivatives ``D_i = q_i d/dq_i`` act monomial-wise.
+
+Inside a ``result_table()`` scope, ``act``, ``euler``, and ``+`` and ``*``
+of two coefficients compute each result once: a repeat of an operation on
+the same operand values returns the stored result, the very object the
+first call built.  Operands are keyed by exact value (nvars, order, the
+numerator's sorted terms, each denominator factor's sorted terms with its
+multiplicity), never by a digest; each key is interned to a small integer
+per scope and cached on the coefficient, and an operation is keyed by the
+method with its operands' integers, or with the group element or variable
+index.  Operands with more than 8 numerator terms or 2 denominator factors
+stay out, since the table holds every result until the scope closes.
+Outside a scope every operation computes afresh.
 """
 
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from itertools import count
 from math import gcd
 
 from . import _kernels as K
@@ -429,10 +443,11 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, self.order, out)
 
     def unit_normalize(self):
-        """Write self = coeff * q**shift * monic and return all three.
+        """Write unit * self = q**shift * monic and return all three.
 
         ``monic`` has nonnegative exponents with zero monomial content and
-        leading (lex-max) coefficient 1.
+        leading (lex-max) coefficient 1; ``unit`` is the inverse of self's
+        leading coefficient.
         """
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
@@ -443,7 +458,8 @@ class LaurentPoly:
         c = CycloScalar(self.order, n, d, _normalized=True)
         if c == 1:
             return c, shift, p
-        return c, shift, p * c.inverse()
+        unit = c.inverse()
+        return unit, shift, p * unit
 
     def binomial_rule(self):
         """The ``_BinomialRule`` of self, or None when self is no binomial
@@ -508,12 +524,96 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-class RationalCoefficient:
-    """Quotient of Laurent polynomials with a factored denominator."""
+# -- the result table --------------------------------------------------------
 
-    __slots__ = ("num", "den")
+# Operands larger than this stay out of the table, which holds every result
+# until its scope closes.
+_TABLE_NUM_TERMS = 8
+_TABLE_DEN_FACTORS = 2
+
+
+class _ResultTable:
+    """Results of coefficient operations made inside one ``result_table``
+    scope, keyed by the operation and its operands' interned value ids."""
+
+    __slots__ = ("serial", "ids", "results")
+
+    def __init__(self, serial: int):
+        self.serial = serial
+        self.ids: dict = {}  # exact value key -> small int
+        self.results: dict = {}  # (operation, id, id or argument) -> result
+
+    def ident(self, c: "RationalCoefficient") -> int:
+        """c's interned id in this table, cached on c; -1 when c is too
+        large to enter it."""
+        memo = c._memo
+        if memo is not None and memo[0] == self.serial:
+            return memo[1]
+        num = c.num
+        if len(num.terms) > _TABLE_NUM_TERMS or len(c.den) > _TABLE_DEN_FACTORS:
+            ident = -1
+        else:
+            key = (num.nvars, num.order, num.key(),
+                   tuple((f.key(), k) for f, k in c.den))
+            ident = self.ids.setdefault(key, len(self.ids))
+        c._memo = (self.serial, ident)
+        return ident
+
+
+_SERIALS = count()
+_LIVE = [None]  # the table of the innermost open scope, or None
+
+
+@contextmanager
+def result_table():
+    """A scope in which ``act``, ``euler``, and ``+`` and ``*`` of two
+    coefficients each compute a result once per operand values; the table
+    is dropped when the scope exits, normally or by an exception."""
+    outer = _LIVE[0]
+    _LIVE[0] = _ResultTable(next(_SERIALS))
+    try:
+        yield
+    finally:
+        _LIVE[0] = outer
+
+
+def _remembered(pair: bool):
+    """Serve ``op(self, arg)`` from the live table.  With ``pair`` the
+    operation is keyed only when ``arg`` is a coefficient, by both ids;
+    otherwise ``arg`` (a group element or a variable index) is keyed as is."""
+
+    def decorate(op):
+        @wraps(op)
+        def remembered(self, arg):
+            table = _LIVE[0]
+            if table is None or pair and not isinstance(arg, RationalCoefficient):
+                return op(self, arg)
+            a = table.ident(self)
+            b = table.ident(arg) if pair else 0
+            if a < 0 or b < 0:
+                return op(self, arg)
+            key = (op, a, b if pair else arg)
+            out = table.results.get(key)
+            if out is None:
+                out = table.results[key] = op(self, arg)
+            return out
+
+        return remembered
+
+    return decorate
+
+
+class RationalCoefficient:
+    """Quotient of Laurent polynomials with a factored denominator.
+
+    Instances are never changed after construction, so results served by
+    ``result_table`` are shared; ``_memo`` caches the interned id of the
+    value in the live table."""
+
+    __slots__ = ("num", "den", "_memo")
 
     def __init__(self, num: LaurentPoly, den: tuple = (), _trusted: bool = False):
+        self._memo = None
         if _trusted:
             self.num = num
             self.den = den
@@ -602,6 +702,7 @@ class RationalCoefficient:
 
     # -- arithmetic ----------------------------------------------------------
 
+    @_remembered(pair=True)
     def __add__(self, other):
         """a + b over the factor-wise lcm L of the denominators, cancelled.
 
@@ -654,6 +755,7 @@ class RationalCoefficient:
     def __neg__(self):
         return RationalCoefficient(-self.num, self.den, _trusted=True)
 
+    @_remembered(pair=True)
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
             return RationalCoefficient(self.num * other, self.den, _trusted=True)
@@ -694,6 +796,7 @@ class RationalCoefficient:
 
     # -- calculus, action, evaluation -----------------------------------------
 
+    @_remembered(pair=False)
     def euler(self, var: int) -> "RationalCoefficient":
         """Euler derivative D_var by the quotient rule on the factored form."""
         if not self.den:
@@ -715,6 +818,7 @@ class RationalCoefficient:
         den = {f: (k + 1 if not df.is_zero() else k) for f, k, df in triples}
         return RationalCoefficient._reduced(acc, den)
 
+    @_remembered(pair=False)
     def act(self, g: WreathElement) -> "RationalCoefficient":
         num, den = _automorphic_image(
             self.num.act(g), [(f.act(g), k) for f, k in self.den]
@@ -795,12 +899,12 @@ def _unit_normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, dict]:
     """
     factors: dict[LaurentPoly, int] = {}
     for f, k in den:
-        c, shift, monic = f.unit_normalize()
+        unit, shift, monic = f.unit_normalize()
         if not monic.is_constant():
             factors[monic] = factors.get(monic, 0) + k
-        if c != 1 or any(shift):
+        if unit != 1 or any(shift):
             num = num * LaurentPoly.monomial(
-                num.nvars, tuple(-x * k for x in shift), c.inverse() ** k, f.order
+                num.nvars, tuple(-x * k for x in shift), unit**k, f.order
             )
     return num, factors
 

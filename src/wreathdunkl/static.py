@@ -43,7 +43,6 @@ from .dunkl import (
     exchange_element,
     hamiltonian_images,
     image_operator,
-    inverse_square,
     reflected_exchange_element,
 )
 from .opalg import MixedOperator, op_commutator
@@ -53,7 +52,7 @@ from .reports import CheckSuite
 LATTICE_LABELS = ("L2Nm", "L2NmPlusM_halfshift", "L2NmPlusM_integer", "L2Np1m")
 
 
-# -- barred operators and the scalar potential ---------------------------------
+# -- barred operators and the potential's derivatives ---------------------------
 
 
 def build_barred(params: ModelParams, i: int) -> MixedOperator:
@@ -68,12 +67,22 @@ def build_barred(params: ModelParams, i: int) -> MixedOperator:
     return d - euler
 
 
-def scalar_potential(params: ModelParams) -> RationalCoefficient:
-    """Two-body inverse-square potential of the cyclic model (scalar part):
-    the sum of x / (1 - x)^2 over the cyclic two-body images."""
-    cyclic = ModelParams("cyclic", params.size, params.order, Fraction(1))
-    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic, False)]
-    return balanced_sum([RationalCoefficient.zero(params.size, params.order)] + terms)
+def potential_euler(N: int, m: int, i: int) -> RationalCoefficient:
+    """euler_i of the cyclic two-body potential, the sum of x / (1 - x)^2
+    over the images x, taken term by term.
+
+    Euler operators are derivations, and D_i x / (1 - x)^2 =
+    e_i x (1 + x) / (1 - x)^3 for an image x with exponent e_i at site i,
+    so only the images that involve site i contribute.
+    """
+    unit = ModelParams("cyclic", N, m, Fraction(1))
+    terms = [RationalCoefficient.zero(N, m)]
+    for x, _, _ in hamiltonian_images(unit, False):
+        ((e, _),) = x.terms.items()
+        if e[i - 1]:
+            one = LaurentPoly.constant(N, 1, x.order)
+            terms.append(RationalCoefficient.ratio(x * (one + x) * e[i - 1], one - x, 3))
+    return balanced_sum(terms)
 
 
 def build_static_hamiltonian(params: ModelParams) -> MixedOperator:
@@ -96,9 +105,10 @@ def build_static_hamiltonian(params: ModelParams) -> MixedOperator:
 def freezing_identity_check(params: ModelParams) -> CheckSuite:
     """Operator-level identities behind the freezing construction.
 
-    The barred operators, the static Hamiltonian and the scalar potential
-    are built at unit coupling, so the verdicts of [barred_i, barred_j] = 0
-    and [static H, barred_i] = euler_i(potential) depend on (N, m) alone:
+    The barred operators, the static Hamiltonian and the potential's
+    derivatives (``potential_euler``) are built at unit coupling, so the
+    verdicts of [barred_i, barred_j] = 0 and [static H, barred_i] =
+    euler_i(potential) depend on (N, m) alone:
     ``_unit_freezing`` computes them once per (N, m) and process, and every
     coupling reuses them.  Only Dunkl = Euler + lambda * barred is checked
     at each coupling.
@@ -136,10 +146,9 @@ def _unit_freezing(N: int, m: int) -> tuple:
         for j in range(i + 1, N)
     )
     hbar = build_static_hamiltonian(unit)
-    v = scalar_potential(unit)
     static = tuple(
         op_commutator(hbar, barred[i - 1])
-        == MixedOperator.from_coefficient(v.euler(i), m)
+        == MixedOperator.from_coefficient(potential_euler(N, m, i), m)
         for i in range(1, N + 1)
     )
     return barred, commuting, static

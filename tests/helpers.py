@@ -4,7 +4,7 @@ coefficients, the dense oracles of the projector and agreement checks, the
 dense references of the frozen chain and its characteristic polynomial, the
 extraction reference of the static Hamiltonian and the frozen chains, the
 direct-product references of the charge commutators and the freezing
-identities, and the lattice-table suite."""
+identities, the summed scalar potential, and the lattice-table suite."""
 
 import itertools
 from fractions import Fraction
@@ -13,7 +13,15 @@ from math import gcd
 import numpy as np
 
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.dunkl import ModelParams, build_charge, build_dunkl, build_hamiltonian
+from wreathdunkl.dunkl import (
+    ModelParams,
+    balanced_sum,
+    build_charge,
+    build_dunkl,
+    build_hamiltonian,
+    hamiltonian_images,
+    inverse_square,
+)
 from wreathdunkl.groups import GroupSpec, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator, op_commutator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
@@ -25,7 +33,6 @@ from wreathdunkl.static import (
     build_barred,
     build_lattice,
     build_static_hamiltonian,
-    scalar_potential,
 )
 
 
@@ -295,6 +302,15 @@ def charge_commutator_by_products(A, params, l):
     """[A, I^(l)] as the difference of the two products with the built
     charge.  The reference for ``dunkl.charge_commutator``."""
     return op_commutator(A, build_charge(params, l))
+
+
+def scalar_potential(params: ModelParams) -> RationalCoefficient:
+    """Two-body inverse-square potential of the cyclic model (scalar part):
+    the sum of x / (1 - x)^2 over the cyclic two-body images.  Its Euler
+    derivatives are the reference for ``static.potential_euler``."""
+    cyclic = ModelParams("cyclic", params.size, params.order, Fraction(1))
+    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic, False)]
+    return balanced_sum([RationalCoefficient.zero(params.size, params.order)] + terms)
 
 
 def freezing_identities_by_products(params) -> CheckSuite:

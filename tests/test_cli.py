@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from helpers import extracted_chain, scalar_from_json
 
+from wreathdunkl import cli, polyalg
 from wreathdunkl.cli import main
 
 
@@ -320,6 +322,25 @@ def test_reports_are_deterministic(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("corrupt", [[], ["--corrupt", "drels"]])
+def test_result_table_leaves_reports_byte_identical(corrupt, tmp_path, monkeypatch):
+    """A verify case computes the same report bytes with its result table
+    as with every operation computed afresh."""
+    argv = ["verify", "--family", "dihedral", "--N", "2", "--m", "3",
+            "--lambda", "1/2", "--mu", "1", "--rho", "1/2", *corrupt,
+            "--output", str(tmp_path / "out.json")]
+    codes, reports = [], []
+    for scoped in (False, True):
+        if not scoped:
+            monkeypatch.setattr(cli, "result_table", contextlib.nullcontext)
+        else:
+            monkeypatch.undo()
+        codes.append(main(argv))
+        reports.append((tmp_path / "out.json").read_bytes())
+    assert codes == ([1, 1] if corrupt else [0, 0])
+    assert reports[0] == reports[1]
+
+
 def test_reports_are_byte_identical_across_processes():
     """Same argv in two interpreters, different hash seeds: same bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -418,21 +439,41 @@ def argvs(draw):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-@example(["verify", "--family", "dihedral", "--kmax", "1"])
-@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "-1"])
-@example(["spectrum", "--family", "dihedral-even", "--L", "2"])
-@example(["export", "--family", "cyclic", "--object", "Z0"])
-@example(["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", "1", "--n", "2"])
-@example(["spectrum", "--mu2", BIG_SQUARE])
-@example(["spectrum", "--mu2", NO_FLOAT])
-@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "1e200"])
-def test_no_argv_reaches_a_traceback(argv):
-    """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2."""
+@given(argvs(), st.booleans())
+@example(["verify", "--family", "dihedral", "--kmax", "1"], False)
+@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "-1"], False)
+@example(["spectrum", "--family", "dihedral-even", "--L", "2"], False)
+@example(["export", "--family", "cyclic", "--object", "Z0"], False)
+@example(["spectrum", "--family", "dihedral-odd", "--N", "1", "--m", "1", "--n", "2"], False)
+@example(["spectrum", "--mu2", BIG_SQUARE], False)
+@example(["spectrum", "--mu2", NO_FLOAT], False)
+@example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "1e200"], False)
+@example(["verify", "--family", "dihedral", "--m", "3"], True)
+def test_no_argv_reaches_a_traceback(argv, fault):
+    """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
+    With ``fault``, an internal error raised inside a verify case, after
+    the case has filled its result table, exits 3 in one line.  No table
+    is left behind either way."""
+    real = cli.hamiltonian_check
+
+    def broken(params):
+        real(params)
+        raise ArithmeticError("injected\nfault")
+
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if fault:
+            stack.enter_context(mock.patch.object(cli, "hamiltonian_check", broken))
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert polyalg._LIVE == [None]
+    if fault and argv[0] == "verify":
+        # a verify argv is either refused or reaches the broken case
+        message = "internal error: ArithmeticError: injected fault\n"
+        assert code == 2 or (code, err.getvalue()) == (3, message), (argv, code)
+    else:
+        assert code in (0, 1, 2), (argv, err.getvalue())

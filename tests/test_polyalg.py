@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_reduced
+from wreathdunkl import polyalg
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
+from wreathdunkl.dunkl import ModelParams, build_dunkl
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.polyalg import (
     LaurentPoly,
@@ -18,6 +20,7 @@ from wreathdunkl.polyalg import (
     _cancel,
     _unit_normalized,
     random_torus_point,
+    result_table,
 )
 
 
@@ -493,3 +496,87 @@ def test_automorphic_images_equal_trial_division(data):
             *_cancel(*_unit_normalized(num, den))
         )
         assert is_reduced(got)
+
+
+# -- the result table ---------------------------------------------------------
+
+
+def _dunkl_operands():
+    """The coefficients of d_1 and d_2 at a dihedral point, and every group
+    element that occurs in those operators."""
+    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    coeffs, elements = [], set()
+    for i in (1, 2):
+        for (_, g), c in build_dunkl(p, i).terms.items():
+            coeffs.append(c)
+            elements.add(g)
+    return coeffs, sorted(elements, key=WreathElement.sort_key)
+
+
+def _table_operations(coeffs, elements):
+    """Every act, euler, sum and product of the operands, in one order."""
+    out = []
+    for a in coeffs:
+        out += [a.act(g) for g in elements]
+        out += [a.euler(v) for v in (1, 2)]
+        for b in coeffs:
+            out += [a + b, a * b]
+    return out
+
+
+def _exact(c):
+    return c.nvars, c.order, c.num.key(), c.den
+
+
+def test_table_results_equal_computed_results():
+    coeffs, elements = _dunkl_operands()
+    plain = _table_operations(coeffs, elements)
+    with result_table():
+        first = _table_operations(coeffs, elements)
+        again = _table_operations(coeffs, elements)
+    assert [_exact(c) for c in first] == [_exact(c) for c in plain]
+    assert all(x is y for x, y in zip(first, again))
+
+
+def test_table_keys_tell_equal_terms_apart():
+    """Values that differ only in a multiplicity, the field order or the
+    variable count have different keys."""
+    f = LaurentPoly.constant(2, 1, 3) - q(1)
+    one3 = RationalCoefficient.one(2, 3)
+    with result_table():
+        for k in (1, 2):
+            c = RationalCoefficient(LaurentPoly.constant(2, 1, 3), ((f, k),))
+            ((_, k1),) = c.euler(1).den
+            assert k1 == k + 1
+        for order in (3, 6):
+            one = RationalCoefficient.one(2, order)
+            assert (one * one).order == (one + one).order == order
+        for nvars in (2, 3):
+            zero = RationalCoefficient.zero(nvars, 3)
+            assert (zero + zero).nvars == (zero * zero).nvars == nvars
+        assert (one3 + one3) is (one3 + one3)
+        assert (one3 + 1) is not (one3 + 1)  # scalars stay out
+
+
+def test_repeated_operations_share_one_result_only_inside_a_scope():
+    coeffs, elements = _dunkl_operands()
+    a, b, g = coeffs[0], coeffs[1], elements[-1]
+    ops = (lambda: a.act(g), lambda: a.euler(1), lambda: a + b, lambda: a * b)
+    assert all(op() is not op() for op in ops)
+    with result_table():
+        assert all(op() is op() for op in ops)
+    assert all(op() is not op() for op in ops)
+
+
+def test_no_table_is_left_after_a_scope():
+    a = RationalCoefficient.ratio(q(1), q(1) - q(2))
+    assert polyalg._LIVE == [None]
+    with result_table():
+        assert polyalg._LIVE[0] is not None
+        a.euler(1)
+    assert polyalg._LIVE == [None]
+    with pytest.raises(RuntimeError, match="inside"):
+        with result_table():
+            a.euler(2)
+            raise RuntimeError("inside")
+    assert polyalg._LIVE == [None]

@@ -9,6 +9,7 @@ from helpers import (
     extracted_static,
     freezing_identities_by_products,
     lattice_table_check,
+    scalar_potential,
 )
 
 from wreathdunkl.cli import DEFAULT_GRID, main
@@ -29,7 +30,7 @@ from wreathdunkl.static import (
     lattice_residuals,
     rational_sqrt,
     scan_equidistant,
-    scalar_potential,
+    potential_euler,
     static_display_check,
 )
 
@@ -65,6 +66,15 @@ def test_freezing_identities_equal_direct_products(p):
     assert freezing_identity_check(p).to_json() == (
         freezing_identities_by_products(p).to_json()
     )
+
+
+@pytest.mark.parametrize("N, m", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_potential_euler_equals_derivative_of_the_sum(N, m):
+    """The term-by-term right side of [static H, barred_i] equals euler_i of
+    the summed potential at every site."""
+    v = scalar_potential(ModelParams("cyclic", N, m, Fraction(1)))
+    for i in range(1, N + 1):
+        assert potential_euler(N, m, i) == v.euler(i)
 
 
 def test_freezing_verdicts_are_computed_once_per_size(tmp_path):
