@@ -2,7 +2,9 @@
 
 Wreath-product symmetry groups, commuting Dunkl operators, conserved
 charges, physical-state projectors and frozen spin chains, all verified by
-exact cyclotomic arithmetic with a floating-point cross-check backend.
+exact cyclotomic arithmetic.  Floating point enters only after the exact
+work, to diagonalize frozen chains, and on the numeric equidistant lattices
+and their scans.
 """
 
 __version__ = "0.1.0"
@@ -10,7 +12,7 @@ __version__ = "0.1.0"
 from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError
 from .dunkl import ModelParams, build_charge, build_dunkl, build_hamiltonian
 from .groups import GroupSpec, WreathElement, enumerate_subgroup, generator, relation_suite
-from .opalg import MixedOperator, ad_projector, normalize_is_zero, op_commutator, op_compose
+from .opalg import MixedOperator, ad_projector, op_commutator, op_compose
 from .polyalg import LaurentPoly, RationalCoefficient
 from .spinrep import SpinRepData, build_projector, substitute_spin, verify_agreement
 from .static import LatticeConfig, build_frozen_hamiltonian, build_lattice
@@ -37,7 +39,6 @@ __all__ = [
     "build_projector",
     "enumerate_subgroup",
     "generator",
-    "normalize_is_zero",
     "op_commutator",
     "op_compose",
     "relation_suite",

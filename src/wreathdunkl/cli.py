@@ -44,6 +44,8 @@ from .dunkl import (
     rotation_average_check,
 )
 from .groups import (
+    ENUMERATION_CAP,
+    SPIN_GROUP_CAP,
     GroupSpec,
     WreathElement,
     compose,
@@ -131,7 +133,7 @@ def _params_from_args(args) -> ModelParams:
 
 def _group_suite(spec: GroupSpec, corrupt: str | None) -> CheckSuite:
     suite = relation_suite(spec, corrupted_compose if corrupt == "braid" else compose)
-    els = enumerate_subgroup(spec, cap=10**6)
+    els = enumerate_subgroup(spec)
     suite.add(
         "enumerated order equals the family cardinality",
         {"family": spec.family, "N": spec.size, "m": spec.order, "p": spec.p},
@@ -440,6 +442,10 @@ def _validate(args):
                 raise ConfigError(f"--mu2: {exc}") from exc
     elif args.command == "export":
         _validate_export(args)
+    for spec, cap in _enumerated_groups(args):
+        if spec.cardinality() > cap:
+            raise ConfigError(f"{spec.family} at N = {spec.size}, m = {spec.order} has "
+                              f"{spec.cardinality()} elements, beyond the enumeration cap {cap}")
 
 
 def _validate_export(args):
@@ -453,6 +459,21 @@ def _validate_export(args):
         raise ConfigError(f"export --object {name} needs --family")
     if kind in ("Lambda", "Lambda_b", "Hbar_spin") and not args.n:
         raise ConfigError(f"{name} needs --n (local spin dimension)")
+
+
+def _enumerated_groups(args) -> list:
+    """(group, cap) for every group the command enumerates element by
+    element: the model's group in a verify case, W(m, N) in the spin checks,
+    and G(m, m, N) in the exchange projector."""
+    N, m = args.N, args.m
+    balanced = (GroupSpec("G(m,p,N)", N, m, p=m), SPIN_GROUP_CAP)
+    if args.command == "export" and args.object == "Lambda":
+        return [balanced]
+    if args.command != "verify" or not args.family:
+        return []
+    model = GroupSpec("W(m,N)" if args.family == "dihedral" else "G(m,1,N)", N, m)
+    spin = [(GroupSpec("W(m,N)", N, m), SPIN_GROUP_CAP), balanced] if args.n else []
+    return [(model, ENUMERATION_CAP)] + spin
 
 
 # -- argument parsing ----------------------------------------------------------------

@@ -23,7 +23,7 @@ c x / (1 - x)^2 g over the table.  At unit exchange coupling that sum is
 the static Hamiltonian (``static.build_static_hamiltonian``), and its
 coefficients at the lattice positions are the frozen chain's couplings.
 The scalar potential of the static chain sums the same table, and the
-lattice condition (``static.lattice_residuals``) differentiates it.
+lattice condition (``static.LatticeConfig.residuals``) differentiates it.
 
 The dihedral operator is available in two algebraically equal layouts: the
 ``image`` form, whose reflected two-body terms are written against the
@@ -355,8 +355,8 @@ def hamiltonian_images(params: ModelParams, simplified: bool) -> tuple:
     rho = 0) replaces the boundary by x = zeta_{2m}^s q_i, c = beta on
     Q_i^s K_i over the 2m phases.  Each x is one monomial.  The table is
     built once per model and shared (read-only) by ``image_operator``, the
-    Hamiltonian and the lattice condition; ``simplified`` has no default,
-    so that every call passes it and hits the same cache entry.
+    Hamiltonian, the lattice condition and the frozen chain; ``simplified``
+    has no default, so that every call passes it and hits one cache entry.
     """
     N, m, lam = params.size, params.order, params.lam
     order = 2 * m if simplified else m

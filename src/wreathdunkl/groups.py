@@ -255,7 +255,13 @@ def generator(spec: GroupSpec, which: str, i: int = 1, j: int = 2) -> WreathElem
     raise ValueError(f"unknown generator {which!r}")
 
 
-def enumerate_subgroup(spec: GroupSpec, cap: int = 10**6) -> list[WreathElement]:
+# The largest groups enumerated element by element: the model's group in a
+# verify case, and the groups of the spin checks and the exchange projector.
+ENUMERATION_CAP = 10**6
+SPIN_GROUP_CAP = 10**5
+
+
+def enumerate_subgroup(spec: GroupSpec, cap: int = ENUMERATION_CAP) -> list[WreathElement]:
     """All elements of the group, each exactly once."""
     n, m = spec.size, spec.order
     total = spec.cardinality()

@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
-from random import Random
 
 from .cyclotomic import CycloScalar
 from .groups import WreathElement
-from .polyalg import LaurentPoly, RationalCoefficient, random_torus_point
+from .polyalg import RationalCoefficient
 
 
 class MixedOperator:
@@ -103,9 +102,6 @@ class MixedOperator:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def term_count(self) -> int:
-        return len(self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
@@ -185,41 +181,6 @@ class MixedOperator:
 
     def __hash__(self):
         return hash((self.nvars, len(self.terms)))
-
-    # -- application and evaluation ---------------------------------------------
-
-    def numeric_apply(self, f, point) -> complex:
-        """Evaluate (A f)(point) term by term in complex floats.
-
-        This path never adds rational functions symbolically, so it is an
-        independent cross-check of the exact normal form.
-        """
-        out = 0j
-        for (k, g), c in self.terms.items():
-            h = f.act(g)
-            for var, p in enumerate(k):
-                for _ in range(p):
-                    h = h.euler(var + 1)
-            out += c.eval_complex(point) * h.eval_complex(point)
-        return out
-
-    # -- adjoint -------------------------------------------------------------
-
-    def adjoint(self):
-        """Formal adjoint on the torus: reverse products, conjugate data.
-
-        Multiplication by c(q) conjugates coefficients and inverts q, group
-        elements invert, Euler derivatives are self-adjoint.
-        """
-        total = MixedOperator.zero(self.nvars, self.order, self.group_order)
-        one = RationalCoefficient.one(self.nvars, self.order)
-        ident = WreathElement.identity(self.nvars, self.group_order)
-        for (k, g), c in self.terms.items():
-            gi = MixedOperator.from_group(g.inverse(), self.order)
-            ke = MixedOperator(self.nvars, self.order, self.group_order, {(k, ident): one})
-            cop = MixedOperator.from_coefficient(c.conj_invert(), self.group_order)
-            total = total + op_compose(op_compose(gi, ke), cop)
-        return total
 
     # -- io --------------------------------------------------------------------
 
@@ -360,57 +321,3 @@ def first_term_witness(A: MixedOperator) -> dict | None:
         "entry": [0, 0],
         "coefficient": c.to_json(),
     }
-
-
-def normalize_is_zero(A: MixedOperator, seed: int = 0) -> dict:
-    """Exact zero test plus a numeric residual report.
-
-    The residual is the largest |(A f)(point)| over a few random torus
-    points and random polynomial test functions, evaluated term by term so
-    it does not reuse the exact merging path.  The witness is
-    ``first_term_witness``.
-    """
-    return {
-        "zero": A.is_zero(),
-        "terms": A.term_count(),
-        "numeric_residual": numeric_residual(A, seed=seed),
-        "witness": first_term_witness(A),
-    }
-
-
-def random_test_functions(rng: Random, nvars: int, order: int, count: int = 1):
-    """``count`` small random Laurent polynomials."""
-    funcs = []
-    for _ in range(count):
-        p = LaurentPoly.zero(nvars, order)
-        for _ in range(3):
-            exps = tuple(rng.randint(-2, 2) for _ in range(nvars))
-            p = p + LaurentPoly.monomial(
-                nvars, exps, Fraction(rng.randint(-4, 4), rng.randint(1, 3)), order
-            )
-        funcs.append(RationalCoefficient.from_poly(p))
-    return funcs
-
-
-def numeric_residual(A: MixedOperator, seed: int = 0) -> float:
-    """Largest |(A f)(point)| over 5 random torus points and 3 random test
-    functions at each, evaluated term by term."""
-    rng = Random(seed)
-    worst = 0.0
-    den_factors = []
-    for c in A.terms.values():
-        den_factors.extend(f for f, _ in c.den)
-    for _ in range(5):
-        point = random_torus_point(rng, A.nvars)
-        tries = 0
-        while den_factors and min(
-            abs(f.eval_complex(point)) for f in den_factors
-        ) < 1e-6:
-            point = random_torus_point(rng, A.nvars)
-            tries += 1
-            if tries > 100:
-                raise RuntimeError("could not sample away from denominator zeros")
-        for _ in range(3):
-            [f] = random_test_functions(rng, A.nvars, A.order)
-            worst = max(worst, abs(A.numeric_apply(f, point)))
-    return worst

@@ -27,12 +27,12 @@ numerator, so does ``RationalCoefficient``.
 
 Every coefficient is kept reduced: no listed factor divides the numerator.
 Cancellation skips the trial divisions that provably fail on reduced
-operands.  ``act`` and ``conj_invert`` are ring automorphisms, which keep a
-quotient reduced and distinct normalized factors distinct, so they never
-trial-divide.  A binomial with d = 1 is prime, and distinct normalized
-primes are coprime; when every factor of a sum's common denominator is such
-a prime, ``__add__`` keeps each factor whose multiplicities in the two
-operands differ without testing it (the proof is in ``__add__``).
+operands.  ``act`` is a ring automorphism, which keeps a quotient reduced
+and distinct normalized factors distinct, so it never trial-divides.  A
+binomial with d = 1 is prime, and distinct normalized primes are coprime;
+when every factor of a sum's common denominator is such a prime,
+``__add__`` keeps each factor whose multiplicities in the two operands
+differ without testing it (the proof is in ``__add__``).
 
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
@@ -53,29 +53,15 @@ Outside a scope every operation computes afresh.
 
 from __future__ import annotations
 
-import cmath
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import count
 from math import gcd
 
 from . import _kernels as K
 from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError
 from .groups import WreathElement
-
-
-@lru_cache(maxsize=None)
-def _complex_basis(order: int) -> tuple[complex, ...]:
-    phi = CyclotomicField.get(order).phi
-    z = cmath.exp(2j * cmath.pi / order)
-    return tuple(z**j for j in range(phi))
-
-
-def _raw_to_complex(raw, order: int) -> complex:
-    num, den = raw
-    basis = _complex_basis(order)
-    return sum(c * b for c, b in zip(num, basis) if c) / den
 
 
 def _coerce_scalar(value, order: int) -> CycloScalar:
@@ -388,41 +374,6 @@ class LaurentPoly:
                 raw = K.scalar_mul(raw[0], raw[1], row, 1, field.red)
             out[new_e] = raw
         return LaurentPoly(self.nvars, order, out)
-
-    def conj_invert(self) -> "LaurentPoly":
-        """Conjugate coefficients and invert all variables (q on the torus)."""
-        out = {}
-        for e, (n, d) in self.terms.items():
-            s = CycloScalar(self.order, n, d, _normalized=True).conj()
-            out[tuple(-x for x in e)] = (s.num, s.den)
-        return LaurentPoly(self.nvars, self.order, out)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval_complex(self, point) -> complex:
-        acc = 0j
-        for e, raw in self.terms.items():
-            mono = 1.0 + 0j
-            for z, a in zip(point, e):
-                if a:
-                    mono *= z**a
-            acc += _raw_to_complex(raw, self.order) * mono
-        return acc
-
-    def eval_exact(self, values) -> CycloScalar:
-        """Evaluate at exact scalars (all orders must embed in a common one)."""
-        order = self.order
-        for v in values:
-            order = order * v.order // gcd(order, v.order)
-        vals = [v.lift(order) for v in values]
-        acc = CycloScalar.zero(order)
-        for e, (n, d) in self.terms.items():
-            c = CycloScalar(self.order, n, d, _normalized=True).lift(order)
-            for v, a in zip(vals, e):
-                if a:
-                    c = c * v**a
-            acc = acc + c
-        return acc
 
     # -- normalization and division -----------------------------------------
 
@@ -794,7 +745,7 @@ class RationalCoefficient:
         num, dentuple = _cancel(num, den, coprime)
         return RationalCoefficient(num, dentuple, _trusted=True)
 
-    # -- calculus, action, evaluation -----------------------------------------
+    # -- calculus and action ----------------------------------------------------
 
     @_remembered(pair=False)
     def euler(self, var: int) -> "RationalCoefficient":
@@ -820,31 +771,15 @@ class RationalCoefficient:
 
     @_remembered(pair=False)
     def act(self, g: WreathElement) -> "RationalCoefficient":
-        num, den = _automorphic_image(
-            self.num.act(g), [(f.act(g), k) for f, k in self.den]
-        )
-        return RationalCoefficient(num, den, _trusted=True)
+        """The substitution g: g(num) over the g(f), unit-normalized and
+        sorted without trial division.
 
-    def conj_invert(self) -> "RationalCoefficient":
-        num, den = _automorphic_image(
-            self.num.conj_invert(), [(f.conj_invert(), k) for f, k in self.den]
-        )
-        return RationalCoefficient(num, den, _trusted=True)
-
-    def eval_complex(self, point) -> complex:
-        acc = self.num.eval_complex(point)
-        for f, k in self.den:
-            acc /= f.eval_complex(point) ** k
-        return acc
-
-    def eval_exact(self, values) -> CycloScalar:
-        acc = self.num.eval_exact(values)
-        for f, k in self.den:
-            v = f.eval_exact(values)
-            if v.is_zero():
-                raise ZeroDivisionError("denominator vanishes at the given point")
-            acc = acc * (v.inverse() ** k)
-        return acc
+        g is a ring automorphism.  It preserves divisibility both ways, so
+        no g(f) divides g(num); and it maps non-associate factors to
+        non-associate ones, so distinct normalized factors stay distinct.
+        """
+        num, den = _unit_normalized(self.num.act(g), [(f.act(g), k) for f, k in self.den])
+        return RationalCoefficient(*_cancel(num, den, coprime=den), _trusted=True)
 
     # -- comparison ------------------------------------------------------------
 
@@ -909,19 +844,6 @@ def _unit_normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, dict]:
     return num, factors
 
 
-def _automorphic_image(num: LaurentPoly, den) -> tuple[LaurentPoly, tuple]:
-    """The image of a reduced quotient under a ring automorphism sigma
-    (the group action, or conjugation with q -> 1/q), given as sigma(num)
-    and the sigma(f), unit-normalized and sorted without trial division.
-
-    sigma preserves divisibility both ways, so no sigma(f) divides
-    sigma(num); and it maps non-associate factors to non-associate ones,
-    so distinct normalized factors stay distinct.
-    """
-    num, factors = _unit_normalized(num, den)
-    return _cancel(num, factors, coprime=factors)
-
-
 def _is_linear_binomial(f: LaurentPoly) -> bool:
     """Whether f has a binomial rule with d = 1, so that f is prime."""
     rule = f.binomial_rule()
@@ -950,10 +872,3 @@ def _cancel(num: LaurentPoly, den: dict, coprime=()) -> tuple[LaurentPoly, tuple
             out.append((f, k))
     out.sort(key=lambda fk: fk[0].key())
     return num, tuple(out)
-
-
-def random_torus_point(rng, nvars: int) -> tuple[complex, ...]:
-    """A uniform point on the torus |q_i| = 1."""
-    return tuple(
-        cmath.exp(2j * cmath.pi * rng.random()) for _ in range(nvars)
-    )

@@ -49,7 +49,7 @@ from .dunkl import (
     build_charge,
     exchange_element,
 )
-from .groups import GroupSpec, WreathElement, enumerate_subgroup, generator
+from .groups import SPIN_GROUP_CAP, GroupSpec, WreathElement, enumerate_subgroup, generator
 from .opalg import MixedOperator
 # unused here; perfbench/test_perfbench.py asserts that its tracer rebinds
 # spinrep.op_compose
@@ -269,7 +269,7 @@ def spin_representation_check(rep: SpinRepData) -> CheckSuite:
                 {**idx, "i": i, "j": j},
                 _same_image(mul(Q[i], Q[j]), mul(Q[j], Q[i])),
             )
-    els = enumerate_subgroup(spec, cap=10**5)
+    els = enumerate_subgroup(spec, cap=SPIN_GROUP_CAP)
     where = {g: t for t, g in enumerate(els)}
     images = [monomial_image(rep, g) for g in els]
     table = (np.stack([r for r, _ in images]), np.stack([p for _, p in images]))
@@ -361,7 +361,7 @@ def build_projector(params: ModelParams, which: str = "auto") -> dict[WreathElem
     if which == "auto":
         which = "exchange" if params.family == "cyclic" else "product"
     if which == "exchange":
-        els = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m), cap=10**5)
+        els = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m), cap=SPIN_GROUP_CAP)
         return {g: Fraction(1, len(els)) for g in els}
     if which == "boundary":
         total = {WreathElement.identity(N, m): Fraction(1)}

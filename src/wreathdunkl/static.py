@@ -6,14 +6,17 @@ static Hamiltonian is the part of the dynamical one that is linear in the
 couplings (with the boundary couplings rescaled proportionally), up to
 sign.  The Hamiltonian is written as a sum over its image table, so that
 part is read off the table: ``build_static_hamiltonian`` is
-``dunkl.image_operator`` at unit exchange coupling.  ``verify`` checks it
-against its literal layout and the barred operators, and the frozen chain
-is its coefficients evaluated at the lattice positions.  The sites freeze
+``dunkl.image_operator`` at unit exchange coupling, and ``verify`` checks
+it against its literal layout and the barred operators.  Its coefficient on
+a group element g is the sum of the image kernels c x / (1 - x)^2 over the
+images on g, so the frozen chain's coupling on g is that sum of image
+kernels at the lattice sites: ``image_values`` evaluates each image x there
+once, and the chain never builds the static Hamiltonian.  The sites freeze
 at an equilibrium of the classical potential W = -sum c^2 x / (1 - x)^2
 over the same table, the identity coefficient of the Hamiltonian: the
-lattice condition is dW/dq_l = 0 at every site, and ``lattice_residuals``
-evaluates dW/dq_l in exact cyclotomic arithmetic whenever the positions are
-roots of unity.
+lattice condition is dW/dq_l = 0 at every site, and
+``LatticeConfig.residuals`` sums dW/dq_l from the same image values, in
+exact cyclotomic arithmetic whenever the positions are roots of unity.
 
 The known equidistant solutions for odd rotation order form a four-row
 table (site count, squared boundary couplings, position pattern); the
@@ -161,47 +164,37 @@ def _is_exact(positions) -> bool:
     return all(isinstance(q, CycloScalar) for q in positions)
 
 
-def lattice_residuals(family: str, positions, m: int, couplings=None) -> list:
-    """dW/dq_l at the positions, one value per site.
+def _lifted(positions, m: int):
+    """The positions in one field, Q(zeta_L) with L the lcm of m and their
+    orders, and its zero; complex floats and 0j when they are not exact."""
+    if not _is_exact(positions):
+        return list(positions), 0j
+    order = lcm(m, *(q.order for q in positions))
+    return [p.lift(order) for p in positions], CycloScalar.zero(order)
 
-    W = -sum over the image table of c^2 x / (1 - x)^2 is the classical
-    potential, the identity coefficient of the Hamiltonian of
-    ``_static_params``; the sites freeze at its equilibria.  An image
-    x = s q^e with coupling c contributes -c^2 e_l x (1 + x) / (q_l (1 - x)^3)
-    to site l.  The arithmetic is exact when the positions are exact
-    scalars, lifted once into one field, and in complex floats otherwise.
-    Raises ``ZeroDivisionError`` when 1 - x vanishes at an image (in floats:
-    |1 - x|^3 below 1e-12, with |q| = 1).
-    """
-    params = _static_params(family, len(positions), m, couplings or {})
+
+def image_values(family: str, positions, m: int, couplings: dict):
+    """(c, g, e, v, 1 / (1 - v)) for each image (x, c, g) of the table the
+    lattice family freezes, with x = s q^e and v its value at the positions:
+    exact when the positions are exact scalars, lifted into one field, and
+    complex floats otherwise.  Raises ``ZeroDivisionError`` when 1 - v
+    vanishes (in floats: |1 - v|^3 below 1e-12, with |q| = 1)."""
+    params = _static_params(family, len(positions), m, couplings)
     exact = _is_exact(positions)
-    if exact:
-        order = lcm(m, *(q.order for q in positions))
-        q = [p.lift(order) for p in positions]
-        zero = CycloScalar.zero(order)
-    else:
-        q, zero = list(positions), 0j
+    q, zero = _lifted(positions, m)
     inv = [1 / p for p in q]
-    grad = [zero] * len(q)
-    for x, c, _ in hamiltonian_images(params, False):
+    for x, c, g in hamiltonian_images(params, False):
         ((e, _),) = x.terms.items()
-        if exact:
-            v = x.coeff(e).lift(order)
-            for k, a in enumerate(e):
-                for _ in range(abs(a)):
-                    v = v * (q[k] if a > 0 else inv[k])
-        else:
-            v = x.eval_complex(q)
+        v = x.coeff(e)
+        v = v.lift(zero.order) if exact else v.to_complex()
+        for k, a in enumerate(e):
+            for _ in range(abs(a)):
+                v = v * (q[k] if a > 0 else inv[k])
         d = 1 - v
-        den = d * d * d
-        if den.is_zero() if exact else abs(den) < 1e-12:
+        if d.is_zero() if exact else abs(d * d * d) < 1e-12:
             sites = [k + 1 for k, a in enumerate(e) if a]
             raise ZeroDivisionError(f"sites {sites} meet their image {x!r}: 1 - x = 0")
-        w = v * (1 + v) / den * (c * c)
-        for k, a in enumerate(e):
-            if a:
-                grad[k] = grad[k] - w * a
-    return [g * i for g, i in zip(grad, inv)]
+        yield c, g, e, v, 1 / d
 
 
 # -- lattice configurations -------------------------------------------------------
@@ -223,10 +216,28 @@ class LatticeConfig:
     def exact(self) -> bool:
         return _is_exact(self.positions)
 
+    @cached_property
+    def images(self) -> list:
+        """``image_values`` here, computed once for the residuals and the chain."""
+        return list(image_values(self.family, self.positions, self.m, self.couplings))
+
     def residuals(self):
-        """dW/dq_l at every site, W the potential over the image table
-        (``lattice_residuals``); all vanish on a lattice."""
-        return lattice_residuals(self.family, self.positions, self.m, self.couplings)
+        """dW/dq_l at every site, one value per site; all vanish on a lattice.
+
+        W = -sum over the image table of c^2 x / (1 - x)^2 is the classical
+        potential, the identity coefficient of the Hamiltonian of
+        ``_static_params``; the sites freeze at its equilibria.  An image
+        x = s q^e with coupling c contributes
+        -c^2 e_l x (1 + x) / (q_l (1 - x)^3) to site l.
+        """
+        q, zero = _lifted(self.positions, self.m)
+        grad = [zero] * len(q)
+        for c, _, e, v, r in self.images:
+            w = v * (1 + v) * (r * r * r) * (c * c)
+            for k, a in enumerate(e):
+                if a:
+                    grad[k] = grad[k] - w * a
+        return [g / p for g, p in zip(grad, q)]
 
     @cached_property
     def residual_max(self):
@@ -346,25 +357,24 @@ def rational_sqrt(x) -> Fraction:
 
 
 def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
-    """The frozen chain: the static Hamiltonian with the lattice positions
-    substituted into its coefficients, for every family and lattice.
-    Couplings that vanish there are dropped.
+    """The frozen chain: per group element g, the sum of the image kernels
+    c v / (1 - v)^2 over the images on g, at the lattice positions
+    (``image_values``), for every family and lattice.  Couplings that
+    vanish there are dropped.
 
     Refuses to claim integrability when the lattice residuals do not
     vanish; the chain is still built, flagged with a warning.
     """
     rmax = lattice.residual_max
-    terms = []
-    params = _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
-    for (_, g), c in build_static_hamiltonian(params).sorted_terms():
-        if lattice.exact:
-            value = c.eval_exact(lattice.positions)
-            if not value.is_zero():
-                terms.append((value, g))
-        else:
-            value = c.eval_complex(tuple(lattice.positions))
-            if abs(value) > 1e-15:
-                terms.append((value, g))
+    sums: dict = {}
+    for c, g, _, v, r in lattice.images:
+        w = v * (r * r) * c
+        sums[g] = sums[g] + w if g in sums else w
+    if lattice.exact:
+        terms = [(w, g) for g, w in sums.items() if not w.is_zero()]
+    else:
+        terms = [(w, g) for g, w in sums.items() if abs(w) > 1e-15]
+    terms.sort(key=lambda t: t[1].sort_key())
     ok = rmax == "0" or (isinstance(rmax, float) and rmax < 1e-12)
     warning = None if ok else (
         "lattice residuals do not vanish; the chain is built but no "

@@ -1,14 +1,19 @@
 """Shared random-object generators, the exact-application oracle of the
-operator-algebra tests, a reader of exported scalars, the reduced-form predicate of rational
-coefficients, the dense oracles of the projector and agreement checks, the
-dense references of the frozen chain and its characteristic polynomial, the
-extraction reference of the static Hamiltonian and the frozen chains, the
-direct-product references of the charge commutators and the freezing
-identities, the summed scalar potential, and the lattice-table suite."""
+operator-algebra tests, exact and complex evaluation of coefficients and
+the term-by-term float residual of an operator, a reader of exported
+scalars, the reduced-form predicate of rational coefficients, the dense
+oracles of the projector and agreement checks, the dense references of the
+frozen chain and its characteristic polynomial, the extraction reference
+of the static Hamiltonian and the frozen chains, the direct-product
+references of the charge commutators and the freezing identities, the
+summed scalar potential, residuals at arbitrary positions, and the
+lattice-table suite."""
 
+import cmath
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from random import Random
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from wreathdunkl.reports import CheckSuite
 from wreathdunkl.spinrep import SparseChain, SpinMatrix, monomial_image
 from wreathdunkl.static import (
     LATTICE_LABELS,
+    LatticeConfig,
     _static_params,
     build_barred,
     build_lattice,
@@ -76,6 +82,86 @@ def apply(A, f):
     for (k, g), c in A.terms.items():
         out = out + c * _derive(f.act(g), k)
     return out
+
+
+def eval_exact(c, values) -> CycloScalar:
+    """A Laurent polynomial or rational coefficient at exact scalars, all
+    lifted to one common field; raises ZeroDivisionError where a
+    denominator factor vanishes."""
+    if isinstance(c, RationalCoefficient):
+        acc = eval_exact(c.num, values)
+        for f, k in c.den:
+            v = eval_exact(f, values)
+            if v.is_zero():
+                raise ZeroDivisionError("denominator vanishes at the given point")
+            acc = acc * (v.inverse() ** k)
+        return acc
+    order = lcm(c.order, *(v.order for v in values))
+    vals = [v.lift(order) for v in values]
+    acc = CycloScalar.zero(order)
+    for e, s in c.items():
+        acc = acc + prod((v**a for v, a in zip(vals, e)), start=s.lift(order))
+    return acc
+
+
+def eval_complex(c, point) -> complex:
+    """A Laurent polynomial or rational coefficient at a complex point, term
+    by term in complex floats, without adding rational functions."""
+    if isinstance(c, RationalCoefficient):
+        acc = eval_complex(c.num, point)
+        for f, k in c.den:
+            acc /= eval_complex(f, point) ** k
+        return acc
+    return sum((s.to_complex() * prod(z**a for z, a in zip(point, e)) for e, s in c.items()), 0j)
+
+
+def random_torus_point(rng, nvars: int) -> tuple:
+    """A uniform point on the torus |q_i| = 1."""
+    return tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(nvars))
+
+
+def random_test_functions(rng, nvars: int, order: int, count: int = 1) -> list:
+    """``count`` small random Laurent polynomials, as coefficients."""
+    funcs = []
+    for _ in range(count):
+        p = LaurentPoly.zero(nvars, order)
+        for _ in range(3):
+            exps = tuple(rng.randint(-2, 2) for _ in range(nvars))
+            p = p + LaurentPoly.monomial(
+                nvars, exps, Fraction(rng.randint(-4, 4), rng.randint(1, 3)), order
+            )
+        funcs.append(RationalCoefficient.from_poly(p))
+    return funcs
+
+
+def numeric_apply(A, f, point) -> complex:
+    """(A f)(point) term by term in complex floats: it never adds rational
+    functions symbolically, so it cross-checks the exact normal form."""
+    return sum(
+        (eval_complex(c, point) * eval_complex(_derive(f.act(g), k), point)
+         for (k, g), c in A.terms.items()),
+        0j,
+    )
+
+
+def numeric_residual(A, seed: int = 0) -> float:
+    """Largest |(A f)(point)| over 5 random torus points, away from every
+    denominator zero, and 3 random test functions at each."""
+    rng = Random(seed)
+    worst = 0.0
+    factors = [f for c in A.terms.values() for f, _ in c.den]
+    for _ in range(5):
+        point = random_torus_point(rng, A.nvars)
+        for _ in range(100):
+            if min((abs(eval_complex(f, point)) for f in factors), default=1) >= 1e-6:
+                break
+            point = random_torus_point(rng, A.nvars)
+        else:
+            raise RuntimeError("could not sample away from denominator zeros")
+        for _ in range(3):
+            [f] = random_test_functions(rng, A.nvars, A.order)
+            worst = max(worst, abs(numeric_apply(A, f, point)))
+    return worst
 
 
 def spin_image_by_definition(rep, g):
@@ -168,7 +254,7 @@ def agreement_blocks_by_definition(A, rep, proj, point):
 
     by_k = {}
     for (k, g), c in A.terms.items():
-        by_k.setdefault(k, []).append((c.eval_complex(point), g))
+        by_k.setdefault(k, []).append((eval_complex(c, point), g))
     keys = set(proj) | {g * y for (_, g) in A.terms for y in proj}
     count = 0
     for terms in by_k.values():
@@ -278,21 +364,25 @@ def extracted_static(params):
 
 def extracted_chain(lattice):
     """Terms of the frozen chain by symbolic extraction: the extracted static
-    Hamiltonian's coefficients, evaluated at the lattice positions (exactly
-    on exact lattices), zeros dropped.  The reference for
-    ``build_frozen_hamiltonian``."""
-    hbar = extracted_static(
-        _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
-    )
+    Hamiltonian's coefficients, evaluated at the lattice positions.  The
+    reference for ``build_frozen_hamiltonian``."""
+    params = _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
+    return evaluated_chain(extracted_static(params), lattice)
+
+
+def evaluated_chain(hbar, lattice):
+    """Terms of the static Hamiltonian ``hbar`` with its coefficients
+    evaluated at the lattice positions (exactly on exact lattices), zeros
+    dropped."""
     terms = []
     for (k, g), c in hbar.sorted_terms():
         assert k == (0,) * lattice.N, "static Hamiltonian acquired a derivative part"
         if lattice.exact:
-            value = c.eval_exact(lattice.positions)
+            value = eval_exact(c, lattice.positions)
             if not value.is_zero():
                 terms.append((value, g))
         else:
-            value = c.eval_complex(tuple(lattice.positions))
+            value = eval_complex(c, lattice.positions)
             if abs(value) > 1e-15:
                 terms.append((value, g))
     return terms
@@ -347,6 +437,13 @@ def freezing_identities_by_products(params) -> CheckSuite:
             comm == target,
         )
     return suite
+
+
+def lattice_residuals(family, positions, m, couplings=None) -> list:
+    """dW/dq_l at arbitrary positions: the residuals of a configuration
+    placed there, whose L and label are not read."""
+    return LatticeConfig(family, len(positions), m, 0, "custom", list(positions),
+                         couplings or {}).residuals()
 
 
 def lattice_table_check(m: int, sizes) -> CheckSuite:

@@ -24,7 +24,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import chain_from_dense, dense_iota, lattice_table_check, random_operator, to_numpy
+from helpers import (
+    chain_from_dense, dense_iota, eval_exact, lattice_residuals, lattice_table_check,
+    numeric_residual, random_operator, to_numpy,
+)
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -46,7 +49,6 @@ from wreathdunkl.groups import (
 from wreathdunkl.opalg import (
     MixedOperator,
     ad_projector,
-    numeric_residual,
     op_commutator,
 )
 from wreathdunkl.spinrep import (
@@ -66,7 +68,6 @@ from wreathdunkl.spinrep import (
 from wreathdunkl.static import (
     build_frozen_hamiltonian,
     build_lattice,
-    lattice_residuals,
     scan_equidistant,
 )
 
@@ -220,7 +221,7 @@ def test_criterion_6b_even_order_scan_clause():
         q = [CycloScalar.root_of_unity(L, k) for k in (1, 2)]
         res = lattice_residuals("dihedral-even", q, 2, {"mu2": Fraction(4)})
         for l in (1, 2):
-            gradient = potential.euler(l).eval_exact(q)
+            gradient = eval_exact(potential.euler(l), q)
             ok &= res[l - 1].is_zero() == at_equilibrium
             ok &= q[l - 1] * res[l - 1] == gradient
 

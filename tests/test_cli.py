@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from helpers import extracted_chain, scalar_from_json
+from helpers import evaluated_chain, extracted_chain, scalar_from_json
 
 from wreathdunkl import cli, polyalg
 from wreathdunkl.cli import main
@@ -214,6 +214,48 @@ def test_no_chain_is_built_by_extraction(tmp_path, monkeypatch):
     ):
         assert run(argv, tmp_path)[0] == 0, argv
     assert main(["export", "--object", "H", "--family", "cyclic"]) == 3
+
+
+# the spectrum workload of perfbench/workloads.py, and an export of a chain
+CHAIN_ARGVS = [
+    f"spectrum --family {family} --N {N} --m {m} --n {n}"
+    for family, N, m, n in [("cyclic", 2, 1, 2), ("cyclic", 3, 1, 2), ("cyclic", 4, 1, 2),
+                            ("cyclic", 3, 2, 2), ("cyclic", 4, 2, 2), ("cyclic", 3, 3, 2),
+                            ("dihedral-odd", 2, 1, 2), ("dihedral-odd", 3, 1, 2),
+                            ("dihedral-odd", 2, 3, 2), ("cyclic", 4, 1, 6), ("cyclic", 3, 1, 10)]
+] + ["export --object Hbar_spin --N 3 --m 2 --n 2"]
+
+
+@pytest.mark.parametrize("argv", CHAIN_ARGVS)
+def test_chain_never_builds_the_static_hamiltonian(argv, tmp_path, monkeypatch):
+    """Each chain is summed from image values at the sites.  With the
+    symbolic static Hamiltonian, the image operator and every rational
+    coefficient refused, the argv exits 0 with the report bytes of the
+    symbolic route: the static Hamiltonian's coefficients at the sites."""
+    import dataclasses
+
+    from wreathdunkl import dunkl, static
+
+    def symbolic(lat):
+        hbar = static.build_static_hamiltonian(
+            static._static_params(lat.family, lat.N, lat.m, lat.couplings))
+        return dataclasses.replace(chain(lat), terms=evaluated_chain(hbar, lat))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain went through the symbolic static Hamiltonian")
+
+    chain, out = static.build_frozen_hamiltonian, tmp_path / "out.json"
+    argv = argv.split() + ["--seed", "3", "--output", str(out)]
+    reports = []
+    for patches in ([(cli, "build_frozen_hamiltonian", symbolic)],
+                    [(static, "build_static_hamiltonian", refuse), (dunkl, "image_operator", refuse),
+                     (static, "image_operator", refuse), (polyalg.RationalCoefficient, "__init__", refuse)]):
+        with monkeypatch.context() as patched:
+            for target, name, value in patches:
+                patched.setattr(target, name, value)
+            assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +491,9 @@ def argvs(draw):
 @example(["spectrum", "--mu2", NO_FLOAT], False)
 @example(["spectrum", "--family", "dihedral-even", "--L", "8", "--mu2", "1e200"], False)
 @example(["verify", "--family", "dihedral", "--m", "3"], True)
+@example(["verify", "--family", "cyclic", "--N", "9", "--m", "2"], False)
+@example(["verify", "--family", "dihedral", "--N", "7", "--m", "2"], False)
+@example(["export", "--object", "Lambda", "--N", "8", "--m", "2", "--n", "2"], False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after

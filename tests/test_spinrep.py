@@ -16,6 +16,8 @@ from helpers import (
     dense_iota,
     left_regular,
     random_operator,
+    random_test_functions,
+    random_torus_point,
     spin_image_by_definition,
     to_numpy,
 )
@@ -23,8 +25,8 @@ from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import ModelParams, boundary_element, build_charge, exchange_element
 from wreathdunkl import spinrep
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
-from wreathdunkl.opalg import MixedOperator, random_test_functions
-from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient, random_torus_point
+from wreathdunkl.opalg import MixedOperator
+from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.spinrep import (
     SpinMatrix,
     SpinRepData,

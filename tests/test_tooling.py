@@ -132,8 +132,18 @@ def test_unused_import_check_sees_a_stale_import(tmp_path):
     assert _unused_imports(module) == ["probe:2 os", "probe:3 least"]
 
 
+def test_coefficient_core_is_exact_only():
+    """The coefficient and operator layers import no float or random module:
+    evaluation at points and numeric residuals are oracles in ``tests/helpers.py``."""
+    for name in ("polyalg", "opalg"):
+        nodes = list(ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert not imported & {"cmath", "random"}, name
+
+
 # Definitions kept for tests, which use them as oracles.
-TEST_ORACLES = {"CheckSuite.failures", "MixedOperator.adjoint"}
+TEST_ORACLES = {"CheckSuite.failures"}
 
 
 def _definitions(node, prefix=""):
@@ -202,12 +212,10 @@ def test_dead_definition_check_sees_an_unreferenced_method(tmp_path):
 
 
 # Defaulted parameters that no engine call sets: the console script calls
-# ``main()`` while tests pass an argv, and tests use the other three to
-# state other claims.
+# ``main()`` while tests pass an argv, and tests use the other two to state
+# other claims.
 UNSET_DEFAULTS = {
     "cli:main(argv)",
-    "opalg:normalize_is_zero(seed)",
-    "opalg:random_test_functions(count)",
     "static:scan_equidistant(offsets)",
     "static:scan_equidistant(coupling_grid)",
 }
