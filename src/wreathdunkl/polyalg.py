@@ -615,11 +615,9 @@ class RationalCoefficient:
     def lift(self, order: int) -> "RationalCoefficient":
         if order == self.order:
             return self
-        return RationalCoefficient(
-            self.num.lift(order),
-            tuple((f.lift(order), k) for f, k in self.den),
-            _trusted=True,
-        )
+        # lifting changes the factors' keys, so the sort is _cancel's again
+        den = sorted(((f.lift(order), k) for f, k in self.den), key=lambda fk: fk[0].key())
+        return RationalCoefficient(self.num.lift(order), tuple(den), _trusted=True)
 
     def _match(self, other: "RationalCoefficient"):
         if self.order == other.order:

@@ -52,6 +52,9 @@ from .opalg import MixedOperator, op_commutator
 from .polyalg import LaurentPoly, RationalCoefficient
 from .reports import CheckSuite
 
+# A float residual below this is round-off: the lattice counts as exact.
+EXACT_RESIDUAL = 1e-12
+
 LATTICE_LABELS = ("L2Nm", "L2NmPlusM_halfshift", "L2NmPlusM_integer", "L2Np1m")
 
 
@@ -375,7 +378,7 @@ def build_frozen_hamiltonian(lattice: LatticeConfig) -> FrozenHamiltonian:
     else:
         terms = [(w, g) for g, w in sums.items() if abs(w) > 1e-15]
     terms.sort(key=lambda t: t[1].sort_key())
-    ok = rmax == "0" or (isinstance(rmax, float) and rmax < 1e-12)
+    ok = rmax == "0" or (isinstance(rmax, float) and rmax < EXACT_RESIDUAL)
     warning = None if ok else (
         "lattice residuals do not vanish; the chain is built but no "
         "commutation claims are made"
@@ -398,7 +401,10 @@ def scan_equidistant(
 
     Positions are q_k = exp(2 pi i (k - offset)/L).  Records the worst-site
     residual magnitude for every valid candidate, sorted ascending;
-    candidates that hit an image coincidence are skipped.
+    candidates that hit an image coincidence are skipped.  Residuals below
+    ``EXACT_RESIDUAL`` are round-off of exact lattices and count as tied:
+    those rows keep candidate order (L, then offset, then the coupling
+    grid), so float summation order cannot reorder them.
     """
     odd = m % 2 == 1
     if family == "cyclic":
@@ -435,7 +441,7 @@ def scan_equidistant(
         for couplings in grid
     ]
     records = [r for r in map(evaluate, candidates) if r is not None]
-    records.sort(key=lambda r: r["residual"])
+    records.sort(key=lambda r: max(r["residual"], EXACT_RESIDUAL))
     return records
 
 

@@ -27,7 +27,7 @@ from wreathdunkl.dunkl import (
     hamiltonian_images,
     inverse_square,
 )
-from wreathdunkl.groups import GroupSpec, enumerate_subgroup
+from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup
 from wreathdunkl.opalg import MixedOperator, op_commutator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
@@ -392,6 +392,39 @@ def charge_commutator_by_products(A, params, l):
     """[A, I^(l)] as the difference of the two products with the built
     charge.  The reference for ``dunkl.charge_commutator``."""
     return op_commutator(A, build_charge(params, l))
+
+
+def power_sum_by_products(ds, k):
+    """sum_i d_i^k over the operators ``ds``."""
+    total = ds[0] ** k
+    for d in ds[1:]:
+        total = total + d**k
+    return total
+
+
+def hamiltonian_by_linear_kernels(params, simplified=False):
+    """The closed-form Hamiltonian with every image kernel written as
+    x / (1 - x)^2 over its binomial, boundary images included.  The
+    reference for the factorization of ``build_hamiltonian``."""
+    N, m = params.size, params.order
+    order = 2 * m if simplified else m
+    one = LaurentPoly.constant(N, 1, order)
+    kernels = [
+        (RationalCoefficient.ratio(x, one - x, 2), c, g)
+        for x, c, g in hamiltonian_images(params, simplified)
+        if c
+    ]
+    total = MixedOperator.zero(N, order, m)
+    for i in range(1, N + 1):
+        total = total + MixedOperator.euler(N, i, order=order, group_order=m) ** 2
+    ident = WreathElement.identity(N, m)
+    pieces = {}
+    for kernel, c, g in kernels:
+        pieces.setdefault(g, []).append(kernel * c)
+        pieces.setdefault(ident, []).append(kernel * (c * c))
+    for g, coeffs in pieces.items():
+        total = total - MixedOperator.term(balanced_sum(coeffs), g)
+    return total
 
 
 def scalar_potential(params: ModelParams) -> RationalCoefficient:

@@ -97,6 +97,30 @@ def test_lattice_scan_reports(tmp_path):
     assert data["min_residual"] == data["scan"][0]["residual"]
 
 
+def test_lattice_scan_orders_exact_rows_by_candidate(tmp_path):
+    """Rows whose residual is round-off (below 1e-12) are tied and come in
+    (L, offset, couplings) order, whatever their float residuals."""
+    code, data = run(
+        ["lattice", "--family", "dihedral-odd", "--N", "2", "--m", "3", "--scan",
+         "--Lmax", "30"],
+        tmp_path,
+    )
+    assert code == 0
+    exact = [r for r in data["scan"] if r["residual"] < 1e-12]
+    assert data["scan"][: len(exact)] == exact
+    rows = [(r["L"], r["offset"], r["couplings"]["beta2"], r["couplings"]["gamma2"])
+            for r in exact]
+    assert rows == [
+        (4, "1/2", "1/4", "1/4"),
+        (5, "0", "1/4", "9/4"),
+        (5, "1/2", "9/4", "1/4"),
+        (12, "1/2", "1/4", "1/4"),
+        (15, "0", "1/4", "9/4"),
+        (15, "1/2", "9/4", "1/4"),
+        (18, "0", "9/4", "9/4"),
+    ]
+
+
 def test_spectrum_cyclic(tmp_path):
     code, data = run(
         ["spectrum", "--family", "cyclic", "--N", "3", "--m", "1", "--n", "2"],

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import apply, charge_commutator_by_products, is_reduced, numeric_residual
+from helpers import (
+    apply,
+    charge_commutator_by_products,
+    hamiltonian_by_linear_kernels,
+    is_reduced,
+    numeric_residual,
+    power_sum_by_products,
+)
+from wreathdunkl import dunkl, opalg
 from wreathdunkl.cli import DEFAULT_GRID, _verify_case
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -16,8 +24,11 @@ from wreathdunkl.dunkl import (
     build_symmetric_dunkl,
     charge_commutation_check,
     charge_commutator,
+    charge_dunkl_commutator,
+    charges_commutator,
     check_hecke_relations,
     check_recursion,
+    dunkl_commutator,
     exchange_element,
     hamiltonian_check,
     hamiltonian_x_display,
@@ -28,6 +39,7 @@ from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
     MixedOperator,
     op_commutator,
+    op_compose,
 )
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 
@@ -187,8 +199,12 @@ _CYCLIC = ModelParams("cyclic", 3, 2, Fraction(1, 2))
 _DIHEDRAL = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
 
 
+def _element(p, name, **kw):
+    return MixedOperator.from_group(generator(p.group_spec, name, **kw), order=p.order)
+
+
 def _K1(p):
-    return MixedOperator.from_group(generator(p.group_spec, "K", i=1), order=p.order)
+    return _element(p, "K", i=1)
 
 
 _OPERANDS = {
@@ -220,6 +236,119 @@ def test_charge_commutator_equals_direct_products(p, operand, l):
 def test_charge_commutator_does_not_vanish_off_the_charges(operand):
     A = _OPERANDS[operand](_DIHEDRAL)
     assert len(charge_commutator(A, _DIHEDRAL, 3).terms) == 46
+
+
+# (model, operators that do not commute, largest charge index)
+_NONCOMMUTING = {
+    "d_i + e_1 cyclic(2,2)": (
+        ModelParams("cyclic", 2, 2, Fraction(1, 2)),
+        lambda p, i: build_dunkl(p, i) + _element(p, "e", i=1),
+        3,
+    ),
+    "d_i + K_i dihedral(2,2)": (
+        ModelParams("dihedral", 2, 2, Fraction(1)),
+        lambda p, i: build_dunkl(p, i) + _element(p, "K", i=i),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONCOMMUTING))
+def test_charge_expansions_equal_direct_products_off_commuting_operators(case, monkeypatch):
+    """[I^(k), d_j] and [I^(k), I^(l)] from the [d_i, d_j] equal the direct
+    products in normal form for operators that do not commute, where the
+    Leibniz sums do not vanish term by term."""
+    p, build, kmax = _NONCOMMUTING[case]
+    N = p.size
+    ds = {i: build(p, i) for i in range(1, N + 1)}
+    monkeypatch.setattr(dunkl, "build_dunkl", lambda params, i: ds[i])
+    monkeypatch.setattr(
+        dunkl, "dunkl_commutator", lambda params, i, j: op_commutator(ds[i], ds[j])
+    )
+    assert not op_commutator(ds[1], ds[2]).is_zero()
+    ks = range(1, kmax + 1)
+    sums = {k: power_sum_by_products(list(ds.values()), k) for k in ks}
+    for k in ks:
+        for j in range(1, N + 1):
+            got = charge_dunkl_commutator(p, k, j)
+            want = op_commutator(sums[k], ds[j])
+            assert not want.is_zero()
+            assert got == want, (k, j)
+            assert got.to_json() == want.to_json(), (k, j)
+        for l in ks:
+            got = charges_commutator(p, k, l)
+            want = op_commutator(sums[k], sums[l])
+            assert got == want, (k, l)
+            assert got.to_json() == want.to_json(), (k, l)
+
+
+def test_charge_items_make_no_product_when_the_dunkl_operators_commute(monkeypatch):
+    """At a default-grid point the [I^(k), I^(l)] items read the Hecke
+    suite's [d_i, d_j], all zero, and compose no operators."""
+    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    assert check_hecke_relations(p).passed
+    calls, inside = [], []
+
+    def counting(A, B):
+        if inside:
+            calls.append((A, B))
+        return op_compose(A, B)
+
+    def items(*args):
+        inside.append(args)
+        try:
+            return charges_commutator(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(opalg, "op_compose", counting)
+    monkeypatch.setattr(dunkl, "op_compose", counting)
+    monkeypatch.setattr(dunkl, "charges_commutator", items)
+    suite = charge_commutation_check(p, kmax=3)
+    assert suite.passed
+    assert sum(i.relation == "[I^(k), I^(l)] = 0" for i in suite.items) == 3
+    assert calls == []
+
+
+def test_dunkl_commutators_are_computed_once_per_pair():
+    """One verify case fills one ``dunkl_commutator`` entry per pair i < j,
+    shared by the Hecke and the charge items."""
+    p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+    dunkl_commutator.cache_clear()
+    assert _verify_case(p, None, 3, None).passed
+    info = dunkl_commutator.cache_info()
+    assert info.currsize == info.misses == 3
+    assert info.hits > 0
+    with pytest.raises(ValueError):
+        dunkl_commutator(p, 2, 1)
+
+
+_FACTORIZATION_POINTS = [
+    ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(0)),
+    ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2)),
+    ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1)),
+    ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(0)),
+    ModelParams("dihedral", 2, 2, Fraction(1, 2), Fraction(1), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("p", _FACTORIZATION_POINTS, ids=lambda p: str(p.to_json()))
+def test_hamiltonian_has_the_factorization_of_the_second_charge(p):
+    """Every coefficient of H has the denominator of the same key of
+    sum_i d_i^2, so H - J2 adds over equal denominators; H equals the
+    route that writes every kernel over its linear binomial."""
+    h = build_hamiltonian(p)
+    j2 = build_charge(p, 2)
+    for key, c in h.terms.items():
+        assert c.den == j2.terms[key].den, key
+    assert h == hamiltonian_by_linear_kernels(p)
+    if p.order % 2 and p.rho == 0:
+        hs = build_hamiltonian(p, simplified=True)
+        lifted = h.lift_order(2 * p.order)
+        assert set(hs.terms) == set(lifted.terms)
+        for key, c in hs.terms.items():
+            assert c.den == lifted.terms[key].den, key
+        assert hs == hamiltonian_by_linear_kernels(p, simplified=True)
 
 
 def test_decomposition_into_barred_part():

@@ -162,6 +162,18 @@ def test_division_and_cancellation():
     assert r.num == (q1 + q2) * q1
 
 
+def test_lift_keeps_the_denominator_in_canonical_order():
+    """A lift lists its factors as a coefficient built at the new order
+    does, so two equal denominators compare equal as tuples."""
+    d = build_dunkl(ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1, 2)), 1)
+    factors = {f: 1 for c in d.terms.values() for f, _ in c.den}
+    c = RationalCoefficient(LaurentPoly.constant(2, 1, 3), tuple(factors.items()))
+    lifted = c.lift(6)
+    built = RationalCoefficient(LaurentPoly.constant(2, 1, 6), tuple(lifted.den))
+    assert lifted.den == built.den
+    assert [f.key() for f, _ in lifted.den] == sorted(f.key() for f, _ in lifted.den)
+
+
 def test_only_binomials_divide():
     """Every denominator factor is a binomial: a trinomial divisor, a
     trinomial denominator factor and a negative power are refused."""

@@ -323,9 +323,14 @@ def test_scan_rediscovers_table_rows():
 
 
 def test_scan_cyclic_rediscovers_root_lattice():
+    """L = 6 and L = 3 give the same six image points (the sixth roots of
+    unity), both exact; their round-off residuals tie, so they lead in L order."""
     records = scan_equidistant("cyclic", 3, 2, range(3, 13), offsets=(Fraction(0),))
-    best = records[0]
-    assert best["L"] == 6 and best["residual"] < 1e-12
+    exact = [r["L"] for r in records if r["residual"] < 1e-12]
+    assert exact == [r["L"] for r in records[:2]] == [3, 6]
+    for L in exact:
+        positions = [CycloScalar.root_of_unity(L, k).lift(6) for k in range(1, 4)]
+        assert all(r.is_zero() for r in lattice_residuals("cyclic", positions, 2))
 
 
 def test_even_m_scan_finds_the_doubled_coupling_solution():
