@@ -56,7 +56,6 @@ from .groups import (
 from .polyalg import RationalCoefficient, result_table
 from .reports import CheckSuite
 from .spinrep import (
-    SpinMatrix,
     SpinRepData,
     brute_force_eigvals,
     build_projector,
@@ -68,6 +67,7 @@ from .spinrep import (
     global_rotation_element,
     projector_check,
     spin_representation_check,
+    spin_sum,
     twisted_translation_element,
     verify_agreement,
 )
@@ -279,8 +279,8 @@ def cmd_spectrum(args) -> int:
     if oracle is not None:
         checks["oracle_max_deviation"] = float(np.max(np.abs(vals - oracle)))
     if frozen.lattice.exact and dim <= 16:
-        exact = SpinMatrix.from_terms(rep, frozen.terms)
-        checks["charpoly_residual"] = charpoly_residual(char_poly_exact(exact), vals)
+        coeffs = char_poly_exact(dim, *spin_sum(rep, frozen.terms))
+        checks["charpoly_residual"] = charpoly_residual(coeffs, vals)
     if args.family == "cyclic":
         symmetries = {
             "twisted_translation": twisted_translation_element(args.N, args.m),
@@ -343,18 +343,28 @@ def _export_object(name: str):
     return name, None
 
 
+def _dense_json(rep: SpinRepData, terms, write=CycloScalar.to_json) -> list:
+    """The spin matrix sum c rho(g) over ``terms`` (``spin_sum``), written
+    out densely: ``write`` of each entry, exact zeros included."""
+    order, S = spin_sum(rep, terms)
+    zero = CycloScalar.zero(order)
+    return [[write(S.get((r, t), zero)) for t in range(rep.dim)] for r in range(rep.dim)]
+
+
 def _projector_json(weights: dict, rep: SpinRepData) -> list:
     """The terms g (x) p_g rho(g) of a projector in ``MixedOperator.to_json``
     layout, each spin block p_g rho(g) written out densely."""
-    out = []
-    for g in sorted(weights, key=WreathElement.sort_key):
-        block = SpinMatrix.from_terms(rep, [(CycloScalar.rational(weights[g], rep.m), g)])
-        matrix = [
-            [RationalCoefficient.from_scalar(rep.N, v, rep.m).to_json() for v in row]
-            for row in block.rows
-        ]
-        out.append({"euler": [0] * rep.N, "group": g.to_json(), "matrix": matrix})
-    return out
+    def write(v):
+        return RationalCoefficient.from_scalar(rep.N, v, rep.m).to_json()
+
+    return [
+        {
+            "euler": [0] * rep.N,
+            "group": g.to_json(),
+            "matrix": _dense_json(rep, [(CycloScalar.rational(weights[g], rep.m), g)], write),
+        }
+        for g in sorted(weights, key=WreathElement.sort_key)
+    ]
 
 
 def cmd_export(args) -> int:
@@ -384,10 +394,7 @@ def cmd_export(args) -> int:
     elif name == "Hbar_spin":
         rep = SpinRepData(args.n, args.m, args.N)
         frozen = build_frozen_hamiltonian(build_lattice("cyclic", args.N, args.m))
-        payload = {
-            "lattice": frozen.lattice.to_json(),
-            "matrix": SpinMatrix.from_terms(rep, frozen.terms).entries_json(),
-        }
+        payload = {"lattice": frozen.lattice.to_json(), "matrix": _dense_json(rep, frozen.terms)}
     else:
         lat = build_lattice("cyclic", args.N, args.m)
         payload = {"lattice": lat.to_json()}

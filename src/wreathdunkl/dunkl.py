@@ -29,12 +29,12 @@ coefficients at the lattice positions are the frozen chain's couplings.
 The scalar potential of the static chain sums the same table, and the
 lattice condition (``static.LatticeConfig.residuals``) differentiates it.
 
-The dihedral operator is available in two algebraically equal layouts: the
-``image`` form, whose reflected two-body terms are written against the
-mirror images of the sites, and the ``split`` form, which separates the
-cyclic part from reflected and boundary pieces using the half-sum and
-half-difference of the boundary couplings.  Their exact equality is kept as
-a standing regression check.
+``build_dunkl`` writes the dihedral operator in the image form: the cyclic
+operator of the same couplings, the mirror images of its exchange terms
+and the boundary terms.  ``_dihedral_dunkl_split`` writes it a second way,
+with the reflected and boundary pieces split by the half-sum and
+half-difference of the boundary couplings; the Hecke suite keeps their
+exact equality as a standing regression check.
 
 The one-copy operators ``build_symmetric_dunkl`` and
 ``build_reflection_dunkl`` are the cyclic and image builders restricted to
@@ -156,27 +156,19 @@ def _tau(m: int, s: int, order: int) -> CycloScalar:
 # -- Dunkl operators ----------------------------------------------------------
 
 
-def build_dunkl(params: ModelParams, i: int, form: str = "image") -> MixedOperator:
-    """The commuting Dunkl operator attached to site i.
+@lru_cache(maxsize=256)
+def build_dunkl(params: ModelParams, i: int) -> MixedOperator:
+    """The commuting Dunkl operator attached to site i, in the image form.
 
     Recent operators are kept and shared (enough for every model of the
     default ``verify`` grid), so each is built once per model; callers
     never mutate an operator in place.
     """
-    return _dunkl(params, i, form)
-
-
-@lru_cache(maxsize=256)
-def _dunkl(params: ModelParams, i: int, form: str) -> MixedOperator:
     if not 1 <= i <= params.size:
         raise ValueError(f"site {i} out of range")
     if params.family == "cyclic":
         return _cyclic_dunkl(params, i)
-    if form == "image":
-        return _dihedral_dunkl_image(params, i)
-    if form == "split":
-        return _dihedral_dunkl_split(params, i)
-    raise ValueError(f"unknown dihedral form {form!r}")
+    return _dihedral_dunkl_image(params, i)
 
 
 def _cyclic_dunkl(params: ModelParams, i: int, copies=None) -> MixedOperator:
@@ -203,31 +195,22 @@ def _cyclic_dunkl(params: ModelParams, i: int, copies=None) -> MixedOperator:
 
 
 def _dihedral_dunkl_image(params: ModelParams, i: int, copies=None) -> MixedOperator:
+    """The cyclic operator of the same couplings plus the mirror images of
+    its exchange terms and the boundary terms."""
     N, m = params.size, params.order
     lam, mu, rho = params.lam, params.mu, params.rho
     order = m
     copies = copies or range(m)
-    out = MixedOperator.euler(N, i, order=order, group_order=m)
+    out = _cyclic_dunkl(params, i, copies)
     one = LaurentPoly.constant(N, 1, order)
     qi = _q(i, N, order)
     for j in range(1, N + 1):
-        if j == i:
+        if j == i or not lam:
             continue
         qj = _q(j, N, order)
         for s in copies:
-            tau_s = _tau(m, s, order)
-            tau_ms = _tau(m, -s, order)
-            g = exchange_element(N, m, i, j, s)
-            kgk = reflected_exchange_element(N, m, i, j, s)
-            if lam:
-                direct = RationalCoefficient.ratio(qi, qi - tau_s * qj)
-                mirror = RationalCoefficient.ratio(qi * qj, qi * qj - tau_ms * one)
-                out = out + MixedOperator.term(direct * lam, g)
-                out = out + MixedOperator.term(mirror * lam, kgk)
-                if j > i:
-                    out = out + MixedOperator.term(
-                        RationalCoefficient.from_poly(one * (-lam)), g
-                    )
+            mirror = RationalCoefficient.ratio(qi * qj, qi * qj - _tau(m, -s, order) * one)
+            out = out + MixedOperator.term(mirror * lam, reflected_exchange_element(N, m, i, j, s))
     if mu or rho:
         for s in copies:
             num = qi * qi * mu - qi * (_tau(m, -s, order) * rho)
@@ -349,22 +332,6 @@ def power_commutator(d: MixedOperator, c: MixedOperator, l: int) -> MixedOperato
         if s < l - 1:
             term = op_compose(term, powers[l - 1 - s])
         total = term if total is None else total + term
-    return total
-
-
-def charge_commutator(A: MixedOperator, params: ModelParams, l: int) -> MixedOperator:
-    """[A, I^(l)] for any operator A, without building I^(l) or A I^(l).
-
-    I^(l) = sum_j d_j^l, so by the Leibniz rule [A, I^(l)] = sum_j sum_{s<l}
-    d_j^s [A, d_j] d_j^(l-1-s).  Each product is an exact normal-form
-    composition and equal keys merge exactly, so the sum is the same
-    operator in normal form as the direct commutator.  A site whose
-    [A, d_j] vanishes makes no product.
-    """
-    total = MixedOperator.zero(params.size, A.order, params.order)
-    for j in range(1, params.size + 1):
-        d = build_dunkl(params, j)
-        total = total + power_commutator(d, op_commutator(A, d), l)
     return total
 
 
@@ -699,8 +666,7 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
                 suite,
                 "image form = split form",
                 {**idx, "i": i},
-                build_dunkl(params, i, form="image")
-                - build_dunkl(params, i, form="split"),
+                build_dunkl(params, i) - _dihedral_dunkl_split(params, i),
             )
         # [D_1, K_1] does not vanish for generic couplings
         if params.mu != 0:
@@ -844,12 +810,11 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
             )
         generic = params.lam != 0 and params.mu != 0
         if generic:
-            # [K_1, I^(1)] = sum_j [K_1, d_j] = -[J^(1), K_1]
             _is_zero_item(
                 suite,
                 "[J^(1), K_i] != 0 (generic couplings)",
                 {**idx, "k": 1},
-                charge_commutator(K1, params, 1),
+                op_commutator(K1, charges[1]),
                 expect_zero=False,
             )
     return suite

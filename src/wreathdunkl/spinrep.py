@@ -26,11 +26,13 @@ subgroup at a time.
 A numeric frozen chain is a ``SparseChain``, its nonzero entries sorted
 by position: the commutant residuals are evaluated on those entries, and
 the spectrum comes from one dense block per connected component of the
-nonzero pattern, so no array of dim x dim entries is formed.  Exact
-matrices (``SpinMatrix``, with every entry stored) serve only where an
-exact chain matrix is itself the object: the characteristic-polynomial
-oracle, which also works one block at a time, and the export of a frozen
-chain.
+nonzero pattern, so no array of dim x dim entries is formed.  An exact
+sum of spin images, sum_g c_g rho(g), has one form: ``spin_sum`` keeps
+its nonzero entries as {(row, column): entry}.  It is the
+spin-substituted operator of the agreement check, the input of the
+characteristic-polynomial oracle (``char_poly_exact``, which also works
+one block at a time) and what the exports of chains and projectors write
+out, densely only as they print it.
 """
 
 from __future__ import annotations
@@ -91,79 +93,6 @@ class SpinRepData:
         return self.n**self.N
 
 
-class SpinMatrix:
-    """Matrix with exact cyclotomic entries, every entry stored (small
-    dimensions: ``spectrum`` builds one only up to dim 16).
-
-    Only exact chain matrices take this form: ``char_poly_exact`` splits
-    them into blocks and multiplies those, and ``export --object
-    Hbar_spin`` writes them out.  Group images are monomial and use
-    ``monomial_image`` instead; numeric chains are ``SparseChain``.
-    """
-
-    __slots__ = ("dim", "order", "rows")
-
-    def __init__(self, dim: int, order: int, rows):
-        self.dim = dim
-        self.order = order
-        self.rows = rows
-
-    @staticmethod
-    def zero(dim: int, order: int) -> "SpinMatrix":
-        z = CycloScalar.zero(order)
-        return SpinMatrix(dim, order, [[z] * dim for _ in range(dim)])
-
-    @staticmethod
-    def from_terms(rep: SpinRepData, terms) -> "SpinMatrix":
-        """The sum of c times the spin image of g over (c, g) in ``terms``,
-        over the common cyclotomic field of m and the coefficients."""
-        order = rep.m
-        for c, _ in terms:
-            order = order * c.order // gcd(order, c.order)
-        out = SpinMatrix.zero(rep.dim, order)
-        for c, g in terms:
-            c = c.lift(order)
-            values = [CycloScalar.root_of_unity(rep.m, p).lift(order) * c for p in range(rep.m)]
-            rows, phases = monomial_image(rep, g)
-            for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
-                out.rows[r][t] = out.rows[r][t] + values[p]
-        return out
-
-    def __matmul__(self, other):
-        if other.order != self.order:
-            raise ValueError("matrix product needs one cyclotomic field")
-        dim = self.dim
-        zero = CycloScalar.zero(self.order)
-        out = [[zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(dim):
-                x = arow[k]
-                if x.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(dim):
-                    y = brow[j]
-                    if not y.is_zero():
-                        orow[j] = orow[j] + x * y
-        return SpinMatrix(dim, self.order, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinMatrix):
-            return NotImplemented
-        return self.order == other.order and self.rows == other.rows
-
-    def trace(self) -> CycloScalar:
-        t = CycloScalar.zero(self.order)
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
-
-    def entries_json(self) -> list:
-        return [[c.to_json() for c in row] for row in self.rows]
-
-
 def monomial_image(rep: SpinRepData, g: WreathElement):
     """Image of a position-group element on the spin tensor product.
 
@@ -203,9 +132,45 @@ def _same_image(a, b) -> bool:
     return bool(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
 
 
-def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> SpinMatrix:
-    """The spin image of g as an exact dense matrix (a dense reference)."""
-    return SpinMatrix.from_terms(rep, [(CycloScalar.one(rep.m), g)])
+def _roots(m: int, order: int) -> list[CycloScalar]:
+    """tau**p for p = 0, ..., m - 1, in the field of the given order."""
+    return [CycloScalar.root_of_unity(m, p).lift(order) for p in range(m)]
+
+
+def _add_image(acc: dict, rep: SpinRepData, g: WreathElement, c, roots) -> None:
+    """acc += c rho(g), on a sparse {(row, column): coefficient} matrix."""
+    values = [c * r for r in roots]
+    rows, phases = monomial_image(rep, g)
+    for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
+        cur = acc.get((r, t))
+        piece = values[p] if cur is None else cur + values[p]
+        if piece.is_zero():
+            acc.pop((r, t), None)
+        else:
+            acc[(r, t)] = piece
+
+
+def spin_sum(rep: SpinRepData, terms) -> tuple[int, dict]:
+    """The exact spin matrix sum_{(c, g) in terms} c rho(g), sparse.
+
+    Returns (order, S): the cyclotomic order of the common field of tau
+    and every c, and S = {(row, column): entry} over that field, summed
+    term by term with exact zeros left out.  The coefficients may be
+    scalars or rational functions of the positions.
+    """
+    order = rep.m
+    for c, _ in terms:
+        order = order * c.order // gcd(order, c.order)
+    roots = _roots(rep.m, order)
+    S: dict = {}
+    for c, g in terms:
+        _add_image(S, rep, g, c.lift(order), roots)
+    return order, S
+
+
+def spin_matrix_of_element(rep: SpinRepData, g: WreathElement) -> dict:
+    """The spin image of g as an exact sparse matrix (``spin_sum``)."""
+    return spin_sum(rep, [(CycloScalar.one(rep.m), g)])[1]
 
 
 def generating_set(N: int, m: int) -> list[WreathElement]:
@@ -286,38 +251,19 @@ def spin_representation_check(rep: SpinRepData) -> CheckSuite:
 # -- substitution and projectors ------------------------------------------------
 
 
-def _roots(m: int, order: int) -> list[CycloScalar]:
-    """tau**p for p = 0, ..., m - 1, in the field of the given order."""
-    return [CycloScalar.root_of_unity(m, p).lift(order) for p in range(m)]
-
-
-def _add_image(acc: dict, rep: SpinRepData, g: WreathElement, c, roots) -> None:
-    """acc += c rho(g), on a sparse {(row, column): coefficient} matrix."""
-    values = [c * r for r in roots]
-    rows, phases = monomial_image(rep, g)
-    for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
-        cur = acc.get((r, t))
-        piece = values[p] if cur is None else cur + values[p]
-        if piece.is_zero():
-            acc.pop((r, t), None)
-        else:
-            acc[(r, t)] = piece
-
-
 def substitute_spin(A: MixedOperator, rep: SpinRepData) -> dict:
     """Replace every position-group element of A by its spin image.
 
     A is in normal form (group elements rightmost).  The result maps each
-    Euler index k to the exact sparse spin matrix S_k = sum_g c_{k,g} rho(g),
-    {(row, column): coefficient} over the common field of A and tau; an
-    index whose matrix cancels is left out.
+    Euler index k to the exact sparse spin matrix S_k = sum_g c_{k,g} rho(g)
+    (``spin_sum``) over the common field of A and tau; an index whose
+    matrix cancels is left out.
     """
-    order = A.order * rep.m // gcd(A.order, rep.m)
-    roots = _roots(rep.m, order)
-    out: dict = {}
+    terms: dict = {}
     for (k, g), c in A.terms.items():
-        _add_image(out.setdefault(k, {}), rep, g, c.lift(order), roots)
-    return {k: mat for k, mat in out.items() if mat}
+        terms.setdefault(k, []).append((c, g))
+    sums = {k: spin_sum(rep, kterms)[1] for k, kterms in terms.items()}
+    return {k: mat for k, mat in sums.items() if mat}
 
 
 def convolve(a: dict, b: dict) -> dict:
@@ -546,8 +492,7 @@ def _summed(keys: np.ndarray, values: np.ndarray):
 
 def frozen_spin_matrix(rep: SpinRepData, terms) -> SparseChain:
     """Assemble a frozen chain from (scalar, group element) terms, one
-    monomial image per term; ``SpinMatrix.from_terms`` is the exact
-    counterpart.
+    monomial image per term; ``spin_sum`` is the exact counterpart.
 
     Every entry is summed term by term in the order of ``terms``, from
     zero, so each stored value is bit for bit the entry a dense
@@ -669,45 +614,57 @@ def diagonalize_hermitian(H: SparseChain):
     return vals, degs, herm_residual
 
 
-def _trace_recursion(M: SpinMatrix) -> list[CycloScalar]:
-    """Characteristic polynomial of M by the trace recursion, lowest
-    degree first."""
-    dim = M.dim
-    order = M.order
-    coeffs = [CycloScalar.zero(order) for _ in range(dim + 1)]
-    coeffs[dim] = CycloScalar.one(order)
+def _row_product(row: dict, rows: list) -> dict:
+    """The row vector ``row`` times the matrix with sparse ``rows``, exact
+    zeros dropped."""
+    out: dict = {}
+    for k, x in row.items():
+        for j, y in rows[k].items():
+            out[j] = out[j] + x * y if j in out else x * y
+    return {j: v for j, v in out.items() if not v.is_zero()}
+
+
+def _trace_recursion(M: list, order: int) -> list[CycloScalar]:
+    """Characteristic polynomial of the matrix with sparse rows M (one
+    {column: entry} dict per row) by the trace recursion, lowest degree
+    first."""
+    dim = len(M)
+    zero = CycloScalar.zero(order)
+    coeffs = [zero] * dim + [CycloScalar.one(order)]
     # M_k = M M_{k-1} + c_{dim-k+1} 1 and c_{dim-k} = -tr(M M_k) / k; the
     # product M M_k serves the trace now and M_{k+1} next
-    product = SpinMatrix.zero(dim, order)
+    product: list = [{} for _ in range(dim)]
     ck = CycloScalar.one(order)
     for k in range(1, dim + 1):
-        for i in range(dim):
-            product.rows[i][i] = product.rows[i][i] + ck
-        product = M @ product
-        ck = -(product.trace() / k)
+        for i, row in enumerate(product):
+            row[i] = row.get(i, zero) + ck
+        product = [_row_product(row, product) for row in M]
+        ck = -(sum((row.get(i, zero) for i, row in enumerate(product)), zero) / k)
         coeffs[dim - k] = ck
     return coeffs
 
 
-def char_poly_exact(M: SpinMatrix) -> list[CycloScalar]:
-    """Characteristic polynomial, exact.
+def char_poly_exact(dim: int, order: int, S: dict) -> list[CycloScalar]:
+    """Characteristic polynomial of the exact sparse dim x dim matrix S
+    ({(row, column): entry} over Q(zeta_order), as ``spin_sum`` makes it).
 
     Returns [c_0, ..., c_dim] with c_dim = 1, lowest degree first; only
     exact field operations and division by integers are used, so this is an
-    eigenvalue oracle independent of any numeric eigensolver.  M splits
-    into the components of its symmetrized exact zero pattern
-    (``pattern_blocks``); up to a permutation of the basis it is their
-    direct sum, so its polynomial is the product of theirs, each from the
-    trace recursion.
+    eigenvalue oracle independent of any numeric eigensolver.  The keys of
+    S are its nonzero pattern, which splits into the components of its
+    symmetrization (``pattern_blocks``); up to a permutation of the basis S
+    is their direct sum, so its polynomial is the product of theirs, each
+    from the trace recursion on the component's sparse rows.
     """
-    dim, order = M.dim, M.order
-    nonzero = [(i, j) for i in range(dim) for j in range(dim) if not M.rows[i][j].is_zero()]
-    rows, cols = np.array(nonzero, dtype=int).reshape(-1, 2).T
+    rows, cols = np.array(list(S), dtype=int).reshape(-1, 2).T
     coeffs = [CycloScalar.one(order)]
     for idx in pattern_blocks(dim, rows, cols):
-        idx = idx.tolist()
-        sub = SpinMatrix(len(idx), order, [[M.rows[i][j] for j in idx] for i in idx])
-        block = _trace_recursion(sub)
+        local = {i: a for a, i in enumerate(idx.tolist())}
+        M: list = [{} for _ in local]
+        for (r, c), v in S.items():
+            if r in local:
+                M[local[r]][local[c]] = v
+        block = _trace_recursion(M, order)
         product = [CycloScalar.zero(order)] * (len(coeffs) + len(block) - 1)
         for a, x in enumerate(coeffs):
             for b, y in enumerate(block):

@@ -2,9 +2,10 @@
 operator-algebra tests, exact and complex evaluation of coefficients and
 the term-by-term float residual of an operator, a reader of exported
 scalars, the reduced-form predicate of rational coefficients, the dense
-oracles of the projector and agreement checks, the dense references of the
-frozen chain and its characteristic polynomial, the extraction reference
-of the static Hamiltonian and the frozen chains, the direct-product
+oracles of the projector and agreement checks, the dense references of
+exact spin sums, the frozen chain and its characteristic polynomial, the
+extraction references of the static Hamiltonian and the frozen chains,
+the direct-product
 references of the charge commutators and the freezing identities, the
 summed scalar potential, residuals at arbitrary positions, and the
 lattice-table suite."""
@@ -28,10 +29,10 @@ from wreathdunkl.dunkl import (
     inverse_square,
 )
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup
-from wreathdunkl.opalg import MixedOperator, op_commutator
+from wreathdunkl.opalg import MixedOperator, op_commutator, op_compose
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
-from wreathdunkl.spinrep import SparseChain, SpinMatrix, monomial_image
+from wreathdunkl.spinrep import SparseChain, monomial_image
 from wreathdunkl.static import (
     LATTICE_LABELS,
     LatticeConfig,
@@ -164,19 +165,54 @@ def numeric_residual(A, seed: int = 0) -> float:
     return worst
 
 
+def zero_rows(dim: int, order: int) -> list:
+    """A dim x dim matrix of exact zeros, as rows of ``CycloScalar``."""
+    return [[CycloScalar.zero(order)] * dim for _ in range(dim)]
+
+
 def spin_image_by_definition(rep, g):
-    """Dense spin image of g, one basis state at a time: the permutation
-    moves whole spins, a flip reverses the local state, and each rotation
-    contributes the phase of the weight of the final local state."""
+    """Dense spin image of g as rows of ``CycloScalar``, one basis state at
+    a time: the permutation moves whole spins, a flip reverses the local
+    state, and each rotation contributes the phase of the weight of the
+    final local state."""
     n, N, m = rep.n, rep.N, rep.m
-    out = SpinMatrix.zero(rep.dim, m)
+    out = zero_rows(rep.dim, m)
     for t in itertools.product(range(n), repeat=N):
         img = [t[g.perm.index(j)] for j in range(N)]
         img = [n - 1 - x if g.flip[j] else x for j, x in enumerate(img)]
         phase = sum(g.rot[j] * rep.weights[x] for j, x in enumerate(img)) % m
         row = sum(x * n ** (N - 1 - j) for j, x in enumerate(img))
         col = sum(x * n ** (N - 1 - j) for j, x in enumerate(t))
-        out.rows[row][col] = CycloScalar.root_of_unity(m, phase)
+        out[row][col] = CycloScalar.root_of_unity(m, phase)
+    return out
+
+
+def dense_spin_sum(rep, terms) -> list:
+    """sum c rho(g) over the (c, g) in ``terms``, dense, over the lcm field
+    of m and the coefficients, each image from ``spin_image_by_definition``:
+    the reference for ``spinrep.spin_sum``."""
+    order = lcm(rep.m, *(c.order for c, _ in terms))
+    out = zero_rows(rep.dim, order)
+    for c, g in terms:
+        for r, row in enumerate(spin_image_by_definition(rep, g)):
+            for t, v in enumerate(row):
+                if not v.is_zero():
+                    out[r][t] = out[r][t] + c.lift(order) * v.lift(order)
+    return out
+
+
+def nonzero_entries(rows) -> dict:
+    """The sparse {(row, column): entry} form of dense rows, zeros left out."""
+    return {
+        (r, t): v for r, row in enumerate(rows) for t, v in enumerate(row) if not v.is_zero()
+    }
+
+
+def sparse_to_numpy(dim: int, S: dict) -> np.ndarray:
+    """The exact sparse matrix S as a dense complex array."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for (r, t), v in S.items():
+        out[r, t] = v.to_complex()
     return out
 
 
@@ -215,7 +251,7 @@ def apply_agreement(A, rep, proj, funcs):
     funcs = [f.lift(order) for f in funcs]
 
     def entries(g):
-        rows = spin_image_by_definition(rep, g).rows
+        rows = spin_image_by_definition(rep, g)
         return [
             (r, t, v.lift(order))
             for r, row in enumerate(rows)
@@ -294,14 +330,9 @@ def scalar_from_json(data: dict) -> CycloScalar:
     return total
 
 
-def to_numpy(M: SpinMatrix) -> np.ndarray:
-    """The exact matrix ``M`` as a dense complex array."""
-    out = np.zeros((M.dim, M.dim), dtype=complex)
-    for i, row in enumerate(M.rows):
-        for j, c in enumerate(row):
-            if not c.is_zero():
-                out[i, j] = c.to_complex()
-    return out
+def to_numpy(rows) -> np.ndarray:
+    """Exact dense rows as a complex array."""
+    return np.array([[c.to_complex() for c in row] for row in rows], dtype=complex)
 
 
 def dense_frozen_chain(rep, terms) -> np.ndarray:
@@ -325,21 +356,26 @@ def chain_from_dense(H) -> SparseChain:
     return SparseChain(len(H), keys, flat[keys])
 
 
-def char_poly_by_trace_recursion(M: SpinMatrix) -> list:
-    """Characteristic polynomial of the whole matrix M by the trace
-    recursion, lowest degree first: the reference for ``char_poly_exact``,
-    which splits M into blocks first."""
-    dim = M.dim
-    order = M.order
-    coeffs = [CycloScalar.zero(order) for _ in range(dim + 1)]
-    coeffs[dim] = CycloScalar.one(order)
-    product = SpinMatrix.zero(dim, order)
+def char_poly_by_trace_recursion(M: list) -> list:
+    """Characteristic polynomial of the whole matrix with dense exact rows
+    M (one field) by the trace recursion, lowest degree first: the
+    reference for ``char_poly_exact``, which works on the sparse form and
+    splits it into blocks first."""
+    dim = len(M)
+    order = M[0][0].order
+    zero = CycloScalar.zero(order)
+    coeffs = [zero] * dim + [CycloScalar.one(order)]
+    product = zero_rows(dim, order)
     ck = CycloScalar.one(order)
     for k in range(1, dim + 1):
         for i in range(dim):
-            product.rows[i][i] = product.rows[i][i] + ck
-        product = M @ product
-        ck = -(product.trace() / k)
+            product[i][i] = product[i][i] + ck
+        product = [
+            [sum((row[t] * product[t][j] for t in range(dim) if row[t]), zero)
+             for j in range(dim)]
+            for row in M
+        ]
+        ck = -(sum((product[i][i] for i in range(dim)), zero) / k)
         coeffs[dim - k] = ck
     return coeffs
 
@@ -362,12 +398,30 @@ def extracted_static(params):
     return (at(1) - at(-1)).scale(Fraction(-1, 2))
 
 
+def static_from_dunkl(params):
+    """The static Hamiltonian as minus the coupling-linear part of
+    J2 = sum_i d_i^2, from the Dunkl operators alone.
+
+    With the exchange coupling normalized to one, d_i = D_i + B_i with D_i
+    the Euler derivative and B_i linear in the couplings, so the linear
+    part of J2 is sum_i (D_i B_i + B_i D_i).  No image table is read."""
+    N, m = params.size, params.order
+    p = ModelParams(params.family, N, m, Fraction(1), params.mu, params.rho)
+    total = MixedOperator.zero(N, m, m)
+    for i in range(1, N + 1):
+        d = build_dunkl(p, i)
+        D = MixedOperator.euler(N, i, order=d.order, group_order=m)
+        B = d - D
+        total = total - op_compose(D, B) - op_compose(B, D)
+    return total
+
+
 def extracted_chain(lattice):
-    """Terms of the frozen chain by symbolic extraction: the extracted static
-    Hamiltonian's coefficients, evaluated at the lattice positions.  The
+    """Terms of the frozen chain by extraction: the coefficients of
+    ``static_from_dunkl``, evaluated at the lattice positions.  The
     reference for ``build_frozen_hamiltonian``."""
     params = _static_params(lattice.family, lattice.N, lattice.m, lattice.couplings)
-    return evaluated_chain(extracted_static(params), lattice)
+    return evaluated_chain(static_from_dunkl(params), lattice)
 
 
 def evaluated_chain(hbar, lattice):
@@ -390,7 +444,7 @@ def evaluated_chain(hbar, lattice):
 
 def charge_commutator_by_products(A, params, l):
     """[A, I^(l)] as the difference of the two products with the built
-    charge.  The reference for ``dunkl.charge_commutator``."""
+    charge: the reference for the Leibniz sums of ``dunkl.power_commutator``."""
     return op_commutator(A, build_charge(params, l))
 
 

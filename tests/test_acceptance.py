@@ -26,11 +26,12 @@ import pytest
 
 from helpers import (
     chain_from_dense, dense_iota, eval_exact, lattice_residuals, lattice_table_check,
-    numeric_residual, random_operator, to_numpy,
+    numeric_residual, random_operator, sparse_to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
     ModelParams,
+    _dihedral_dunkl_split,
     build_charge,
     build_dunkl,
     build_hamiltonian,
@@ -52,7 +53,6 @@ from wreathdunkl.opalg import (
     op_commutator,
 )
 from wreathdunkl.spinrep import (
-    SpinMatrix,
     SpinRepData,
     agreement_blocks,
     brute_force_eigvals,
@@ -62,6 +62,7 @@ from wreathdunkl.spinrep import (
     global_rotation_element,
     projector_check,
     spin_matrix_of_element,
+    spin_sum,
     twisted_translation_element,
     verify_agreement,
 )
@@ -246,14 +247,10 @@ def test_criterion_7_frozen_chains():
     for (m, N, n) in [(1, 2, 2), (1, 3, 2), (3, 2, 2)]:
         rep = SpinRepData(n, m, N)
         frozen = build_frozen_hamiltonian(build_lattice("cyclic", N, m))
-        Hx = SpinMatrix.from_terms(rep, frozen.terms)
+        _, Hx = spin_sum(rep, frozen.terms)
         # exact hermiticity: Hx equals its conjugate transpose entry by entry
-        ok &= all(
-            Hx.rows[i][j] == Hx.rows[j][i].conj()
-            for i in range(rep.dim)
-            for j in range(rep.dim)
-        )
-        H = to_numpy(Hx)
+        ok &= Hx == {(j, i): v.conj() for (i, j), v in Hx.items()}
+        H = sparse_to_numpy(rep.dim, Hx)
         herm = float(np.max(np.abs(H - H.conj().T)))
         ok &= herm < 1e-12
         vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
@@ -264,7 +261,7 @@ def test_criterion_7_frozen_chains():
             ("translation", twisted_translation_element(N, m)),
             ("rotation", global_rotation_element(N, m)),
         ):
-            M = to_numpy(spin_matrix_of_element(rep, g))
+            M = sparse_to_numpy(rep.dim, spin_matrix_of_element(rep, g))
             ok &= float(np.max(np.abs(H @ M - M @ H))) < 1e-10
         # exchange images: commute for one rotation copy at these sizes;
         # for m = 3 they do not, and the norms are reported, not asserted
@@ -272,8 +269,8 @@ def test_criterion_7_frozen_chains():
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 for s in range(m):
-                    M = to_numpy(
-                        spin_matrix_of_element(rep, exchange_element(N, m, i, j, s))
+                    M = sparse_to_numpy(
+                        rep.dim, spin_matrix_of_element(rep, exchange_element(N, m, i, j, s))
                     )
                     worst_exchange = max(
                         worst_exchange, float(np.max(np.abs(H @ M - M @ H)))
@@ -294,7 +291,7 @@ def test_criterion_8_backend_consistency():
     zeros.append(op_commutator(build_dunkl(p, 1), build_dunkl(p, 2)))
     zeros.append(build_hamiltonian(p) - build_charge(p, 2))
     pd = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
-    zeros.append(build_dunkl(pd, 1, "image") - build_dunkl(pd, 1, "split"))
+    zeros.append(build_dunkl(pd, 1) - _dihedral_dunkl_split(pd, 1))
     zeros.append(op_commutator(build_dunkl(pd, 1), build_dunkl(pd, 2)))
     for idx, z in enumerate(zeros):
         ok &= z.is_zero()

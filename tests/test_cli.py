@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from helpers import evaluated_chain, extracted_chain, scalar_from_json
+from helpers import (
+    dense_spin_sum,
+    evaluated_chain,
+    extracted_chain,
+    scalar_from_json,
+    spin_image_by_definition,
+)
 
 from wreathdunkl import cli, polyalg
 from wreathdunkl.cli import main
@@ -333,9 +339,10 @@ def test_export_objects(tmp_path):
 
 @pytest.mark.parametrize("N,m", [(3, 2), (2, 3)])
 def test_export_hbar_spin_equals_extracted_chain(tmp_path, N, m):
-    """The exported chain, from the image table, equals the exact assembly
-    of the terms that symbolic extraction gives."""
-    from wreathdunkl.spinrep import SpinMatrix, SpinRepData
+    """The exported chain, from the image table, equals the dense exact
+    assembly, from the definition of the spin images, of the terms that
+    extraction from the Dunkl operators gives."""
+    from wreathdunkl.spinrep import SpinRepData
     from wreathdunkl.static import build_lattice
 
     code, data = run(
@@ -344,7 +351,41 @@ def test_export_hbar_spin_equals_extracted_chain(tmp_path, N, m):
     )
     assert code == 0
     extracted = extracted_chain(build_lattice("cyclic", N, m))
-    assert data["matrix"] == SpinMatrix.from_terms(SpinRepData(2, m, N), extracted).entries_json()
+    dense = dense_spin_sum(SpinRepData(2, m, N), extracted)
+    assert data["matrix"] == [[v.to_json() for v in row] for row in dense]
+
+
+@pytest.mark.parametrize("N,m", [(2, 2), (2, 3), (3, 3)])
+def test_exported_spin_matrices_equal_dense_definitions(tmp_path, N, m):
+    """Hbar_spin, Lambda and Lambda_b, written densely from the sparse spin
+    sums, equal dense matrices built from the definition of the spin
+    images: c rho(g) summed over the chain's terms, and p_g rho(g) for each
+    projector weight."""
+    from wreathdunkl.dunkl import ModelParams
+    from wreathdunkl.groups import WreathElement
+    from wreathdunkl.polyalg import RationalCoefficient
+    from wreathdunkl.spinrep import SpinRepData, build_projector
+    from wreathdunkl.static import build_frozen_hamiltonian, build_lattice
+
+    rep = SpinRepData(2, m, N)
+    size = ["--N", str(N), "--m", str(m), "--n", "2"]
+    code, data = run(["export", "--object", "Hbar_spin", *size], tmp_path)
+    assert code == 0
+    terms = build_frozen_hamiltonian(build_lattice("cyclic", N, m)).terms
+    assert data["matrix"] == [[v.to_json() for v in row] for row in dense_spin_sum(rep, terms)]
+    projectors = [("Lambda", "cyclic", "exchange"), ("Lambda_b", "dihedral", "boundary")]
+    for name, family, which in projectors:
+        code, data = run(["export", "--object", name, *size], tmp_path)
+        assert code == 0
+        weights = build_projector(ModelParams(family, N, m), which)
+        order = sorted(weights, key=WreathElement.sort_key)
+        assert [t["group"] for t in data["operator"]] == [g.to_json() for g in order]
+        for term, g in zip(data["operator"], order):
+            block = [
+                [RationalCoefficient.from_scalar(N, v * weights[g], m).to_json() for v in row]
+                for row in spin_image_by_definition(rep, g)
+            ]
+            assert term["matrix"] == block
 
 
 def test_export_hbar_spin_six_sites(tmp_path):

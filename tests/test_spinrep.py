@@ -14,11 +14,14 @@ from helpers import (
     char_poly_by_trace_recursion,
     dense_frozen_chain,
     dense_iota,
+    dense_spin_sum,
     left_regular,
+    nonzero_entries,
     random_operator,
     random_test_functions,
     random_torus_point,
     spin_image_by_definition,
+    sparse_to_numpy,
     to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar
@@ -28,7 +31,6 @@ from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, gen
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.spinrep import (
-    SpinMatrix,
     SpinRepData,
     adjoint_weights,
     agreement_blocks,
@@ -49,6 +51,7 @@ from wreathdunkl.spinrep import (
     projector_check,
     spin_matrix_of_element,
     spin_representation_check,
+    spin_sum,
     substitute_spin,
     twisted_translation_element,
     verify_agreement,
@@ -79,8 +82,9 @@ def test_example_matrices():
     )
     z3 = CycloScalar.root_of_unity(3)
     # diagonal with the weight phases on the first tensor slot
-    dense = spin_matrix_of_element(rep, generator(spec, "Q", i=1))
-    assert dense.rows[0][0] == z3 and dense.rows[3][3] == z3**2
+    image = spin_matrix_of_element(rep, generator(spec, "Q", i=1))
+    assert sorted(image) == [(t, t) for t in range(4)]
+    assert image[(0, 0)] == z3 and image[(3, 3)] == z3**2
     assert Q1[0].tolist() == [0, 1, 2, 3] and Q1[1].tolist() == [1, 1, 2, 2]
 
     def mul(*images):
@@ -441,7 +445,7 @@ def test_agreement_blocks_require_a_subgroup_average():
 def test_frozen_chain_exact_vs_numeric_backends():
     rep = SpinRepData(2, 3, 2)
     terms = build_frozen_hamiltonian(build_lattice("cyclic", 2, 3)).terms
-    exact = to_numpy(SpinMatrix.from_terms(rep, terms))
+    exact = sparse_to_numpy(rep.dim, spin_sum(rep, terms)[1])
     numeric = frozen_spin_matrix(rep, terms).dense()
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
@@ -450,7 +454,7 @@ def test_frozen_chain_exact_vs_numeric_backends():
 def test_numeric_frozen_chain_equals_exact(family, N, m):
     rep = SpinRepData(2, m, N)
     terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
-    exact = to_numpy(SpinMatrix.from_terms(rep, terms))
+    exact = sparse_to_numpy(rep.dim, spin_sum(rep, terms)[1])
     numeric = frozen_spin_matrix(rep, terms).dense()
     assert np.max(np.abs(exact - numeric)) < 1e-12
 
@@ -511,7 +515,7 @@ def test_monomial_image_equals_dense_definition(n, m, N):
     H = _random_complex(rep.dim, seed=n * m * N)
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
         dense = spin_image_by_definition(rep, g)
-        assert spin_matrix_of_element(rep, g) == dense
+        assert spin_matrix_of_element(rep, g) == nonzero_entries(dense)
         M = to_numpy(dense)
         residual = commutant_residual(chain_from_dense(H), rep, g)
         assert abs(residual - np.max(np.abs(H @ M - M @ H))) < 1e-12
@@ -531,7 +535,7 @@ def test_commutant_residual_equals_dense_products(n, m, N):
     H = chain.dense()
     residuals = {}
     for g in enumerate_subgroup(GroupSpec("W(m,N)", N, m)):
-        M = to_numpy(spin_matrix_of_element(rep, g))
+        M = sparse_to_numpy(rep.dim, spin_matrix_of_element(rep, g))
         residuals[g] = commutant_residual(chain, rep, g)
         assert abs(residuals[g] - np.max(np.abs(H @ M - M @ H))) < 1e-12
     for g in (twisted_translation_element(N, m), global_rotation_element(N, m)):
@@ -621,7 +625,7 @@ def test_known_two_site_chain():
     H = frozen_spin_matrix(rep, frozen.terms)
     # coupling u/(u-1)^2 at u = -1 is -1/4, twice (both orders) -> -P/2
     P = spin_matrix_of_element(rep, enumerate_subgroup(GroupSpec("G(m,1,N)", 2, 1))[1])
-    assert np.max(np.abs(H.dense() - (-0.5) * to_numpy(P))) < 1e-14
+    assert np.max(np.abs(H.dense() - (-0.5) * sparse_to_numpy(rep.dim, P))) < 1e-14
     vals, degs, herm = diagonalize_hermitian(H)
     assert herm == 0.0
     assert np.allclose(vals, [-0.5, -0.5, -0.5, 0.5])
@@ -660,22 +664,23 @@ def test_spectral_reconstruction_random():
 def test_charpoly_oracle_matches_eigensolvers():
     rng = random.Random(0)
     dim = 4
-    M = SpinMatrix.zero(dim, 4)
+    M = {}
     z4 = CycloScalar.root_of_unity(4)
     for i in range(dim):
         for j in range(i, dim):
             val = CycloScalar.rational(Fraction(rng.randint(-3, 3)), 4)
             if i != j:
                 val = val + z4 * rng.randint(-2, 2)
-            M.rows[i][j] = val
-            M.rows[j][i] = val.conj()
+            if val:
+                M[(i, j)] = val
+                M[(j, i)] = val.conj()
     # exact Hermiticity: M equals its conjugate transpose entry by entry
-    assert all(M.rows[i][j] == M.rows[j][i].conj() for i in range(dim) for j in range(dim))
-    H = to_numpy(M)
+    assert M == {(j, i): v.conj() for (i, j), v in M.items()}
+    H = sparse_to_numpy(dim, M)
     vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
     oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10
-    coeffs = char_poly_exact(M)
+    coeffs = char_poly_exact(dim, 4, M)
     assert charpoly_residual(coeffs, vals) < 1e-9
     # the roots of the exact polynomial, a structural cross-check
     roots = np.roots([c.to_complex() for c in reversed(coeffs)])
@@ -690,11 +695,17 @@ WORKLOAD_SMALL_CHAINS = [
 ]
 
 
-@pytest.mark.parametrize("family,N,m", WORKLOAD_SMALL_CHAINS)
+@pytest.mark.parametrize("family,N,m", WORKLOAD_SMALL_CHAINS + [("cyclic", 1, 2)])
 def test_block_char_poly_equals_whole_matrix_recursion(family, N, m):
+    """On the sparse chain, against the recursion on the whole dense matrix
+    built from the definition of the spin images; cyclic N = 1 is the
+    all-zero chain."""
     rep = SpinRepData(2, m, N)
-    M = SpinMatrix.from_terms(rep, build_frozen_hamiltonian(build_lattice(family, N, m)).terms)
-    assert char_poly_exact(M) == char_poly_by_trace_recursion(M)
+    terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
+    order, S = spin_sum(rep, terms)
+    dense = dense_spin_sum(rep, terms)
+    assert S == nonzero_entries(dense)
+    assert char_poly_exact(rep.dim, order, S) == char_poly_by_trace_recursion(dense)
 
 
 def test_block_char_poly_with_a_one_sided_entry():
@@ -703,15 +714,17 @@ def test_block_char_poly_with_a_one_sided_entry():
     so the lone entries (0, 1) and (3, 0) alone join 0, 1 and 3."""
     z3 = CycloScalar.root_of_unity(3)
     one = CycloScalar.one(3)
-    M = SpinMatrix.zero(5, 3)
-    M.rows[0][0], M.rows[0][1], M.rows[1][0], M.rows[1][1] = one, z3, z3.conj(), -one
-    M.rows[2][2], M.rows[2][3], M.rows[3][2] = one * 2, one, one
-    M.rows[3][0] = z3 * 5
-    M.rows[4][4] = one * 3
+    M = {
+        (0, 0): one, (0, 1): z3, (1, 0): z3.conj(), (1, 1): -one,
+        (2, 2): one * 2, (2, 3): one, (3, 2): one,
+        (3, 0): z3 * 5,
+        (4, 4): one * 3,
+    }
     assert [b.tolist() for b in pattern_blocks(5, np.array([0, 3]), np.array([1, 0]))] == [
         [0, 1, 3], [2], [4]
     ]
-    assert char_poly_exact(M) == char_poly_by_trace_recursion(M)
+    dense = [[M.get((r, t), CycloScalar.zero(3)) for t in range(5)] for r in range(5)]
+    assert char_poly_exact(5, 3, M) == char_poly_by_trace_recursion(dense)
 
 
 def test_jacobi_oracle_on_degenerate_spectra():

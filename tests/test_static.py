@@ -8,6 +8,7 @@ from helpers import (
     eval_exact,
     extracted_chain,
     extracted_static,
+    static_from_dunkl,
     freezing_identities_by_products,
     lattice_residuals,
     lattice_table_check,
@@ -119,11 +120,13 @@ def test_static_hamiltonian_is_the_two_body_sum():
 def test_static_hamiltonian_equals_extraction(family, N, m, lam, mu, rho):
     """The static Hamiltonian read off the image table equals the symbolic
     extraction from the Hamiltonian at coupling scale +1 and -1, exactly and
-    in its exported layout."""
+    in its exported layout; that extraction equals the chains' reference,
+    minus the coupling-linear part of sum_i d_i^2."""
     p = ModelParams(family, N, m, Fraction(lam), Fraction(mu), Fraction(rho))
     hbar, reference = build_static_hamiltonian(p), extracted_static(p)
     assert hbar == reference
     assert hbar.to_json() == reference.to_json()
+    assert static_from_dunkl(p) == reference
 
 
 def test_static_display_orientation():
@@ -247,8 +250,8 @@ def test_table_reduces_at_unit_order():
 
 @pytest.mark.parametrize("N,m", [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3)])
 def test_frozen_cyclic_chain_matches_closed_form(N, m):
-    """The chain evaluated from the image table equals symbolic extraction,
-    term by term and exactly."""
+    """The chain evaluated from the image table equals the extraction from
+    the Dunkl operators, term by term and exactly."""
     lat = build_lattice("cyclic", N, m)
     frozen = build_frozen_hamiltonian(lat)
     assert frozen.warning is None and frozen.lattice.residual_max == "0"
