@@ -247,7 +247,7 @@ def cmd_lattice(args) -> int:
 
 
 def _lattice_for(args):
-    if args.family != "dihedral-even":
+    if args.family != "dihedral-even" or not args.L:
         return build_lattice(args.family, args.N, args.m, args.label or "auto")
     lat = equidistant_lattice(
         "dihedral-even", args.N, args.m, args.L,
@@ -426,17 +426,22 @@ def _validate(args):
     elif args.command == "lattice":
         if args.family is None:
             raise ConfigError("lattice needs --family")
-        if args.family == "dihedral-even" and not args.scan:
+        if args.family == "dihedral-even" and not args.scan and args.N != 2:
             raise ConfigError(
-                "the exact lattice table covers the cyclic and odd-m dihedral "
-                "families; search even m with --scan"
+                "the exact even-m dihedral lattice has two sites; search "
+                "other N with --scan"
             )
     elif args.command == "spectrum":
         dim = args.n**args.N
         if dim > 4096:
             raise ConfigError(f"spin space dimension {dim} exceeds the dense cap 4096")
         if args.family == "dihedral-even" and not args.L:
-            raise ConfigError("dihedral-even chains need --L (numeric lattice)")
+            if args.N != 2:
+                raise ConfigError("dihedral-even chains need --L (numeric lattice) "
+                                  "except at the exact N = 2 lattice")
+            if args.mu2 is not None:
+                raise ConfigError("--mu2 sets the coupling of a numeric lattice; "
+                                  "give --L (the exact N = 2 lattice has mu2 = 4)")
         if args.mu2 is not None:
             mu2 = _fraction(args.mu2)
             try:

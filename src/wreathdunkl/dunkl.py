@@ -590,19 +590,22 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
             twist = twist + MixedOperator.from_group(
                 exchange_element(N, m, 1, 2, -s), order=m
             )
-        lam_l = Fraction(lam)
-        lam_r = lam_l + 1 if corrupt == "drels" else lam_l
-        lhs = op_compose(op_compose(op_compose(d1, e1), d1), e1) + op_compose(
-            d1, twist
-        ).scale(lam_l)
-        rhs = op_compose(op_compose(op_compose(e1, d1), e1), d1) + op_compose(
-            twist, d1
-        ).scale(lam_r)
+        # lhs - rhs = [d1, inner] + (lam_l - lam_r) T d1 with inner =
+        # e1 d1 e1 + lam T, which is d_2 up to the recursion residual R, so
+        # [d1, inner] = [d_1, d_2] + [d1, R] from the cached commutator
+        inner = op_compose(op_compose(e1, d1), e1) + twist.scale(lam)
+        recursion_residual = inner - build_dunkl(params, 2)
+        d1_inner = dunkl_commutator(params, 1, 2)
+        if not recursion_residual.is_zero():
+            d1_inner = d1_inner + op_commutator(d1, recursion_residual)
+        cross = d1_inner
+        if corrupt == "drels":  # lam_r = lam + 1 on the right-hand side
+            cross = cross - op_compose(twist, d1)
         _is_zero_item(
             suite,
             "d e1 d e1 + lam d T = e1 d e1 d + lam T d",
             idx,
-            lhs - rhs,
+            cross,
         )
     for j in range(2, N):
         ej = MixedOperator.from_group(generator(spec, "e", i=j), order=m)
@@ -653,12 +656,8 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
                 op_commutator(d1 + twist.scale(lam), k2),
             )
             _is_zero_item(suite, "D e1 a e1 = e1 a e1 D", idx, d1_e1ae1)
-            inner = op_compose(op_compose(e1, d1), e1) + twist.scale(lam)
             _is_zero_item(
-                suite,
-                "D (e1 D e1 + lam T) = (e1 D e1 + lam T) D",
-                idx,
-                op_commutator(d1, inner),
+                suite, "D (e1 D e1 + lam T) = (e1 D e1 + lam T) D", idx, d1_inner
             )
         # the two layouts of the operator agree exactly
         for i in range(1, N + 1):

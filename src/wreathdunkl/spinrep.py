@@ -31,8 +31,9 @@ sum of spin images, sum_g c_g rho(g), has one form: ``spin_sum`` keeps
 its nonzero entries as {(row, column): entry}.  It is the
 spin-substituted operator of the agreement check, the input of the
 characteristic-polynomial oracle (``char_poly_exact``, which also works
-one block at a time) and what the exports of chains and projectors write
-out, densely only as they print it.
+one block at a time, by an exact Hessenberg reduction of each) and what
+the exports of chains and projectors write out, densely only as they
+print it.
 """
 
 from __future__ import annotations
@@ -614,34 +615,64 @@ def diagonalize_hermitian(H: SparseChain):
     return vals, degs, herm_residual
 
 
-def _row_product(row: dict, rows: list) -> dict:
-    """The row vector ``row`` times the matrix with sparse ``rows``, exact
-    zeros dropped."""
-    out: dict = {}
-    for k, x in row.items():
-        for j, y in rows[k].items():
-            out[j] = out[j] + x * y if j in out else x * y
-    return {j: v for j, v in out.items() if not v.is_zero()}
+def _hessenberg_char_poly(H: list, order: int) -> list[CycloScalar]:
+    """Characteristic polynomial of the dense exact square matrix H (a list
+    of rows over Q(zeta_order), reduced in place), lowest degree first.
 
-
-def _trace_recursion(M: list, order: int) -> list[CycloScalar]:
-    """Characteristic polynomial of the matrix with sparse rows M (one
-    {column: entry} dict per row) by the trace recursion, lowest degree
-    first."""
-    dim = len(M)
-    zero = CycloScalar.zero(order)
-    coeffs = [zero] * dim + [CycloScalar.one(order)]
-    # M_k = M M_{k-1} + c_{dim-k+1} 1 and c_{dim-k} = -tr(M M_k) / k; the
-    # product M M_k serves the trace now and M_{k+1} next
-    product: list = [{} for _ in range(dim)]
-    ck = CycloScalar.one(order)
-    for k in range(1, dim + 1):
-        for i, row in enumerate(product):
-            row[i] = row.get(i, zero) + ck
-        product = [_row_product(row, product) for row in M]
-        ck = -(sum((row.get(i, zero) for i, row in enumerate(product)), zero) / k)
-        coeffs[dim - k] = ck
-    return coeffs
+    A similarity brings H to upper Hessenberg form one column c at a time:
+    the first nonzero entry of the column on or below the subdiagonal is
+    swapped onto it (rows and columns alike), and with the one inverse of
+    that pivot each entry below it is eliminated: row i minus u times row
+    c + 1, then column c + 1 plus u times column i, u the entry over the
+    pivot.  With p_0 = 1, the characteristic polynomials of the leading
+    k x k blocks of the result satisfy (indices from 1)
+    p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1},
+    and p_dim is the polynomial.  Both steps take O(dim^3) field operations
+    (H. Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
+    """
+    n = len(H)
+    zero, one = CycloScalar.zero(order), CycloScalar.one(order)
+    for c in range(n - 2):
+        found = next((r for r in range(c + 1, n) if not H[r][c].is_zero()), None)
+        if found is None:
+            continue
+        s = c + 1
+        if found != s:
+            H[found], H[s] = H[s], H[found]
+            for row in H:
+                row[found], row[s] = row[s], row[found]
+        pivot = H[s]
+        inv = pivot[c].inverse()
+        for i in range(s + 1, n):
+            row = H[i]
+            if row[c].is_zero():
+                continue
+            u = row[c] * inv
+            row[c] = zero
+            for j in range(s, n):
+                if not pivot[j].is_zero():
+                    row[j] = row[j] - u * pivot[j]
+            for other in H:
+                if not other[i].is_zero():
+                    other[s] = other[s] + u * other[i]
+    polys = [[one]]  # polys[k] is the minor of the leading k x k block
+    for k in range(n):
+        p = [zero] + polys[k]
+        if not H[k][k].is_zero():
+            for a, x in enumerate(polys[k]):
+                p[a] = p[a] - H[k][k] * x
+        chain = one  # h_{i+1,i} ... h_{k,k-1}
+        for i in range(k - 1, -1, -1):
+            chain = chain * H[i + 1][i]
+            if chain.is_zero():
+                break
+            if H[i][k].is_zero():
+                continue
+            w = H[i][k] * chain
+            for a, x in enumerate(polys[i]):
+                p[a] = p[a] - w * x
+        polys.append(p)
+    return polys[n]
 
 
 def char_poly_exact(dim: int, order: int, S: dict) -> list[CycloScalar]:
@@ -649,23 +680,25 @@ def char_poly_exact(dim: int, order: int, S: dict) -> list[CycloScalar]:
     ({(row, column): entry} over Q(zeta_order), as ``spin_sum`` makes it).
 
     Returns [c_0, ..., c_dim] with c_dim = 1, lowest degree first; only
-    exact field operations and division by integers are used, so this is an
-    eigenvalue oracle independent of any numeric eigensolver.  The keys of
-    S are its nonzero pattern, which splits into the components of its
-    symmetrization (``pattern_blocks``); up to a permutation of the basis S
-    is their direct sum, so its polynomial is the product of theirs, each
-    from the trace recursion on the component's sparse rows.
+    exact field operations are used, so this is an eigenvalue oracle
+    independent of any numeric eigensolver.  The keys of S are its nonzero
+    pattern, which splits into the components of its symmetrization
+    (``pattern_blocks``); up to a permutation of the basis S is their
+    direct sum, so its polynomial is the product of theirs, each from the
+    Hessenberg reduction of the component's dense block
+    (``_hessenberg_char_poly``, O(size^3) field operations).
     """
     rows, cols = np.array(list(S), dtype=int).reshape(-1, 2).T
+    zero = CycloScalar.zero(order)
     coeffs = [CycloScalar.one(order)]
     for idx in pattern_blocks(dim, rows, cols):
         local = {i: a for a, i in enumerate(idx.tolist())}
-        M: list = [{} for _ in local]
+        M = [[zero] * len(local) for _ in local]
         for (r, c), v in S.items():
             if r in local:
                 M[local[r]][local[c]] = v
-        block = _trace_recursion(M, order)
-        product = [CycloScalar.zero(order)] * (len(coeffs) + len(block) - 1)
+        block = _hessenberg_char_poly(M, order)
+        product = [zero] * (len(coeffs) + len(block) - 1)
         for a, x in enumerate(coeffs):
             for b, y in enumerate(block):
                 product[a + b] = product[a + b] + x * y

@@ -274,19 +274,28 @@ def build_lattice(family: str, N: int, m: int, label: str = "auto") -> LatticeCo
     """Exact lattice configurations with vanishing residuals.
 
     The cyclic family places the sites at N consecutive (m N)-th roots of
-    unity.  The dihedral family (odd m only) has four equidistant patterns,
+    unity.  The odd-m dihedral family has four equidistant patterns,
     distinguished by the site count and the squared boundary couplings;
     positions are either at the L-th roots of unity or shifted half a step.
+    The even-m dihedral family has one row, at two sites: the first two
+    (4m)-th roots of unity with mu^2 = 4 (``scan_equidistant`` finds no
+    equidistant solution at three or four sites).
     """
     if family == "cyclic":
         L = m * N
         positions = [CycloScalar.root_of_unity(L, k) for k in range(1, N + 1)]
         return LatticeConfig("cyclic", N, m, L, "cyclic", positions)
+    if family == "dihedral-even":
+        if m % 2 or N != 2:
+            raise ValueError(
+                "the exact even-m dihedral lattice has N = 2; use "
+                "scan_equidistant for other N"
+            )
+        L = 4 * m
+        positions = [CycloScalar.root_of_unity(L, k) for k in (1, 2)]
+        return LatticeConfig(family, N, m, L, family, positions, {"mu2": Fraction(4)})
     if family != "dihedral-odd":
-        raise ValueError(
-            "exact lattice tables exist for the cyclic family and odd-m "
-            "dihedral family only; use scan_equidistant for even m"
-        )
+        raise ValueError(f"unknown lattice family {family!r}")
     if m % 2 == 0:
         raise ValueError("the dihedral lattice table requires odd m")
     if label == "auto":

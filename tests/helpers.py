@@ -6,7 +6,8 @@ oracles of the projector and agreement checks, the dense references of
 exact spin sums, the frozen chain and its characteristic polynomial, the
 extraction references of the static Hamiltonian and the frozen chains,
 the direct-product
-references of the charge commutators and the freezing identities, the
+references of the charge commutators, the Hecke cross relation and the
+freezing identities, the
 summed scalar potential, residuals at arbitrary positions, and the
 lattice-table suite."""
 
@@ -25,10 +26,11 @@ from wreathdunkl.dunkl import (
     build_charge,
     build_dunkl,
     build_hamiltonian,
+    exchange_element,
     hamiltonian_images,
     inverse_square,
 )
-from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup
+from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.opalg import MixedOperator, op_commutator, op_compose
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
@@ -446,6 +448,28 @@ def charge_commutator_by_products(A, params, l):
     """[A, I^(l)] as the difference of the two products with the built
     charge: the reference for the Leibniz sums of ``dunkl.power_commutator``."""
     return op_commutator(A, build_charge(params, l))
+
+
+def hecke_cross_by_products(params, corrupt=None):
+    """d1 e1 d1 e1 + lam d1 T - e1 d1 e1 d1 - lam' T d1 from the four
+    products, with lam' = lam + 1 under the ``drels`` corruption: the
+    reference for the quadratic cross item of ``check_hecke_relations``,
+    which reads it from the cached [d_1, d_2]."""
+    N, m = params.size, params.order
+    spec = params.group_spec
+    d1 = build_dunkl(params, 1)
+    e1 = MixedOperator.from_group(generator(spec, "e", i=1), order=m)
+    twist = MixedOperator.zero(N, m, m)
+    for s in range(m):
+        twist = twist + MixedOperator.from_group(exchange_element(N, m, 1, 2, -s), order=m)
+    lam_r = params.lam + 1 if corrupt == "drels" else params.lam
+    lhs = op_compose(op_compose(op_compose(d1, e1), d1), e1) + op_compose(
+        d1, twist
+    ).scale(params.lam)
+    rhs = op_compose(op_compose(op_compose(e1, d1), e1), d1) + op_compose(
+        twist, d1
+    ).scale(lam_r)
+    return lhs - rhs
 
 
 def power_sum_by_products(ds, k):

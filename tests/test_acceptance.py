@@ -190,6 +190,8 @@ def test_criterion_6a_lattice_tables_exact():
             ok &= all(r.is_zero() for r in lat.residuals())
     for (m, N) in [(3, 2), (3, 3), (5, 2)]:
         ok &= lattice_table_check(m, [N]).passed
+    for m in (2, 4, 6):
+        ok &= build_lattice("dihedral-even", 2, m).residual_max == "0"
     elapsed = time.time() - t0
     ok &= elapsed < 120
     assert _report("6a lattice tables exact", ok, f"{elapsed:.1f}s")

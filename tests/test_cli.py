@@ -93,6 +93,35 @@ def test_lattice_cyclic(tmp_path):
     assert len(data["lattice"]["positions"]) == 5
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_lattice_dihedral_even_two_sites(m, tmp_path):
+    """The exact even-m row: L = 4m, mu^2 = 4, residuals exactly zero; its
+    chain is the numeric L = 4m chain at mu^2 = 4, and exact, so the
+    characteristic polynomial checks its spectrum."""
+    code, data = run(["lattice", "--family", "dihedral-even", "--N", "2", "--m", str(m)],
+                     tmp_path)
+    assert code == 0 and data["pass"]
+    assert data["lattice"]["residual_max"] == "0"
+    assert (data["lattice"]["L"], data["lattice"]["couplings"]) == (4 * m, {"mu2": "4"})
+    code, exact = run(["spectrum", "--family", "dihedral-even", "--N", "2", "--m", str(m)],
+                      tmp_path, "exact.json")
+    assert code == 0 and exact["pass"]
+    assert exact["checks"]["charpoly_residual"] < 1e-9
+    code, numeric = run(["spectrum", "--family", "dihedral-even", "--N", "2", "--m", str(m),
+                         "--L", str(4 * m), "--mu2", "4"], tmp_path, "numeric.json")
+    assert code == 0 and "charpoly_residual" not in numeric["checks"]
+    assert np.allclose(exact["eigenvalues"], numeric["eigenvalues"], atol=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--family", "dihedral-even", "--N", "3", "--m", "2"],
+    ["spectrum", "--family", "dihedral-even", "--N", "3", "--m", "2"],
+    ["spectrum", "--family", "dihedral-even", "--N", "2", "--m", "2", "--mu2", "1/4"],
+])
+def test_dihedral_even_without_a_numeric_lattice_needs_two_sites(argv, tmp_path):
+    assert run(argv, tmp_path) == (2, None)
+
+
 def test_lattice_scan_reports(tmp_path):
     code, data = run(
         ["lattice", "--family", "dihedral-even", "--N", "2", "--m", "2", "--scan", "--Lmax", "12"],
@@ -253,7 +282,7 @@ CHAIN_ARGVS = [
                             ("cyclic", 3, 2, 2), ("cyclic", 4, 2, 2), ("cyclic", 3, 3, 2),
                             ("dihedral-odd", 2, 1, 2), ("dihedral-odd", 3, 1, 2),
                             ("dihedral-odd", 2, 3, 2), ("cyclic", 4, 1, 6), ("cyclic", 3, 1, 10)]
-] + ["export --object Hbar_spin --N 3 --m 2 --n 2"]
+] + ["spectrum --family dihedral-even --N 2 --m 4", "export --object Hbar_spin --N 3 --m 2 --n 2"]
 
 
 @pytest.mark.parametrize("argv", CHAIN_ARGVS)
@@ -559,6 +588,12 @@ def argvs(draw):
 @example(["verify", "--family", "cyclic", "--N", "9", "--m", "2"], False)
 @example(["verify", "--family", "dihedral", "--N", "7", "--m", "2"], False)
 @example(["export", "--object", "Lambda", "--N", "8", "--m", "2", "--n", "2"], False)
+@example(["lattice", "--family", "dihedral-even", "--N", "2", "--m", "4"], False)
+@example(["lattice", "--family", "dihedral-even", "--N", "3"], False)
+@example(["spectrum", "--family", "dihedral-even", "--N", "2", "--m", "6"], False)
+@example(["spectrum", "--family", "dihedral-even", "--N", "3"], False)
+@example(["spectrum", "--family", "dihedral-even", "--mu2", "4"], False)
+@example(["spectrum", "--family", "dihedral-odd", "--N", "4", "--m", "1"], False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after

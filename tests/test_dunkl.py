@@ -9,6 +9,7 @@ from helpers import (
     apply,
     charge_commutator_by_products,
     hamiltonian_by_linear_kernels,
+    hecke_cross_by_products,
     is_reduced,
     numeric_residual,
     power_sum_by_products,
@@ -119,6 +120,66 @@ def test_hecke_suite_dihedral(lam, mu, rho):
     suite = check_hecke_relations(p)
     assert suite.passed, [i.relation for i in suite.failures()]
     assert check_recursion(p).passed
+
+
+CROSS = "d e1 d e1 + lam d T = e1 d e1 d + lam T d"
+DIHEDRAL_CROSS = "D (e1 D e1 + lam T) = (e1 D e1 + lam T) D"
+_CROSS_POINTS = [
+    ModelParams("cyclic", 2, 2, Fraction(1, 2)),
+    ModelParams("cyclic", 3, 2, Fraction(1)),
+    ModelParams("dihedral", 2, 2, Fraction(1, 2), Fraction(1), Fraction(1, 2)),
+    ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1, 2)),
+]
+
+
+def _hecke_items(params, monkeypatch, corrupt=None):
+    """The Hecke suite and the operator of each of its items, by relation
+    (the first instance of each)."""
+    ops = {}
+    real = dunkl._is_zero_item
+
+    def capture(suite, name, indices, op, expect_zero=True):
+        ops.setdefault(name, op)
+        return real(suite, name, indices, op, expect_zero)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(dunkl, "_is_zero_item", capture)
+        suite = check_hecke_relations(params, corrupt=corrupt)
+    return suite, ops
+
+
+@pytest.mark.parametrize("corrupt", [None, "drels"])
+@pytest.mark.parametrize("p", _CROSS_POINTS, ids=lambda p: str(p.to_json()))
+def test_hecke_cross_relation_equals_the_four_products(p, corrupt, monkeypatch):
+    """The cross item, read from the cached [d_1, d_2], is lhs - rhs of the
+    four products, and the dihedral item [D, e1 D e1 + lam T] is the same
+    difference at the uncorrupted coupling."""
+    suite, ops = _hecke_items(p, monkeypatch, corrupt)
+    want = hecke_cross_by_products(p, corrupt)
+    assert want.is_zero() == (corrupt is None) == suite.passed
+    assert ops[CROSS] == want and ops[CROSS].to_json() == want.to_json()
+    if p.family == "dihedral":
+        assert ops[DIHEDRAL_CROSS] == hecke_cross_by_products(p)
+
+
+def test_hecke_cross_relation_with_a_recursion_residual(monkeypatch):
+    """With d_2 replaced by d_2 + e1 the residual R = e1 d1 e1 + lam T - d_2
+    is -e1, and [d_1, d_2] no longer vanishes; the cross items add
+    [d1, R] and still equal the products, which never read d_2."""
+    p = _CROSS_POINTS[2]
+    e1 = MixedOperator.from_group(generator(p.group_spec, "e", i=1), order=p.order)
+    real = build_dunkl
+    monkeypatch.setattr(
+        dunkl, "build_dunkl", lambda params, i: real(params, i) + e1 if i == 2 else real(params, i)
+    )
+    dunkl_commutator.cache_clear()
+    try:
+        suite, ops = _hecke_items(p, monkeypatch)
+    finally:
+        dunkl_commutator.cache_clear()
+    assert not ops["[d_i, d_j] = 0"].is_zero()
+    assert ops[CROSS] == ops[DIHEDRAL_CROSS] == hecke_cross_by_products(p)
+    assert ops[CROSS].is_zero()
 
 
 def test_dihedral_forms_agree():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     agreement_blocks_by_definition,
@@ -695,11 +697,17 @@ WORKLOAD_SMALL_CHAINS = [
 ]
 
 
-@pytest.mark.parametrize("family,N,m", WORKLOAD_SMALL_CHAINS + [("cyclic", 1, 2)])
+@pytest.mark.parametrize(
+    "family,N,m",
+    WORKLOAD_SMALL_CHAINS + [
+        ("cyclic", 1, 2), ("dihedral-odd", 4, 1), ("dihedral-even", 2, 2),
+        ("dihedral-even", 2, 4),
+    ],
+)
 def test_block_char_poly_equals_whole_matrix_recursion(family, N, m):
     """On the sparse chain, against the recursion on the whole dense matrix
     built from the definition of the spin images; cyclic N = 1 is the
-    all-zero chain."""
+    all-zero chain and dihedral-odd N = 4 one dense dim-16 block."""
     rep = SpinRepData(2, m, N)
     terms = build_frozen_hamiltonian(build_lattice(family, N, m)).terms
     order, S = spin_sum(rep, terms)
@@ -725,6 +733,117 @@ def test_block_char_poly_with_a_one_sided_entry():
     ]
     dense = [[M.get((r, t), CycloScalar.zero(3)) for t in range(5)] for r in range(5)]
     assert char_poly_exact(5, 3, M) == char_poly_by_trace_recursion(dense)
+
+
+# -- the Hessenberg reduction against the trace recursion -------------------------
+
+FIELD_ORDERS = (1, 2, 3, 4, 5, 12)
+# entries each shape keeps; "no_subdiagonal" leaves every column's pivot
+# below the subdiagonal, so the reduction swaps it up
+SHAPES = {
+    "sparse": lambda r, c: True,
+    "zero": lambda r, c: False,
+    "upper": lambda r, c: r <= c,
+    "lower": lambda r, c: r >= c,
+    "no_subdiagonal": lambda r, c: r != c + 1,
+}
+
+
+@st.composite
+def field_entries(draw, order):
+    """Zero, or a + b zeta^k in Q(zeta_order) with small a and b."""
+    if draw(st.booleans()):
+        return CycloScalar.zero(order)
+    a = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    zk = CycloScalar.root_of_unity(order, draw(st.integers(0, order - 1)))
+    return CycloScalar.rational(a, order) + zk * draw(st.integers(-2, 2))
+
+
+@st.composite
+def exact_matrices(draw, order, max_dim=7):
+    """Dense rows of a square matrix over Q(zeta_order), about half its
+    entries zero, in one of the ``SHAPES``."""
+    dim = draw(st.integers(1, max_dim))
+    keep = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    zero = CycloScalar.zero(order)
+    return [
+        [draw(field_entries(order)) if keep(r, c) else zero for c in range(dim)]
+        for r in range(dim)
+    ]
+
+
+def _swap_example():
+    """Column 0 of a 3 x 3 matrix has its only nonzero below the
+    subdiagonal."""
+    z3, zero = CycloScalar.root_of_unity(3), CycloScalar.zero(3)
+    return [[zero, z3, zero], [zero, zero, z3 + 1], [z3 * 2, zero, zero]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELD_ORDERS).flatmap(
+    lambda order: st.tuples(st.just(order), exact_matrices(order))))
+@example((3, _swap_example()))
+def test_hessenberg_char_poly_equals_trace_recursion(case):
+    order, M = case
+    want = char_poly_by_trace_recursion(M)
+    got = spinrep._hessenberg_char_poly([row[:] for row in M], order)
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+def _poly_product(a, b):
+    out = [CycloScalar.zero(a[0].order)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELD_ORDERS).flatmap(lambda order: st.tuples(
+    st.just(order), exact_matrices(order, 5), exact_matrices(order, 5),
+    st.randoms(use_true_random=False))))
+def test_char_poly_of_permuted_blocks(case):
+    """Two blocks on a shuffled basis: ``char_poly_exact`` takes them apart
+    again, and the polynomial is the product of the blocks' references."""
+    order, A, B, rnd = case
+    dim = len(A) + len(B)
+    place = list(range(dim))
+    rnd.shuffle(place)
+    S = {}
+    for offset, block in ((0, A), (len(A), B)):
+        for r, row in enumerate(block):
+            for c, v in enumerate(row):
+                if not v.is_zero():
+                    S[(place[offset + r], place[offset + c])] = v
+    want = _poly_product(char_poly_by_trace_recursion(A), char_poly_by_trace_recursion(B))
+    assert char_poly_exact(dim, order, S) == want
+
+
+def test_hessenberg_char_poly_is_cubic(monkeypatch):
+    """On a dense dim-16 block the reduction and the recurrence make at
+    most dim^3 + dim^2 field multiplications; the trace recursion, about
+    dim^4, makes more."""
+    rng = random.Random(0)
+    dim, order = 16, 3
+    z3 = CycloScalar.root_of_unity(order)
+    M = [[CycloScalar.rational(rng.randint(1, 3), order) + z3 * rng.randint(-2, 2)
+          for _ in range(dim)] for _ in range(dim)]
+    S = {(r, c): v for r, row in enumerate(M) for c, v in enumerate(row)}
+    assert [len(b) for b in pattern_blocks(dim, *np.array(list(S)).T)] == [dim]
+    calls = []
+    mul = CycloScalar.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloScalar, "__mul__", counted)
+    monkeypatch.setattr(CycloScalar, "__rmul__", counted)
+    got = char_poly_exact(dim, order, S)
+    hessenberg = len(calls)
+    calls.clear()
+    assert got == char_poly_by_trace_recursion(M)
+    assert hessenberg <= dim**3 + dim**2 < len(calls)
 
 
 def test_jacobi_oracle_on_degenerate_spectra():

@@ -357,6 +357,19 @@ def test_even_m_scan_finds_the_doubled_coupling_solution():
     assert not all(r.is_zero() for r in res3)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_even_m_exact_row(m):
+    """The two-site equilibrium as a table row: the first two (4m)-th roots
+    of unity at mu^2 = 4, residuals exactly zero; no row at N = 3 or odd m."""
+    lat = build_lattice("dihedral-even", 2, m)
+    assert (lat.L, lat.couplings, lat.exact) == (4 * m, {"mu2": Fraction(4)}, True)
+    assert lat.positions == [CycloScalar.root_of_unity(4 * m, k) for k in (1, 2)]
+    assert lat.residual_max == "0"
+    for N, order in ((3, m), (2, m + 1)):
+        with pytest.raises(ValueError):
+            build_lattice("dihedral-even", N, order)
+
+
 def test_even_m_scan_excluding_doubled_coupling():
     grid = [{"mu2": v} for v in (Fraction(1, 4), Fraction(1), Fraction(9, 4))]
     records = scan_equidistant("dihedral-even", 2, 2, range(2, 41), coupling_grid=grid)
