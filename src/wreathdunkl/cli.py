@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -60,9 +61,9 @@ from .spinrep import (
     brute_force_eigvals,
     build_projector,
     char_poly_exact,
-    charpoly_residual,
     commutant_residual,
     diagonalize_hermitian,
+    exact_levels,
     frozen_spin_matrix,
     global_rotation_element,
     projector_check,
@@ -105,14 +106,12 @@ def _write_report(report: dict, path: str | None):
 
 
 def _report(args, fields: dict) -> dict:
-    """A report: the command, the engine version, the seed and the parsed
-    options (without the handler, whose repr is an address), then ``fields``."""
-    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    """A report: the command, engine version, seed and parsed options, then ``fields``."""
     return {
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "config": config,
+        "config": vars(args),
         **fields,
     }
 
@@ -261,12 +260,10 @@ def _lattice_for(args):
 
 
 def cmd_spectrum(args) -> int:
-    dim = args.n**args.N
     frozen = build_frozen_hamiltonian(_lattice_for(args))
     rep = SpinRepData(args.n, args.m, args.N)
     H = frozen_spin_matrix(rep, frozen.terms)
     vals, degs, herm = diagonalize_hermitian(H)
-    oracle = brute_force_eigvals(H.dense()) if dim <= 64 else None
     report = _report(args, {
         "params": {"family": args.family, "N": args.N, "m": args.m, "n": args.n},
         "lattice": frozen.lattice.to_json(),
@@ -275,12 +272,19 @@ def cmd_spectrum(args) -> int:
         "degeneracies": [{"value": v, "multiplicity": k} for v, k in degs],
         "warning": frozen.warning,
     })
-    checks = {}
-    if oracle is not None:
-        checks["oracle_max_deviation"] = float(np.max(np.abs(vals - oracle)))
-    if frozen.lattice.exact and dim <= 16:
-        coeffs = char_poly_exact(dim, *spin_sum(rep, frozen.terms))
-        checks["charpoly_residual"] = charpoly_residual(coeffs, vals)
+    # One eigenvalue oracle per chain, within 1e-8 of max(1, max |H|): exact
+    # levels on exact lattices to dim 16, Jacobi on the rest to dim 64 (numeric
+    # --L lattices, and exact ones whose dense exact reduction is slow).
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(H.values), initial=0.0)))
+    checks, passed = {}, True
+    if frozen.lattice.exact and H.dim <= 16:
+        levels = exact_levels(char_poly_exact(H.dim, *spin_sum(rep, frozen.terms)), vals, tol)
+        checks["exact_levels"] = levels and [{"value": str(r), "multiplicity": k}
+                                             for r, k in levels]
+        passed = levels is not None
+    elif H.dim <= 64:
+        deviation = float(np.max(np.abs(vals - brute_force_eigvals(H.dense()))))
+        checks["oracle_max_deviation"], passed = deviation, deviation < tol
     if args.family == "cyclic":
         symmetries = {
             "twisted_translation": twisted_translation_element(args.N, args.m),
@@ -294,11 +298,6 @@ def cmd_spectrum(args) -> int:
     report["checks"] = checks
     if args.x_display:
         report["coupling_display"] = _sin2_display(frozen)
-    passed = True
-    if "oracle_max_deviation" in checks:
-        # relative to max(1, max |H|), the scale diagonalize_hermitian uses
-        scale = max(1.0, float(np.max(np.abs(H.values), initial=0.0)))
-        passed = passed and checks["oracle_max_deviation"] < 1e-8 * scale
     if args.family == "cyclic":
         passed = passed and all(v < 1e-10 for v in checks["commutant"].values())
     report["pass"] = passed
@@ -491,6 +490,7 @@ def _enumerated_groups(args) -> list:
 # -- argument parsing ----------------------------------------------------------------
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wreathdunkl",
@@ -518,14 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.add_argument("--kmax", type=int, default=2, help="highest charge checked")
     pv.add_argument("--corrupt", default=None, help="negative control: drels|recursion|braid")
-    pv.set_defaults(fn=cmd_verify)
 
     pl = sub.add_parser("lattice", help="check or scan frozen-site configurations")
     common(pl, family_choices=("cyclic", "dihedral-odd", "dihedral-even"))
     pl.add_argument("--label", choices=LATTICE_LABELS, default=None)
     pl.add_argument("--scan", action="store_true")
     pl.add_argument("--Lmax", type=int, default=None)
-    pl.set_defaults(fn=cmd_lattice)
 
     ps = sub.add_parser("spectrum", help="diagonalize a frozen spin chain")
     common(ps, family_choices=("cyclic", "dihedral-odd", "dihedral-even"))
@@ -533,21 +531,22 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--L", type=int, default=None)
     ps.add_argument("--mu2", default=None)
     ps.add_argument("--x-display", dest="x_display", action="store_true")
-    ps.set_defaults(fn=cmd_spectrum, n=2, family="cyclic")
+    ps.set_defaults(n=2, family="cyclic")
 
     pe = sub.add_parser("export", help="dump named operators and lattices as JSON")
     common(pe)
     pe.add_argument("--object", required=True)
-    pe.set_defaults(fn=cmd_export)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a rebinding of cli.cmd_* takes effect
+    commands = {"verify": cmd_verify, "lattice": cmd_lattice,
+                "spectrum": cmd_spectrum, "export": cmd_export}
     try:
         _validate(args)
-        return args.fn(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -30,14 +30,16 @@ nonzero pattern, so no array of dim x dim entries is formed.  An exact
 sum of spin images, sum_g c_g rho(g), has one form: ``spin_sum`` keeps
 its nonzero entries as {(row, column): entry}.  It is the
 spin-substituted operator of the agreement check, the input of the
-characteristic-polynomial oracle (``char_poly_exact``, which also works
+exact characteristic polynomial (``char_poly_exact``, which also works
 one block at a time, by an exact Hessenberg reduction of each) and what
 the exports of chains and projectors write out, densely only as they
-print it.
+print it.  On exact lattices ``exact_levels`` certifies rational levels as
+that polynomial's roots; elsewhere ``brute_force_eigvals`` checks ``eigh``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -475,7 +477,7 @@ class SparseChain:
     values: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """H as a dense complex array, for the small-dimension oracle."""
+        """H as a dense complex array, for the Jacobi oracle."""
         out = np.zeros(self.dim * self.dim, dtype=complex)
         out[self.keys] = self.values
         return out.reshape(self.dim, self.dim)
@@ -706,17 +708,19 @@ def char_poly_exact(dim: int, order: int, S: dict) -> list[CycloScalar]:
     return coeffs
 
 
-def charpoly_residual(coeffs, eigenvalues) -> float:
-    """Largest |p(lambda)| over the proposed eigenvalues, normalized."""
-    vals = np.array([c.to_complex() for c in coeffs], dtype=complex)
-    worst = 0.0
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for lam in eigenvalues:
-        p = 0j
-        for c in reversed(vals):
-            p = p * lam + c
-        worst = max(worst, abs(p) / scale)
-    return worst
+def exact_levels(coeffs, eigenvalues, tol: float):
+    """[(level, multiplicity), ...] of the float ``eigenvalues``, each rounded
+    to the nearest rational of denominator at most 1000 (exact lattices give
+    integers and half-integers), when no rounding moves a value by more than
+    ``tol`` and prod (x - r_i) is exactly ``coeffs`` (``char_poly_exact``);
+    else None."""
+    levels = [Fraction(float(lam)).limit_denominator(1000) for lam in eigenvalues]
+    poly = [Fraction(1)]  # prod (x - r_i), lowest degree first
+    for r in levels:
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    if any(abs(float(r) - lam) > tol for r, lam in zip(levels, eigenvalues)) or coeffs != poly:
+        return None
+    return sorted(Counter(levels).items())
 
 
 def brute_force_eigvals(matrix) -> np.ndarray:
@@ -731,11 +735,7 @@ def brute_force_eigvals(matrix) -> np.ndarray:
     n = A.shape[0]
     tol = 1e-13 * max(1.0, float(np.max(np.abs(A))))
     for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-        if off <= tol:
+        if np.max(np.abs(np.triu(A, 1)), initial=0.0) <= tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

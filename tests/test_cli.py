@@ -24,6 +24,7 @@ from helpers import (
 
 from wreathdunkl import cli, polyalg
 from wreathdunkl.cli import main
+from wreathdunkl.static import LATTICE_LABELS
 
 
 def run(args, tmp_path, name="out.json"):
@@ -97,7 +98,8 @@ def test_lattice_cyclic(tmp_path):
 def test_lattice_dihedral_even_two_sites(m, tmp_path):
     """The exact even-m row: L = 4m, mu^2 = 4, residuals exactly zero; its
     chain is the numeric L = 4m chain at mu^2 = 4, and exact, so the
-    characteristic polynomial checks its spectrum."""
+    characteristic polynomial certifies its levels, where the numeric
+    chain falls to the Jacobi oracle."""
     code, data = run(["lattice", "--family", "dihedral-even", "--N", "2", "--m", str(m)],
                      tmp_path)
     assert code == 0 and data["pass"]
@@ -106,10 +108,12 @@ def test_lattice_dihedral_even_two_sites(m, tmp_path):
     code, exact = run(["spectrum", "--family", "dihedral-even", "--N", "2", "--m", str(m)],
                       tmp_path, "exact.json")
     assert code == 0 and exact["pass"]
-    assert exact["checks"]["charpoly_residual"] < 1e-9
+    assert sum(level["multiplicity"] for level in exact["checks"]["exact_levels"]) == 4
+    assert "oracle_max_deviation" not in exact["checks"]
     code, numeric = run(["spectrum", "--family", "dihedral-even", "--N", "2", "--m", str(m),
                          "--L", str(4 * m), "--mu2", "4"], tmp_path, "numeric.json")
-    assert code == 0 and "charpoly_residual" not in numeric["checks"]
+    assert code == 0 and "exact_levels" not in numeric["checks"]
+    assert numeric["checks"]["oracle_max_deviation"] < 1e-8
     assert np.allclose(exact["eigenvalues"], numeric["eigenvalues"], atol=1e-9)
 
 
@@ -163,10 +167,51 @@ def test_spectrum_cyclic(tmp_path):
     )
     assert code == 0
     assert data["hermiticity_residual"] < 1e-12
-    assert data["checks"]["oracle_max_deviation"] < 1e-8
+    assert data["checks"]["exact_levels"] == [
+        {"value": "-2", "multiplicity": 4}, {"value": "0", "multiplicity": 4}
+    ]
+    assert "oracle_max_deviation" not in data["checks"]
     assert all(v < 1e-10 for v in data["checks"]["commutant"].values())
     assert len(data["eigenvalues"]) == 8
     assert sum(d["multiplicity"] for d in data["degeneracies"]) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cyclic", "--N", "1", "--m", "2", "--n", "3"],
+    ["--family", "cyclic", "--N", "3", "--m", "2", "--n", "1"],
+    ["--family", "cyclic", "--N", "2", "--m", "5", "--n", "4"],
+    ["--family", "dihedral-even", "--N", "2", "--m", "4", "--n", "3"],
+    *[["--family", "dihedral-odd", "--N", "2", "--m", "3", "--n", "2", "--label", label]
+      for label in LATTICE_LABELS],
+    ["--family", "dihedral-odd", "--N", "4", "--m", "3", "--n", "2"],
+])
+def test_exact_chains_report_certified_levels(argv, tmp_path):
+    """Exact chains of dim 16 or less across the families, one site, one
+    spin state, every dihedral-odd lattice and dim 16 in the order-48
+    field: each level is certified, with multiplicities summing to dim."""
+    code, data = run(["spectrum", *argv], tmp_path)
+    assert code == 0 and data["pass"]
+    levels = data["checks"]["exact_levels"]
+    assert sum(level["multiplicity"] for level in levels) == len(data["eigenvalues"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cyclic", "--N", "3", "--m", "1"],
+    ["--family", "dihedral-odd", "--N", "2", "--m", "3"],
+])
+def test_a_wrong_characteristic_polynomial_fails_the_chain(argv, tmp_path, monkeypatch):
+    """With 1000 added to c_0 of the exact polynomial no level is
+    certified, and the chain fails."""
+    real = cli.char_poly_exact
+
+    def shifted(*args):
+        coeffs = real(*args)
+        return [coeffs[0] + 1000, *coeffs[1:]]
+
+    monkeypatch.setattr(cli, "char_poly_exact", shifted)
+    code, data = run(["spectrum", *argv], tmp_path)
+    assert code == 1 and data["pass"] is False
+    assert data["checks"]["exact_levels"] is None
 
 
 def test_spectrum_dihedral_reports_commutants(tmp_path):
@@ -594,6 +639,9 @@ def argvs(draw):
 @example(["spectrum", "--family", "dihedral-even", "--N", "3"], False)
 @example(["spectrum", "--family", "dihedral-even", "--mu2", "4"], False)
 @example(["spectrum", "--family", "dihedral-odd", "--N", "4", "--m", "1"], False)
+@example(["spectrum", "--N", "4", "--n", "2"], False)
+@example(["spectrum", "--N", "3", "--n", "3"], False)
+@example(["spectrum", "--N", "1", "--n", "3"], False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after

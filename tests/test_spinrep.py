@@ -39,12 +39,12 @@ from wreathdunkl.spinrep import (
     brute_force_eigvals,
     build_projector,
     char_poly_exact,
-    charpoly_residual,
     commutant_residual,
     compose_images,
     convolve,
     default_weights,
     diagonalize_hermitian,
+    exact_levels,
     frozen_spin_matrix,
     generating_set,
     global_rotation_element,
@@ -663,30 +663,71 @@ def test_spectral_reconstruction_random():
     assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - H)) < 1e-8
 
 
-def test_charpoly_oracle_matches_eigensolvers():
-    rng = random.Random(0)
-    dim = 4
-    M = {}
-    z4 = CycloScalar.root_of_unity(4)
-    for i in range(dim):
-        for j in range(i, dim):
-            val = CycloScalar.rational(Fraction(rng.randint(-3, 3)), 4)
-            if i != j:
-                val = val + z4 * rng.randint(-2, 2)
-            if val:
-                M[(i, j)] = val
-                M[(j, i)] = val.conj()
-    # exact Hermiticity: M equals its conjugate transpose entry by entry
-    assert M == {(j, i): v.conj() for (i, j), v in M.items()}
-    H = sparse_to_numpy(dim, M)
+def _rational_spectrum_matrix():
+    """S = U D U^H, exact over Q(i), with D = diag(2, -1/2, 2, 3) and U the
+    product of the rational unitaries [[3/5, 4i/5], [4i/5, 3/5]] on the
+    coordinate planes (0, 1), (1, 2) and (2, 3): a dense Hermitian matrix
+    whose levels are -1/2, 2 (twice) and 3."""
+    dim, order = 4, 4
+    zero, one = CycloScalar.zero(order), CycloScalar.one(order)
+    i = CycloScalar.root_of_unity(order)
+
+    def matmul(A, B):
+        return [[sum((A[r][k] * B[k][c] for k in range(dim)), zero) for c in range(dim)]
+                for r in range(dim)]
+
+    U = [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+    for p, q in ((0, 1), (1, 2), (2, 3)):
+        G = [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+        G[p][p] = G[q][q] = CycloScalar.rational(Fraction(3, 5), order)
+        G[p][q] = G[q][p] = i * CycloScalar.rational(Fraction(4, 5), order)
+        U = matmul(U, G)
+    levels = [Fraction(2), Fraction(-1, 2), Fraction(2), Fraction(3)]
+    D = [[CycloScalar.rational(levels[r], order) if r == c else zero for c in range(dim)]
+         for r in range(dim)]
+    Uh = [[U[c][r].conj() for c in range(dim)] for r in range(dim)]
+    M = matmul(matmul(U, D), Uh)
+    return dim, order, {(r, c): v for r, row in enumerate(M) for c, v in enumerate(row) if v}
+
+
+def test_exact_levels_match_eigensolvers():
+    dim, order, S = _rational_spectrum_matrix()
+    assert len(S) == dim * dim
+    # exact Hermiticity: S equals its conjugate transpose entry by entry
+    assert S == {(j, i): v.conj() for (i, j), v in S.items()}
+    H = sparse_to_numpy(dim, S)
     vals, _, _ = diagonalize_hermitian(chain_from_dense(H))
     oracle = brute_force_eigvals(H)
     assert np.max(np.abs(vals - oracle)) < 1e-10
-    coeffs = char_poly_exact(dim, 4, M)
-    assert charpoly_residual(coeffs, vals) < 1e-9
-    # the roots of the exact polynomial, a structural cross-check
-    roots = np.roots([c.to_complex() for c in reversed(coeffs)])
-    assert np.max(np.abs(np.sort(roots.real) - vals)) < 1e-5
+    coeffs = char_poly_exact(dim, order, S)
+    want = [(Fraction(-1, 2), 1), (Fraction(2), 2), (Fraction(3), 1)]
+    assert exact_levels(coeffs, vals, 1e-8) == want
+    assert exact_levels(coeffs, oracle, 1e-8) == want
+
+
+def test_exact_levels_refuse_an_irrational_level():
+    """[[1, 1], [1, 0]] has the levels (1 +- sqrt 5) / 2.  Rounding moves
+    them by more than 1e-8; within a loose tolerance they round, and the
+    product of the roundings is not the polynomial."""
+    one = CycloScalar.one(1)
+    S = {(0, 0): one, (0, 1): one, (1, 0): one}
+    coeffs = char_poly_exact(2, 1, S)
+    vals = np.linalg.eigvalsh(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert exact_levels(coeffs, vals, 1e-8) is None
+    assert all(abs(float(Fraction(v).limit_denominator(1000)) - v) < 1e-3 for v in vals)
+    assert exact_levels(coeffs, vals, 1e-3) is None
+
+
+def test_exact_levels_refuse_a_float_level_beyond_the_tolerance():
+    """A level moved by 1e-6 still rounds to the exact level, and is
+    certified only when the tolerance admits the move."""
+    dim, order, S = _rational_spectrum_matrix()
+    coeffs = char_poly_exact(dim, order, S)
+    vals = np.array([-0.5, 2.0, 2.0 + 1e-6, 3.0])
+    assert exact_levels(coeffs, vals, 1e-8) is None
+    assert exact_levels(coeffs, vals, 1e-5) == [
+        (Fraction(-1, 2), 1), (Fraction(2), 2), (Fraction(3), 1)
+    ]
 
 
 # the nine chains of dimension 16 or less in the spectrum benchmark workload
