@@ -85,6 +85,10 @@ from .static import (
 )
 
 
+# The largest spin space written or diagonalized as a dense matrix.
+DENSE_CAP = 4096
+
+
 class ConfigError(ValueError):
     pass
 
@@ -431,9 +435,7 @@ def _validate(args):
                 "other N with --scan"
             )
     elif args.command == "spectrum":
-        dim = args.n**args.N
-        if dim > 4096:
-            raise ConfigError(f"spin space dimension {dim} exceeds the dense cap 4096")
+        _check_dense(args)
         if args.family == "dihedral-even" and not args.L:
             if args.N != 2:
                 raise ConfigError("dihedral-even chains need --L (numeric lattice) "
@@ -454,9 +456,15 @@ def _validate(args):
     elif args.command == "export":
         _validate_export(args)
     for spec, cap in _enumerated_groups(args):
-        if spec.cardinality() > cap:
+        if spec.exceeds(cap):
             raise ConfigError(f"{spec.family} at N = {spec.size}, m = {spec.order} has "
-                              f"{spec.cardinality()} elements, beyond the enumeration cap {cap}")
+                              f"more than {cap} elements, the enumeration cap")
+
+
+def _check_dense(args):
+    """Refuse n^N > DENSE_CAP; n >= 2 passes it within bit_length() factors."""
+    if args.n ** min(args.N, DENSE_CAP.bit_length()) > DENSE_CAP:
+        raise ConfigError(f"spin space dimension {args.n}^{args.N} exceeds the dense cap {DENSE_CAP}")
 
 
 def _validate_export(args):
@@ -468,8 +476,10 @@ def _validate_export(args):
         raise ConfigError(f"export --object {name}: index out of range")
     if (index is not None or kind in MODEL_OBJECTS) and args.family is None:
         raise ConfigError(f"export --object {name} needs --family")
-    if kind in ("Lambda", "Lambda_b", "Hbar_spin") and not args.n:
-        raise ConfigError(f"{name} needs --n (local spin dimension)")
+    if kind in ("Lambda", "Lambda_b", "Hbar_spin"):
+        if not args.n:
+            raise ConfigError(f"{name} needs --n (local spin dimension)")
+        _check_dense(args)
 
 
 def _enumerated_groups(args) -> list:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .reports import CheckSuite
@@ -176,6 +177,15 @@ class GroupSpec:
             return (m**n // self.p) * fact
         return (2 * m) ** n * fact
 
+    def exceeds(self, cap: int) -> bool:
+        """Whether cardinality() > cap, without forming it: p |G| is the
+        product over sites k of k times the phases per site, accumulated
+        only until it passes p cap."""
+        per_site = 2 * self.order if self.family == "W(m,N)" else self.order
+        bound = cap * (self.p if self.family == "G(m,p,N)" else 1)
+        factors = (per_site * k for k in range(1, self.size + 1))
+        return any(t > bound for t in itertools.accumulate(factors, operator.mul))
+
     def contains(self, g: WreathElement) -> bool:
         if g.size != self.size:
             return False
@@ -264,9 +274,8 @@ SPIN_GROUP_CAP = 10**5
 def enumerate_subgroup(spec: GroupSpec, cap: int = ENUMERATION_CAP) -> list[WreathElement]:
     """All elements of the group, each exactly once."""
     n, m = spec.size, spec.order
-    total = spec.cardinality()
-    if total > cap:
-        raise ValueError(f"group order {total} exceeds cap {cap}")
+    if spec.exceeds(cap):
+        raise ValueError(f"{spec.family} at N = {n}, m = {m} has more than {cap} elements")
     perms = list(itertools.permutations(range(n)))
     out = []
     if spec.family in ("G(m,1,N)", "G(m,p,N)"):
@@ -283,7 +292,7 @@ def enumerate_subgroup(spec: GroupSpec, cap: int = ENUMERATION_CAP) -> list[Wrea
         for rot in rots:
             for flip in flips:
                 out.append(WreathElement(n, m, perm, rot, flip))
-    if len(out) != total:
+    if len(out) != spec.cardinality():
         raise AssertionError("enumeration does not match the family cardinality")
     return out
 

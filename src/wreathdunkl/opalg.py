@@ -10,6 +10,11 @@ position-group element on the right.  Terms are keyed by (Euler
 multi-index, group element), so equal keys merge and the exact zero test is
 "every coefficient is the zero rational function".
 
+An operator has one order m: its group elements rotate by m-th roots of
+unity, and its coefficients lie in Q(zeta_m), the field those rotations
+act on.  Operators of different orders are never combined, and a
+coefficient or scalar outside Q(zeta_m) raises ``FieldMismatchError``.
+
 Operators carry no spin factor.  Where spins enter (physical-state
 projectors, spin-substituted charges), ``spinrep`` works with weights on
 the group and monomial spin images instead.
@@ -24,81 +29,69 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 
-from .cyclotomic import CycloScalar
+from .cyclotomic import CycloScalar, FieldMismatchError
 from .groups import WreathElement
 from .polyalg import RationalCoefficient
 
 
 class MixedOperator:
-    __slots__ = ("nvars", "order", "group_order", "terms")
+    __slots__ = ("nvars", "order", "terms")
 
     # Operators act on scalar functions only; perfbench/tracer.py's
     # ``_compose_sizes`` hook still reads this constant.
     spin_dim = 1
 
-    def __init__(self, nvars, order, group_order, terms):
-        """``terms`` maps (Euler index tuple, group element) to a nonzero
-        coefficient of the given order; it is taken as is."""
+    def __init__(self, nvars, order, terms):
+        """``terms`` maps (Euler index tuple, group element of rotation
+        order ``order``) to a nonzero coefficient over Q(zeta_order), as is."""
         self.nvars = nvars
         self.order = order
-        self.group_order = group_order
         self.terms = terms
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(nvars, order=1, group_order=1):
-        return MixedOperator(nvars, order, group_order, {})
+    def zero(nvars, order):
+        return MixedOperator(nvars, order, {})
 
     @staticmethod
-    def identity(nvars, order=1, group_order=1):
-        one = RationalCoefficient.one(nvars, order)
-        return MixedOperator.from_coefficient(one, group_order)
+    def identity(nvars, order):
+        return MixedOperator.from_coefficient(RationalCoefficient.one(nvars, order), order)
 
     @staticmethod
-    def from_group(g: WreathElement, order=None):
-        return MixedOperator.term(RationalCoefficient.one(g.size, order or g.order), g)
+    def from_group(g: WreathElement):
+        return MixedOperator.term(RationalCoefficient.one(g.size, g.order), g)
 
     @staticmethod
-    def from_coefficient(c: RationalCoefficient, group_order=1):
-        g = WreathElement.identity(c.nvars, group_order)
-        if c.is_zero():
-            return MixedOperator.zero(c.nvars, c.order, group_order)
-        return MixedOperator(c.nvars, c.order, group_order, {((0,) * c.nvars, g): c})
+    def from_coefficient(c: RationalCoefficient, order):
+        return MixedOperator.term(c, WreathElement.identity(c.nvars, order))
 
     @staticmethod
-    def euler(nvars, var, order=1, group_order=1):
+    def euler(nvars, var, order):
         """The Euler derivative D_var as an operator (1-based index)."""
         k = [0] * nvars
         k[var - 1] = 1
-        g = WreathElement.identity(nvars, group_order)
+        g = WreathElement.identity(nvars, order)
         one = RationalCoefficient.one(nvars, order)
-        return MixedOperator(nvars, order, group_order, {(tuple(k), g): one})
+        return MixedOperator(nvars, order, {(tuple(k), g): one})
 
     @staticmethod
     def term(coeff: RationalCoefficient, g: WreathElement):
-        """Single term coeff * g."""
-        order = coeff.order * g.order // gcd(coeff.order, g.order)
-        c = coeff.lift(order)
+        """Single term coeff * g; ``FieldMismatchError`` unless coeff lies in
+        Q(zeta_m), m the rotation order of g."""
+        c = coeff.lift(g.order)
         if c.is_zero():
-            return MixedOperator.zero(g.size, order, g.order)
-        return MixedOperator(g.size, order, g.order, {((0,) * g.size, g): c})
+            return MixedOperator.zero(g.size, g.order)
+        return MixedOperator(g.size, g.order, {((0,) * g.size, g): c})
 
     # -- plumbing ------------------------------------------------------------
 
     def _check_compatible(self, other):
         if self.nvars != other.nvars:
             raise ValueError("operators act on different numbers of variables")
-        if self.group_order != other.group_order:
-            raise ValueError("operators carry different rotation orders")
-
-    def lift_order(self, order):
-        if order == self.order:
-            return self
-        out = {key: c.lift(order) for key, c in self.terms.items()}
-        return MixedOperator(self.nvars, order, self.group_order, out)
+        if self.order != other.order:
+            raise FieldMismatchError("operators carry different rotation orders")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -110,11 +103,10 @@ class MixedOperator:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
-            other = MixedOperator.identity(self.nvars, self.order, self.group_order) * other
+            other = MixedOperator.identity(self.nvars, self.order) * other
         self._check_compatible(other)
-        order = self.order * other.order // gcd(self.order, other.order)
-        out = dict(self.lift_order(order).terms)
-        for key, c in other.lift_order(order).terms.items():
+        out = dict(self.terms)
+        for key, c in other.terms.items():
             cur = out.get(key)
             if cur is None:
                 out[key] = c
@@ -124,13 +116,13 @@ class MixedOperator:
                 del out[key]
             else:
                 out[key] = s
-        return MixedOperator(self.nvars, order, self.group_order, out)
+        return MixedOperator(self.nvars, self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = {key: -c for key, c in self.terms.items()}
-        return MixedOperator(self.nvars, self.order, self.group_order, out)
+        return MixedOperator(self.nvars, self.order, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,18 +131,18 @@ class MixedOperator:
         return (-self) + other
 
     def scale(self, factor):
+        """factor * self; ``FieldMismatchError`` unless a cyclotomic or
+        rational-function factor lies in Q(zeta_order)."""
         if isinstance(factor, RationalCoefficient):
-            return MixedOperator.from_coefficient(factor, self.group_order) * self
+            return MixedOperator.from_coefficient(factor, self.order) * self
+        if isinstance(factor, CycloScalar):
+            factor = factor.lift(self.order)
         out = {}
         for key, c in self.terms.items():
             s = c * factor
             if not s.is_zero():
                 out[key] = s
-        order = self.order
-        if isinstance(factor, CycloScalar):
-            order = order * factor.order // gcd(order, factor.order)
-            out = {key: c.lift(order) for key, c in out.items()}
-        return MixedOperator(self.nvars, order, self.group_order, out)
+        return MixedOperator(self.nvars, self.order, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -168,7 +160,7 @@ class MixedOperator:
         if k < 0:
             raise ValueError("operators have no inverses here")
         if k == 0:
-            return MixedOperator.identity(self.nvars, self.order, self.group_order)
+            return MixedOperator.identity(self.nvars, self.order)
         out = self
         for _ in range(k - 1):
             out = op_compose(out, self)
@@ -238,12 +230,7 @@ def op_compose(A: MixedOperator, B: MixedOperator) -> MixedOperator:
     """Normal-form product A then B (A acts after B)."""
     A._check_compatible(B)
     if A.is_zero() or B.is_zero():
-        return MixedOperator.zero(A.nvars, A.order, A.group_order)
-    order = A.order * B.order // gcd(A.order, B.order)
-    if order != A.order:
-        A = A.lift_order(order)
-    if order != B.order:
-        B = B.lift_order(order)
+        return MixedOperator.zero(A.nvars, A.order)
     n = A.nvars
     out: dict = {}
     for (kA, gA), cA in A.terms.items():
@@ -276,7 +263,7 @@ def op_compose(A: MixedOperator, B: MixedOperator) -> MixedOperator:
                 # a cancelled key keeps its place, so term order is stable
                 out[key] = None if c.is_zero() else c
     out = {key: c for key, c in out.items() if c is not None}
-    return MixedOperator(n, order, A.group_order, out)
+    return MixedOperator(n, A.order, out)
 
 
 def op_commutator(A: MixedOperator, B: MixedOperator) -> MixedOperator:
@@ -289,19 +276,17 @@ def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     Averages Q_site^{-s} A Q_site^{s} against the phase tau^{s*weight};
     weight 0 extracts the part commuting with the site rotation.
     """
-    m = A.group_order
-    n = A.nvars
-    order = A.order * m // gcd(A.order, m)
+    m, n = A.order, A.nvars
     rot = [0] * n
     rot[site - 1] = 1 % m
     q = WreathElement(n, m, tuple(range(n)), tuple(rot), (0,) * n)
-    total = MixedOperator.zero(n, order, m)
+    total = MixedOperator.zero(n, m)
     qs = WreathElement.identity(n, m)
     for s in range(m):
         phase = CycloScalar.root_of_unity(m, s * weight)
         piece = op_compose(
-            op_compose(MixedOperator.from_group(qs.inverse(), order), A),
-            MixedOperator.from_group(qs, order),
+            op_compose(MixedOperator.from_group(qs.inverse()), A),
+            MixedOperator.from_group(qs),
         )
         total = total + piece.scale(phase)
         qs = qs * q

@@ -323,14 +323,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.nvars}
 
-    def as_scalar(self) -> CycloScalar:
-        if self.is_zero():
-            return CycloScalar.zero(self.order)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        n, d = self.terms[(0,) * self.nvars]
-        return CycloScalar(self.order, n, d, _normalized=True)
-
     def coeff(self, exps) -> CycloScalar:
         raw = self.terms.get(tuple(exps))
         if raw is None:
@@ -641,14 +633,6 @@ class RationalCoefficient:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return not self.den and self.num.is_constant()
-
-    def as_scalar(self) -> CycloScalar:
-        if not self.den:
-            return self.num.as_scalar()
-        raise ValueError("rational function has a nontrivial denominator")
-
     # -- arithmetic ----------------------------------------------------------
 
     @_remembered(pair=True)
@@ -810,7 +794,15 @@ class RationalCoefficient:
         return left == right
 
     def __hash__(self):
-        return hash((self.nvars, len(self.num.terms), len(self.den)))
+        # per variable, the top exponent of num minus that of den: tops add
+        # under products and survive lifts, so cancellation cannot move it
+        if self.num.is_zero():
+            return hash((self.nvars, None))
+        span = [max(e[v] for e in self.num.terms) for v in range(self.nvars)]
+        for f, k in self.den:
+            for v in range(self.nvars):
+                span[v] -= k * max(e[v] for e in f.terms)
+        return hash((self.nvars, tuple(span)))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den_poly().to_json()}

@@ -66,11 +66,7 @@ def build_barred(params: ModelParams, i: int) -> MixedOperator:
     if params.family != "cyclic":
         raise ValueError("barred operators are built for the cyclic family")
     unit = ModelParams("cyclic", params.size, params.order, Fraction(1))
-    d = build_dunkl(unit, i)
-    euler = MixedOperator.euler(
-        params.size, i, order=d.order, group_order=params.order
-    )
-    return d - euler
+    return build_dunkl(unit, i) - MixedOperator.euler(params.size, i, params.order)
 
 
 def potential_euler(N: int, m: int, i: int) -> RationalCoefficient:
@@ -83,7 +79,7 @@ def potential_euler(N: int, m: int, i: int) -> RationalCoefficient:
     """
     unit = ModelParams("cyclic", N, m, Fraction(1))
     terms = [RationalCoefficient.zero(N, m)]
-    for x, _, _ in hamiltonian_images(unit, False):
+    for x, _, _ in hamiltonian_images(unit):
         ((e, _),) = x.terms.items()
         if e[i - 1]:
             one = LaurentPoly.constant(N, 1, x.order)
@@ -127,7 +123,7 @@ def freezing_identity_check(params: ModelParams) -> CheckSuite:
     barred, commuting, static = _unit_freezing(N, params.order)
     for i in range(1, N + 1):
         d = build_dunkl(params, i)
-        euler = MixedOperator.euler(N, i, order=d.order, group_order=params.order)
+        euler = MixedOperator.euler(N, i, params.order)
         recomposed = euler + barred[i - 1].scale(params.lam)
         suite.add(
             "Dunkl = Euler + lambda * barred", {**idx, "i": i}, d == recomposed
@@ -186,7 +182,7 @@ def image_values(family: str, positions, m: int, couplings: dict):
     exact = _is_exact(positions)
     q, zero = _lifted(positions, m)
     inv = [1 / p for p in q]
-    for x, c, g in hamiltonian_images(params, False):
+    for x, c, g in hamiltonian_images(params):
         ((e, _),) = x.terms.items()
         v = x.coeff(e)
         v = v.lift(zero.order) if exact else v.to_complex()
@@ -466,18 +462,17 @@ def static_display_check(params: ModelParams) -> CheckSuite:
     Hamiltonian, which is what freezing requires).
     """
     N, m = params.size, params.order
-    order = m
     suite = CheckSuite("static-display")
     idx = params.to_json()
     hbar = build_static_hamiltonian(params)
-    one = LaurentPoly.constant(N, 1, order)
-    direct = MixedOperator.zero(N, order, m)
+    one = LaurentPoly.constant(N, 1, m)
+    direct = MixedOperator.zero(N, m)
     for k in range(1, N + 1):
-        qk = LaurentPoly.variable(k, N, order)
+        qk = LaurentPoly.variable(k, N, m)
         for l in range(1, N + 1):
             if k == l:
                 continue
-            ql = LaurentPoly.variable(l, N, order)
+            ql = LaurentPoly.variable(l, N, m)
             for s in range(m):
                 tau_s = CycloScalar.root_of_unity(m, s)
                 v1 = RationalCoefficient.ratio(tau_s * ql * qk, qk - tau_s * ql, 2)
@@ -495,7 +490,7 @@ def static_display_check(params: ModelParams) -> CheckSuite:
         if m % 2:
             beta, gamma = params.beta, params.gamma
             for l in range(1, N + 1):
-                ql = LaurentPoly.variable(l, N, order)
+                ql = LaurentPoly.variable(l, N, m)
                 for s in range(m):
                     tau_s = CycloScalar.root_of_unity(m, s)
                     vb = RationalCoefficient.ratio(
@@ -509,7 +504,7 @@ def static_display_check(params: ModelParams) -> CheckSuite:
         else:
             mu = params.mu
             for l in range(1, N + 1):
-                ql = LaurentPoly.variable(l, N, order)
+                ql = LaurentPoly.variable(l, N, m)
                 for s in range(m):
                     tau_s = CycloScalar.root_of_unity(m, s)
                     vb = RationalCoefficient.ratio(

@@ -49,7 +49,7 @@ def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
     """Small random mixed operator with simple pole structure."""
     els = enumerate_subgroup(GroupSpec("W(m,N)", N, m))
     z = CycloScalar.root_of_unity(m) if m > 1 else CycloScalar.one(1)
-    A = MixedOperator.zero(N, m, m)
+    A = MixedOperator.zero(N, m)
     for _ in range(nterms):
         g = rng.choice(els)
         k = tuple(rng.randint(0, 1) if allow_euler else 0 for _ in range(N))
@@ -66,7 +66,7 @@ def random_operator(rng, N=2, m=3, nterms=2, allow_euler=True):
             coeff = RationalCoefficient.ratio(poly, den)
         else:
             coeff = RationalCoefficient.from_poly(poly)
-        A = A + MixedOperator(N, m, m, {(k, g): coeff})
+        A = A + MixedOperator(N, m, {(k, g): coeff})
     return A
 
 
@@ -265,7 +265,7 @@ def apply_agreement(A, rep, proj, funcs):
     for x, p in proj.items():
         for r, t, v in entries(x):
             w[r] = w[r] + funcs[t].act(x) * (v * p)
-    out = [-apply(A.lift_order(order), wr) for wr in w]
+    out = [-apply(A, wr) for wr in w]
     derived = {}
     for (k, g), c in A.terms.items():
         c = c.lift(order)
@@ -409,10 +409,10 @@ def static_from_dunkl(params):
     part of J2 is sum_i (D_i B_i + B_i D_i).  No image table is read."""
     N, m = params.size, params.order
     p = ModelParams(params.family, N, m, Fraction(1), params.mu, params.rho)
-    total = MixedOperator.zero(N, m, m)
+    total = MixedOperator.zero(N, m)
     for i in range(1, N + 1):
         d = build_dunkl(p, i)
-        D = MixedOperator.euler(N, i, order=d.order, group_order=m)
+        D = MixedOperator.euler(N, i, m)
         B = d - D
         total = total - op_compose(D, B) - op_compose(B, D)
     return total
@@ -458,10 +458,10 @@ def hecke_cross_by_products(params, corrupt=None):
     N, m = params.size, params.order
     spec = params.group_spec
     d1 = build_dunkl(params, 1)
-    e1 = MixedOperator.from_group(generator(spec, "e", i=1), order=m)
-    twist = MixedOperator.zero(N, m, m)
+    e1 = MixedOperator.from_group(generator(spec, "e", i=1))
+    twist = MixedOperator.zero(N, m)
     for s in range(m):
-        twist = twist + MixedOperator.from_group(exchange_element(N, m, 1, 2, -s), order=m)
+        twist = twist + MixedOperator.from_group(exchange_element(N, m, 1, 2, -s))
     lam_r = params.lam + 1 if corrupt == "drels" else params.lam
     lhs = op_compose(op_compose(op_compose(d1, e1), d1), e1) + op_compose(
         d1, twist
@@ -480,21 +480,20 @@ def power_sum_by_products(ds, k):
     return total
 
 
-def hamiltonian_by_linear_kernels(params, simplified=False):
+def hamiltonian_by_linear_kernels(params):
     """The closed-form Hamiltonian with every image kernel written as
     x / (1 - x)^2 over its binomial, boundary images included.  The
     reference for the factorization of ``build_hamiltonian``."""
     N, m = params.size, params.order
-    order = 2 * m if simplified else m
-    one = LaurentPoly.constant(N, 1, order)
+    one = LaurentPoly.constant(N, 1, m)
     kernels = [
         (RationalCoefficient.ratio(x, one - x, 2), c, g)
-        for x, c, g in hamiltonian_images(params, simplified)
+        for x, c, g in hamiltonian_images(params)
         if c
     ]
-    total = MixedOperator.zero(N, order, m)
+    total = MixedOperator.zero(N, m)
     for i in range(1, N + 1):
-        total = total + MixedOperator.euler(N, i, order=order, group_order=m) ** 2
+        total = total + MixedOperator.euler(N, i, m) ** 2
     ident = WreathElement.identity(N, m)
     pieces = {}
     for kernel, c, g in kernels:
@@ -510,7 +509,7 @@ def scalar_potential(params: ModelParams) -> RationalCoefficient:
     the sum of x / (1 - x)^2 over the cyclic two-body images.  Its Euler
     derivatives are the reference for ``static.potential_euler``."""
     cyclic = ModelParams("cyclic", params.size, params.order, Fraction(1))
-    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic, False)]
+    terms = [inverse_square(x) for x, _, _ in hamiltonian_images(cyclic)]
     return balanced_sum([RationalCoefficient.zero(params.size, params.order)] + terms)
 
 
@@ -523,7 +522,7 @@ def freezing_identities_by_products(params) -> CheckSuite:
     barred = [build_barred(params, i) for i in range(1, N + 1)]
     for i in range(1, N + 1):
         d = build_dunkl(params, i)
-        euler = MixedOperator.euler(N, i, order=d.order, group_order=params.order)
+        euler = MixedOperator.euler(N, i, params.order)
         recomposed = euler + barred[i - 1].scale(params.lam)
         suite.add(
             "Dunkl = Euler + lambda * barred", {**idx, "i": i}, d == recomposed

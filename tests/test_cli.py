@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -642,6 +643,12 @@ def argvs(draw):
 @example(["spectrum", "--N", "4", "--n", "2"], False)
 @example(["spectrum", "--N", "3", "--n", "3"], False)
 @example(["spectrum", "--N", "1", "--n", "3"], False)
+@example(["verify", "--family", "cyclic", "--N", "1500", "--m", "2"], False)
+@example(["verify", "--family", "dihedral", "--N", "2000", "--m", "2"], False)
+@example(["spectrum", "--N", "15000", "--n", "2"], False)
+@example(["export", "--object", "Lambda", "--N", "2000", "--m", "2", "--n", "2"], False)
+@example(["verify", "--family", "cyclic", "--N", "10000000", "--m", "2"], False)
+@example(["export", "--object", "Hbar_spin", "--N", "13", "--n", "2"], False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after
@@ -670,3 +677,26 @@ def test_no_argv_reaches_a_traceback(argv, fault):
         assert code == 2 or (code, err.getvalue()) == (3, message), (argv, code)
     else:
         assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --family cyclic --N 1500 --m 2",
+    "verify --family dihedral --N 2000 --m 2",
+    "verify --family cyclic --N 10000000 --m 2",
+    "spectrum --N 15000 --n 2",
+    "export --object Lambda --N 2000 --m 2 --n 2",
+    "export --object Hbar_spin --N 13 --n 2",
+    "export --object Lambda_b --N 7 --m 2 --n 4",
+])
+def test_oversized_inputs_are_refused_at_once(argv):
+    """Groups past the enumeration cap and dense spin matrices past 4096
+    rows are configuration errors, decided without forming the group order
+    or n^N, and reported in one short line."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv.split())
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert err.getvalue().startswith("configuration error: ")
+    assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 120

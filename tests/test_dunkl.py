@@ -1,6 +1,7 @@
 """Dunkl operators, charges, Hamiltonians and the relation suites."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,12 @@ from wreathdunkl.dunkl import (
     dunkl_commutator,
     exchange_element,
     hamiltonian_check,
+    hamiltonian_images,
     hamiltonian_x_display,
     reduction_check,
     rotation_average_check,
 )
+from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
     MixedOperator,
@@ -52,7 +55,7 @@ def test_single_copy_collapse():
     q1 = LaurentPoly.variable(1, 2, 1)
     q2 = LaurentPoly.variable(2, 2, 1)
     P12 = generator(GroupSpec("G(m,1,N)", 2, 1), "P", i=1, j=2)
-    expected = MixedOperator.euler(2, 1, 1, 1) + MixedOperator.term(
+    expected = MixedOperator.euler(2, 1, 1) + MixedOperator.term(
         RationalCoefficient.ratio(q2, q1 - q2), P12
     )
     assert d1 == expected
@@ -75,7 +78,7 @@ def test_cyclic_commutativity(N, m, lam):
 def test_first_charge_collapses_to_euler_sum():
     p = ModelParams("cyclic", 2, 3, Fraction(1))
     i1 = build_charge(p, 1)
-    expected = MixedOperator.euler(2, 1, 3, 3) + MixedOperator.euler(2, 2, 3, 3)
+    expected = MixedOperator.euler(2, 1, 3) + MixedOperator.euler(2, 2, 3)
     assert i1 == expected
 
 
@@ -167,7 +170,7 @@ def test_hecke_cross_relation_with_a_recursion_residual(monkeypatch):
     is -e1, and [d_1, d_2] no longer vanishes; the cross items add
     [d1, R] and still equal the products, which never read d_2."""
     p = _CROSS_POINTS[2]
-    e1 = MixedOperator.from_group(generator(p.group_spec, "e", i=1), order=p.order)
+    e1 = MixedOperator.from_group(generator(p.group_spec, "e", i=1))
     real = build_dunkl
     monkeypatch.setattr(
         dunkl, "build_dunkl", lambda params, i: real(params, i) + e1 if i == 2 else real(params, i)
@@ -189,23 +192,67 @@ def test_dihedral_forms_agree():
             assert build_dunkl(p, i) == _dihedral_dunkl_split(p, i)
 
 
+SIMPLIFIED = "simplified boundary form agrees"
+
+
 def test_dihedral_hamiltonians():
-    # even m
-    p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1))
-    assert hamiltonian_check(p).passed
-    # odd m with the simplified boundary at rho = 0
-    p3 = ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(0))
-    assert hamiltonian_check(p3).passed
-    # the simplified boundary needs a dihedral model with odd m and rho = 0
-    with pytest.raises(ValueError):
-        build_hamiltonian(p, simplified=True)
-    with pytest.raises(ValueError):
-        build_hamiltonian(ModelParams("cyclic", 2, 3, Fraction(1)), simplified=True)
-    with pytest.raises(ValueError):
-        build_hamiltonian(
-            ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1)),
-            simplified=True,
+    """Both Hamiltonian items pass; the simplified boundary is checked only
+    at odd m and rho = 0."""
+    even = hamiltonian_check(ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1)))
+    odd = hamiltonian_check(ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(0)))
+    assert even.passed and odd.passed
+    assert [i.relation for i in even.items] == ["H = sum_i d_i^2"]
+    assert [i.relation for i in odd.items] == ["H = sum_i d_i^2", SIMPLIFIED]
+
+
+def _simplified_rows(p):
+    """x = zeta_2m^s q_i, c = beta, g = Q_i^s K_i for s < 2m, with g a
+    product of generators."""
+    spec = p.group_spec
+    rows = []
+    for i in range(1, p.size + 1):
+        Q, K = generator(spec, "Q", i=i), generator(spec, "K", i=i)
+        g = K
+        for s in range(2 * p.order):
+            phase = CycloScalar.root_of_unity(2 * p.order, s)
+            rows.append((LaurentPoly.variable(i, p.size, 2 * p.order) * phase, p.beta, g))
+            g = Q * g
+    return rows
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_simplified_boundary_is_the_table_boundary(N, m):
+    """At odd m and rho = 0 the 2m-phase boundary rows are, as a multiset
+    over Q(zeta_2m), the single-site rows of the image table, also at
+    mu = 0; at rho != 0 the two boundaries differ."""
+    for lam, mu in ((1, 1), (Fraction(1, 2), 0), (0, Fraction(2, 3)), (2, -1)):
+        p = ModelParams("dihedral", N, m, Fraction(lam), Fraction(mu))
+        table = Counter(
+            (x.lift(2 * m), c, g)
+            for x, c, g in hamiltonian_images(p)
+            if sum(1 for a in next(iter(x.terms)) if a) == 1
         )
+        assert table == Counter(_simplified_rows(p))
+        assert dunkl.simplified_boundary_mismatch(p) is None
+    p = ModelParams("dihedral", N, m, Fraction(1), Fraction(1), Fraction(1, 2))
+    assert dunkl.simplified_boundary_mismatch(p) is not None
+
+
+def test_simplified_boundary_item_names_a_perturbed_row(monkeypatch):
+    """Negative control: one boundary row with its coupling moved fails the
+    item, and the witness is that row."""
+    p = ModelParams("dihedral", 2, 1, Fraction(1), Fraction(1))
+    table = hamiltonian_images(p)
+    x, c, g = table[-1]
+    perturbed = table[:-1] + ((x, c + 1, g),)
+    monkeypatch.setattr(dunkl, "hamiltonian_images", lambda params: perturbed)
+    (item,) = [i for i in hamiltonian_check(p).items if i.relation == SIMPLIFIED]
+    assert not item.passed
+    assert item.witness == {
+        "image": x.lift(2).to_json(), "coupling": str(c + 1), "group": g.to_json(),
+        "table": 1, "simplified": 0,
+    }
 
 
 def test_rotation_average_reproduces_wreath_operators():
@@ -261,7 +308,7 @@ _DIHEDRAL = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 
 
 
 def _element(p, name, **kw):
-    return MixedOperator.from_group(generator(p.group_spec, name, **kw), order=p.order)
+    return MixedOperator.from_group(generator(p.group_spec, name, **kw))
 
 
 def _K1(p):
@@ -270,7 +317,7 @@ def _K1(p):
 
 def _leibniz_charge_commutator(A, p, l):
     """[A, I^(l)] = sum_j sum_{s<l} d_j^s [A, d_j] d_j^(l-1-s)."""
-    total = MixedOperator.zero(p.size, A.order, p.order)
+    total = MixedOperator.zero(p.size, p.order)
     for j in range(1, p.size + 1):
         d = build_dunkl(p, j)
         total = total + dunkl.power_commutator(d, op_commutator(A, d), l)
@@ -412,13 +459,6 @@ def test_hamiltonian_has_the_factorization_of_the_second_charge(p):
     for key, c in h.terms.items():
         assert c.den == j2.terms[key].den, key
     assert h == hamiltonian_by_linear_kernels(p)
-    if p.order % 2 and p.rho == 0:
-        hs = build_hamiltonian(p, simplified=True)
-        lifted = h.lift_order(2 * p.order)
-        assert set(hs.terms) == set(lifted.terms)
-        for key, c in hs.terms.items():
-            assert c.den == lifted.terms[key].den, key
-        assert hs == hamiltonian_by_linear_kernels(p, simplified=True)
 
 
 def test_decomposition_into_barred_part():
@@ -428,7 +468,7 @@ def test_decomposition_into_barred_part():
     for i in (1, 2):
         d = build_dunkl(p, i)
         barred = build_barred(p, i)
-        euler = MixedOperator.euler(2, i, order=2, group_order=2)
+        euler = MixedOperator.euler(2, i, 2)
         assert d == euler + barred.scale(p.lam)
         # the barred operator carries no coupling at all
         p2 = ModelParams("cyclic", 2, 2, Fraction(7, 3))

@@ -142,3 +142,14 @@ def test_json_round_trip():
     g = WreathElement(3, 4, (2, 0, 1), (1, 0, 3), (0, 1, 0))
     data = g.to_json()
     assert data == {"perm": [3, 1, 2], "rot": [1, 0, 3], "flip": [0, 1, 0]}
+
+
+def test_exceeds_agrees_with_the_cardinality():
+    """``exceeds`` decides cardinality() > cap without forming it, also at
+    the cap itself, for every family, and at once for a huge group."""
+    for spec in (GroupSpec("G(m,1,N)", 3, 2), GroupSpec("G(m,p,N)", 4, 6, p=3),
+                 GroupSpec("G(m,p,N)", 1, 2, p=2), GroupSpec("W(m,N)", 3, 1)):
+        size = spec.cardinality()
+        for cap in (size - 1, size, size + 1, 1):
+            assert spec.exceeds(cap) == (size > cap), (spec, cap)
+    assert GroupSpec("W(m,N)", 10**7, 2).exceeds(10**6)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply, numeric_residual, random_operator, random_test_functions
-from wreathdunkl.cyclotomic import CycloScalar
+from wreathdunkl.cyclotomic import CycloScalar, FieldMismatchError
 from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
     MixedOperator,
@@ -23,13 +23,12 @@ from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 def _basic_ops(N=2, m=3):
     spec = GroupSpec("W(m,N)", N, m)
     return {
-        "D1": MixedOperator.euler(N, 1, order=m, group_order=m),
-        "D2": MixedOperator.euler(N, 2, order=m, group_order=m),
-        "Q1": MixedOperator.from_group(generator(spec, "Q", i=1), order=m),
-        "K1": MixedOperator.from_group(generator(spec, "K", i=1), order=m),
+        "D1": MixedOperator.euler(N, 1, m),
+        "D2": MixedOperator.euler(N, 2, m),
+        "Q1": MixedOperator.from_group(generator(spec, "Q", i=1)),
+        "K1": MixedOperator.from_group(generator(spec, "K", i=1)),
         "q1": MixedOperator.from_coefficient(
-            RationalCoefficient.from_poly(LaurentPoly.variable(1, N, m)),
-            group_order=m,
+            RationalCoefficient.from_poly(LaurentPoly.variable(1, N, m)), m
         ),
     }
 
@@ -74,7 +73,7 @@ def test_ad_projector_properties():
     for _ in range(8):
         A = random_operator(rng)
         # resolution of identity
-        total = MixedOperator.zero(2, m, m)
+        total = MixedOperator.zero(2, m)
         for r in range(m):
             total = total + ad_projector(1, r, A)
         assert total == A
@@ -109,8 +108,8 @@ def test_numeric_residual_of_exact_zero_random():
 
 
 def test_dimension_mismatch_raises():
-    A = MixedOperator.euler(2, 1, order=3, group_order=3)
-    B = MixedOperator.euler(3, 1, order=3, group_order=3)
+    A = MixedOperator.euler(2, 1, 3)
+    B = MixedOperator.euler(3, 1, 3)
     with pytest.raises(ValueError):
         op_compose(A, B)
 
@@ -129,3 +128,20 @@ def test_scalar_multiplication():
     assert A.scale(Fraction(2, 3)) + A.scale(Fraction(1, 3)) == A
     z = CycloScalar.root_of_unity(3)
     assert A.scale(z).scale(z).scale(z) == A
+
+
+def test_foreign_order_coefficients_raise():
+    """An operator of order m takes coefficients and scalars from Q(zeta_m)
+    and its subfields only; anything else, or an operator of another
+    order, raises instead of being lifted."""
+    ops = _basic_ops()
+    i = CycloScalar.root_of_unity(4)
+    K1 = generator(GroupSpec("W(m,N)", 2, 3), "K", i=1)
+    with pytest.raises(FieldMismatchError):
+        ops["D1"].scale(i)
+    with pytest.raises(FieldMismatchError):
+        MixedOperator.term(RationalCoefficient.from_scalar(2, i, 4), K1)
+    with pytest.raises(FieldMismatchError):
+        ops["D1"] + MixedOperator.euler(2, 1, 1)
+    half = RationalCoefficient.from_scalar(2, Fraction(1, 2))
+    assert MixedOperator.term(half, K1).scale(CycloScalar.rational(2, 1)) == ops["K1"]

@@ -327,6 +327,11 @@ def test_lift_eq_and_hash_agree_across_orders(d, ka, kb, data):
     gives the verdict of comparing both lifted to lcm(a, b), and equal
     values hash alike."""
     a, b = d * ka, d * kb
+    # an unreduced coefficient, as the engine makes at mu = +-rho
+    q = LaurentPoly.variable(1, NVARS, d)
+    unreduced = RationalCoefficient.ratio(q + q * q, q * q - 1)
+    reduced = RationalCoefficient.ratio(q, q - 1)
+    assert unreduced == reduced and len({unreduced, reduced.lift(a)}) == 1
     phi = CyclotomicField.get(d).phi
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
     s = CycloScalar(d, coeffs, data.draw(st.integers(1, 4)))

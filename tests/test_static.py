@@ -93,7 +93,7 @@ def test_static_hamiltonian_is_the_two_body_sum():
     N, m = 2, 3
     p = ModelParams("cyclic", N, m, Fraction(1))
     hbar = build_static_hamiltonian(p)
-    direct = MixedOperator.zero(N, m, m)
+    direct = MixedOperator.zero(N, m)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i == j:

@@ -65,7 +65,7 @@ def test_tracer_result_hooks_accept_engine_results():
 
     q1, q2 = LaurentPoly.variable(1, 2, 3), LaurentPoly.variable(2, 2, 3)
     c = RationalCoefficient.ratio(q1, q1 - q2)
-    d = MixedOperator.euler(2, 1, order=3, group_order=3)
+    d = MixedOperator.euler(2, 1, 3)
     P12 = generator(GroupSpec("W(m,N)", 2, 3), "P", i=1, j=2)
     calls = {
         "kernels.poly_mul": (
