@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -455,9 +456,9 @@ def _validate(args):
                 raise ConfigError(f"--mu2: {exc}") from exc
     elif args.command == "export":
         _validate_export(args)
-    for spec, cap in _enumerated_groups(args):
-        if spec.exceeds(cap):
-            raise ConfigError(f"{spec.family} at N = {spec.size}, m = {spec.order} has "
+    for name, cap, over in _enumerated_groups(args):
+        if over:
+            raise ConfigError(f"{name} at N = {args.N}, m = {args.m} has "
                               f"more than {cap} elements, the enumeration cap")
 
 
@@ -483,18 +484,29 @@ def _validate_export(args):
 
 
 def _enumerated_groups(args) -> list:
-    """(group, cap) for every group the command enumerates element by
-    element: the model's group in a verify case, W(m, N) in the spin checks,
-    and G(m, m, N) in the exchange projector."""
+    """(name, cap, whether it has more than cap elements) for every set the
+    command enumerates element by element: the model's group in a verify
+    case, W(m, N) in the spin checks, G(m, m, N) in the exchange projector,
+    and the boundary projector's support, the products over sites of
+    Q_j^{2s} and Q_j^{2s} K_j.  No size is formed past its cap: the support
+    has k^N elements, k = 2m / gcd(m, 2) >= 2, which passes the cap within
+    bit_length() factors."""
     N, m = args.N, args.m
-    balanced = (GroupSpec("G(m,p,N)", N, m, p=m), SPIN_GROUP_CAP)
+
+    def group(family, cap, p=1):
+        return family, cap, GroupSpec(family, N, m, p=p).exceeds(cap)
+
     if args.command == "export" and args.object == "Lambda":
-        return [balanced]
+        return [group("G(m,p,N)", SPIN_GROUP_CAP, m)]
+    if args.command == "export" and args.object == "Lambda_b":
+        k = 2 * m // math.gcd(m, 2)
+        over = k ** min(N, SPIN_GROUP_CAP.bit_length()) > SPIN_GROUP_CAP
+        return [("the Lambda_b support", SPIN_GROUP_CAP, over)]
     if args.command != "verify" or not args.family:
         return []
-    model = GroupSpec("W(m,N)" if args.family == "dihedral" else "G(m,1,N)", N, m)
-    spin = [(GroupSpec("W(m,N)", N, m), SPIN_GROUP_CAP), balanced] if args.n else []
-    return [(model, ENUMERATION_CAP)] + spin
+    model = group("W(m,N)" if args.family == "dihedral" else "G(m,1,N)", ENUMERATION_CAP)
+    spin = [group("W(m,N)", SPIN_GROUP_CAP), group("G(m,p,N)", SPIN_GROUP_CAP, m)]
+    return [model] + spin if args.n else [model]
 
 
 # -- argument parsing ----------------------------------------------------------------

@@ -6,10 +6,11 @@ arbitrary-precision integer denominator.  The representation is canonical,
 so equality is structural within a field.  All phases and couplings in the
 engine (rotation phases, lattice positions, chain couplings) live here.
 
-Mixed-order arithmetic lifts automatically only when one order divides the
-other; anything else raises ``FieldMismatchError``, and the caller is
-expected to lift both sides into the lcm field explicitly.  This keeps
-accidental field blow-up visible at the call site.
+Every value lives in one field.  Arithmetic and ``==`` take a scalar of the
+same order, or an int or Fraction read as a rational of that order; a
+scalar of any other order raises ``FieldMismatchError``.  ``lift`` is the
+one embedding, called where the code changes field, so a change of field
+is always visible at its call site.
 """
 
 from __future__ import annotations
@@ -60,28 +61,6 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _moebius(n: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        else:
-            p += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    return len(_cyclotomic_poly(n)) - 1
-
-
 class CyclotomicField:
     """Descriptor for Q(zeta_n): degree and reduction tables.
 
@@ -91,7 +70,7 @@ class CyclotomicField:
     and root-of-unity construction.
     """
 
-    __slots__ = ("order", "phi", "red", "powers", "trace_row")
+    __slots__ = ("order", "phi", "red", "powers")
 
     def __init__(self, order: int):
         if order < 1:
@@ -133,13 +112,6 @@ class CyclotomicField:
                 cur = nxt
         self.powers = tuple(powers)
 
-        # Tr(z^j)/phi(n) for basis powers; an embedding-invariant rational.
-        tr = []
-        for j in range(phi):
-            nj = order // gcd(j, order) if j else 1
-            tr.append(Fraction(_moebius(nj), euler_phi(nj)))
-        self.trace_row = tuple(tr)
-
     @staticmethod
     @lru_cache(maxsize=None)
     def get(order: int) -> "CyclotomicField":
@@ -154,6 +126,21 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def same_field(order: int, other: int) -> None:
+    """``FieldMismatchError`` unless the two orders name one field."""
+    if order != other:
+        raise FieldMismatchError(f"Q(zeta_{order}) is not Q(zeta_{other}); lift to one field")
+
+
+def in_field(value, order: int) -> "CycloScalar":
+    """value in Q(zeta_order): an int or Fraction as a rational, a scalar
+    of that order as is; ``FieldMismatchError`` for any other order."""
+    if not isinstance(value, CycloScalar):
+        return CycloScalar.rational(value, order)
+    same_field(value.order, order)
+    return value
 
 
 class CycloScalar:
@@ -220,38 +207,23 @@ class CycloScalar:
                         acc[t] += c * r
         return CycloScalar(order, acc, self.den)
 
-    def _match(self, other) -> tuple["CycloScalar", "CycloScalar"]:
-        if not isinstance(other, CycloScalar):
-            other = CycloScalar.rational(other, 1)
-        if self.order == other.order:
-            return self, other
-        if other.order % self.order == 0:
-            return self.lift(other.order), other
-        if self.order % other.order == 0:
-            return self, other.lift(self.order)
-        lcm = self.order * other.order // gcd(self.order, other.order)
-        raise FieldMismatchError(
-            f"orders {self.order} and {other.order} are incompatible; "
-            f"lift both operands into Q(zeta_{lcm}) first"
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, (CycloScalar, int, Fraction)):
             return NotImplemented
-        a, b = self._match(other)
-        n, d = K.scalar_add(a.num, a.den, b.num, b.den)
-        return CycloScalar(a.order, n, d, _normalized=True)
+        b = in_field(other, self.order)
+        n, d = K.scalar_add(self.num, self.den, b.num, b.den)
+        return CycloScalar(self.order, n, d, _normalized=True)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (CycloScalar, int, Fraction)):
             return NotImplemented
-        a, b = self._match(other)
-        n, d = K.scalar_sub(a.num, a.den, b.num, b.den)
-        return CycloScalar(a.order, n, d, _normalized=True)
+        b = in_field(other, self.order)
+        n, d = K.scalar_sub(self.num, self.den, b.num, b.den)
+        return CycloScalar(self.order, n, d, _normalized=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -268,9 +240,9 @@ class CycloScalar:
             return CycloScalar(self.order, n, d, _normalized=True)
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        a, b = self._match(other)
-        n, d = K.scalar_mul(a.num, a.den, b.num, b.den, a.field.red)
-        return CycloScalar(a.order, n, d, _normalized=True)
+        b = in_field(other, self.order)
+        n, d = K.scalar_mul(self.num, self.den, b.num, b.den, self.field.red)
+        return CycloScalar(self.order, n, d, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -282,8 +254,7 @@ class CycloScalar:
             return self * Fraction(f.denominator, f.numerator)
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        a, b = self._match(other)
-        return a * b.inverse()
+        return self * in_field(other, self.order).inverse()
 
     def __rtruediv__(self, other):
         return CycloScalar.rational(other, self.order) / self
@@ -364,31 +335,19 @@ class CycloScalar:
                 p *= z
             return complex(acc / self.den)
 
-    def _normalized_trace(self) -> Fraction:
-        """Tr(x)/phi(n), which is invariant under field embeddings."""
-        row = self.field.trace_row
-        acc = Fraction(0)
-        for c, t in zip(self.num, row):
-            if c:
-                acc += c * t
-        return acc / self.den
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and Fraction(self.num[0], self.den) == other
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        try:
-            a, b = self._match(other)
-        except FieldMismatchError:
-            lcm = self.order * other.order // gcd(self.order, other.order)
-            a, b = self.lift(lcm), other.lift(lcm)
-        return a.num == b.num and a.den == b.den
+        b = in_field(other, self.order)
+        return self.num == b.num and self.den == b.den
 
     def __hash__(self):
+        # a rational equals its int or Fraction, so it hashes as one
         if self.is_rational():
             return hash(Fraction(self.num[0], self.den))
-        return hash(("cyclo", self._normalized_trace(), self.den))
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()

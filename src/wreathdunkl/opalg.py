@@ -11,9 +11,11 @@ multi-index, group element), so equal keys merge and the exact zero test is
 "every coefficient is the zero rational function".
 
 An operator has one order m: its group elements rotate by m-th roots of
-unity, and its coefficients lie in Q(zeta_m), the field those rotations
+unity, and its coefficients are over Q(zeta_m), the field those rotations
 act on.  Operators of different orders are never combined, and a
-coefficient or scalar outside Q(zeta_m) raises ``FieldMismatchError``.
+coefficient or scalar over any other field raises ``FieldMismatchError``,
+a subfield Q(zeta_k) with k | m included; ints and Fractions are read as
+rationals of Q(zeta_m).
 
 Operators carry no spin factor.  Where spins enter (physical-state
 projectors, spin-substituted charges), ``spinrep`` works with weights on
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycloScalar, FieldMismatchError
+from .cyclotomic import CycloScalar, same_field
 from .groups import WreathElement
 from .polyalg import RationalCoefficient
 
@@ -78,20 +80,19 @@ class MixedOperator:
 
     @staticmethod
     def term(coeff: RationalCoefficient, g: WreathElement):
-        """Single term coeff * g; ``FieldMismatchError`` unless coeff lies in
+        """Single term coeff * g; ``FieldMismatchError`` unless coeff is over
         Q(zeta_m), m the rotation order of g."""
-        c = coeff.lift(g.order)
-        if c.is_zero():
+        same_field(coeff.order, g.order)
+        if coeff.is_zero():
             return MixedOperator.zero(g.size, g.order)
-        return MixedOperator(g.size, g.order, {((0,) * g.size, g): c})
+        return MixedOperator(g.size, g.order, {((0,) * g.size, g): coeff})
 
     # -- plumbing ------------------------------------------------------------
 
     def _check_compatible(self, other):
         if self.nvars != other.nvars:
             raise ValueError("operators act on different numbers of variables")
-        if self.order != other.order:
-            raise FieldMismatchError("operators carry different rotation orders")
+        same_field(self.order, other.order)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,11 +133,9 @@ class MixedOperator:
 
     def scale(self, factor):
         """factor * self; ``FieldMismatchError`` unless a cyclotomic or
-        rational-function factor lies in Q(zeta_order)."""
+        rational-function factor is over Q(zeta_order)."""
         if isinstance(factor, RationalCoefficient):
             return MixedOperator.from_coefficient(factor, self.order) * self
-        if isinstance(factor, CycloScalar):
-            factor = factor.lift(self.order)
         out = {}
         for key, c in self.terms.items():
             s = c * factor

@@ -1,5 +1,11 @@
 """Sparse Laurent polynomials and rational functions over Q(zeta_n).
 
+Each value is over one field, Q(zeta_order).  Arithmetic and ``==`` take
+values of that order, and ints, Fractions and scalars read in it; any other
+order raises ``FieldMismatchError``, a subfield's included.  So do a group
+element whose rotations leave the field and a denominator factor over
+another field.  ``LaurentPoly.lift`` is the one embedding.
+
 ``LaurentPoly`` maps integer exponent vectors (negative entries allowed) to
 nonzero field scalars; the representation is canonical so equality is
 structural.  ``RationalCoefficient`` is a quotient ``num / prod f_i**k_i``
@@ -57,18 +63,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import wraps
 from itertools import count
-from math import gcd
 
 from . import _kernels as K
-from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError
+from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError, in_field, same_field
 from .groups import WreathElement
-
-
-def _coerce_scalar(value, order: int) -> CycloScalar:
-    if isinstance(value, CycloScalar):
-        lcm = order * value.order // gcd(order, value.order)
-        return value.lift(lcm)
-    return CycloScalar.rational(value, order)
 
 
 def _times(a, b, red):
@@ -180,7 +178,7 @@ class LaurentPoly:
 
     @staticmethod
     def constant(nvars: int, value, order: int = 1) -> "LaurentPoly":
-        s = _coerce_scalar(value, order)
+        s = in_field(value, order)
         if s.is_zero():
             return LaurentPoly.zero(nvars, s.order)
         return LaurentPoly(nvars, s.order, {(0,) * nvars: (s.num, s.den)})
@@ -197,7 +195,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(nvars: int, exps, coeff, order: int = 1) -> "LaurentPoly":
-        s = _coerce_scalar(coeff, order)
+        s = in_field(coeff, order)
         if s.is_zero():
             return LaurentPoly.zero(nvars, s.order)
         return LaurentPoly(nvars, s.order, {tuple(exps): (s.num, s.den)})
@@ -217,20 +215,12 @@ class LaurentPoly:
             out[e] = (s.num, s.den)
         return LaurentPoly(self.nvars, order, out)
 
-    def _match(self, other: "LaurentPoly"):
+    def _match(self, other: "LaurentPoly") -> "LaurentPoly":
+        """other, checked to share this poly's variables and field."""
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different numbers of variables")
-        if self.order == other.order:
-            return self, other
-        if other.order % self.order == 0:
-            return self.lift(other.order), other
-        if self.order % other.order == 0:
-            return self, other.lift(self.order)
-        lcm = self.order * other.order // gcd(self.order, other.order)
-        raise FieldMismatchError(
-            f"polynomial orders {self.order}, {other.order} need an explicit "
-            f"lift to {lcm}"
-        )
+        same_field(self.order, other.order)
+        return other
 
     def key(self):
         if self._key is None:
@@ -242,16 +232,16 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = LaurentPoly.constant(self.nvars, other, self.order)
-        a, b = self._match(other)
-        return LaurentPoly(a.nvars, a.order, K.poly_add(a.terms, b.terms))
+        b = self._match(other)
+        return LaurentPoly(self.nvars, self.order, K.poly_add(self.terms, b.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = LaurentPoly.constant(self.nvars, other, self.order)
-        a, b = self._match(other)
-        return LaurentPoly(a.nvars, a.order, K.poly_add(a.terms, K.poly_neg(b.terms)))
+        b = self._match(other)
+        return LaurentPoly(self.nvars, self.order, K.poly_add(self.terms, K.poly_neg(b.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -268,21 +258,13 @@ class LaurentPoly:
                 if any(raw[0]):
                     out[e] = raw
             return LaurentPoly(self.nvars, self.order, out)
+        red = CyclotomicField.get(self.order).red
         if isinstance(other, CycloScalar):
-            order = self.order
-            if other.order != order:
-                if order % other.order == 0:
-                    other = other.lift(order)
-                elif other.order % order == 0:
-                    return self.lift(other.order) * other
-                else:
-                    raise FieldMismatchError("scalar order incompatible with poly")
-            field = CyclotomicField.get(order)
-            out = K.poly_scalar_mul(self.terms, other.num, other.den, field.red)
-            return LaurentPoly(self.nvars, order, out)
-        a, b = self._match(other)
-        field = CyclotomicField.get(a.order)
-        return LaurentPoly(a.nvars, a.order, K.poly_mul(a.terms, b.terms, field.red))
+            other = in_field(other, self.order)
+            out = K.poly_scalar_mul(self.terms, other.num, other.den, red)
+            return LaurentPoly(self.nvars, self.order, out)
+        b = self._match(other)
+        return LaurentPoly(self.nvars, self.order, K.poly_mul(self.terms, b.terms, red))
 
     __rmul__ = __mul__
 
@@ -304,15 +286,10 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.nvars, other, self.order)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        try:
-            a, b = self._match(other)
-        except FieldMismatchError:
-            lcm = self.order * other.order // gcd(self.order, other.order)
-            a, b = self.lift(lcm), other.lift(lcm)
-        return a.terms == b.terms
+        return self.terms == self._match(other).terms
 
     def __hash__(self):
-        # the exponent set is the same at every order the poly is lifted to
+        # equal polys share their field, so the exponents alone may key them
         if self._hash is None:
             self._hash = hash((self.nvars, frozenset(self.terms)))
         return self._hash
@@ -346,20 +323,21 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, self.order, out)
 
     def act(self, g: WreathElement) -> "LaurentPoly":
-        """Substitution action of a wreath element on the variables."""
+        """Substitution action of a wreath element on the variables; its
+        rotation order must divide the field's order."""
         if g.size != self.nvars:
             raise ValueError("group element size does not match variable count")
-        m = g.order
         order = self.order
-        if order % m:
-            order = order * m // gcd(order, m)
-        p = self.lift(order) if order != self.order else self
+        if order % g.order:
+            raise FieldMismatchError(
+                f"rotations by {g.order}-th roots of unity leave Q(zeta_{order})"
+            )
         if g.is_identity():
-            return p
+            return self
         field = CyclotomicField.get(order)
-        step = order // m
+        step = order // g.order
         out = {}
-        for e, raw in p.terms.items():
+        for e, raw in self.terms.items():
             new_e, t = g.act_on_exponents(e)
             if t:
                 row = field.powers[(t * step) % order]
@@ -437,12 +415,11 @@ class LaurentPoly:
         raises ValueError.  self may be Laurent.  One pass of f's
         ``binomial_rule`` decides divisibility and builds the quotient.
         """
-        a, f = self._match(f)
-        rule = f.binomial_rule()
+        rule = self._match(f).binomial_rule()
         if rule is None:
             raise ValueError(f"cannot divide by {f!r}: not a content-free binomial")
-        quo = rule.quotient(a.terms)
-        return None if quo is None else LaurentPoly(a.nvars, a.order, quo)
+        quo = rule.quotient(self.terms)
+        return None if quo is None else LaurentPoly(self.nvars, self.order, quo)
 
     # -- io -------------------------------------------------------------------
 
@@ -561,16 +538,13 @@ class RationalCoefficient:
             self.num = num
             self.den = den
             return
-        order = num.order
         for f, k in den:
+            num._match(f)
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
             if k <= 0:
                 raise ValueError("denominator multiplicities must be positive")
-            order = order * f.order // gcd(order, f.order)
-        self.num, self.den = _cancel(
-            *_unit_normalized(num.lift(order), [(f.lift(order), k) for f, k in den])
-        )
+        self.num, self.den = _cancel(*_unit_normalized(num, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -604,26 +578,6 @@ class RationalCoefficient:
     def order(self) -> int:
         return self.num.order
 
-    def lift(self, order: int) -> "RationalCoefficient":
-        if order == self.order:
-            return self
-        # lifting changes the factors' keys, so the sort is _cancel's again
-        den = sorted(((f.lift(order), k) for f, k in self.den), key=lambda fk: fk[0].key())
-        return RationalCoefficient(self.num.lift(order), tuple(den), _trusted=True)
-
-    def _match(self, other: "RationalCoefficient"):
-        if self.order == other.order:
-            return self, other
-        if other.order % self.order == 0:
-            return self.lift(other.order), other
-        if self.order % other.order == 0:
-            return self, other.lift(self.order)
-        lcm = self.order * other.order // gcd(self.order, other.order)
-        raise FieldMismatchError(
-            f"rational functions at orders {self.order}, {other.order} need a "
-            f"lift to {lcm}"
-        )
-
     def den_poly(self) -> LaurentPoly:
         out = LaurentPoly.constant(self.nvars, 1, self.order)
         for f, k in self.den:
@@ -654,7 +608,8 @@ class RationalCoefficient:
             other = RationalCoefficient.from_scalar(self.nvars, other, self.order)
         elif isinstance(other, LaurentPoly):
             other = RationalCoefficient.from_poly(other)
-        a, b = self._match(other)
+        self.num._match(other.num)
+        a, b = self, other
         if a.is_zero():
             return b
         if b.is_zero():
@@ -694,7 +649,8 @@ class RationalCoefficient:
             return RationalCoefficient(self.num * other, self.den, _trusted=True)
         if isinstance(other, LaurentPoly):
             other = RationalCoefficient.from_poly(other)
-        a, b = self._match(other)
+        self.num._match(other.num)
+        a, b = self, other
         if a.is_zero() or b.is_zero():
             return RationalCoefficient.zero(a.nvars, a.order)
         # a unit c * q**e shares no factor with a reduced denominator, so
@@ -770,11 +726,8 @@ class RationalCoefficient:
             other = RationalCoefficient.from_scalar(self.nvars, other, self.order)
         if not isinstance(other, RationalCoefficient):
             return NotImplemented
-        try:
-            a, b = self._match(other)
-        except FieldMismatchError:
-            lcm = self.order * other.order // gcd(self.order, other.order)
-            a, b = self.lift(lcm), other.lift(lcm)
+        self.num._match(other.num)
+        a, b = self, other
         da, db = dict(a.den), dict(b.den)
         for f in list(da):
             if f in db:
@@ -795,7 +748,7 @@ class RationalCoefficient:
 
     def __hash__(self):
         # per variable, the top exponent of num minus that of den: tops add
-        # under products and survive lifts, so cancellation cannot move it
+        # under products, so cancellation cannot move it
         if self.num.is_zero():
             return hash((self.nvars, None))
         span = [max(e[v] for e in self.num.terms) for v in range(self.nvars)]
@@ -850,8 +803,6 @@ def _cancel(num: LaurentPoly, den: dict, coprime=()) -> tuple[LaurentPoly, tuple
         return num, ()
     out = []
     for f, k in den.items():
-        if f.order != num.order:
-            f = f.lift(num.order)
         while k > 0 and f not in coprime:
             q = num.divide_exact(f)
             if q is None:

@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -159,15 +159,14 @@ def spin_sum(rep: SpinRepData, terms) -> tuple[int, dict]:
     Returns (order, S): the cyclotomic order of the common field of tau
     and every c, and S = {(row, column): entry} over that field, summed
     term by term with exact zeros left out.  The coefficients may be
-    scalars or rational functions of the positions.
+    scalars, lifted into that field, or rational functions of the
+    positions, which must be over it already.
     """
-    order = rep.m
-    for c, _ in terms:
-        order = order * c.order // gcd(order, c.order)
+    order = lcm(rep.m, *(c.order for c, _ in terms))
     roots = _roots(rep.m, order)
     S: dict = {}
     for c, g in terms:
-        _add_image(S, rep, g, c.lift(order), roots)
+        _add_image(S, rep, g, c.lift(order) if isinstance(c, CycloScalar) else c, roots)
     return order, S
 
 
@@ -411,14 +410,16 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
     is.  That depends on x only through its left coset xS, so one exact
     sparse sum per (k, coset) decides |S| blocks at once, O(terms(A) dim)
     in all; a coset that holds no g of A and is not S itself gives zero.
+    A must share rep's order m, the field of its coefficients.
     """
+    if A.order != rep.m:
+        raise ValueError(f"an operator of order {A.order} on spins of order {rep.m}")
     S = list(proj)
     if any(p != Fraction(1, len(S)) for p in proj.values()) or any(
         a * b not in proj for a in S for b in S
     ):
         raise ValueError("the projector is not the average over a subgroup")
-    order = A.order * rep.m // gcd(A.order, rep.m)
-    roots = _roots(rep.m, order)
+    roots = _roots(rep.m, rep.m)
     coset = dict.fromkeys(S, 0)  # element -> label of its left coset; S is 0
     labels = 1
     brackets = {(k, 0): mat for k, mat in substitute_spin(A, rep).items()}
@@ -427,7 +428,7 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
             for s in S:
                 coset[g * s] = labels
             labels += 1
-        _add_image(brackets.setdefault((k, coset[g]), {}), rep, g.inverse(), -c.lift(order), roots)
+        _add_image(brackets.setdefault((k, coset[g]), {}), rep, g.inverse(), -c, roots)
     return len(S) * sum(1 for mat in brackets.values() if mat)
 
 

@@ -14,7 +14,7 @@ lattice-table suite."""
 import cmath
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from random import Random
 
 import numpy as np
@@ -85,6 +85,12 @@ def apply(A, f):
     for (k, g), c in A.terms.items():
         out = out + c * _derive(f.act(g), k)
     return out
+
+
+def lift_coefficient(c: RationalCoefficient, order: int) -> RationalCoefficient:
+    """c in Q(zeta_order), built afresh from its lifted numerator and
+    denominator factors."""
+    return RationalCoefficient(c.num.lift(order), tuple((f.lift(order), k) for f, k in c.den))
 
 
 def eval_exact(c, values) -> CycloScalar:
@@ -247,15 +253,14 @@ def apply_agreement(A, rep, proj, funcs):
 
     iota(P) v has components sum_x p_x sum_t rho(x)[r, t] (x . v_t), A acts
     on each component, and spin A replaces each term c D^k g of A by
-    c D^k (x) rho(g).  Spin images come from ``spin_image_by_definition``."""
-    order = A.order * rep.m // gcd(A.order, rep.m)
-    zero = RationalCoefficient.zero(A.nvars, order)
-    funcs = [f.lift(order) for f in funcs]
+    c D^k (x) rho(g).  Spin images come from ``spin_image_by_definition``.
+    A, rep and funcs share one field, Q(zeta_m)."""
+    zero = RationalCoefficient.zero(A.nvars, rep.m)
 
     def entries(g):
         rows = spin_image_by_definition(rep, g)
         return [
-            (r, t, v.lift(order))
+            (r, t, v)
             for r, row in enumerate(rows)
             for t, v in enumerate(row)
             if not v.is_zero()
@@ -268,7 +273,6 @@ def apply_agreement(A, rep, proj, funcs):
     out = [-apply(A, wr) for wr in w]
     derived = {}
     for (k, g), c in A.terms.items():
-        c = c.lift(order)
         for r, t, v in entries(g):
             if (k, t) not in derived:
                 derived[(k, t)] = _derive(w[t], k)

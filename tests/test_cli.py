@@ -649,6 +649,8 @@ def argvs(draw):
 @example(["export", "--object", "Lambda", "--N", "2000", "--m", "2", "--n", "2"], False)
 @example(["verify", "--family", "cyclic", "--N", "10000000", "--m", "2"], False)
 @example(["export", "--object", "Hbar_spin", "--N", "13", "--n", "2"], False)
+@example(["export", "--object", "Lambda_b", "--N", "20", "--m", "1", "--n", "1"], False)
+@example(["export", "--object", "Lambda_b", "--N", "200", "--m", "3", "--n", "1"], False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after
@@ -687,11 +689,14 @@ def test_no_argv_reaches_a_traceback(argv, fault):
     "export --object Lambda --N 2000 --m 2 --n 2",
     "export --object Hbar_spin --N 13 --n 2",
     "export --object Lambda_b --N 7 --m 2 --n 4",
+    "export --object Lambda_b --N 20 --m 1 --n 1",
+    "export --object Lambda_b --N 200 --m 3 --n 1",
 ])
 def test_oversized_inputs_are_refused_at_once(argv):
-    """Groups past the enumeration cap and dense spin matrices past 4096
-    rows are configuration errors, decided without forming the group order
-    or n^N, and reported in one short line."""
+    """Groups and projector supports past the enumeration cap and dense
+    spin matrices past 4096 rows are configuration errors, decided without
+    forming the group order, the support size or n^N, and reported in one
+    short line."""
     err = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

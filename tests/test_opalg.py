@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import apply, numeric_residual, random_operator, random_test_functions
 from wreathdunkl.cyclotomic import CycloScalar, FieldMismatchError
+from wreathdunkl.dunkl import ModelParams
 from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
     MixedOperator,
@@ -18,6 +19,7 @@ from wreathdunkl.opalg import (
     op_compose,
 )
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
+from wreathdunkl.spinrep import SpinRepData, agreement_blocks, build_projector
 
 
 def _basic_ops(N=2, m=3):
@@ -131,9 +133,10 @@ def test_scalar_multiplication():
 
 
 def test_foreign_order_coefficients_raise():
-    """An operator of order m takes coefficients and scalars from Q(zeta_m)
-    and its subfields only; anything else, or an operator of another
-    order, raises instead of being lifted."""
+    """An operator of order m takes coefficients and scalars over Q(zeta_m)
+    itself, and ints and Fractions; a coefficient or scalar over any other
+    field, a subfield included, or an operator of another order, raises
+    instead of being lifted."""
     ops = _basic_ops()
     i = CycloScalar.root_of_unity(4)
     K1 = generator(GroupSpec("W(m,N)", 2, 3), "K", i=1)
@@ -143,5 +146,84 @@ def test_foreign_order_coefficients_raise():
         MixedOperator.term(RationalCoefficient.from_scalar(2, i, 4), K1)
     with pytest.raises(FieldMismatchError):
         ops["D1"] + MixedOperator.euler(2, 1, 1)
-    half = RationalCoefficient.from_scalar(2, Fraction(1, 2))
-    assert MixedOperator.term(half, K1).scale(CycloScalar.rational(2, 1)) == ops["K1"]
+    with pytest.raises(FieldMismatchError):
+        MixedOperator.term(RationalCoefficient.from_scalar(2, Fraction(1, 2)), K1)
+    with pytest.raises(FieldMismatchError):
+        ops["K1"].scale(CycloScalar.rational(2, 1))
+    half = RationalCoefficient.from_scalar(2, Fraction(1, 2), 3)
+    assert MixedOperator.term(half, K1).scale(CycloScalar.rational(2, 3)) == ops["K1"]
+    assert MixedOperator.term(half, K1).scale(2) == ops["K1"]
+
+
+def _over(kind, order):
+    """A value of each arithmetic type over Q(zeta_order), not rational."""
+    z = CycloScalar.root_of_unity(order)
+    if kind == "scalar":
+        return z + 1
+    q1 = LaurentPoly.variable(1, 2, order)
+    p = q1 * z + 1
+    if kind == "poly":
+        return p
+    c = RationalCoefficient.ratio(p, q1 - 1)
+    if kind == "coefficient":
+        return c
+    K1 = generator(GroupSpec("W(m,N)", 2, order), "K", i=1)
+    return MixedOperator.term(c, K1) + MixedOperator.euler(2, 1, order)
+
+
+ARITHMETIC = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "==": lambda x, y: x == y,
+}
+
+
+@pytest.mark.parametrize("kind", ["scalar", "poly", "coefficient", "operator"])
+def test_foreign_orders_raise(kind):
+    """Arithmetic and == take a value of their own field, or an int or a
+    Fraction read as a rational of it.  A value over another field raises
+    on either side, a subfield (order 3 in 6) as well as a field that
+    shares none (order 4); so does a scalar of another order as the second
+    operand, except in an operator's ==, which compares operators only."""
+    home = _over(kind, 6)
+    for name, op in ARITHMETIC.items():
+        for order in (3, 4):
+            foreign = [_over(kind, order)]
+            if kind != "operator" or name != "==":
+                foreign.append(CycloScalar.root_of_unity(order))
+            for other in foreign:
+                with pytest.raises(FieldMismatchError):
+                    op(home, other)
+                with pytest.raises(FieldMismatchError):
+                    op(other, home)
+        for v in (2, Fraction(-1, 3)):
+            as_scalar = CycloScalar.rational(v, 6)
+            assert op(home, v) == op(home, as_scalar)
+            assert op(v, home) == op(as_scalar, home)
+
+
+def test_fields_change_only_by_lift():
+    """A rotation acts only on a field holding its phases, a coefficient's
+    factors share its numerator's field, the spin agreement needs the
+    operator's order to be the representation's, and equal irrational
+    scalars hash alike."""
+    q1 = LaurentPoly.variable(1, 2, 6)
+    with pytest.raises(FieldMismatchError):
+        q1.act(generator(GroupSpec("G(m,1,N)", 2, 4), "Q", i=1))
+    Q1 = generator(GroupSpec("G(m,1,N)", 2, 3), "Q", i=1)
+    assert q1.act(Q1) == q1 * CycloScalar.root_of_unity(6, 2)
+    with pytest.raises(FieldMismatchError):
+        RationalCoefficient(q1, ((LaurentPoly.variable(2, 2, 3) - 1, 1),))
+    with pytest.raises(FieldMismatchError):
+        RationalCoefficient(LaurentPoly.variable(1, 2, 3), ((q1 - 1, 1),))
+    params = ModelParams("cyclic", 2, 6)
+    proj = build_projector(params, "exchange")
+    with pytest.raises(ValueError):
+        agreement_blocks(MixedOperator.euler(2, 1, 3), SpinRepData(2, 6, 2), proj)
+    assert agreement_blocks(MixedOperator.euler(2, 1, 6), SpinRepData(2, 6, 2), proj) >= 0
+    z = CycloScalar.root_of_unity(12, 5)
+    built = (CycloScalar.root_of_unity(12, 2) + 1) * z - CycloScalar.root_of_unity(12, 7)
+    assert built == z and hash(built) == hash(z)
+    assert z.lift(24) ** 2 == CycloScalar.root_of_unity(24, 20)
+    assert hash(z.lift(24) ** 2) == hash(CycloScalar.root_of_unity(24, 20))

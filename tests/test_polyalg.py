@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_complex, eval_exact, is_reduced, random_torus_point
+from helpers import eval_complex, eval_exact, is_reduced, lift_coefficient, random_torus_point
 from wreathdunkl import polyalg
-from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
+from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError
 from wreathdunkl.dunkl import ModelParams, build_dunkl
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.polyalg import (
@@ -162,18 +162,6 @@ def test_division_and_cancellation():
     assert r.num == (q1 + q2) * q1
 
 
-def test_lift_keeps_the_denominator_in_canonical_order():
-    """A lift lists its factors as a coefficient built at the new order
-    does, so two equal denominators compare equal as tuples."""
-    d = build_dunkl(ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1, 2)), 1)
-    factors = {f: 1 for c in d.terms.values() for f, _ in c.den}
-    c = RationalCoefficient(LaurentPoly.constant(2, 1, 3), tuple(factors.items()))
-    lifted = c.lift(6)
-    built = RationalCoefficient(LaurentPoly.constant(2, 1, 6), tuple(lifted.den))
-    assert lifted.den == built.den
-    assert [f.key() for f, _ in lifted.den] == sorted(f.key() for f, _ in lifted.den)
-
-
 def test_only_binomials_divide():
     """Every denominator factor is a binomial: a trinomial divisor, a
     trinomial denominator factor and a negative power are refused."""
@@ -310,44 +298,60 @@ def test_reduction_verdict_matches_long_division(case, data):
 @PROPERTY
 @given(field_case(), st.integers(1, 4))
 def test_hash_consistent_with_cross_order_equality(case, k):
+    """A lift is a ring embedding: the lift of a product is the product of
+    the lifts, two lifts in a row are one lift, and equal lifts hash
+    alike."""
     order, a, f = case
+    n = order * k
+    assert (a * f).lift(n) == a.lift(n) * f.lift(n)
     for p in (a, f, a * f):
-        lifted = p.lift(order * k)
-        assert p == lifted
-        assert hash(p) == hash(lifted)
+        twice, once = p.lift(n).lift(2 * n), p.lift(2 * n)
+        assert twice == once
+        assert hash(twice) == hash(once)
 
 
 @PROPERTY
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_lift_eq_and_hash_agree_across_orders(d, ka, kb, data):
-    """A value of Q(zeta_d), as a CycloScalar and as a RationalCoefficient, is
-    equal to its lifts to orders a = d ka and b = d kb, which need not divide
-    one another, with one hash; a coefficient built at order a equals the
-    lift of the one built at d.  Against a second value at order b, ``==``
-    gives the verdict of comparing both lifted to lcm(a, b), and equal
-    values hash alike."""
+    """A value of Q(zeta_d), as a CycloScalar and as a RationalCoefficient,
+    lifted to orders a = d ka and b = d kb, which need not divide one
+    another, gives one value of Q(zeta_lcm(a, b)) with one hash; a
+    coefficient built at order a, lifted on, equals the lift of the one
+    built at d.  Against a second value at order b, ``==`` raises unless
+    a = b, and values equal in the lcm field hash alike."""
     a, b = d * ka, d * kb
+    top = lcm(a, b)
+
+    def lift(x, order):
+        return x.lift(order) if isinstance(x, CycloScalar) else lift_coefficient(x, order)
+
     # an unreduced coefficient, as the engine makes at mu = +-rho
-    q = LaurentPoly.variable(1, NVARS, d)
-    unreduced = RationalCoefficient.ratio(q + q * q, q * q - 1)
-    reduced = RationalCoefficient.ratio(q, q - 1)
-    assert unreduced == reduced and len({unreduced, reduced.lift(a)}) == 1
+    for order in (d, a):
+        q = LaurentPoly.variable(1, NVARS, order)
+        unreduced = RationalCoefficient.ratio(q + q * q, q * q - 1)
+        reduced = RationalCoefficient.ratio(q, q - 1)
+        assert unreduced == reduced and len({unreduced, reduced}) == 1
     phi = CyclotomicField.get(d).phi
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
     s = CycloScalar(d, coeffs, data.draw(st.integers(1, 4)))
     num, den = data.draw(laurent(d)), data.draw(binomial(d))
     r = RationalCoefficient.ratio(num, den)
-    assert RationalCoefficient.ratio(num.lift(a), den.lift(a)) == r.lift(b)
+    built = RationalCoefficient.ratio(num.lift(a), den.lift(a))
+    assert lift(built, top) == lift(lift(r, b), top)
     shift = CycloScalar.root_of_unity(b, data.draw(st.integers(0, b - 1)))
     shift = shift * Fraction(data.draw(st.sampled_from([0, 1, -1, 2])), 2)
-    others = (s.lift(b) + shift, r.lift(b) + RationalCoefficient.from_scalar(NVARS, shift, b))
+    others = (s.lift(b) + shift, lift(r, b) + RationalCoefficient.from_scalar(NVARS, shift, b))
     for x, y in zip((s, r), others):
-        xa, xb = x.lift(a), x.lift(b)
-        assert x == xa and xa == xb and xb == xa
-        assert hash(x) == hash(xa) == hash(xb)
-        assert (xa == y) == (y == xa) == (xa.lift(lcm(a, b)) == y.lift(lcm(a, b)))
-        if xa == y:
-            assert hash(xa) == hash(y)
+        xa, xb = lift(x, a), lift(x, b)
+        assert lift(xa, top) == lift(xb, top) == lift(x, top)
+        assert hash(lift(xa, top)) == hash(lift(xb, top)) == hash(lift(x, top))
+        if a != b:
+            with pytest.raises(FieldMismatchError):
+                _ = xa == y
+        same = lift(xa, top) == lift(y, top)
+        assert same == (lift(y, top) == lift(xa, top)) == (xb == y)
+        if same:
+            assert hash(lift(xa, top)) == hash(lift(y, top))
 
 
 @PROPERTY
@@ -360,16 +364,16 @@ def test_unit_product_equals_reduced_product(case, data):
     g = data.draw(binomial(order))
     r = RationalCoefficient(a, ((f, data.draw(st.integers(1, 2))), (g, 1)))
     unit_order = order * data.draw(st.integers(1, 3))
+    r = lift_coefficient(r, unit_order)
     factor = st.just(f.lift(unit_order))
     u = RationalCoefficient.from_poly(
         data.draw(st.one_of(laurent(unit_order, max_terms=1), factor))
     )
     for left, right in ((u, r), (r, u)):
-        x, y = left._match(right)
-        den = dict(x.den)
-        for h, k in y.den:
+        den = dict(left.den)
+        for h, k in right.den:
             den[h] = den.get(h, 0) + k
-        expected = RationalCoefficient._reduced(x.num * y.num, den)
+        expected = RationalCoefficient._reduced(left.num * right.num, den)
         got = left * right
         assert got.num.order == expected.num.order
         assert got.num.terms == expected.num.terms
@@ -386,7 +390,6 @@ def _structure(num, den):
 def _sum_by_trial_division(a, b):
     """a + b by the route that trial-divides the sum by every factor of the
     common denominator."""
-    a, b = a._match(b)
     if a.is_zero():
         return b.num, b.den
     if b.is_zero():
@@ -502,8 +505,9 @@ def test_automorphic_images_equal_trial_division(data):
     order = data.draw(st.integers(1, 4))
     f, h = data.draw(divisible_pair(order))
     pool = data.draw(st.lists(linear_factor(order), min_size=1, max_size=2)) + [h]
-    c = data.draw(reduced_over(order, pool))
-    g = data.draw(wreath_element(data.draw(st.integers(1, 3))))
+    m = data.draw(st.integers(1, 3))
+    c = lift_coefficient(data.draw(reduced_over(order, pool)), lcm(order, m))
+    g = data.draw(wreath_element(m))
     got = c.act(g)
     num, den = c.num.act(g), [(x.act(g), k) for x, k in c.den]
     assert _structure(got.num, got.den) == _structure(*_cancel(*_unit_normalized(num, den)))
