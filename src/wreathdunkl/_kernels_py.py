@@ -19,7 +19,8 @@ integer convolution (length ``2*phi - 1``) of every pair of terms that
 lands there, and only then reduces each vector modulo the cyclotomic
 polynomial and normalizes it against the product of the two denominators.
 A unit coefficient costs one integer multiply per entry, and no pair pays
-for a gcd.
+for a gcd.  A one-term operand skips all that: each term of the other is
+multiplied by its scalar, and no product of nonzero scalars vanishes.
 """
 
 from math import gcd
@@ -138,6 +139,12 @@ def poly_mul(ta, tb, red):
         return {}
     if len(ta) > len(tb):
         ta, tb = tb, ta
+    if len(ta) == 1:  # a monomial: one scalar product per term
+        ((ea, (na, da)),) = ta.items()
+        return {
+            tuple(map(add, ea, eb)): scalar_mul(na, da, nb, db, red)
+            for eb, (nb, db) in tb.items()
+        }
     va, da = _over_one_den(ta)
     vb, db = _over_one_den(tb)
     den = da * db

@@ -50,7 +50,9 @@ exactly; see ``rotation_average_check``.
 The charges I^(k) = sum_i D_i^k commute because the D_i do.  The checks
 compute each [D_i, D_j] once (``dunkl_commutator``) and reach every
 [I^(k), I^(l)] from them by the Leibniz rule (``charges_commutator``), so
-commuting operators make no product of charges.
+commuting operators make no product of charges.  Likewise each [D_j, Q_i]
+is computed once (``dunkl_rotation_commutator``) and gives [I^(k), Q_i]
+(``charge_rotation_commutator``).
 """
 
 from __future__ import annotations
@@ -317,6 +319,18 @@ def dunkl_commutator(params: ModelParams, i: int, j: int) -> MixedOperator:
     return op_commutator(build_dunkl(params, i), build_dunkl(params, j))
 
 
+@lru_cache(maxsize=256)
+def dunkl_rotation_commutator(params: ModelParams, j: int, i: int) -> MixedOperator:
+    """[d_j, Q_i] for any sites j and i.
+
+    Kept and shared like ``dunkl_commutator``: the Hecke suite's
+    "[d_i, Q_j] = 0" items and ``charge_rotation_commutator`` read the same
+    operator.
+    """
+    qi = MixedOperator.from_group(generator(params.group_spec, "Q", i=i))
+    return op_commutator(build_dunkl(params, j), qi)
+
+
 def power_commutator(d: MixedOperator, c: MixedOperator, l: int) -> MixedOperator:
     """sum_{s<l} d^s c d^(l-1-s).
 
@@ -350,6 +364,20 @@ def charge_dunkl_commutator(params: ModelParams, k: int, j: int) -> MixedOperato
             continue
         c = dunkl_commutator(params, i, j) if i < j else -dunkl_commutator(params, j, i)
         total = total + power_commutator(build_dunkl(params, i), c, k)
+    return total
+
+
+def charge_rotation_commutator(params: ModelParams, k: int, i: int) -> MixedOperator:
+    """[I^(k), Q_i] = sum_j sum_{s<k} d_j^s [d_j, Q_i] d_j^(k-1-s), an exact
+    identity of the operator algebra, without building I^(k).
+
+    Each [d_j, Q_i] is read from ``dunkl_rotation_commutator``; a vanishing
+    one makes no product.
+    """
+    total = MixedOperator.zero(params.size, params.order)
+    for j in range(1, params.size + 1):
+        c = dunkl_rotation_commutator(params, j, i)
+        total = total + power_commutator(build_dunkl(params, j), c, k)
     return total
 
 
@@ -632,15 +660,13 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
                 {**idx, "i": i, "j": j},
                 dunkl_commutator(params, i, j),
             )
-    ds = [build_dunkl(params, i) for i in range(1, N + 1)]
-    for i in range(N):
+    for i in range(1, N + 1):
         for j in range(1, N + 1):
-            qj = MixedOperator.from_group(generator(spec, "Q", i=j))
             _is_zero_item(
                 suite,
                 "[d_i, Q_j] = 0",
-                {**idx, "i": i + 1, "j": j},
-                op_commutator(ds[i], qj),
+                {**idx, "i": i, "j": j},
+                dunkl_rotation_commutator(params, i, j),
             )
 
     if params.family == "dihedral":
@@ -774,7 +800,8 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
     associative operator algebra, so the item tests the same normal-form
     operator as the direct commutator of the two charges without forming
     either charge or any product of them.  When the d's commute every term
-    vanishes and no product is made.
+    vanishes and no product is made.  [I^(k), Q_i] comes the same way from
+    the [d_j, Q_i] (``charge_rotation_commutator``).
     """
     N = params.size
     suite = CheckSuite(f"charges[{params.family}]")
@@ -799,12 +826,11 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
                 op_commutator(charges[k], e),
             )
         for i in range(1, N + 1):
-            qi = MixedOperator.from_group(generator(spec, "Q", i=i))
             _is_zero_item(
                 suite,
                 "[I^(k), Q_i] = 0",
                 {**idx, "k": k, "i": i},
-                op_commutator(charges[k], qi),
+                charge_rotation_commutator(params, k, i),
             )
     if params.family == "dihedral":
         K1 = MixedOperator.from_group(generator(spec, "K", i=1))

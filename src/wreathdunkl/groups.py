@@ -74,7 +74,7 @@ class WreathElement:
             e = self.flip[j]
             flip[i] = e
             rot[i] = (self.rot[j] if e else -self.rot[j]) % m
-        return WreathElement(n, m, tuple(inv_perm), tuple(rot), tuple(flip))
+        return _valid_element(n, m, tuple(inv_perm), tuple(rot), tuple(flip))
 
     def act_on_exponents(self, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """Image of the monomial q**exps under this element.
@@ -137,7 +137,16 @@ def compose(g: WreathElement, h: WreathElement) -> WreathElement:
         rot[j] = (rg - rh if eg else rg + rh) % m
         flip[j] = eg ^ eh
     perm = tuple(g.perm[h.perm[i]] for i in range(n))
-    return WreathElement(n, m, perm, tuple(rot), tuple(flip))
+    return _valid_element(n, m, perm, tuple(rot), tuple(flip))
+
+
+def _valid_element(size, order, perm, rot, flip) -> WreathElement:
+    """The element with these fields, built without ``__post_init__``: only
+    for fields derived from valid elements, as products and inverses are.
+    Elements built from outside input go through the checked constructor."""
+    g = object.__new__(WreathElement)
+    g.__dict__.update(size=size, order=order, perm=perm, rot=rot, flip=flip)
+    return g
 
 
 def compose_word(word, compose_fn=compose) -> WreathElement:

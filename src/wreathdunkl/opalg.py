@@ -166,7 +166,9 @@ class MixedOperator:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, MixedOperator):
+        """Equality in normal form; an int, Fraction or scalar is read as a
+        multiple of the identity, as ``+``, ``-`` and ``*`` read it."""
+        if not isinstance(other, (MixedOperator, int, Fraction, CycloScalar)):
             return NotImplemented
         return (self - other).is_zero()
 

@@ -34,11 +34,12 @@ numerator, so does ``RationalCoefficient``.
 Every coefficient is kept reduced: no listed factor divides the numerator.
 Cancellation skips the trial divisions that provably fail on reduced
 operands.  ``act`` is a ring automorphism, which keeps a quotient reduced
-and distinct normalized factors distinct, so it never trial-divides.  A
-binomial with d = 1 is prime, and distinct normalized primes are coprime;
-when every factor of a sum's common denominator is such a prime,
-``__add__`` keeps each factor whose multiplicities in the two operands
-differ without testing it (the proof is in ``__add__``).
+and distinct normalized factors distinct, so it never trial-divides.  No
+binomial divides a one-term numerator, a unit.  ``__add__`` keeps without
+a test each factor whose multiplicities in the two operands differ and
+which is coprime to every other factor of the common denominator: two
+distinct d = 1 binomials (primes), or two binomials whose exponent
+directions are not parallel (``_coprime``; the proof is in ``__add__``).
 
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
@@ -53,8 +54,14 @@ multiplicity), never by a digest; each key is interned to a small integer
 per scope and cached on the coefficient, and an operation is keyed by the
 method with its operands' integers, or with the group element or variable
 index.  Operands with more than 8 numerator terms or 2 denominator factors
-stay out, since the table holds every result until the scope closes.
-Outside a scope every operation computes afresh.
+stay out, since the table holds every result until the scope closes.  The
+table also keeps two facts about denominator factors, keyed by the factor's
+order and value: the unit-normalized image of a factor under a group
+element, with the unit monomial it moves into the numerator, and each
+power f**k that a common denominator needs.  So ``act`` of any coefficient
+costs one numerator substitution and one monomial product, and the lcm
+expansion of ``__add__`` multiplies by stored powers.  Outside a scope
+every operation and fact is computed afresh.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import wraps
-from itertools import count
+from itertools import combinations, count
 
 from . import _kernels as K
 from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError, in_field, same_field
@@ -415,10 +422,7 @@ class LaurentPoly:
         raises ValueError.  self may be Laurent.  One pass of f's
         ``binomial_rule`` decides divisibility and builds the quotient.
         """
-        rule = self._match(f).binomial_rule()
-        if rule is None:
-            raise ValueError(f"cannot divide by {f!r}: not a content-free binomial")
-        quo = rule.quotient(self.terms)
+        quo = _binomial_rule(self._match(f)).quotient(self.terms)
         return None if quo is None else LaurentPoly(self.nvars, self.order, quo)
 
     # -- io -------------------------------------------------------------------
@@ -454,14 +458,19 @@ _TABLE_DEN_FACTORS = 2
 
 class _ResultTable:
     """Results of coefficient operations made inside one ``result_table``
-    scope, keyed by the operation and its operands' interned value ids."""
+    scope, keyed by the operation and its operands' interned value ids, and
+    two facts about denominator factors, keyed by the factor's order and
+    value: each factor's normalized image under a group element
+    (``_factor_image``) and its powers (``_power``)."""
 
-    __slots__ = ("serial", "ids", "results")
+    __slots__ = ("serial", "ids", "results", "images", "powers")
 
     def __init__(self, serial: int):
         self.serial = serial
         self.ids: dict = {}  # exact value key -> small int
         self.results: dict = {}  # (operation, id, id or argument) -> result
+        self.images: dict = {}  # (order, factor, element) -> _factor_image
+        self.powers: dict = {}  # (order, factor, k) -> factor**k
 
     def ident(self, c: "RationalCoefficient") -> int:
         """c's interned id in this table, cached on c; -1 when c is too
@@ -487,8 +496,10 @@ _LIVE = [None]  # the table of the innermost open scope, or None
 @contextmanager
 def result_table():
     """A scope in which ``act``, ``euler``, and ``+`` and ``*`` of two
-    coefficients each compute a result once per operand values; the table
-    is dropped when the scope exits, normally or by an exception."""
+    coefficients each compute a result once per operand values, and each
+    denominator factor's normalized image under a group element and each
+    of its powers are computed once; the table is dropped when the scope
+    exits, normally or by an exception."""
     outer = _LIVE[0]
     _LIVE[0] = _ResultTable(next(_SERIALS))
     try:
@@ -521,6 +532,35 @@ def _remembered(pair: bool):
         return remembered
 
     return decorate
+
+
+def _factor_image(f: LaurentPoly, g: WreathElement):
+    """(monic, exps, unit) with 1/g(f) = unit q**exps / monic: the image of
+    a denominator factor, unit-normalized.  ``unit`` is raw, None for 1.
+    Stored in the live table."""
+    table = _LIVE[0]
+    key = (f.order, f, g)
+    if table is not None:
+        out = table.images.get(key)
+        if out is not None:
+            return out
+    unit, shift, monic = f.act(g).unit_normalize()
+    out = (monic, tuple(-x for x in shift), None if unit == 1 else (unit.num, unit.den))
+    if table is not None:
+        table.images[key] = out
+    return out
+
+
+def _power(f: LaurentPoly, k: int) -> LaurentPoly:
+    """f**k, stored in the live table."""
+    table = _LIVE[0]
+    if k == 1 or table is None:
+        return f**k
+    key = (f.order, f, k)
+    out = table.powers.get(key)
+    if out is None:
+        out = table.powers[key] = f**k
+    return out
 
 
 class RationalCoefficient:
@@ -594,15 +634,14 @@ class RationalCoefficient:
         """a + b over the factor-wise lcm L of the denominators, cancelled.
 
         With D_a, D_b the operands' denominators, the sum's numerator is
-        S = n_a L/D_a + n_b L/D_b.  When every factor of L is a d = 1
-        binomial (prime), a factor f whose multiplicities differ cannot
-        divide S.  Say k_a > k_b: then f divides L/D_b and so n_b L/D_b.
-        But f divides neither n_a (a is reduced) nor L/D_a, which holds only
-        the other factors, primes not associate to f.  So f does not divide
-        n_a L/D_a, and S is not divisible by f; no trial division is made.
-        A nonlinear factor such as q_i**2 - tau may be divisible by a listed
-        linear one, and then every factor is trial-divided:
-        1/(q - 1) + x/(q**2 - 1) cancels q - 1.
+        S = n_a L/D_a + n_b L/D_b.  A factor f whose multiplicities differ
+        and which is coprime to every other factor of L (``_coprime``)
+        cannot divide S.  Say k_a > k_b: then f divides L/D_b and so
+        n_b L/D_b.  L/D_a holds only the other factors, so it is coprime to
+        f, and f does not divide n_a (a is reduced); the ring is a UFD, so
+        f does not divide n_a L/D_a, nor S.  Such an f is kept without a
+        trial division.  A factor that shares a root with another keeps the
+        trial division: 1/(q - 1) + x/(q**2 - 1) cancels q - 1.
         """
         if isinstance(other, (int, Fraction, CycloScalar)):
             other = RationalCoefficient.from_scalar(self.nvars, other, self.order)
@@ -624,12 +663,14 @@ class RationalCoefficient:
         na, nb = a.num, b.num
         for f, k in lcm.items():
             if k > da.get(f, 0):
-                na = na * f ** (k - da.get(f, 0))
+                na = na * _power(f, k - da.get(f, 0))
             if k > db.get(f, 0):
-                nb = nb * f ** (k - db.get(f, 0))
-        coprime = ()
-        if all(_is_linear_binomial(f) for f in lcm):
-            coprime = {f for f in lcm if da.get(f, 0) != db.get(f, 0)}
+                nb = nb * _power(f, k - db.get(f, 0))
+        coprime = {
+            f for f in lcm
+            if da.get(f, 0) != db.get(f, 0)
+            and all(h is f or _coprime(f, h) for h in lcm)
+        }
         return RationalCoefficient._reduced(na + nb, lcm, coprime)
 
     __radd__ = __add__
@@ -715,8 +756,24 @@ class RationalCoefficient:
         g is a ring automorphism.  It preserves divisibility both ways, so
         no g(f) divides g(num); and it maps non-associate factors to
         non-associate ones, so distinct normalized factors stay distinct.
+        The units the images strip (``_factor_image``) are gathered into
+        one monomial, so the numerator takes one substitution and one
+        product.
         """
-        num, den = _unit_normalized(self.num.act(g), [(f.act(g), k) for f, k in self.den])
+        field = CyclotomicField.get(self.order)
+        exps, unit = [0] * self.nvars, None
+        den = {}
+        for f, k in self.den:
+            monic, e, u = _factor_image(f, g)
+            den[monic] = k
+            for i, x in enumerate(e):
+                exps[i] += k * x
+            for _ in range(k):
+                unit = _times(unit, u, field.red)
+        num = self.num.act(g)
+        if unit is not None or any(exps):
+            monomial = {tuple(exps): unit or (field.powers[0], 1)}
+            num = num * LaurentPoly(self.nvars, self.order, monomial)
         return RationalCoefficient(*_cancel(num, den, coprime=den), _trusted=True)
 
     # -- comparison ------------------------------------------------------------
@@ -787,28 +844,57 @@ def _unit_normalized(num: LaurentPoly, den) -> tuple[LaurentPoly, dict]:
     return num, factors
 
 
-def _is_linear_binomial(f: LaurentPoly) -> bool:
-    """Whether f has a binomial rule with d = 1, so that f is prime."""
+def _binomial_rule(f: LaurentPoly) -> _BinomialRule:
+    """f's ``binomial_rule``; ValueError unless f is a content-free binomial,
+    the only shape of denominator factor."""
     rule = f.binomial_rule()
-    return rule is not None and rule.d == 1
+    if rule is None:
+        raise ValueError(f"cannot divide by {f!r}: not a content-free binomial")
+    return rule
+
+
+def _coprime(f: LaurentPoly, h: LaurentPoly) -> bool:
+    """Whether two distinct normalized binomial factors are known coprime.
+
+    Two d = 1 binomials are primes, and distinct normalized primes are not
+    associate.  Otherwise write f = c q**x (1 - s q**mu) with mu = e nu, nu
+    primitive: over the algebraic closure f is a unit times the product of
+    the irreducible q**nu - z over the e-th roots z of 1/s, so every
+    irreducible factor of f has direction +-nu.  Factors whose directions
+    mu are not parallel therefore share no irreducible factor.  Parallel
+    nonlinear pairs, such as q_i**2 - tau and q_i - s, may share one.
+    """
+    rf, rh = _binomial_rule(f), _binomial_rule(h)
+    if rf.d == 1 and rh.d == 1:
+        return True
+    a, b = rf.mu, rh.mu
+    return any(a[i] * b[j] != a[j] * b[i] for i, j in combinations(range(len(a)), 2))
 
 
 def _cancel(num: LaurentPoly, den: dict, coprime=()) -> tuple[LaurentPoly, tuple]:
     """Drop zero numerators, trial-divide by denominator factors, sort.
 
     Factors in ``coprime`` are known not to divide ``num`` and are kept
-    without a trial division.
+    without a trial division.  So is every factor under a one-term
+    numerator, a unit that no binomial divides, once it is checked to be a
+    binomial.
     """
     if num.is_zero():
         return num, ()
+    unit = len(num.terms) == 1
     out = []
     for f, k in den.items():
-        while k > 0 and f not in coprime:
-            q = num.divide_exact(f)
-            if q is None:
-                break
-            num = q
-            k -= 1
+        if f in coprime:
+            pass
+        elif unit:
+            _binomial_rule(f)
+        else:
+            while k > 0:
+                q = num.divide_exact(f)
+                if q is None:
+                    break
+                num = q
+                k -= 1
         if k:
             out.append((f, k))
     out.sort(key=lambda fk: fk[0].key())

@@ -140,33 +140,77 @@ def _roots(m: int, order: int) -> list[CycloScalar]:
     return [CycloScalar.root_of_unity(m, p).lift(order) for p in range(m)]
 
 
-def _add_image(acc: dict, rep: SpinRepData, g: WreathElement, c, roots) -> None:
-    """acc += c rho(g), on a sparse {(row, column): coefficient} matrix."""
-    values = [c * r for r in roots]
+def _record_image(entries: dict, rep: SpinRepData, g: WreathElement, i: int,
+                  shift: int = 0) -> None:
+    """Append (i, p + shift) to the contribution list of every entry (row,
+    column) of rho(g), tau**p being rho(g)'s phase there: term i adds its
+    value times tau**p to that entry."""
     rows, phases = monomial_image(rep, g)
     for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
-        cur = acc.get((r, t))
-        piece = values[p] if cur is None else cur + values[p]
-        if piece.is_zero():
-            acc.pop((r, t), None)
-        else:
-            acc[(r, t)] = piece
+        entries.setdefault((r, t), []).append((i, p + shift))
+
+
+def _list_sums(values: list, roots: list):
+    """The function that sums a tuple of contributions (i, p), each
+    values[i] * roots[p]; None when nothing survives.
+
+    The contributions of one term i are combined first, into values[i]
+    times the sum w of their roots, and a term whose w vanishes is left
+    out.  The terms are then added in the order they first appear, from
+    zero.  A term reaches an entry of a monomial image once, so a sum of
+    images is added exactly as adding the images one after another into
+    the entry would.  Each distinct tuple is summed once and each product
+    made once.
+    """
+    products: dict = {}
+    sums: dict = {}
+
+    def total(contributions: tuple):
+        if contributions in sums:
+            return sums[contributions]
+        phases: dict = {}
+        for i, p in contributions:
+            phases.setdefault(i, []).append(p)
+        s = None
+        for i, ps in phases.items():
+            key = (i, tuple(ps))
+            if key not in products:
+                w = roots[ps[0]]
+                for p in ps[1:]:
+                    w = w + roots[p]
+                products[key] = None if w.is_zero() else values[i] * w
+            v = products[key]
+            if v is not None:
+                s = v if s is None else s + v
+        sums[contributions] = s
+        return s
+
+    return total
 
 
 def spin_sum(rep: SpinRepData, terms) -> tuple[int, dict]:
     """The exact spin matrix sum_{(c, g) in terms} c rho(g), sparse.
 
     Returns (order, S): the cyclotomic order of the common field of tau
-    and every c, and S = {(row, column): entry} over that field, summed
-    term by term with exact zeros left out.  The coefficients may be
-    scalars, lifted into that field, or rational functions of the
-    positions, which must be over it already.
+    and every c, and S = {(row, column): entry} over that field with exact
+    zeros left out.  The coefficients may be scalars, lifted into that
+    field, or rational functions of the positions, which must be over it
+    already.  Each entry records the list of (term, phase) contributions
+    that reach it, in the order of ``terms``, and is their sum from zero,
+    the value term-by-term accumulation gives; many entries share a list,
+    and each distinct list is summed once (``_list_sums``).
     """
     order = lcm(rep.m, *(c.order for c, _ in terms))
-    roots = _roots(rep.m, order)
-    S: dict = {}
-    for c, g in terms:
-        _add_image(S, rep, g, c.lift(order) if isinstance(c, CycloScalar) else c, roots)
+    entries: dict = {}
+    for i, (_, g) in enumerate(terms):
+        _record_image(entries, rep, g, i)
+    values = [c.lift(order) if isinstance(c, CycloScalar) else c for c, _ in terms]
+    total = _list_sums(values, _roots(rep.m, order))
+    S = {}
+    for key, contributions in entries.items():
+        s = total(tuple(contributions))
+        if s is not None and not s.is_zero():
+            S[key] = s
     return order, S
 
 
@@ -410,6 +454,12 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
     is.  That depends on x only through its left coset xS, so one exact
     sparse sum per (k, coset) decides |S| blocks at once, O(terms(A) dim)
     in all; a coset that holds no g of A and is not S itself gives zero.
+    Each entry of such a sum is recorded as its list of (term, phase)
+    contributions, and each distinct list is summed once over all the
+    sums (``_list_sums``); a term of A in S reaches an entry of the coset
+    S both through S_k and through -c_{k,g} rho(g^{-1}), so its two
+    phases are combined before its coefficient is multiplied or added.
+    A sum is nonzero at its first nonzero entry.
     A must share rep's order m, the field of its coefficients.
     """
     if A.order != rep.m:
@@ -419,17 +469,24 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
         a * b not in proj for a in S for b in S
     ):
         raise ValueError("the projector is not the average over a subgroup")
-    roots = _roots(rep.m, rep.m)
     coset = dict.fromkeys(S, 0)  # element -> label of its left coset; S is 0
     labels = 1
-    brackets = {(k, 0): mat for k, mat in substitute_spin(A, rep).items()}
-    for (k, g), c in A.terms.items():
+    brackets: dict = {}  # (k, coset label) -> {entry: [(term, phase)]}
+    for i, (k, g) in enumerate(A.terms):
         if g not in coset:
             for s in S:
                 coset[g * s] = labels
             labels += 1
-        _add_image(brackets.setdefault((k, coset[g]), {}), rep, g.inverse(), -c, roots)
-    return len(S) * sum(1 for mat in brackets.values() if mat)
+        _record_image(brackets.setdefault((k, 0), {}), rep, g, i)
+        # -c_{k,g} rho(g^{-1}): phase p + m stands for -tau**p
+        _record_image(brackets.setdefault((k, coset[g]), {}), rep, g.inverse(), i, rep.m)
+    roots = _roots(rep.m, rep.m)
+    total = _list_sums(list(A.terms.values()), roots + [-r for r in roots])
+    nonzero = 0
+    for entries in brackets.values():
+        sums = (total(tuple(c)) for c in entries.values())
+        nonzero += any(s is not None and not s.is_zero() for s in sums)
+    return len(S) * nonzero
 
 
 def verify_agreement(params: ModelParams, rep: SpinRepData, k: int) -> CheckSuite:

@@ -2,7 +2,8 @@
 operator-algebra tests, exact and complex evaluation of coefficients and
 the term-by-term float residual of an operator, a reader of exported
 scalars, the reduced-form predicate of rational coefficients, the dense
-oracles of the projector and agreement checks, the dense references of
+oracles of the projector and agreement checks, the entry-by-entry
+references of exact spin sums and agreement counts, the dense references of
 exact spin sums, the frozen chain and its characteristic polynomial, the
 extraction references of the static Hamiltonian and the frozen chains,
 the direct-product
@@ -308,6 +309,52 @@ def agreement_blocks_by_definition(A, rep, proj, point):
                 block = block - c * float(proj.get(h, 0)) * rho(h)
             count += bool(np.max(np.abs(block)) > 1e-9)
     return count
+
+
+def _add_image_by_entry(acc, rep, g, c, roots):
+    """acc += c rho(g) on a sparse {(row, column): coefficient} matrix, one
+    entry at a time, an entry that cancels dropped."""
+    values = [c * r for r in roots]
+    rows, phases = monomial_image(rep, g)
+    for t, (r, p) in enumerate(zip(rows.tolist(), phases.tolist())):
+        cur = acc.get((r, t))
+        piece = values[p] if cur is None else cur + values[p]
+        if piece.is_zero():
+            acc.pop((r, t), None)
+        else:
+            acc[(r, t)] = piece
+
+
+def _spin_roots(m, order):
+    return [CycloScalar.root_of_unity(m, p).lift(order) for p in range(m)]
+
+
+def spin_sum_by_entry(rep, terms):
+    """(order, S) of sum c rho(g) over ``terms``, each image added into its
+    entries one after another: the reference for ``spinrep.spin_sum``."""
+    order = lcm(rep.m, *(c.order for c, _ in terms))
+    roots = _spin_roots(rep.m, order)
+    S = {}
+    for c, g in terms:
+        _add_image_by_entry(S, rep, g, c.lift(order) if isinstance(c, CycloScalar) else c, roots)
+    return order, S
+
+
+def agreement_blocks_by_entry(A, rep, proj):
+    """The count of ``spinrep.agreement_blocks`` from one sparse sum per
+    (Euler index, left coset of S), each image added into its entries one
+    after another: S_k = sum_g c_{k,g} rho(g) in the coset S itself, minus
+    c_{k,g} rho(g^{-1}) in the coset of g; the reference for the summing
+    of distinct contribution lists."""
+    S = list(proj)
+    roots = _spin_roots(rep.m, rep.m)
+    brackets = {}
+    for (k, g), c in A.terms.items():
+        _add_image_by_entry(brackets.setdefault((k, None), {}), rep, g, c, roots)
+    for (k, g), c in A.terms.items():
+        xs = None if g in proj else frozenset(g * s for s in S)
+        _add_image_by_entry(brackets.setdefault((k, xs), {}), rep, g.inverse(), -c, roots)
+    return len(S) * sum(1 for mat in brackets.values() if mat)
 
 
 def is_reduced(c: RationalCoefficient) -> bool:

@@ -27,10 +27,12 @@ from wreathdunkl.dunkl import (
     build_symmetric_dunkl,
     charge_commutation_check,
     charge_dunkl_commutator,
+    charge_rotation_commutator,
     charges_commutator,
     check_hecke_relations,
     check_recursion,
     dunkl_commutator,
+    dunkl_rotation_commutator,
     exchange_element,
     hamiltonian_check,
     hamiltonian_images,
@@ -438,6 +440,78 @@ def test_dunkl_commutators_are_computed_once_per_pair():
     assert info.hits > 0
     with pytest.raises(ValueError):
         dunkl_commutator(p, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "p", [_DIHEDRAL, ModelParams("cyclic", 3, 2, Fraction(1, 2))], ids=lambda p: p.family
+)
+def test_charge_rotation_commutator_equals_the_direct_commutator(p):
+    """[I^(k), Q_i] from the [d_j, Q_i] is op_commutator(I^(k), Q_i)."""
+    for k in (1, 2, 3):
+        for i in range(1, p.size + 1):
+            want = op_commutator(build_charge(p, k), _element(p, "Q", i=i))
+            got = charge_rotation_commutator(p, k, i)
+            assert got == want and got.to_json() == want.to_json(), (k, i)
+
+
+_NONCOMMUTING_ROTATIONS = {
+    "d_i + e_1 cyclic(2,2)": _NONCOMMUTING["d_i + e_1 cyclic(2,2)"],
+    "d_i + e_1 dihedral(2,3)": (
+        ModelParams("dihedral", 2, 3, Fraction(1), Fraction(1), Fraction(1, 2)),
+        lambda p, i: build_dunkl(p, i) + _element(p, "e", i=1),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONCOMMUTING_ROTATIONS))
+def test_charge_rotation_commutator_off_commuting_operators(case, monkeypatch):
+    """The Leibniz sum over [d_j, Q_i] is the direct commutator also where
+    the [d_j, Q_i] do not vanish."""
+    p, build, kmax = _NONCOMMUTING_ROTATIONS[case]
+    N = p.size
+    ds = {i: build(p, i) for i in range(1, N + 1)}
+    monkeypatch.setattr(dunkl, "build_dunkl", lambda params, i: ds[i])
+    monkeypatch.setattr(
+        dunkl, "dunkl_rotation_commutator", dunkl.dunkl_rotation_commutator.__wrapped__
+    )
+    for k in range(1, kmax + 1):
+        charge = power_sum_by_products(list(ds.values()), k)
+        for i in range(1, N + 1):
+            want = op_commutator(charge, _element(p, "Q", i=i))
+            got = charge_rotation_commutator(p, k, i)
+            assert not want.is_zero()
+            assert got == want and got.to_json() == want.to_json(), (k, i)
+
+
+def test_charge_rotation_items_make_no_product_when_rotations_commute(monkeypatch):
+    """With every [d_j, Q_i] read as zero from the Hecke suite's cache, the
+    "[I^(k), Q_i] = 0" items compose no operators."""
+    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    assert check_hecke_relations(p).passed
+    calls = []
+
+    def counting(A, B):
+        calls.append((A, B))
+        return op_compose(A, B)
+
+    monkeypatch.setattr(opalg, "op_compose", counting)
+    monkeypatch.setattr(dunkl, "op_compose", counting)
+    for k in (1, 2, 3):
+        for i in range(1, p.size + 1):
+            assert charge_rotation_commutator(p, k, i).is_zero()
+    assert calls == []
+
+
+def test_dunkl_rotation_commutators_are_computed_once_per_pair():
+    """One verify case fills one ``dunkl_rotation_commutator`` entry per
+    (j, i), shared by the Hecke and the charge items."""
+    p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+    dunkl_rotation_commutator.cache_clear()
+    assert _verify_case(p, None, 3, None).passed
+    info = dunkl_rotation_commutator.cache_info()
+    assert info.currsize == info.misses == 9
+    assert info.hits > 0
 
 
 _FACTORIZATION_POINTS = [

@@ -62,6 +62,16 @@ def test_group_axioms_random():
         assert g.inverse() * g == ident
 
 
+def test_products_and_inverses_are_valid_elements():
+    """compose and inverse skip the constructor's checks; what they build
+    passes them and equals, and hashes as, the checked element."""
+    els = enumerate_subgroup(GroupSpec("W(m,N)", 2, 3))
+    for g in els:
+        for x in [g.inverse()] + [g * h for h in els[::7]]:
+            checked = WreathElement(x.size, x.order, x.perm, x.rot, x.flip)
+            assert checked == x and hash(checked) == hash(x)
+
+
 def test_subgroup_closure():
     spec = GroupSpec("G(m,p,N)", 2, 4, 2)
     els = set(enumerate_subgroup(spec))

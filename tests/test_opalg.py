@@ -184,15 +184,11 @@ def test_foreign_orders_raise(kind):
     """Arithmetic and == take a value of their own field, or an int or a
     Fraction read as a rational of it.  A value over another field raises
     on either side, a subfield (order 3 in 6) as well as a field that
-    shares none (order 4); so does a scalar of another order as the second
-    operand, except in an operator's ==, which compares operators only."""
+    shares none (order 4); so does a scalar of another order."""
     home = _over(kind, 6)
     for name, op in ARITHMETIC.items():
         for order in (3, 4):
-            foreign = [_over(kind, order)]
-            if kind != "operator" or name != "==":
-                foreign.append(CycloScalar.root_of_unity(order))
-            for other in foreign:
+            for other in (_over(kind, order), CycloScalar.root_of_unity(order)):
                 with pytest.raises(FieldMismatchError):
                     op(home, other)
                 with pytest.raises(FieldMismatchError):
@@ -201,6 +197,18 @@ def test_foreign_orders_raise(kind):
             as_scalar = CycloScalar.rational(v, 6)
             assert op(home, v) == op(home, as_scalar)
             assert op(v, home) == op(as_scalar, home)
+
+
+def test_operators_equal_numbers_as_multiples_of_the_identity():
+    """== reads a number as a multiple of the identity, as + and - do."""
+    ident = MixedOperator.identity(2, 3)
+    assert ident == 1 and 1 == ident and not ident != 1
+    assert ident * Fraction(1, 2) == Fraction(1, 2)
+    assert ident * CycloScalar.root_of_unity(3) == CycloScalar.root_of_unity(3)
+    assert ident != 2 and MixedOperator.zero(2, 3) == 0
+    assert MixedOperator.euler(2, 1, 3) != 0 and ident != "1"
+    with pytest.raises(FieldMismatchError):
+        _ = ident == CycloScalar.one(6)
 
 
 def test_fields_change_only_by_lift():

@@ -18,6 +18,7 @@ from wreathdunkl.polyalg import (
     LaurentPoly,
     RationalCoefficient,
     _cancel,
+    _coprime,
     _unit_normalized,
     result_table,
 )
@@ -175,6 +176,22 @@ def test_only_binomials_divide():
     assert [(f, k) for f, k in r.den] == [(q1 - q2, 2)]
     with pytest.raises(ValueError):
         r ** -1
+
+
+def test_one_term_numerators_make_no_trial_division(monkeypatch):
+    """No binomial divides a unit c q**e, so a one-term numerator keeps its
+    factors untested; a longer one is trial-divided."""
+    divisions = []
+    divide = LaurentPoly.divide_exact
+    monkeypatch.setattr(
+        LaurentPoly, "divide_exact", lambda p, f: divisions.append(f) or divide(p, f)
+    )
+    q1, q2 = q(1), q(2)
+    r = RationalCoefficient.ratio(q1 * 3, (q1 - q2) * q2, 2)
+    assert divisions == []
+    assert [(f, k) for f, k in r.den] == [(q1 - q2, 2)]
+    assert RationalCoefficient.ratio(q1 * q1 - q2 * q2, q1 - q2).den == ()
+    assert divisions
 
 
 def test_json_round_trip():
@@ -394,6 +411,12 @@ def _sum_by_trial_division(a, b):
         return b.num, b.den
     if b.is_zero():
         return a.num, a.den
+    return _cancel(*_unreduced_sum(a, b))
+
+
+def _unreduced_sum(a, b):
+    """(n_a L/D_a + n_b L/D_b, L) for the factor-wise lcm L of the
+    denominators D_a and D_b."""
     da, db = dict(a.den), dict(b.den)
     lcm = dict(da)
     for f, k in db.items():
@@ -404,7 +427,7 @@ def _sum_by_trial_division(a, b):
             na = na * f ** (k - da.get(f, 0))
         if k > db.get(f, 0):
             nb = nb * f ** (k - db.get(f, 0))
-    return _cancel(na + nb, lcm)
+    return na + nb, lcm
 
 
 def linear_factor(order):
@@ -470,12 +493,61 @@ def test_sum_over_linear_factors_equals_trial_division(pair):
 @PROPERTY
 @given(addends(nonlinear=True))
 def test_sum_with_nonlinear_factor_equals_trial_division(pair):
-    """A nonlinear factor h in the common denominator turns the skip off:
-    a linear f with f | h may cancel although its multiplicities differ."""
+    """A nonlinear factor h next to a linear f | h, of parallel direction,
+    keeps the trial division of both: f may cancel although its
+    multiplicities differ."""
     a, b = pair
     got = a + b
     assert _structure(got.num, got.den) == _structure(*_sum_by_trial_division(a, b))
     assert is_reduced(got)
+
+
+@st.composite
+def mixed_addends(draw):
+    """(a, b) over a shared pool of binomials of every shape that also holds
+    a pair f | h; b is independent of a, or (-a) + s summed by full trial
+    division, so that factors of equal multiplicity cancel."""
+    order = draw(st.integers(1, 4))
+    pool = draw(st.lists(binomial(order), min_size=1, max_size=3))
+    pool += list(draw(divisible_pair(order)))
+    a = draw(reduced_over(order, pool))
+    if draw(st.booleans()):
+        return a, draw(reduced_over(order, pool))
+    s = draw(reduced_over(order, pool))
+    return a, RationalCoefficient(*_sum_by_trial_division(-a, s), _trusted=True)
+
+
+@PROPERTY
+@given(mixed_addends())
+def test_factors_kept_untested_never_divide_the_sum(pair):
+    """A factor whose multiplicities differ and which is coprime to every
+    other factor of the common denominator is kept without a trial
+    division; a forced trial division of the unreduced sum by it always
+    fails, and the sum is the fully cancelled one."""
+    a, b = pair
+    got = a + b
+    assert _structure(got.num, got.den) == _structure(*_sum_by_trial_division(a, b))
+    assert is_reduced(got)
+    if a.is_zero() or b.is_zero():
+        return
+    total, lcm = _unreduced_sum(a, b)
+    da, db = dict(a.den), dict(b.den)
+    for f in lcm:
+        if da.get(f, 0) != db.get(f, 0) and all(h is f or _coprime(f, h) for h in lcm):
+            assert total.divide_exact(f) is None
+
+
+def test_coprime_factors():
+    """Distinct d = 1 binomials are coprime, and so are binomials whose
+    directions are not parallel; parallel nonlinear pairs are not known
+    coprime, and q1 - 1 does divide q1**2 - 1."""
+    q1, q2, q3 = q(1, 3), q(2, 3), q(3, 3)
+    one = LaurentPoly.constant(3, 1, 3)
+    assert _coprime(q1 - q2, q1 - q2 * CycloScalar.root_of_unity(3))
+    assert _coprime(q1 * q1 - one, q2 - q3)
+    assert _coprime(q1 * q1 - one, q1 * q2 - one)
+    assert not _coprime(q1 * q1 - one, q1 - one)
+    assert not _coprime(q1**3 - q2**3, q1 - q2)
 
 
 def test_linear_factor_cancels_against_nonlinear_one():
@@ -512,6 +584,28 @@ def test_automorphic_images_equal_trial_division(data):
     num, den = c.num.act(g), [(x.act(g), k) for x, k in c.den]
     assert _structure(got.num, got.den) == _structure(*_cancel(*_unit_normalized(num, den)))
     assert is_reduced(got)
+
+
+@PROPERTY
+@given(st.sampled_from((1, 2, 3, 4, 6)), st.data())
+def test_act_in_a_table_equals_act_outside(m, data):
+    """Inside a table each factor's normalized image is stored once and
+    serves every later act; a first and a repeated act of each coefficient
+    give what act outside a table gives, rotations and flips alike."""
+    f, h = data.draw(divisible_pair(m))
+    pool = data.draw(st.lists(binomial(m), min_size=1, max_size=3)) + [f, h]
+    coeffs = [data.draw(reduced_over(m, pool)) for _ in range(3)]
+    elements = data.draw(st.lists(wreath_element(m), min_size=1, max_size=3))
+    def acts():
+        return [c.act(g) for c in coeffs for g in elements]
+
+    plain = [_structure(x.num, x.den) for x in acts()]
+    with result_table():
+        for _ in range(2):
+            got = acts()
+            assert [_structure(x.num, x.den) for x in got] == plain
+        assert bool(polyalg._LIVE[0].images) == any(c.den for c in coeffs)
+    assert all(is_reduced(x) for x in got)
 
 
 # -- the result table ---------------------------------------------------------

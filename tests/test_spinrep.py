@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     agreement_blocks_by_definition,
+    agreement_blocks_by_entry,
     apply_agreement,
     chain_from_dense,
     char_poly_by_trace_recursion,
@@ -23,6 +24,7 @@ from helpers import (
     random_test_functions,
     random_torus_point,
     spin_image_by_definition,
+    spin_sum_by_entry,
     sparse_to_numpy,
     to_numpy,
 )
@@ -255,6 +257,44 @@ def test_agreement_cyclic_k3_fails_at_three_sites():
     p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
     rep = SpinRepData(2, 2, 3)
     assert agreement_blocks(build_charge(p, 3), rep, build_projector(p)) == 24
+
+
+_DIHEDRAL_22 = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
+_CYCLIC_32 = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "p,n,k,count",
+    [(_DIHEDRAL_22, 2, 3, 48), (_CYCLIC_32, 2, 3, 24), (_DIHEDRAL_22, 3, 2, 0), (_CYCLIC_32, 2, 2, 0)],
+    ids=["dihedral-k3", "cyclic-k3", "dihedral-n3", "cyclic-k2"],
+)
+def test_agreement_blocks_equal_the_entry_by_entry_sum(p, n, k, count):
+    """Summing each distinct contribution list once gives the count that
+    adding every image into its entries one after another gives, the
+    nonzero k = 3 counts included."""
+    rep = SpinRepData(n, p.order, p.size)
+    A, proj = build_charge(p, k), build_projector(p)
+    assert agreement_blocks(A, rep, proj) == agreement_blocks_by_entry(A, rep, proj) == count
+
+
+def test_spin_sum_equals_the_entry_by_entry_sum():
+    """On a charge's rational coefficients and a frozen chain's scalars,
+    spin_sum gives the entries of the term-by-term sum, written alike."""
+    charge = build_charge(_CYCLIC_32, 2)
+    cases = [
+        (SpinRepData(2, 2, 3), [(c, g) for (k, g), c in charge.terms.items() if k == e])
+        for e in {k for k, _ in charge.terms}
+    ]
+    for family, N, m in (("cyclic", 3, 2), ("dihedral-odd", 2, 3)):
+        chain = build_frozen_hamiltonian(build_lattice(family, N, m))
+        cases.append((SpinRepData(2, m, N), chain.terms))
+    for rep, terms in cases:
+        order, S = spin_sum(rep, terms)
+        ref_order, ref = spin_sum_by_entry(rep, terms)
+        assert order == ref_order
+        assert {key: v.to_json() for key, v in S.items()} == {
+            key: v.to_json() for key, v in ref.items()
+        }
 
 
 def test_dynamical_spin_hamiltonian_shape():
