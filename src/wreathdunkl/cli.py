@@ -156,7 +156,10 @@ def _verify_case(
     ``act``, ``euler``, or ``+`` or ``*`` of two coefficients already made
     in this case on the same operand values (keyed exactly, by nvars,
     order, numerator terms and denominator factors) returns the stored
-    result.  The table is dropped when the case ends or raises.
+    result.  The table is dropped when the case ends or raises.  The
+    coupling pieces of the Dunkl operators and the verdicts decided from
+    them (see ``dunkl``) are kept per (family, N, m) across cases, so the
+    cases of one (family, N, m) share them.
     """
     suite = CheckSuite(f"verify[{params.family} N={params.size} m={params.order}]")
     with result_table():
@@ -357,9 +360,16 @@ def _dense_json(rep: SpinRepData, terms, write=CycloScalar.to_json) -> list:
 
 def _projector_json(weights: dict, rep: SpinRepData) -> list:
     """The terms g (x) p_g rho(g) of a projector in ``MixedOperator.to_json``
-    layout, each spin block p_g rho(g) written out densely."""
+    layout, each spin block p_g rho(g) written out densely.  The blocks
+    hold few distinct values, so each is converted once and its record
+    shared by every entry that holds it."""
+    written = {}
+
     def write(v):
-        return RationalCoefficient.from_scalar(rep.N, v, rep.m).to_json()
+        out = written.get(v)
+        if out is None:
+            out = written[v] = RationalCoefficient.from_scalar(rep.N, v, rep.m).to_json()
+        return out
 
     return [
         {

@@ -53,6 +53,41 @@ compute each [D_i, D_j] once (``dunkl_commutator``) and reach every
 commuting operators make no product of charges.  Likewise each [D_j, Q_i]
 is computed once (``dunkl_rotation_commutator``) and gives [I^(k), Q_i]
 (``charge_rotation_commutator``).
+
+Most identities are decided once per (family, N, m), from coupling
+coefficients.  Let c_1, ..., c_n be the couplings (lambda; or lambda, mu,
+rho), c_0 = 1, and A_{i,0} = d_i(0), A_{i,a} = d_i(e_a) - d_i(0) with e_a
+the unit point of coupling a (``_pieces``, built by ``build_dunkl`` as
+bound when called and kept per builder).  At a point p the checks first
+assert exactly that d_i(p) = sum_a c_a A_{i,a} at the sites they read
+(``_decomposes``).  When it holds, every multilinear f expands:
+
+    f(d_i(p), d_j(p)) = sum_{s,t} c_s c_t f(A_{i,s}, A_{j,t})
+                      = sum over monomials u of c^u C_u,
+
+where C_u sums f(A_{i,s}, A_{j,t}) over the (s, t) whose nonzero indices
+form u (``_coefficients``).  If every C_u vanishes, f(d_i(p), d_j(p)) = 0:
+the identity holds at p, and at every coupling where the decomposition
+holds.  This decides, from operators kept per (family, N, m):
+
+* [d_i, d_j] (f the commutator; ``_dunkl_pieces_commute``), and [d_i, g]
+  for a group element g (f linear; ``_pieces_commute``);
+* H - sum_i d_i^2.  J2 = sum_i d_i^2 expands with f the product, summed
+  over i.  H = sum_i D_i^2 - sum over rows of c (c + g) x / (1 - x)^2
+  expands once the rows of ``hamiltonian_images`` at p are those at the
+  unit points with c = sum_a c_a c_{row,a} (``_linear_images``): its
+  coefficient at c_a is minus the image sum of c_{row,a}, and at c_a c_b
+  minus the identity times the sum of c_{row,a} c_{row,b} (doubled for
+  a != b) x / (1 - x)^2 (``_hamiltonian_pieces_vanish``);
+* [J^(k), g] for k <= 2, including the coupling-free part
+  sum_i d_i(0)^k (``_charge_commutes``);
+* the rotation average, with the one-copy operator decomposed the same
+  way: Pi_j^0 Pi_i^0 is linear, so it maps the one-copy operator at p to
+  d_i(p) when it maps each one-copy piece to A_{i,a} (``_averages_match``).
+
+If the decomposition fails at p or a coefficient does not vanish, the
+item runs the direct computation at p, so every failing item carries the
+witness of the direct route, and a passing item carries none either way.
 """
 
 from __future__ import annotations
@@ -60,7 +95,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 from .cyclotomic import CycloScalar
 from .groups import GroupSpec, WreathElement, generator
@@ -312,10 +348,17 @@ def dunkl_commutator(params: ModelParams, i: int, j: int) -> MixedOperator:
     """[d_i, d_j] for sites i < j.
 
     Kept and shared like ``build_charge``: the Hecke suite's "[d_i, d_j] = 0"
-    items and the charge commutators read the same operator.
+    items and the charge commutators read the same operator.  It is zero,
+    with no product at p, when d_i and d_j decompose at p and every
+    coupling coefficient of the commutator vanishes
+    (``_dunkl_pieces_commute``); otherwise it is the direct commutator.
     """
     if not 1 <= i < j <= params.size:
         raise ValueError(f"need 1 <= i < j <= N, got i={i}, j={j}")
+    N, m = params.size, params.order
+    if (_decomposes(build_dunkl, params, (i, j))
+            and _dunkl_pieces_commute(build_dunkl, params.family, N, m, i, j)):
+        return MixedOperator.zero(N, m)
     return op_commutator(build_dunkl(params, i), build_dunkl(params, j))
 
 
@@ -325,10 +368,13 @@ def dunkl_rotation_commutator(params: ModelParams, j: int, i: int) -> MixedOpera
 
     Kept and shared like ``dunkl_commutator``: the Hecke suite's
     "[d_i, Q_j] = 0" items and ``charge_rotation_commutator`` read the same
-    operator.
+    operator.  Zero when every coupling piece of d_j commutes with Q_i
+    (``_commutes_by_pieces``).
     """
-    qi = MixedOperator.from_group(generator(params.group_spec, "Q", i=i))
-    return op_commutator(build_dunkl(params, j), qi)
+    qi = generator(params.group_spec, "Q", i=i)
+    if _commutes_by_pieces(params, j, qi):
+        return MixedOperator.zero(params.size, params.order)
+    return op_commutator(build_dunkl(params, j), MixedOperator.from_group(qi))
 
 
 def power_commutator(d: MixedOperator, c: MixedOperator, l: int) -> MixedOperator:
@@ -397,6 +443,147 @@ def charges_commutator(params: ModelParams, k: int, l: int) -> MixedOperator:
     return total
 
 
+# -- coupling coefficients -------------------------------------------------------
+
+
+def _coupling_units(family: str, N: int, m: int) -> tuple:
+    """The unit point of each coupling of the family: lambda, then mu and rho."""
+    units = [ModelParams(family, N, m, Fraction(1))]
+    if family == "dihedral":
+        units += [ModelParams(family, N, m, mu=Fraction(1)),
+                  ModelParams(family, N, m, rho=Fraction(1))]
+    return tuple(units)
+
+
+def _coordinates(params: ModelParams) -> tuple:
+    """The couplings of ``params`` in the order of ``_coupling_units``."""
+    if params.family == "cyclic":
+        return (params.lam,)
+    return (params.lam, params.mu, params.rho)
+
+
+@lru_cache(maxsize=64)
+def _pieces(build, family: str, N: int, m: int) -> tuple:
+    """Per site i, (A_0, A_1, ...): A_0 = build(zero couplings, i) and
+    A_a = build(unit a, i) - A_0.  Kept per builder, so a rebound
+    ``build_dunkl`` gets pieces of its own."""
+    zero = ModelParams(family, N, m)
+    out = []
+    for i in range(1, N + 1):
+        base = build(zero, i)
+        out.append((base,) + tuple(build(u, i) - base for u in _coupling_units(family, N, m)))
+    return tuple(out)
+
+
+def _decomposes(build, params: ModelParams, sites) -> bool:
+    """Whether build(p, i) = A_0 + sum_a p_a A_a exactly at every given
+    site, with the ``_pieces`` of ``build``."""
+    return all(_site_decomposes(build, params, i) for i in sites)
+
+
+@lru_cache(maxsize=1024)
+def _site_decomposes(build, params: ModelParams, i: int) -> bool:
+    base, *linear = _pieces(build, params.family, params.size, params.order)[i - 1]
+    combo = base
+    for c, piece in zip(_coordinates(params), linear):
+        if c:
+            combo = combo + piece.scale(c)
+    return build(params, i) == combo
+
+
+def _coefficients(f, *factors) -> dict:
+    """f(sum_a p_a A_a, sum_b p_b B_b, ...) for a multilinear f, with
+    p_0 = 1, as a polynomial in the couplings: {monomial: operator}, a
+    monomial being the sorted tuple of its coupling indices a > 0."""
+    out = {}
+    for word in product(*(range(len(A)) for A in factors)):
+        key = tuple(sorted(a for a in word if a))
+        value = f(*(A[a] for A, a in zip(factors, word)))
+        out[key] = out[key] + value if key in out else value
+    return out
+
+
+@lru_cache(maxsize=256)
+def _dunkl_pieces_commute(build, family: str, N: int, m: int, i: int, j: int) -> bool:
+    """Whether every coupling coefficient of [d_i, d_j] vanishes."""
+    pieces = _pieces(build, family, N, m)
+    ops = _coefficients(op_commutator, pieces[i - 1], pieces[j - 1])
+    return all(op.is_zero() for op in ops.values())
+
+
+@lru_cache(maxsize=1024)
+def _pieces_commute(build, family: str, N: int, m: int, i: int, g: WreathElement) -> bool:
+    """Whether every coupling piece of d_i commutes with g."""
+    G = MixedOperator.from_group(g)
+    return all(op_commutator(A, G).is_zero() for A in _pieces(build, family, N, m)[i - 1])
+
+
+def _commutes_by_pieces(params: ModelParams, i: int, g: WreathElement) -> bool:
+    """Whether [d_i, g] = 0 follows from the coupling pieces of d_i."""
+    return _site_decomposes(build_dunkl, params, i) and _pieces_commute(
+        build_dunkl, params.family, params.size, params.order, i, g)
+
+
+@lru_cache(maxsize=64)
+def _charge_coefficients(build, family: str, N: int, m: int, k: int) -> dict:
+    """The coupling coefficients of sum_i d_i^k."""
+    out = {}
+    for A in _pieces(build, family, N, m):
+        for key, op in _coefficients(lambda *ds: reduce(op_compose, ds), *(A,) * k).items():
+            out[key] = out[key] + op if key in out else op
+    return out
+
+
+@lru_cache(maxsize=256)
+def _charge_commutes(build, family: str, N: int, m: int, k: int, g: WreathElement) -> bool:
+    """Whether every coupling coefficient of [sum_i d_i^k, g] vanishes."""
+    G = MixedOperator.from_group(g)
+    return all(op_commutator(C, G).is_zero()
+               for C in _charge_coefficients(build, family, N, m, k).values())
+
+
+def _linear_images(params: ModelParams) -> bool:
+    """Whether the rows of ``hamiltonian_images`` at p are those at the
+    unit points, row by row, with the same x and g and c = sum_a p_a c_a."""
+    table = hamiltonian_images(params)
+    tables = [hamiltonian_images(u)
+              for u in _coupling_units(params.family, params.size, params.order)]
+    if any(len(t) != len(table) for t in tables):
+        return False
+    for (x, c, g), *units in zip(table, *tables):
+        if any(ux != x or ug != g for ux, _, ug in units):
+            return False
+        if c != sum(p * uc for p, (_, uc, _) in zip(_coordinates(params), units)):
+            return False
+    return True
+
+
+@lru_cache(maxsize=32)
+def _hamiltonian_pieces_vanish(build, images, family: str, N: int, m: int) -> bool:
+    """Whether every coupling coefficient of H - sum_i d_i^2 vanishes, H
+    being read off the unit tables of ``images`` with the x and g of the
+    first (``_linear_images`` asserts that they share them)."""
+    units = _coupling_units(family, N, m)
+    rows = list(zip(*(images(u) for u in units)))
+    kernels = [inverse_square(x) for (x, _, _), *_ in rows]
+    zero = MixedOperator.zero(N, m)
+    ident = WreathElement.identity(N, m)
+    h = {(): zero}
+    for i in range(1, N + 1):
+        h[()] = h[()] + MixedOperator.euler(N, i, m) ** 2
+    n = len(units)
+    for a in range(n):
+        h[(a + 1,)] = -_image_sum(N, m, [(K, r[a][1], r[a][2]) for K, r in zip(kernels, rows)
+                                         if r[a][1]])
+        for b in range(a, n):
+            squares = [K * (-(1 if a == b else 2) * r[a][1] * r[b][1])
+                       for K, r in zip(kernels, rows) if r[a][1] and r[b][1]]
+            if squares:
+                h[(a + 1, b + 1)] = MixedOperator.term(balanced_sum(squares), ident)
+    j2 = _charge_coefficients(build, family, N, m, 2)
+    return all((h.get(key, zero) - j2.get(key, zero)).is_zero() for key in h.keys() | j2.keys())
+
+
 def _single_site(x: LaurentPoly) -> bool:
     """Whether the monomial x involves one variable: a boundary image."""
     (e,) = x.terms
@@ -410,8 +597,15 @@ def inverse_square(x: LaurentPoly) -> RationalCoefficient:
     1 - x^2 is the quadratic q_i^2 - c^-2 of the Dunkl boundary
     coefficient, so H and sum_i d_i^2 carry the same denominator factors
     and their difference adds over one denominator.  Every other image
-    keeps the binomial 1 - x squared.
+    keeps the binomial 1 - x squared.  Kernels are kept per (field, x), as
+    every coupling point of a model reads the same ones.
     """
+    return _inverse_square(x.order, x)
+
+
+@lru_cache(maxsize=4096)
+def _inverse_square(order: int, x: LaurentPoly) -> RationalCoefficient:
+    # keyed by the order first: polys of different fields never compare
     one = LaurentPoly.constant(x.nvars, 1, x.order)
     if _single_site(x):
         return RationalCoefficient.ratio(x * (one + x) ** 2, one - x * x, 2)
@@ -462,22 +656,23 @@ def _image_kernels(params: ModelParams):
     return [(inverse_square(x), c, g) for x, c, g in hamiltonian_images(params) if c]
 
 
-def _image_sum(params: ModelParams, kernels) -> MixedOperator:
+def _image_sum(N: int, m: int, kernels) -> MixedOperator:
     pieces: dict = {}
     for kernel, c, g in kernels:
         pieces.setdefault(g, []).append(kernel * c)
-    total = MixedOperator.zero(params.size, params.order)
+    total = MixedOperator.zero(N, m)
     for g, coeffs in pieces.items():
         total = total + MixedOperator.term(balanced_sum(coeffs), g)
     return total
 
 
+@lru_cache(maxsize=64)
 def image_operator(params: ModelParams) -> MixedOperator:
     """sum over images (x, c, g) of c x / (1 - x)^2 g, one balanced sum per g.
 
     This is minus the part of the Hamiltonian linear in the couplings.
     """
-    return _image_sum(params, _image_kernels(params))
+    return _image_sum(params.size, params.order, _image_kernels(params))
 
 
 def build_hamiltonian(params: ModelParams) -> MixedOperator:
@@ -495,7 +690,7 @@ def build_hamiltonian(params: ModelParams) -> MixedOperator:
     if squares:
         ident = WreathElement.identity(N, m)
         total = total + MixedOperator.term(balanced_sum(squares), ident)
-    return total - _image_sum(params, kernels)
+    return total - _image_sum(N, m, kernels)
 
 
 def simplified_boundary_mismatch(params: ModelParams) -> dict | None:
@@ -617,13 +812,22 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
     spec = params.group_spec
     idx = params.to_json()
     d1 = build_dunkl(params, 1)
-    a = MixedOperator.from_group(generator(spec, "a"))
-    _is_zero_item(suite, "a d = d a", idx, op_commutator(a, d1))
+    zero = MixedOperator.zero(N, m)
+
+    def site_commutator(g, flip=False):
+        """[d_1, g], or [g, d_1] with ``flip``."""
+        if _commutes_by_pieces(params, 1, g):
+            return zero
+        G = MixedOperator.from_group(g)
+        return op_commutator(G, d1) if flip else op_commutator(d1, G)
+
+    a = generator(spec, "a")
+    _is_zero_item(suite, "a d = d a", idx, site_commutator(a, flip=True))
 
     if N >= 2:
-        e1 = MixedOperator.from_group(generator(spec, "e", i=1))
-        e1ae1 = op_compose(op_compose(e1, a), e1)
-        d1_e1ae1 = op_commutator(d1, e1ae1)
+        e1_el = generator(spec, "e", i=1)
+        e1 = MixedOperator.from_group(e1_el)
+        d1_e1ae1 = site_commutator(e1_el * a * e1_el)
         _is_zero_item(suite, "d (e1 a e1) = (e1 a e1) d", idx, d1_e1ae1)
         # the quadratic cross relation, with the full rotation-twisted sum
         twist = MixedOperator.zero(N, m)
@@ -647,9 +851,9 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
             cross,
         )
     for j in range(2, N):
-        ej = MixedOperator.from_group(generator(spec, "e", i=j))
         _is_zero_item(
-            suite, "e_j d = d e_j (j>1)", {**idx, "j": j}, op_commutator(ej, d1)
+            suite, "e_j d = d e_j (j>1)", {**idx, "j": j},
+            site_commutator(generator(spec, "e", i=j), flip=True),
         )
 
     for i in range(1, N + 1):
@@ -722,21 +926,37 @@ def rotation_average_check(params: ModelParams) -> CheckSuite:
 
     Projecting the one-copy operator to the rotation-invariant sector at
     sites i and j must reproduce the wreath operator exactly; this is the
-    mechanism behind the commuting property in both families.
+    mechanism behind the commuting property in both families.  When both
+    operators decompose at p, the projection is checked on each coupling
+    piece, once per (family, N, m) (``_averages_match``); otherwise on the
+    operators at p.
     """
-    N = params.size
+    N, m = params.size, params.order
     suite = CheckSuite(f"rotation-average[{params.family}]")
     idx = params.to_json()
     for i in range(1, N + 1):
         j = 1 if i != 1 else 2
-        proj = ad_projector(j, 0, ad_projector(i, 0, _one_copy_dunkl(params, i)))
+        if (_site_decomposes(build_dunkl, params, i) and _site_decomposes(_one_copy_dunkl, params, i)
+                and _averages_match(build_dunkl, _one_copy_dunkl, params.family, N, m, i, j)):
+            diff = MixedOperator.zero(N, m)
+        else:
+            proj = ad_projector(j, 0, ad_projector(i, 0, _one_copy_dunkl(params, i)))
+            diff = proj - build_dunkl(params, i)
         _is_zero_item(
             suite,
             "Pi_i^0 Pi_j^0 (one-copy Dunkl) = wreath Dunkl",
             {**idx, "i": i, "j": j},
-            proj - build_dunkl(params, i),
+            diff,
         )
     return suite
+
+
+@lru_cache(maxsize=64)
+def _averages_match(build, one_copy, family: str, N: int, m: int, i: int, j: int) -> bool:
+    """Whether Pi_j^0 Pi_i^0 maps every one-copy piece at site i to the
+    matching piece of d_i."""
+    pieces = zip(_pieces(one_copy, family, N, m)[i - 1], _pieces(build, family, N, m)[i - 1])
+    return all(ad_projector(j, 0, ad_projector(i, 0, y)) == d for y, d in pieces)
 
 
 def _reduces_to_one_copy(params: ModelParams) -> bool:
@@ -780,12 +1000,23 @@ def reduction_check(params: ModelParams) -> CheckSuite:
 def hamiltonian_check(params: ModelParams) -> CheckSuite:
     """The closed-form Hamiltonian equals the second power-sum charge, and
     at odd m and rho = 0 its simplified boundary form, decided on the
-    image table (``simplified_boundary_mismatch``)."""
+    image table (``simplified_boundary_mismatch``).
+
+    H - J2 has degree 2 in the couplings.  When every d_i decomposes at p
+    and the image rows are linear in the couplings, the item is decided by
+    the coefficients of H - J2, computed once per (family, N, m)
+    (``_hamiltonian_pieces_vanish``; the proof is in the module
+    docstring), and neither H nor J2 is built at p.  Otherwise H and J2
+    are built and subtracted."""
     suite = CheckSuite(f"hamiltonian[{params.family}]")
     idx = params.to_json()
-    h = build_hamiltonian(params)
-    j2 = build_charge(params, 2)
-    _is_zero_item(suite, "H = sum_i d_i^2", idx, h - j2)
+    N, m = params.size, params.order
+    if (_decomposes(build_dunkl, params, range(1, N + 1)) and _linear_images(params)
+            and _hamiltonian_pieces_vanish(build_dunkl, hamiltonian_images, params.family, N, m)):
+        diff = MixedOperator.zero(N, m)
+    else:
+        diff = build_hamiltonian(params) - build_charge(params, 2)
+    _is_zero_item(suite, "H = sum_i d_i^2", idx, diff)
     if params.family == "dihedral" and params.order % 2 and params.rho == 0:
         witness = simplified_boundary_mismatch(params)
         suite.add("simplified boundary form agrees", idx, witness is None, witness)
@@ -801,13 +1032,26 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
     operator as the direct commutator of the two charges without forming
     either charge or any product of them.  When the d's commute every term
     vanishes and no product is made.  [I^(k), Q_i] comes the same way from
-    the [d_j, Q_i] (``charge_rotation_commutator``).
+    the [d_j, Q_i] (``charge_rotation_commutator``).  [I^(k), P_{i,i+1}]
+    and [J^(2), K_1] for k <= 2 are decided from the coupling coefficients
+    of the charge, including the coupling-free part sum_i d_i(0)^k, kept
+    per (family, N, m) (``_charge_commutes``), when every d_i decomposes
+    at p.  The charge itself is built only where an operator is needed: at
+    k = 3, for "[J^(1), K_i] != 0", or when the coefficients do not
+    decide.
     """
-    N = params.size
+    N, m = params.size, params.order
     suite = CheckSuite(f"charges[{params.family}]")
     idx = params.to_json()
     spec = params.group_spec
-    charges = {k: build_charge(params, k) for k in range(1, kmax + 1)}
+    affine = _decomposes(build_dunkl, params, range(1, N + 1))
+
+    def commutator_with(k, g):
+        """[I^(k), g]: zero when every coupling coefficient commutes with g."""
+        if affine and k <= 2 and _charge_commutes(build_dunkl, params.family, N, m, k, g):
+            return MixedOperator.zero(N, m)
+        return op_commutator(build_charge(params, k), MixedOperator.from_group(g))
+
     for k1 in range(1, kmax + 1):
         for k2 in range(k1 + 1, kmax + 1):
             _is_zero_item(
@@ -818,12 +1062,11 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
             )
     for k in range(1, kmax + 1):
         for i in range(1, N):
-            e = MixedOperator.from_group(generator(spec, "e", i=i))
             _is_zero_item(
                 suite,
                 "[I^(k), P_{i,i+1}] = 0",
                 {**idx, "k": k, "i": i},
-                op_commutator(charges[k], e),
+                commutator_with(k, generator(spec, "e", i=i)),
             )
         for i in range(1, N + 1):
             _is_zero_item(
@@ -833,21 +1076,16 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
                 charge_rotation_commutator(params, k, i),
             )
     if params.family == "dihedral":
-        K1 = MixedOperator.from_group(generator(spec, "K", i=1))
-        if 2 in charges:
-            _is_zero_item(
-                suite,
-                "[J^(2), K_i] = 0",
-                {**idx, "k": 2},
-                op_commutator(charges[2], K1),
-            )
+        K1 = generator(spec, "K", i=1)
+        if kmax >= 2:
+            _is_zero_item(suite, "[J^(2), K_i] = 0", {**idx, "k": 2}, commutator_with(2, K1))
         generic = params.lam != 0 and params.mu != 0
         if generic:
             _is_zero_item(
                 suite,
                 "[J^(1), K_i] != 0 (generic couplings)",
                 {**idx, "k": 1},
-                op_commutator(K1, charges[1]),
+                op_commutator(MixedOperator.from_group(K1), build_charge(params, 1)),
                 expect_zero=False,
             )
     return suite

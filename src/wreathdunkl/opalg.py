@@ -168,11 +168,26 @@ class MixedOperator:
     def __eq__(self, other):
         """Equality in normal form; an int, Fraction or scalar is read as a
         multiple of the identity, as ``+``, ``-`` and ``*`` read it."""
-        if not isinstance(other, (MixedOperator, int, Fraction, CycloScalar)):
+        if isinstance(other, MixedOperator):
+            # no stored coefficient is zero: equal operators share their keys
+            self._check_compatible(other)
+            theirs = other.terms
+            return self.terms.keys() == theirs.keys() and all(
+                c == theirs[key] for key, c in self.terms.items()
+            )
+        if not isinstance(other, (int, Fraction, CycloScalar)):
             return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):
+        # equal operators share their keys; c times the identity hashes
+        # like c, and so like the number it equals
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            (((k, g), c),) = self.terms.items()
+            if not any(k) and g.is_identity():
+                return hash(c)
         return hash((self.nvars, len(self.terms)))
 
     # -- io --------------------------------------------------------------------
@@ -275,7 +290,10 @@ def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     """Rotation-average projector onto the weight component at one site.
 
     Averages Q_site^{-s} A Q_site^{s} against the phase tau^{s*weight};
-    weight 0 extracts the part commuting with the site rotation.
+    weight 0 extracts the part commuting with the site rotation.  A
+    rotation scales q_site and commutes with every Euler derivative, so
+    Q^{-s} (c D^k g) Q^s = Q^{-s}(c) D^k (Q^{-s} g Q^s): each term is
+    conjugated on its own, and distinct terms stay distinct.
     """
     m, n = A.order, A.nvars
     rot = [0] * n
@@ -285,10 +303,10 @@ def ad_projector(site: int, weight: int, A: MixedOperator) -> MixedOperator:
     qs = WreathElement.identity(n, m)
     for s in range(m):
         phase = CycloScalar.root_of_unity(m, s * weight)
-        piece = op_compose(
-            op_compose(MixedOperator.from_group(qs.inverse()), A),
-            MixedOperator.from_group(qs),
-        )
+        inv = qs.inverse()
+        piece = A if not s else MixedOperator(n, m, {
+            (k, inv * g * qs): c.act(inv) for (k, g), c in A.terms.items()
+        })
         total = total + piece.scale(phase)
         qs = qs * q
     return total.scale(Fraction(1, m))

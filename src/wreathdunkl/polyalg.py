@@ -38,8 +38,9 @@ and distinct normalized factors distinct, so it never trial-divides.  No
 binomial divides a one-term numerator, a unit.  ``__add__`` keeps without
 a test each factor whose multiplicities in the two operands differ and
 which is coprime to every other factor of the common denominator: two
-distinct d = 1 binomials (primes), or two binomials whose exponent
-directions are not parallel (``_coprime``; the proof is in ``__add__``).
+distinct d = 1 binomials (primes), two binomials whose exponent
+directions are not parallel, or parallel ones without a common root
+(``_coprime``; the proof is in ``__add__``).
 
 The group acts by substitution: a permutation relabels variables, a
 rotation scales ``q_i`` by the phase ``tau``, a flip inverts ``q_i``.
@@ -70,6 +71,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations, count
+from math import gcd
 
 from . import _kernels as K
 from .cyclotomic import CycloScalar, CyclotomicField, FieldMismatchError, in_field, same_field
@@ -96,7 +98,7 @@ class _BinomialRule:
     vanishes at s.  Scalars are raw, with None standing for 1.
     """
 
-    __slots__ = ("v", "d", "mu", "x", "red", "_s", "_inv_cx")
+    __slots__ = ("v", "d", "mu", "x", "s", "red", "_s", "_inv_cx")
 
     def __init__(self, v: int, d: int, x: tuple, mu: tuple, s: CycloScalar,
                  inv_cx: CycloScalar):
@@ -104,6 +106,7 @@ class _BinomialRule:
         self.d = d
         self.x = x
         self.mu = mu
+        self.s = s
         self.red = s.field.red
         self._s = None if s == 1 else (s.num, s.den)
         self._inv_cx = None if inv_cx == 1 else (inv_cx.num, inv_cx.den)
@@ -296,9 +299,13 @@ class LaurentPoly:
         return self.terms == self._match(other).terms
 
     def __hash__(self):
-        # equal polys share their field, so the exponents alone may key them
+        # equal polys share their field, so the exponents alone may key them;
+        # a constant hashes like the scalar it equals
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms)))
+            if self.is_constant():
+                self._hash = hash(self.coeff((0,) * self.nvars))
+            else:
+                self._hash = hash((self.nvars, frozenset(self.terms)))
         return self._hash
 
     def is_zero(self) -> bool:
@@ -804,10 +811,12 @@ class RationalCoefficient:
         return left == right
 
     def __hash__(self):
-        # per variable, the top exponent of num minus that of den: tops add
-        # under products, so cancellation cannot move it
-        if self.num.is_zero():
-            return hash((self.nvars, None))
+        # a reduced value equal to a number has no denominator and hashes
+        # like its constant numerator; otherwise, per variable, the top
+        # exponent of num minus that of den: tops add under products, so
+        # cancellation cannot move it
+        if not self.den and self.num.is_constant():
+            return hash(self.num)
         span = [max(e[v] for e in self.num.terms) for v in range(self.nvars)]
         for f, k in self.den:
             for v in range(self.nvars):
@@ -861,14 +870,25 @@ def _coprime(f: LaurentPoly, h: LaurentPoly) -> bool:
     primitive: over the algebraic closure f is a unit times the product of
     the irreducible q**nu - z over the e-th roots z of 1/s, so every
     irreducible factor of f has direction +-nu.  Factors whose directions
-    mu are not parallel therefore share no irreducible factor.  Parallel
-    nonlinear pairs, such as q_i**2 - tau and q_i - s, may share one.
+    mu are not parallel therefore share no irreducible factor.
+
+    Parallel factors share one exactly when they share a root.  Both rules
+    hold -d at the variable with the smallest nonzero exponent gap, the
+    same variable for parallel directions, so h = c' q**x' (1 - t q**mu')
+    with mu' = e' nu and the same nu.  Let g = gcd(e, e'), e = g a and
+    e' = g b.  A common factor q**nu - z has z**e = 1/s and z**e' = 1/t, so
+    (1/s)**b = z**(g a b) = (1/t)**a.  The pair is therefore coprime when
+    s**b != t**a.  Pairs such as q_i**2 - tau and q_i - s with s**2 = tau
+    keep their trial division.
     """
     rf, rh = _binomial_rule(f), _binomial_rule(h)
     if rf.d == 1 and rh.d == 1:
         return True
-    a, b = rf.mu, rh.mu
-    return any(a[i] * b[j] != a[j] * b[i] for i, j in combinations(range(len(a)), 2))
+    mu, mu2 = rf.mu, rh.mu
+    if any(mu[i] * mu2[j] != mu[j] * mu2[i] for i, j in combinations(range(len(mu)), 2)):
+        return True
+    e, e2 = gcd(*mu), gcd(*mu2)
+    return rf.s ** (e2 // gcd(e, e2)) != rh.s ** (e // gcd(e, e2))
 
 
 def _cancel(num: LaurentPoly, den: dict, coprime=()) -> tuple[LaurentPoly, tuple]:

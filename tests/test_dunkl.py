@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     apply,
@@ -44,6 +47,7 @@ from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.groups import GroupSpec, generator
 from wreathdunkl.opalg import (
     MixedOperator,
+    first_term_witness,
     op_commutator,
     op_compose,
 )
@@ -606,3 +610,110 @@ def test_charges_are_built_once_and_never_mutated():
     assert suite.passed
     assert build_charge(p, 2) is j2
     assert j2.to_json() == before
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+def test_hamiltonian_image_elements_are_involutions(family):
+    """Every group element of the image table is a reflection, so it
+    squares to the identity; the frozen chains rely on it."""
+    for N in range(1, 5):
+        for m in range(1, 5):
+            p = ModelParams(family, N, m, Fraction(1), Fraction(1), Fraction(1, 2))
+            for _, _, g in hamiltonian_images(p):
+                assert (g * g).is_identity(), (N, m, g)
+
+
+# -- the coupling-coefficient route against the direct route ----------------------
+
+
+def _clear_point_caches():
+    """Drop the operators kept per point, which a rebound ``build_dunkl``
+    would otherwise not reach."""
+    for cached in (build_charge, dunkl_commutator, dunkl_rotation_commutator):
+        cached.cache_clear()
+
+
+def _suites(p):
+    """Every suite with a coefficient route, as report items."""
+    _clear_point_caches()
+    suites = [check_hecke_relations(p), rotation_average_check(p), hamiltonian_check(p),
+              charge_commutation_check(p, kmax=2)]
+    return [item.to_json() for suite in suites for item in suite.items]
+
+
+def _direct_suites(p):
+    """``_suites`` with every decomposition refused, so each item runs the
+    direct computation at p."""
+    with mock.patch.object(dunkl, "_site_decomposes", lambda build, params, i: False):
+        try:
+            return _suites(p)
+        finally:
+            _clear_point_caches()
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from([("cyclic", 2, 2), ("cyclic", 2, 3), ("cyclic", 3, 2),
+                     ("dihedral", 2, 2), ("dihedral", 2, 3)]),
+    _FRACTIONS, _FRACTIONS, _FRACTIONS,
+)
+def test_coefficient_route_equals_direct_route(case, lam, mu, rho):
+    """At random rational couplings every item of the Hecke, rotation-average,
+    Hamiltonian and charge suites has the verdict and witness of the direct
+    computation at that point."""
+    p = ModelParams(*case, lam, mu, rho)
+    assert all(dunkl._site_decomposes(build_dunkl, p, i) for i in range(1, p.size + 1))
+    got = _suites(p)
+    assert got == _direct_suites(p)
+    assert all(item["pass"] for item in got)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2], ids=["constant", "linear", "quadratic"])
+def test_a_perturbed_dunkl_operator_keeps_the_direct_witnesses(order, monkeypatch):
+    """d_i + lambda^order e1.  Up to order 1 it stays affine in the
+    couplings: every d_i decomposes, but the coefficients no longer
+    commute.  With a lambda^2 term no decomposition holds at lambda = 1/2.
+    Either way every item has the verdict and witness of the direct
+    computation, the commutator of the perturbed d_1, d_2 and H minus
+    their J2 among them."""
+    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    e1 = _element(p, "e", i=1)
+    real = build_dunkl
+    monkeypatch.setattr(dunkl, "build_dunkl",
+                        lambda params, i: real(params, i) + e1.scale(params.lam**order))
+    patched = dunkl.build_dunkl
+    assert all(dunkl._site_decomposes(patched, p, i) for i in (1, 2)) == (order < 2)
+    try:
+        items = _suites(p)
+        assert items == _direct_suites(p)
+    finally:
+        _clear_point_caches()
+    witness = {item["relation"]: item["witness"] for item in items if not item["pass"]}
+    d1, d2 = patched(p, 1), patched(p, 2)
+    assert witness["[d_i, d_j] = 0"] == first_term_witness(op_commutator(d1, d2))
+    j2 = op_compose(d1, d1) + op_compose(d2, d2)
+    assert witness["H = sum_i d_i^2"] == first_term_witness(build_hamiltonian(p) - j2)
+
+
+def test_image_rows_off_the_unit_tables_take_the_direct_route(monkeypatch):
+    """Rows whose coupling gains lambda (lambda - 1) agree with the unit
+    tables at lambda = 0 and 1 but not at 1/2: the Hamiltonian item builds
+    H from them at that point and fails, as the direct computation does."""
+    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    real = hamiltonian_images
+    monkeypatch.setattr(dunkl, "hamiltonian_images", lambda params: tuple(
+        (x, c + params.lam * (params.lam - 1), g) for x, c, g in real(params)))
+    assert not dunkl._linear_images(p)
+    (item,) = [i for i in hamiltonian_check(p).items if i.relation == "H = sum_i d_i^2"]
+    want = build_hamiltonian(p) - build_charge(p, 2)
+    assert not item.passed and item.witness == first_term_witness(want)
+
+
+def test_coupling_coefficients_group_by_monomial():
+    """(1 + 2 c1 + 3 c2)(4 + 5 c1 + 6 c2) term by term: every monomial of
+    the couplings keeps its own coefficient."""
+    got = dunkl._coefficients(lambda a, b: a * b, (1, 2, 3), (4, 5, 6))
+    assert got == {(): 4, (1,): 13, (2,): 18, (1, 1): 10, (1, 2): 27, (2, 2): 18}

@@ -493,9 +493,10 @@ def test_sum_over_linear_factors_equals_trial_division(pair):
 @PROPERTY
 @given(addends(nonlinear=True))
 def test_sum_with_nonlinear_factor_equals_trial_division(pair):
-    """A nonlinear factor h next to a linear f | h, of parallel direction,
-    keeps the trial division of both: f may cancel although its
-    multiplicities differ."""
+    """A nonlinear factor h next to a linear f | h, of parallel direction
+    and with a root in common, keeps the trial division of both: f may
+    cancel although its multiplicities differ.  Parallel factors without a
+    common root are coprime, and kept untested (see the next tests)."""
     a, b = pair
     got = a + b
     assert _structure(got.num, got.den) == _structure(*_sum_by_trial_division(a, b))
@@ -548,6 +549,61 @@ def test_coprime_factors():
     assert _coprime(q1 * q1 - one, q1 * q2 - one)
     assert not _coprime(q1 * q1 - one, q1 - one)
     assert not _coprime(q1**3 - q2**3, q1 - q2)
+    # parallel, without a common root: q1**2 = tau and q1 = 1 exclude each other
+    tau = CycloScalar.root_of_unity(3)
+    assert _coprime(q1 * q1 - one * tau, q1 - one)
+    assert not _coprime(q1 * q1 - one * tau, q1 - one * tau**2)
+    assert _coprime(q1**3 - q2**3 * tau, q1 - q2)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_parallel_factors_are_coprime_exactly_without_a_common_root(m):
+    """The dihedral boundary factors q1 -+ tau^s and q1**2 - tau^(2s), and
+    their mirror analogues in q1 q2, at odd m: every root is a 2m-th root of
+    unity, which Q(zeta_m) holds, so two of them share a factor exactly when
+    a forced trial division finds a common linear one.  ``_coprime`` says
+    coprime exactly then, also for the parallel pairs it used to leave
+    undecided."""
+    one = LaurentPoly.constant(2, 1, m)
+    roots = [CycloScalar.root_of_unity(m, s) * sign for s in range(m) for sign in (1, -1)]
+    factors, linear = {}, []
+    for w in (q(1, 2, m), q(1, 2, m) * q(2, 2, m)):
+        linear += [w - one * z for z in roots]
+        for f in [w - one * z for z in roots] + [w * w - one * z * z for z in roots]:
+            monic = f.unit_normalize()[2]
+            factors[monic.key()] = monic
+    outcomes = set()
+    for f in factors.values():
+        for h in factors.values():
+            if h is f:
+                continue
+            shared = any(f.divide_exact(l) is not None and h.divide_exact(l) is not None
+                         for l in linear)
+            assert _coprime(f, h) == (not shared), (f, h)
+            (a, b), (c, d) = f.binomial_rule().mu, h.binomial_rule().mu
+            if f.binomial_rule().d == 2 and a * d == b * c:  # parallel, f nonlinear
+                outcomes.add(shared)
+    assert outcomes == {True, False}
+
+
+def test_values_equal_to_numbers_hash_like_them():
+    """A constant polynomial or coefficient and a multiple of the identity
+    equal their number and hash like it; so do the three zeros."""
+    from wreathdunkl.opalg import MixedOperator
+
+    w = CycloScalar.root_of_unity(3)
+    for value in (1, Fraction(-2, 3), w, w + 2):
+        for obj in (LaurentPoly.constant(2, value, 3), RationalCoefficient.from_scalar(2, value, 3),
+                    MixedOperator.identity(2, 3) * value):
+            assert obj == value and hash(obj) == hash(value), (obj, value)
+    for zero in (LaurentPoly.zero(2, 3), RationalCoefficient.zero(2, 3), MixedOperator.zero(2, 3)):
+        assert zero == 0 and hash(zero) == hash(0)
+    assert len({MixedOperator.identity(2, 3), 1}) == 1
+    assert len({RationalCoefficient.from_scalar(2, 1, 3), Fraction(1), 1}) == 1
+    # values that are no number keep hashing consistently with ==
+    a = RationalCoefficient.ratio(q(1), q(1) - q(2))
+    b = RationalCoefficient.ratio(q(1) * 2, (q(1) - q(2)) * 2)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_linear_factor_cancels_against_nonlinear_one():
