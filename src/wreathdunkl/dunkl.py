@@ -504,11 +504,18 @@ def _coefficients(f, *factors) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _dunkl_pieces_commute(build, family: str, N: int, m: int, i: int, j: int) -> bool:
-    """Whether every coupling coefficient of [d_i, d_j] vanishes."""
+def _dunkl_coefficients_vanish(build, family: str, N: int, m: int, i: int, j: int) -> dict:
+    """{monomial: whether its coupling coefficient of [d_i, d_j] vanishes}
+    (``_coefficients``); the cyclic lambda^2 coefficient (1, 1) is
+    [A_{i,lambda}, A_{j,lambda}]."""
     pieces = _pieces(build, family, N, m)
     ops = _coefficients(op_commutator, pieces[i - 1], pieces[j - 1])
-    return all(op.is_zero() for op in ops.values())
+    return {key: op.is_zero() for key, op in ops.items()}
+
+
+def _dunkl_pieces_commute(build, family: str, N: int, m: int, i: int, j: int) -> bool:
+    """Whether every coupling coefficient of [d_i, d_j] vanishes."""
+    return all(_dunkl_coefficients_vanish(build, family, N, m, i, j).values())
 
 
 @lru_cache(maxsize=1024)

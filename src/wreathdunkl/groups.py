@@ -306,6 +306,34 @@ def enumerate_subgroup(spec: GroupSpec, cap: int = ENUMERATION_CAP) -> list[Wrea
     return out
 
 
+def generated_subgroup(identity: WreathElement, gens, within=None) -> list | None:
+    """The subgroup generated by ``gens``, in breadth-first order.
+
+    The search starts at ``identity`` and multiplies every element found on
+    the right by every generator: O(|<gens>| |gens|) products.  It finds
+    the words in the generators, the monoid they generate, which in a
+    finite group is the subgroup: t^{-1} = t^{ord(t) - 1}.  With ``within``
+    given (a container), the search stops and returns None at the first
+    element outside it, the identity included.
+    """
+    if within is not None and identity not in within:
+        return None
+    found = {identity: None}  # insertion-ordered
+    frontier = [identity]
+    while frontier:
+        step = []
+        for g in frontier:
+            for t in gens:
+                h = g * t
+                if h not in found:
+                    if within is not None and h not in within:
+                        return None
+                    found[h] = None
+                    step.append(h)
+        frontier = step
+    return list(found)
+
+
 def _record(suite, name, indices, lhs_word, rhs_word, compose_fn):
     lhs = compose_word(lhs_word, compose_fn)
     rhs = compose_word(rhs_word, compose_fn)

@@ -6,10 +6,11 @@ one reverses the weight order, and transpositions exchange whole spins;
 together these represent the dihedral wreath group on the N-fold tensor
 product.  Every image is therefore a monomial matrix, a permutation of
 basis states with phases (the exchange-operator picture), and
-``monomial_image`` stores it as two integer arrays.  These arrays are the
-algebra of spin images: ``compose_images`` multiplies them, and
+``monomial_image`` stores it as two integer arrays, for one element or for
+a stack of them (``ElementStack``).  These arrays are the algebra of spin
+images: ``compose_images`` multiplies them, and
 ``spin_representation_check`` proves on them that the map is a
-homomorphism.
+homomorphism, for all of W at once.
 
 Physical states are selected by group-average projectors.  A projector
 is a dict of weights p_g on W(m, N) and stands for sum_g p_g g (x) rho(g),
@@ -17,11 +18,26 @@ the doubled (position times spin) action: the exchange projector averages
 over the rotation-balanced subgroup, and the dihedral boundary projector
 multiplies per-site averages over even rotations and reflections.  Because
 rho is a homomorphism, products and adjoints of projectors are
-convolutions and inversions of weights, so ``projector_check`` decides
-every identity on weights and monomial images.  On the projected space
-the position charges and their spin substitutes agree, which
-``verify_agreement`` decides exactly, one left coset of the projector's
-subgroup at a time.
+convolutions and inversions of weights.  Each projector comes with a
+generating set (``projector_generators``) and a subgroup certificate
+(``is_subgroup_average``): its weights are 1/|S| on a support S that a
+breadth-first search from 1 by the generators reproduces, so S is a
+subgroup and the weights are its uniform average e_S.  For such an
+average:
+
+* e_S e_S = e_S: for each s in S, t -> s t permutes S, so
+  e_S e_S = |S|^-2 sum_s sum_t s t = |S|^-2 sum_s sum_u u = e_S;
+* e_S* = e_S: s -> s^-1 permutes S and the weights are real and equal;
+* g e_S = e_S for g in S, as t -> g t permutes S; so on the projected
+  space (g (x) 1) iota(e_S) = sum_s |S|^-1 g s (x) rho(s)
+  = sum_x |S|^-1 x (x) rho(g^-1 x) = (1 (x) rho(g^-1)) iota(e_S): a
+  position element acts as the spin image of its inverse (the
+  exchange-operator rule).
+
+``projector_check`` reads its items off these theorems and runs the
+products only where a hypothesis fails, and ``verify_agreement`` decides
+the agreement of the position charges with their spin substitutes from
+the supports of the Dunkl operators alone.
 
 A numeric frozen chain is a ``SparseChain``, its nonzero entries sorted
 by position: the commutant residuals are evaluated on those entries, and
@@ -39,10 +55,11 @@ that polynomial's roots; elsewhere ``brute_force_eigvals`` checks ``eigh``.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -52,9 +69,17 @@ from .dunkl import (
     ModelParams,
     boundary_element,
     build_charge,
+    build_dunkl,
     exchange_element,
 )
-from .groups import SPIN_GROUP_CAP, GroupSpec, WreathElement, enumerate_subgroup, generator
+from .groups import (
+    SPIN_GROUP_CAP,
+    GroupSpec,
+    WreathElement,
+    enumerate_subgroup,
+    generated_subgroup,
+    generator,
+)
 from .opalg import MixedOperator
 # unused here; perfbench/test_perfbench.py asserts that its tracer rebinds
 # spinrep.op_compose
@@ -95,27 +120,98 @@ class SpinRepData:
     def dim(self) -> int:
         return self.n**self.N
 
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """digits[t, j]: the local state of site j in basis state t, site 1
+        leading.  Shared; never written to."""
+        return np.indices((self.n,) * self.N).reshape(self.N, -1).T
 
-def monomial_image(rep: SpinRepData, g: WreathElement):
+    @cached_property
+    def places(self) -> np.ndarray:
+        """The place value n**(N - 1 - j) of site j in a basis state's index."""
+        return self.n ** np.arange(self.N - 1, -1, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class ElementStack:
+    """k elements of W(m, N) as stacked fields: row r of ``perm``, ``rot``
+    and ``flip`` (integer arrays of shape (k, N)) holds the fields of
+    element r, as in ``WreathElement``."""
+
+    size: int
+    order: int
+    perm: np.ndarray
+    rot: np.ndarray
+    flip: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.perm)
+
+    def __getitem__(self, part) -> "ElementStack":
+        """The elements at the rows ``part`` (a slice or an index array)."""
+        return ElementStack(self.size, self.order, self.perm[part], self.rot[part], self.flip[part])
+
+    def times(self, s: WreathElement) -> "ElementStack":
+        """g s for every element g of the stack, by the rule of
+        ``groups.compose`` on arrays."""
+        ginv = np.argsort(self.perm, axis=1)
+        rh, eh = np.array(s.rot)[ginv], np.array(s.flip)[ginv]
+        rot = np.where(self.flip == 1, self.rot - rh, self.rot + rh) % self.order
+        return ElementStack(self.size, self.order, self.perm[:, list(s.perm)], rot, self.flip ^ eh)
+
+    def index(self) -> np.ndarray:
+        """The position of each element in ``wreath_stack``'s order."""
+        N, m = self.size, self.order
+        perms = _permutations(N)
+        places = N ** np.arange(N - 1, -1, -1)
+        rank = np.searchsorted(perms @ places, self.perm @ places)
+        rot = self.rot @ (m ** np.arange(N - 1, -1, -1))
+        flip = self.flip @ (2 ** np.arange(N - 1, -1, -1))
+        return (rank * m**N + rot) * 2**N + flip
+
+
+def _permutations(N: int) -> np.ndarray:
+    """The permutations of 0..N-1 as rows, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(N))), dtype=np.int64).reshape(-1, N)
+
+
+def wreath_stack(N: int, m: int) -> ElementStack:
+    """All of W(m, N) in the order of ``groups.enumerate_subgroup``:
+    permutations in lexicographic order, then rotations, then flips, the
+    last varying fastest."""
+    perms = _permutations(N)
+    rots = np.indices((m,) * N).reshape(N, -1).T
+    flips = np.indices((2,) * N).reshape(N, -1).T
+    P, R, F = len(perms), len(rots), len(flips)
+    return ElementStack(
+        N, m,
+        np.repeat(perms, R * F, axis=0),
+        np.tile(np.repeat(rots, F, axis=0), (P, 1)),
+        np.tile(flips, (P * R, 1)),
+    )
+
+
+def monomial_image(rep: SpinRepData, g):
     """Image of a position-group element on the spin tensor product.
 
     The image is a monomial matrix: basis state t goes to state ``rows[t]``
     with the phase tau**``phases[t]``, tau = exp(2 pi i / m).  The
     permutation moves whole spins, a flip reverses the local weight order,
-    and rotations contribute the phase of the final local state.
+    and rotations contribute the phase of the final local state.  For an
+    ``ElementStack`` of k elements, ``rows`` and ``phases`` have shape
+    (k, dim), row r holding the image of element r.
     """
     if g.size != rep.N or g.order != rep.m:
         raise ValueError("group element does not fit this spin representation")
-    n, N = rep.n, rep.N
-    # digits[t, j]: local state of site j in basis state t, site 1 leading
-    digits = np.indices((n,) * N).reshape(N, -1).T
-    inv = np.argsort(g.perm)
-    img = digits[:, inv]
-    flip = np.array(g.flip, dtype=bool)
-    img[:, flip] = n - 1 - img[:, flip]
-    phases = (np.array(rep.weights)[img] @ np.array(g.rot)) % rep.m
-    rows = img @ (n ** np.arange(N - 1, -1, -1))
-    return rows, phases
+    inv = np.argsort(g.perm, axis=-1)
+    # img[..., t, j]: the local state at site j of the image of state t
+    img = np.moveaxis(rep.digits[:, inv], 0, -2)
+    flip = np.asarray(g.flip, dtype=bool)
+    if flip.any():
+        img = np.where(flip[..., None, :], rep.n - 1 - img, img)
+    rot = np.asarray(g.rot)[..., :, None]
+    phases = (np.array(rep.weights)[img] @ rot)[..., 0] % rep.m
+    return img @ rep.places, phases
 
 
 def compose_images(a, b, m: int):
@@ -228,22 +324,32 @@ def generating_set(N: int, m: int) -> list[WreathElement]:
     ]
 
 
+# Entries of the largest intermediate array of stacked images, one per
+# (element, basis state, site).
+_IMAGE_BLOCK = 1 << 20
+
+
 def spin_representation_check(rep: SpinRepData) -> CheckSuite:
     """Defining relations and the homomorphism property, exactly.
 
     Every image is composed as a pair of integer arrays
     (``compose_images``), never as a dense matrix.
 
-    The homomorphism item is decided on all of W.  With S = {e_1, ...,
+    The homomorphism item is decided on all of W.  With T = {e_1, ...,
     e_{N-1}, a, k}, which generates W = W(m, N), it checks M(g) M(s) =
-    M(g s) for every g in W and s in S, |W| |S| pairs.  That implies
+    M(g s) for every g in W and s in T, |W| |T| pairs.  That implies
     M(g) M(h) = M(g h) for every pair:
 
     * g = 1 gives M(1) M(s) = M(s), and M(s) is invertible, so M(1) = 1.
-    * Every h in the finite group W is a word s_1 ... s_k in S.  For k = 0,
-      M(g) M(1) = M(g).  If M(g) M(h) = M(g h) for all g, then for s in S
+    * Every h in the finite group W is a word s_1 ... s_k in T.  For k = 0,
+      M(g) M(1) = M(g).  If M(g) M(h) = M(g h) for all g, then for s in T
       M(g) M(h s) = M(g) M(h) M(s) = M(g h) M(s) = M(g h s), using the
       check at (h, s), the hypothesis, and the check at (g h, s).
+
+    W is one ``ElementStack`` (``wreath_stack``): its images are made by
+    ``monomial_image`` a block of rows at a time, and each product g s and
+    its position in the stack by array arithmetic (``ElementStack.times``
+    and ``index``).
     """
     suite = CheckSuite("spin-representation")
     N, m = rep.N, rep.m
@@ -280,16 +386,21 @@ def spin_representation_check(rep: SpinRepData) -> CheckSuite:
                 {**idx, "i": i, "j": j},
                 _same_image(mul(Q[i], Q[j]), mul(Q[j], Q[i])),
             )
-    els = enumerate_subgroup(spec, cap=SPIN_GROUP_CAP)
-    where = {g: t for t, g in enumerate(els)}
-    images = [monomial_image(rep, g) for g in els]
-    table = (np.stack([r for r, _ in images]), np.stack([p for _, p in images]))
+    if spec.exceeds(SPIN_GROUP_CAP):
+        raise ValueError(f"W(m,N) at N = {N}, m = {m} has more than {SPIN_GROUP_CAP} elements")
+    els = wreath_stack(N, m)
+    rows = np.empty((len(els), rep.dim), dtype=np.int64)
+    phases = np.empty_like(rows)
+    block = max(1, _IMAGE_BLOCK // (rep.dim * N))
+    for start in range(0, len(els), block):
+        part = slice(start, start + block)
+        rows[part], phases[part] = monomial_image(rep, els[part])
     gens = generating_set(N, m)
     ok = True
     for s in gens:
-        target = [where[g * s] for g in els]
-        product = compose_images(table, images[where[s]], m)
-        ok = ok and _same_image(product, (table[0][target], table[1][target]))
+        target = els.times(s).index()
+        product = compose_images((rows, phases), monomial_image(rep, s), m)
+        ok = ok and _same_image(product, (rows[target], phases[target]))
     suite.add("M(g) M(h) = M(g h)", {**idx, "samples": len(els) * len(gens)}, ok)
     return suite
 
@@ -298,22 +409,29 @@ def spin_representation_check(rep: SpinRepData) -> CheckSuite:
 
 
 def substitute_spin(A: MixedOperator, rep: SpinRepData) -> dict:
-    """Replace every position-group element of A by its spin image.
+    """Replace every position-group element g of A by rho(g^-1), the spin
+    image of its inverse.
 
-    A is in normal form (group elements rightmost).  The result maps each
-    Euler index k to the exact sparse spin matrix S_k = sum_g c_{k,g} rho(g)
-    (``spin_sum``) over the common field of A and tau; an index whose
-    matrix cancels is left out.
+    This is the exchange-operator substitution: on projected states a
+    position element g of the projector's subgroup acts as rho(g^-1)
+    (module docstring), and products reverse order, rho((g h)^-1) =
+    rho(h^-1) rho(g^-1).  A is in normal form (group elements rightmost).
+    The result maps each Euler index k to the exact sparse spin matrix
+    S_k = sum_g c_{k,g} rho(g^-1) (``spin_sum``) over the common field of A
+    and tau; an index whose matrix cancels is left out.
     """
     terms: dict = {}
     for (k, g), c in A.terms.items():
-        terms.setdefault(k, []).append((c, g))
+        terms.setdefault(k, []).append((c, g.inverse()))
     sums = {k: spin_sum(rep, kterms)[1] for k, kterms in terms.items()}
     return {k: mat for k, mat in sums.items() if mat}
 
 
 def convolve(a: dict, b: dict) -> dict:
-    """The product of two group-algebra elements: weight p_g q_h on g h."""
+    """The product of two group-algebra elements: weight p_g q_h on g h,
+    |a| |b| products.  It builds the boundary projector site by site;
+    ``projector_check`` takes it only where a certificate's hypothesis
+    fails."""
     out: dict = {}
     for g, p in a.items():
         for h, q in b.items():
@@ -327,6 +445,108 @@ def adjoint_weights(a: dict) -> dict:
     return {g.inverse(): p for g, p in a.items()}
 
 
+def _resolve(params: ModelParams, which: str) -> str:
+    """The projector ``which`` names: ``auto`` is the family's own."""
+    if which == "auto":
+        which = "exchange" if params.family == "cyclic" else "product"
+    if which not in ("exchange", "boundary", "product"):
+        raise ValueError(f"unknown projector {which!r}")
+    return which
+
+
+def projector_generators(N: int, m: int, which: str) -> tuple[WreathElement, ...]:
+    """A generating set of the support of the projector ``which``.
+
+    ``exchange``: e_1, ..., e_{N-1} and a^-1 e_1 a = Q_1^-1 P_12 Q_1, which
+    generate G(m, m, N).  ``boundary``: Q_j^2 and K_j at every site j,
+    which generate the product over sites of {Q_j^{2s}, Q_j^{2s} K_j}.
+    ``product``: both sets.  The certificate (``is_subgroup_average``)
+    checks a set against the weights, so a wrong set is refused, never
+    trusted.
+    """
+    spec = GroupSpec("W(m,N)", N, m)
+    if which == "exchange":
+        if N < 2:
+            return ()
+        e = tuple(generator(spec, "e", i=i) for i in range(1, N))
+        a = generator(spec, "a")
+        return e + (a.inverse() * e[0] * a,)
+    if which == "boundary":
+        out = []
+        for j in range(1, N + 1):
+            q = generator(spec, "Q", i=j)
+            out += [q * q, generator(spec, "K", i=j)]
+        return tuple(out)
+    return projector_generators(N, m, "exchange") + projector_generators(N, m, "boundary")
+
+
+def is_subgroup_average(weights: dict, gens) -> bool:
+    """The subgroup certificate: whether ``weights`` is the uniform average
+    over the subgroup generated by ``gens``.
+
+    It holds when every weight is 1/|S|, S the support, and the
+    breadth-first search from 1 by right multiplication with ``gens``
+    (``groups.generated_subgroup``) stays inside S and reaches all of it,
+    O(|S| |gens|) products.  The search reaches exactly <gens>, so then
+    S = <gens> is a subgroup and the weights are its average e_S.  A
+    support that is not a subgroup, unequal weights, and generators that
+    leave S or miss part of it are all refused.
+    """
+    if not weights:
+        return False
+    p = Fraction(1, len(weights))
+    if any(w != p for w in weights.values()):
+        return False
+    g = next(iter(weights))
+    found = generated_subgroup(WreathElement.identity(g.size, g.order), gens, within=weights)
+    return found is not None and len(found) == len(weights)
+
+
+def _normalizes(gens_a, gens_b, B) -> bool:
+    """Whether each a in ``gens_a`` conjugates each generator of the
+    subgroup B = <gens_b> into B."""
+    return all(a * b * a.inverse() in B for a in gens_a for b in gens_b)
+
+
+@lru_cache(maxsize=32)
+def _projector(N: int, m: int, which: str) -> tuple[dict, bool]:
+    """(weights, certified) of the projector ``which`` on N sites of order
+    m: its weights and whether they are the average over the subgroup
+    generated by ``projector_generators`` (``is_subgroup_average``).  Kept
+    per (N, m, which), as the weights depend on nothing else; callers
+    never mutate them."""
+    gens = projector_generators(N, m, which)
+    if which == "exchange":
+        els = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m), cap=SPIN_GROUP_CAP)
+        weights = {g: Fraction(1, len(els)) for g in els}
+    elif which == "boundary":
+        weights = {WreathElement.identity(N, m): Fraction(1)}
+        for j in range(1, N + 1):
+            site: dict = {}
+            for s in range(m):
+                reflection = boundary_element(N, m, j, 2 * s)
+                for g in (reflection * boundary_element(N, m, j, 0), reflection):
+                    site[g] = site.get(g, 0) + Fraction(1, 2 * m)
+            weights = convolve(weights, site)
+    elif _averages_commute(N, m):
+        S = generated_subgroup(WreathElement.identity(N, m), gens)
+        return {g: Fraction(1, len(S)) for g in S}, True
+    else:
+        weights = convolve(_projector(N, m, "exchange")[0], _projector(N, m, "boundary")[0])
+    return weights, is_subgroup_average(weights, gens)
+
+
+@cache
+def _averages_commute(N: int, m: int) -> bool:
+    """Whether Lambda Lambda_b = Lambda_b Lambda = e_{HB} follows from the
+    certificates: Lambda = e_H and Lambda_b = e_B are certified averages
+    and one of H, B normalizes the other, checked on generators (the proof
+    is in ``build_projector``)."""
+    (H, h_ok), (B, b_ok) = _projector(N, m, "exchange"), _projector(N, m, "boundary")
+    TH, TB = projector_generators(N, m, "exchange"), projector_generators(N, m, "boundary")
+    return h_ok and b_ok and (_normalizes(TB, TH, H) or _normalizes(TH, TB, B))
+
+
 def build_projector(params: ModelParams, which: str = "auto") -> dict[WreathElement, Fraction]:
     """Group-average projectors onto physical wavefunctions, as weights on W.
 
@@ -335,9 +555,24 @@ def build_projector(params: ModelParams, which: str = "auto") -> dict[WreathElem
     ``exchange`` is the uniform average over the rotation-balanced subgroup
     G(m, m, N).  ``boundary`` (dihedral family) multiplies, site by site,
     the averages of Q_j^{2s} and Q_j^{2s} K_j over s = 0, ..., m - 1.
-    ``product`` is the exchange projector times the boundary one, and
-    ``auto`` picks the projector of the family.  The weights are
-    nonnegative and do not depend on the spin representation.
+    ``product`` is the exchange projector times the boundary one: e_{HB},
+    the average over the subgroup their generators generate, when the
+    certificates prove the product equal to it (``_averages_commute``),
+    and their convolution otherwise.  ``auto`` picks the projector of the
+    family.  The weights are nonnegative and do not depend on the spin
+    representation or the couplings.
+
+    The product is e_{HB} when e_H and e_B are certified averages over
+    H = <T_H> and B = <T_B> and B normalizes H (or H normalizes B, with
+    the roles exchanged), as checked on generators: if b t b^-1 lies in H
+    for every t in T_H, conjugation by b maps H = <T_H> into H, hence onto
+    it, being injective on a finite set; every b in B is a word in T_B, so
+    b H = H b for all b in B.  Then HB = BH, which makes HB a subgroup: it
+    contains H and B and lies in every subgroup that does, so
+    HB = <T_H, T_B>.  The map (h, b) -> h b covers each element of HB
+    exactly |H n B| times (h b = h' b' iff h^-1 h' = b b'^-1 lies in
+    H n B), so e_H e_B = |H n B| / (|H| |B|) sum_{x in HB} x = e_{HB}, as
+    |HB| = |H| |B| / |H n B|; and e_B e_H = e_{BH} = e_{HB} alike.
 
     iota is an algebra map: iota(p) iota(q) = sum p_g q_h gh (x) rho(g) rho(h)
     = iota(p q), with the product of weights the convolution (``convolve``),
@@ -349,126 +584,135 @@ def build_projector(params: ModelParams, which: str = "auto") -> dict[WreathElem
     monomial and the weights are real.  So every identity among projectors
     is an equality of weight dicts.
     """
-    N, m = params.size, params.order
-    if which == "auto":
-        which = "exchange" if params.family == "cyclic" else "product"
-    if which == "exchange":
-        els = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m), cap=SPIN_GROUP_CAP)
-        return {g: Fraction(1, len(els)) for g in els}
-    if which == "boundary":
-        total = {WreathElement.identity(N, m): Fraction(1)}
-        for j in range(1, N + 1):
-            site: dict = {}
-            for s in range(m):
-                reflection = boundary_element(N, m, j, 2 * s)
-                for g in (reflection * boundary_element(N, m, j, 0), reflection):
-                    site[g] = site.get(g, 0) + Fraction(1, 2 * m)
-            total = convolve(total, site)
-        return total
-    if which == "product":
-        return convolve(build_projector(params, "exchange"), build_projector(params, "boundary"))
-    raise ValueError(f"unknown projector {which!r}")
+    which = _resolve(params, which)
+    return dict(_projector(params.size, params.order, which)[0])
+
+
+def _acts_like_spin_image(rep: SpinRepData, lam: dict, g: WreathElement) -> bool:
+    """Whether (g (x) 1) iota(Lambda) = (1 (x) rho(g)) iota(Lambda), key by
+    key: sum_x p_{g^-1 x} x (x) rho(g^-1 x) against sum_x p_x x (x)
+    rho(g) rho(x).  At each x both sides are a nonnegative weight times a
+    monomial matrix with unit entries, so they agree iff p_{g^-1 x} = p_x
+    and, where that weight is nonzero, rho(g^-1 x) equals
+    ``compose_images(rho(g), rho(x))``."""
+    gi, rho_g = g.inverse(), monomial_image(rep, g)
+    for x in set(lam) | {g * y for y in lam}:
+        p = lam.get(x, 0)
+        if lam.get(gi * x, 0) != p:
+            return False
+        if p and not _same_image(
+            monomial_image(rep, gi * x), compose_images(rho_g, monomial_image(rep, x), rep.m)
+        ):
+            return False
+    return True
 
 
 def projector_check(params: ModelParams, rep: SpinRepData) -> CheckSuite:
     """Idempotence, Hermiticity and the exchange-substitution property.
 
-    By ``build_projector``'s argument every item is decided on weights:
-    Lambda^2 = Lambda is ``convolve(lam, lam) == lam``, Hermiticity is
-    ``adjoint_weights(lam) == lam``, and the doubled reflection
-    g (x) rho(g) is iota of the weight 1 on g.  "Exchange acts like its
-    spin image" compares (g (x) 1) iota(Lambda) = sum_x p_{g^{-1}x} x (x)
-    rho(g^{-1}x) with (1 (x) rho(g)) iota(Lambda) = sum_x p_x x (x)
-    rho(g) rho(x), key by key.  At each x both sides are a nonnegative
-    weight times a monomial matrix with unit entries, so they agree iff
-    p_{g^{-1}x} = p_x and, where that weight is nonzero, rho(g^{-1}x)
-    equals ``compose_images(rho(g), rho(x))``.
+    By ``build_projector``'s argument every item is an identity of weights,
+    and each is read off the certificates (module docstring), with products
+    of weights only where a hypothesis fails:
+
+    * "Lambda^2 = Lambda" and "Lambda hermitian" hold for the certified
+      average Lambda = e_H; otherwise they compare ``convolve(lam, lam)``
+      and ``adjoint_weights(lam)`` with lam.
+    * "exchange acts like its spin image" compares (g (x) 1) iota(Lambda)
+      with (1 (x) rho(g)) iota(Lambda).  For g in H the left side is
+      (1 (x) rho(g^-1)) iota(Lambda), which is the right side when g^2 = 1,
+      as then g^-1 = g.  An exchange element outside H or not an
+      involution is decided key by key (``_acts_like_spin_image``).
+    * Dihedral: "Lambda_b^2 = Lambda_b" holds for the certified average
+      Lambda_b = e_B.  When the averages commute (``_averages_commute``),
+      Lambda Lambda_b = Lambda_b Lambda = e_{HB}, the average over a
+      subgroup, so it is idempotent and Hermitian, and the doubled
+      reflection g (x) rho(g), iota of the weight 1 on g, fixes it for every
+      g in HB, in particular for g in B.  Otherwise these items compare
+      convolutions of weights, with plam = ``convolve(lam, lam_b)``.
     """
     N, m = params.size, params.order
     if (rep.N, rep.m) != (N, m):
         raise ValueError("spin representation does not match the model sizes")
     suite = CheckSuite("projectors")
     idx = {**params.to_json(), "n": rep.n}
-    lam = build_projector(params, "exchange")
-    suite.add("Lambda^2 = Lambda", idx, convolve(lam, lam) == lam)
-    suite.add("Lambda hermitian", idx, adjoint_weights(lam) == lam)
-    images = {x: monomial_image(rep, x) for x in lam}
-
-    def acts_like_spin_image(g) -> bool:
-        gi, rho_g = g.inverse(), monomial_image(rep, g)
-        for x in set(lam) | {g * y for y in lam}:
-            p = lam.get(x, 0)
-            if lam.get(gi * x, 0) != p:
-                return False
-            if p and not _same_image(images[gi * x], compose_images(rho_g, images[x], m)):
-                return False
-        return True
-
+    lam, lam_ok = _projector(N, m, "exchange")
+    suite.add("Lambda^2 = Lambda", idx, lam_ok or convolve(lam, lam) == lam)
+    suite.add("Lambda hermitian", idx, lam_ok or adjoint_weights(lam) == lam)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i == j:
                 continue
             for s in range(m):
+                g = exchange_element(N, m, i, j, s)
                 suite.add(
                     "exchange acts like its spin image on Lambda",
                     {**idx, "i": i, "j": j, "s": s},
-                    acts_like_spin_image(exchange_element(N, m, i, j, s)),
+                    (lam_ok and g in lam and (g * g).is_identity())
+                    or _acts_like_spin_image(rep, lam, g),
                 )
     if params.family == "dihedral":
-        lam_b = build_projector(params, "boundary")
-        plam = convolve(lam, lam_b)
-        suite.add("Lambda_b^2 = Lambda_b", idx, convolve(lam_b, lam_b) == lam_b)
-        suite.add("Lambda Lambda_b = Lambda_b Lambda", idx, plam == convolve(lam_b, lam))
-        suite.add("(Lambda Lambda_b)^2 = Lambda Lambda_b", idx, convolve(plam, plam) == plam)
-        suite.add("Lambda Lambda_b hermitian", idx, adjoint_weights(plam) == plam)
+        lam_b, b_ok = _projector(N, m, "boundary")
+        commute = _averages_commute(N, m)
+
+        @cache
+        def plam() -> dict:
+            return convolve(lam, lam_b)
+
+        suite.add("Lambda_b^2 = Lambda_b", idx, b_ok or convolve(lam_b, lam_b) == lam_b)
+        suite.add("Lambda Lambda_b = Lambda_b Lambda", idx,
+                  commute or plam() == convolve(lam_b, lam))
+        suite.add("(Lambda Lambda_b)^2 = Lambda Lambda_b", idx,
+                  commute or convolve(plam(), plam()) == plam())
+        suite.add("Lambda Lambda_b hermitian", idx, commute or adjoint_weights(plam()) == plam())
         for i in range(1, N + 1):
             for s in range(m):
                 g = boundary_element(N, m, i, 2 * s)
                 suite.add(
                     "doubled reflection fixes Lambda Lambda_b",
                     {**idx, "i": i, "s": s},
-                    convolve({g: 1}, plam) == plam,
+                    (commute and g in lam_b) or convolve({g: 1}, plam()) == plam(),
                 )
     return suite
 
 
-def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
+def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict, gens) -> int:
     """The number of nonzero terms of (spin A - A) iota(P), decided exactly.
 
-    spin A = sum_{k,g} c_{k,g} D^k (x) rho(g) (``substitute_spin``), and P
-    must be the uniform average over a subgroup S of W: the weights are
-    checked to equal 1/|S| and S to be closed under products, exactly, and
+    spin A = sum_{k,g} c_{k,g} D^k (x) rho(g^-1) (``substitute_spin``), and
+    P must be the uniform average over the subgroup S that ``gens``
+    generate: the certificate ``is_subgroup_average`` is checked, and
     anything else raises.  The product has one term per Euler index k and
     position key x.  (spin A) iota(P) contributes c_{k,g} p_x D^k x (x)
-    rho(g) rho(x), because D^k passes the constant p_x, and (A (x) 1)
+    rho(g^-1) rho(x), because D^k passes the constant p_x, and (A (x) 1)
     iota(P) contributes c_{k,g} p_y D^k gy (x) rho(y), because g passes it
-    too.  So with p_x = [x in S] / |S| the spin block of (k, x) is
+    too.  So with p_x = [x in S] / |S| and S_k = sum_g c_{k,g} rho(g^-1)
+    the spin block of (k, x) is
 
-        p_x S_k rho(x) - sum_g c_{k,g} p_{g^{-1}x} rho(g^{-1}x).
+        p_x S_k rho(x) - sum_g c_{k,g} p_{g^-1 x} rho(g^-1 x).
 
-    p_{g^{-1}x} != 0 iff g^{-1}x in S iff g in xS, and rho(x) is
-    invertible, so the block is zero iff the block times rho(x)^{-1},
+    p_{g^-1 x} != 0 iff g^-1 x in S iff g in xS, and rho(x) is invertible,
+    so the block is zero iff the block times rho(x)^-1,
 
-        |S|^{-1} ([x in S] S_k - sum_{g in xS} c_{k,g} rho(g^{-1})),
+        |S|^-1 ([x in S] S_k - sum_{g in xS} c_{k,g} rho(g^-1)),
 
-    is.  That depends on x only through its left coset xS, so one exact
-    sparse sum per (k, coset) decides |S| blocks at once, O(terms(A) dim)
-    in all; a coset that holds no g of A and is not S itself gives zero.
-    Each entry of such a sum is recorded as its list of (term, phase)
-    contributions, and each distinct list is summed once over all the
-    sums (``_list_sums``); a term of A in S reaches an entry of the coset
-    S both through S_k and through -c_{k,g} rho(g^{-1}), so its two
-    phases are combined before its coefficient is multiplied or added.
-    A sum is nonzero at its first nonzero entry.
-    A must share rep's order m, the field of its coefficients.
+    is.  That depends on x only through its left coset xS: on S itself it
+    is the sum of c_{k,g} rho(g^-1) over the g outside S, on any other
+    coset minus the sum over the g in it.  So one exact sparse sum per
+    (k, coset) decides |S| blocks at once, O(terms(A) dim) in all; a
+    coset that holds no g of A and is not S itself gives zero.  Each entry
+    of such a sum is recorded as its list of (term, phase) contributions,
+    and each distinct list is summed once over all the sums
+    (``_list_sums``); a term of A in S reaches an entry of the coset S both
+    through S_k and through -c_{k,g} rho(g^-1), so its two phases are
+    combined, to zero, before its coefficient is multiplied or added.  A
+    sum is nonzero at its first nonzero entry.  A must share rep's order
+    m, the field of its coefficients.
     """
     if A.order != rep.m:
         raise ValueError(f"an operator of order {A.order} on spins of order {rep.m}")
+    if not is_subgroup_average(proj, gens):
+        raise ValueError("the projector is not the average over the subgroup its generators generate")
     S = list(proj)
-    if any(p != Fraction(1, len(S)) for p in proj.values()) or any(
-        a * b not in proj for a in S for b in S
-    ):
-        raise ValueError("the projector is not the average over a subgroup")
     coset = dict.fromkeys(S, 0)  # element -> label of its left coset; S is 0
     labels = 1
     brackets: dict = {}  # (k, coset label) -> {entry: [(term, phase)]}
@@ -477,9 +721,10 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
             for s in S:
                 coset[g * s] = labels
             labels += 1
-        _record_image(brackets.setdefault((k, 0), {}), rep, g, i)
-        # -c_{k,g} rho(g^{-1}): phase p + m stands for -tau**p
-        _record_image(brackets.setdefault((k, coset[g]), {}), rep, g.inverse(), i, rep.m)
+        gi = g.inverse()
+        _record_image(brackets.setdefault((k, 0), {}), rep, gi, i)
+        # -c_{k,g} rho(g^-1): phase p + m stands for -tau**p
+        _record_image(brackets.setdefault((k, coset[g]), {}), rep, gi, i, rep.m)
     roots = _roots(rep.m, rep.m)
     total = _list_sums(list(A.terms.values()), roots + [-r for r in roots])
     nonzero = 0
@@ -492,32 +737,47 @@ def agreement_blocks(A: MixedOperator, rep: SpinRepData, proj: dict) -> int:
 def verify_agreement(params: ModelParams, rep: SpinRepData, k: int) -> CheckSuite:
     """Position charge and spin-substituted charge agree on projected states.
 
-    Zero is asserted in the cyclic family and for even k in the dihedral
-    family; otherwise the outcome is recorded and never fails.  The CLI
-    runs k = 1, 2 (cyclic) and k = 2 (dihedral), and k = 3 on the default
-    grid's two-site cyclic point.  Zero is not expected at every k: under
-    the substitution g -> rho(g) that ``substitute_spin`` makes, the cyclic
-    charge at N = 3, m = 2, n = 2, k = 3 leaves 24 nonzero blocks, and the
-    dihedral one at N = 2, m = 2, n = 2, k = 3 leaves 48.  Dihedral k = 1
-    vanishes (every group element it contains is an involution inside the
-    invariance group, so its position and spin actions coincide on
-    projected states).  The projector of either family is uniform on a
-    subgroup:
-    G(m, m, N), or HB for Lambda Lambda_b, a convolution of two subgroup
-    averages; ``agreement_blocks`` checks that and decides the product.
+    Zero is asserted at every k in both families.  The projector is e_S,
+    the average over S = G(m, m, N) (cyclic) or S = HB (dihedral,
+    Lambda Lambda_b), and spin I^(k) puts rho(g^-1) in place of every g
+    (``substitute_spin``).  For g in S, (g (x) 1) iota(e_S) =
+    (1 (x) rho(g^-1)) iota(e_S) (module docstring), and c D^k (x) 1
+    commutes with 1 (x) rho(g^-1), as coefficients and Euler operators act
+    on positions alone.  So a term c D^k g of I^(k) with g in S adds the
+    same to (I^(k) (x) 1) iota(e_S) as to (spin I^(k)) iota(e_S), and
+    (spin I^(k) - I^(k)) iota(e_S) = 0 once supp I^(k) lies in S.
+
+    That follows from the Dunkl operators.  In normal form the product of
+    the terms c D^a g and c' D^b h carries the group element g h: moving g
+    right through c' D^b changes only the coefficient and the Euler part.
+    So supp(A B) lies in supp(A) supp(B), supp(A + B) in the union of the
+    supports, and since I^(k) = sum_i d_i^k, supp d_i in S for every i puts
+    supp I^(k) in S, which is closed under products.  The item is decided
+    by O(terms of the d_i) membership tests in the certified S
+    (``is_subgroup_average``), without building the charge.
+
+    Where the certificate fails, ``agreement_blocks`` raises.  Where some
+    d_i has a term outside S, I^(k) is built and ``agreement_blocks``
+    counts its nonzero blocks exactly, so a failing verdict stays exact.
     """
+    N, m = params.size, params.order
+    if (rep.N, rep.m) != (N, m):
+        raise ValueError("spin representation does not match the model sizes")
+    if k < 1:
+        raise ValueError("charge index must be at least 1")
     suite = CheckSuite("charge-agreement")
     idx = {**params.to_json(), "n": rep.n, "k": k}
-    terms = agreement_blocks(build_charge(params, k), rep, build_projector(params, "auto"))
-    if params.family == "cyclic" or k % 2 == 0:
-        suite.add("(spin charge - charge) * projector = 0", idx, terms == 0)
+    which = _resolve(params, "auto")
+    proj, certified = _projector(N, m, which)
+    inside = certified and all(
+        g in proj for i in range(1, N + 1) for _, g in build_dunkl(params, i).terms
+    )
+    if inside:
+        terms = 0
     else:
-        suite.add(
-            "(spin charge - charge) * projector, outcome recorded",
-            idx,
-            True,
-            witness={"zero": terms == 0, "terms": terms},
-        )
+        gens = projector_generators(N, m, which)
+        terms = agreement_blocks(build_charge(params, k), rep, proj, gens)
+    suite.add("(spin charge - charge) * projector = 0", idx, terms == 0)
     return suite
 
 

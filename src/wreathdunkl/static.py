@@ -40,6 +40,8 @@ from math import isqrt, lcm
 from .cyclotomic import CycloScalar
 from .dunkl import (
     ModelParams,
+    _dunkl_coefficients_vanish,
+    _pieces,
     balanced_sum,
     boundary_element,
     build_dunkl,
@@ -139,13 +141,26 @@ def freezing_identity_check(params: ModelParams) -> CheckSuite:
 def _unit_freezing(N: int, m: int) -> tuple:
     """(barred operators, (i, j, [barred_i, barred_j] = 0) for i < j,
     [static H, barred_i] = euler_i(potential) for each i), all at unit
-    coupling."""
+    coupling.
+
+    barred_i = d_i(1) - euler_i is the lambda piece A_{i,lambda} =
+    d_i(1) - d_i(0) of the Dunkl operator (``dunkl._pieces``), as d_i(0)
+    is euler_i.  Where that equality holds exactly, [barred_i, barred_j]
+    is the lambda^2 coefficient [A_{i,lambda}, A_{j,lambda}] of
+    [d_i, d_j], whose verdict ``dunkl._dunkl_coefficients_vanish`` keeps
+    per (N, m); elsewhere the commutator is multiplied out."""
     unit = ModelParams("cyclic", N, m, Fraction(1))
     barred = tuple(build_barred(unit, i) for i in range(1, N + 1))
+    pieces = _pieces(build_dunkl, "cyclic", N, m)
+    lam = [b == A[1] for b, A in zip(barred, pieces)]
+
+    def commutes(i: int, j: int) -> bool:
+        if lam[i] and lam[j]:
+            return _dunkl_coefficients_vanish(build_dunkl, "cyclic", N, m, i + 1, j + 1)[(1, 1)]
+        return op_commutator(barred[i], barred[j]).is_zero()
+
     commuting = tuple(
-        (i + 1, j + 1, op_commutator(barred[i], barred[j]).is_zero())
-        for i in range(N)
-        for j in range(i + 1, N)
+        (i + 1, j + 1, commutes(i, j)) for i in range(N) for j in range(i + 1, N)
     )
     hbar = build_static_hamiltonian(unit)
     static = tuple(

@@ -179,20 +179,28 @@ def zero_rows(dim: int, order: int) -> list:
     return [[CycloScalar.zero(order)] * dim for _ in range(dim)]
 
 
-def spin_image_by_definition(rep, g):
-    """Dense spin image of g as rows of ``CycloScalar``, one basis state at
-    a time: the permutation moves whole spins, a flip reverses the local
+def image_by_definition(rep, g) -> list:
+    """[(row, column, phase)] of the spin image of g, one basis state at a
+    time: the permutation moves whole spins, a flip reverses the local
     state, and each rotation contributes the phase of the weight of the
     final local state."""
     n, N, m = rep.n, rep.N, rep.m
-    out = zero_rows(rep.dim, m)
+    out = []
     for t in itertools.product(range(n), repeat=N):
         img = [t[g.perm.index(j)] for j in range(N)]
         img = [n - 1 - x if g.flip[j] else x for j, x in enumerate(img)]
         phase = sum(g.rot[j] * rep.weights[x] for j, x in enumerate(img)) % m
         row = sum(x * n ** (N - 1 - j) for j, x in enumerate(img))
         col = sum(x * n ** (N - 1 - j) for j, x in enumerate(t))
-        out[row][col] = CycloScalar.root_of_unity(m, phase)
+        out.append((row, col, phase))
+    return out
+
+
+def spin_image_by_definition(rep, g):
+    """Dense spin image of g as rows of ``CycloScalar`` (``image_by_definition``)."""
+    out = zero_rows(rep.dim, rep.m)
+    for row, col, phase in image_by_definition(rep, g):
+        out[row][col] = CycloScalar.root_of_unity(rep.m, phase)
     return out
 
 
@@ -248,14 +256,21 @@ def dense_iota(weights, rep, els):
     return out
 
 
-def apply_agreement(A, rep, proj, funcs):
+def _substituted(g, inverse: bool):
+    """The element whose spin image replaces g: g^-1, the exchange-operator
+    substitution, or g itself when ``inverse`` is false."""
+    return g.inverse() if inverse else g
+
+
+def apply_agreement(A, rep, proj, funcs, inverse=True):
     """(spin A - A) iota(P) applied to the spin vector ``funcs`` (one
     function per basis state), exactly.
 
     iota(P) v has components sum_x p_x sum_t rho(x)[r, t] (x . v_t), A acts
     on each component, and spin A replaces each term c D^k g of A by
-    c D^k (x) rho(g).  Spin images come from ``spin_image_by_definition``.
-    A, rep and funcs share one field, Q(zeta_m)."""
+    c D^k (x) rho(g^-1), or by c D^k (x) rho(g) when ``inverse`` is false.
+    Spin images come from ``spin_image_by_definition``.  A, rep and funcs
+    share one field, Q(zeta_m)."""
     zero = RationalCoefficient.zero(A.nvars, rep.m)
 
     def entries(g):
@@ -274,20 +289,21 @@ def apply_agreement(A, rep, proj, funcs):
     out = [-apply(A, wr) for wr in w]
     derived = {}
     for (k, g), c in A.terms.items():
-        for r, t, v in entries(g):
+        for r, t, v in entries(_substituted(g, inverse)):
             if (k, t) not in derived:
                 derived[(k, t)] = _derive(w[t], k)
             out[r] = out[r] + c * v * derived[(k, t)]
     return out
 
 
-def agreement_blocks_by_definition(A, rep, proj, point):
+def agreement_blocks_by_definition(A, rep, proj, point, inverse=True):
     """Nonzero blocks (k, x) of (spin A - A) iota(P), counted densely.
 
     Block (k, x) is p_x S_k rho(x) - sum_g c_{k,g} p_{g^{-1}x} rho(g^{-1}x)
-    with S_k = sum_g c_{k,g} rho(g); every coefficient is evaluated at the
-    torus ``point`` and every image comes from the definition, so no coset
-    and no monomial array is involved."""
+    with S_k = sum_g c_{k,g} rho(g^-1), or sum_g c_{k,g} rho(g) when
+    ``inverse`` is false; every coefficient is evaluated at the torus
+    ``point`` and every image comes from the definition, so no coset and no
+    monomial array is involved."""
     images = {}
 
     def rho(g):
@@ -301,7 +317,7 @@ def agreement_blocks_by_definition(A, rep, proj, point):
     keys = set(proj) | {g * y for (_, g) in A.terms for y in proj}
     count = 0
     for terms in by_k.values():
-        S_k = sum(c * rho(g) for c, g in terms)
+        S_k = sum(c * rho(_substituted(g, inverse)) for c, g in terms)
         for x in keys:
             block = float(proj.get(x, 0)) * S_k @ rho(x)
             for c, g in terms:
@@ -309,6 +325,78 @@ def agreement_blocks_by_definition(A, rep, proj, point):
                 block = block - c * float(proj.get(h, 0)) * rho(h)
             count += bool(np.max(np.abs(block)) > 1e-9)
     return count
+
+
+def _acted_monomials(g, E):
+    """(E', t) with g . q^e = tau^t q^e' for every row e of the exponent
+    matrix E, as ``WreathElement.act_on_exponents`` gives them."""
+    inv = np.argsort(g.perm)
+    new = E[:, inv] * np.where(np.array(g.flip) == 1, -1, 1)
+    return new, (new @ np.array(g.rot)) % g.order
+
+
+def dense_agreement(A, rep, proj, seed=0, inverse=True) -> bool:
+    """Whether (A (x) 1) iota(P) F and sum_{k,g} c_{k,g} D^k (x) rho(g^-1)
+    iota(P) F agree at two random torus points, for an exact spin vector
+    F = sum_t f_t (x) e_t of random Laurent polynomials f_t: the dense
+    decision of the charge agreement, with no coset and no support
+    argument.  rho(g) replaces rho(g^-1) when ``inverse`` is false.
+
+    iota(P) F has the components w_r = sum_x p_x sum_t rho(x)[r, t]
+    (x . f_t), kept as one coefficient per (component, monomial).  A term
+    c D^k g of A sends w_r to c D^k (g . w_r); spin A sends w to
+    sum c rho(g^-1) D^k w.  On a monomial g acts by
+    ``WreathElement.act_on_exponents`` and D^k multiplies by
+    prod_j e_j^{k_j}, so both sides are evaluated at a point z from the
+    monomials' exponents; the coefficients are evaluated term by term
+    (``eval_complex``) and the images come from ``image_by_definition``.
+    Agreement is a residual within 1e-9 of the larger side's scale."""
+    rng = Random(seed)
+    N, m, dim = rep.N, rep.m, rep.dim
+    tau = np.exp(2j * np.pi * np.arange(m) / m)
+    images = {}
+
+    def image(g):
+        if g not in images:
+            images[g] = np.array(image_by_definition(rep, g)).reshape(-1, 3).T
+        return images[g]
+
+    funcs = [
+        [(tuple(rng.randint(-2, 2) for _ in range(N)), rng.randint(-4, 4) / rng.randint(1, 3))
+         for _ in range(2)]
+        for _ in range(dim)
+    ]
+    columns, entries = {}, {}
+    for x, p in proj.items():
+        for r, t, phase in image(x).T.tolist():
+            for e, a in funcs[t]:
+                e2, s = x.act_on_exponents(e)
+                key = (r, columns.setdefault(e2, len(columns)))
+                entries[key] = entries.get(key, 0) + float(p) * tau[phase] * tau[s] * a
+    E = np.array(list(columns), dtype=np.int64).reshape(-1, N)
+    C = np.zeros((dim, len(columns)), dtype=complex)
+    for (r, col), v in entries.items():
+        C[r, col] = v
+    by_g = {}
+    for (k, g), c in A.terms.items():
+        by_g.setdefault(g, []).append((np.array(k), c))
+    for _ in range(2):
+        z = np.array(random_torus_point(rng, N))
+        base = np.prod(z**E, axis=1)
+        spin, position = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+        for g, terms in by_g.items():
+            acted, shift = _acted_monomials(g, E)
+            moved = tau[shift] * np.prod(z**acted, axis=1)
+            rows, cols, phases = image(_substituted(g, inverse))
+            for k, c in terms:
+                cz = eval_complex(c, z)
+                position += cz * (C @ (moved * np.prod(acted**k, axis=1)))
+                derived = C @ (base * np.prod(E**k, axis=1))
+                spin[rows] += cz * tau[phases] * derived[cols]
+        scale = max(1.0, float(np.max(np.abs(position))), float(np.max(np.abs(spin))))
+        if np.max(np.abs(spin - position)) > 1e-9 * scale:
+            return False
+    return True
 
 
 def _add_image_by_entry(acc, rep, g, c, roots):
@@ -343,14 +431,14 @@ def spin_sum_by_entry(rep, terms):
 def agreement_blocks_by_entry(A, rep, proj):
     """The count of ``spinrep.agreement_blocks`` from one sparse sum per
     (Euler index, left coset of S), each image added into its entries one
-    after another: S_k = sum_g c_{k,g} rho(g) in the coset S itself, minus
+    after another: S_k = sum_g c_{k,g} rho(g^-1) in the coset S itself, minus
     c_{k,g} rho(g^{-1}) in the coset of g; the reference for the summing
     of distinct contribution lists."""
     S = list(proj)
     roots = _spin_roots(rep.m, rep.m)
     brackets = {}
     for (k, g), c in A.terms.items():
-        _add_image_by_entry(brackets.setdefault((k, None), {}), rep, g, c, roots)
+        _add_image_by_entry(brackets.setdefault((k, None), {}), rep, g.inverse(), c, roots)
     for (k, g), c in A.terms.items():
         xs = None if g in proj else frozenset(g * s for s in S)
         _add_image_by_entry(brackets.setdefault((k, xs), {}), rep, g.inverse(), -c, roots)

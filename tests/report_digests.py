@@ -9,8 +9,9 @@ prints one line per argv: the sha256 of its standard output, its exit code
 and the argv.  Run it on two checkouts and diff the output.  The argvs are
 the ``verify`` and ``spectrum`` workload argvs of ``perfbench/workloads.py``
 in this repository, the three ``--corrupt`` controls, ``--kmax 3`` and
-larger ``verify`` cases, and the exports of every kind of object; ``--slow``
-adds the exports that take seconds.  The file name keeps pytest from
+larger ``verify`` cases, spin ``verify`` cases of both families, and the
+exports of every kind of object; ``--slow`` adds the export and the spin
+``verify`` that take seconds.  The file name keeps pytest from
 collecting it.
 """
 
@@ -36,6 +37,7 @@ VERIFY = [
     "verify --family dihedral --N 2 --m 3 --lambda 2 --mu -1 --rho 0",
     "verify --family cyclic --N 4 --m 2 --lambda 1/2",
     "verify --family cyclic --N 4 --m 2 --lambda 1/2 --n 3",
+    "verify --family dihedral --N 3 --m 2 --lambda 1/2 --mu 1 --rho 1/2 --n 2",
     "verify --family cyclic --N 2 --m 1 --lambda 3",
     "verify --family dihedral --N 2 --m 1 --lambda 1 --mu 1/3 --rho 2",
 ]
@@ -50,7 +52,10 @@ EXPORTS = [
     "export --object Lambda --N 3 --m 2 --n 2",
     "export --object Lambda_b --N 2 --m 3 --n 2",
 ]
-SLOW_EXPORTS = ["export --object Lambda_b --N 3 --m 3 --n 3"]
+SLOW = [
+    "export --object Lambda_b --N 3 --m 3 --n 3",
+    "verify --family cyclic --N 4 --m 3 --lambda 1/2 --n 2",
+]
 
 RUNNER = """
 import contextlib, hashlib, io, json, sys
@@ -81,7 +86,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--slow", action="store_true")
     args = ap.parse_args()
-    argvs = _workload_argvs() + CONTROLS + VERIFY + EXPORTS + (SLOW_EXPORTS if args.slow else [])
+    argvs = _workload_argvs() + CONTROLS + VERIFY + EXPORTS + (SLOW if args.slow else [])
     spec = {
         "src": str(Path(args.checkout).resolve() / "src"),
         "argvs": [f"{argv} --seed {args.seed}" for argv in argvs],

@@ -17,6 +17,7 @@ asserts "no solution" where it is true: at three and four sites.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    chain_from_dense, dense_iota, eval_exact, lattice_residuals, lattice_table_check,
-    numeric_residual, random_operator, sparse_to_numpy,
+    agreement_blocks_by_definition, chain_from_dense, dense_iota, eval_exact, lattice_residuals,
+    lattice_table_check, numeric_residual, random_operator, random_torus_point, sparse_to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
 from wreathdunkl.dunkl import (
@@ -61,6 +62,7 @@ from wreathdunkl.spinrep import (
     diagonalize_hermitian,
     global_rotation_element,
     projector_check,
+    projector_generators,
     spin_matrix_of_element,
     spin_sum,
     twisted_translation_element,
@@ -141,7 +143,6 @@ def test_criterion_4_proof_machinery():
         ok &= rotation_average_check(
             ModelParams("dihedral", N, m, Fraction(1, 2), Fraction(1), Fraction(1, 2))
         ).passed
-    import random
 
     rng = random.Random(42)
     m = 3
@@ -166,15 +167,24 @@ def test_criterion_5_spin_layer():
     dih = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     ok &= projector_check(cyc, rep).passed  # Lambda^2 = Lambda + exchange action
     ok &= projector_check(dih, rep).passed  # Lambda_b, product idempotent
-    # zero is asserted for every cyclic k and for even dihedral k
+    # zero is asserted at every k in both families, under the
+    # exchange-operator substitution g -> rho(g^-1)
     for k in (1, 2, 3):
         ok &= verify_agreement(cyc, rep, k).passed
-    ok &= verify_agreement(dih, rep, 2).passed
-    # no theorem covers odd k; the first power where agreement fails is 3
+        ok &= verify_agreement(dih, rep, k).passed
+    # and the coset count of the built odd charges agrees
     lam_b = build_projector(dih, "auto")
-    ok &= agreement_blocks(build_charge(dih, 3), rep, lam_b) != 0
-    k1 = agreement_blocks(build_charge(dih, 1), rep, lam_b)
-    detail = f"odd-k nonzero at k=3; k=1 recorded zero={k1 == 0}"
+    gens = projector_generators(2, 2, "product")
+    ok &= agreement_blocks(build_charge(dih, 3), rep, lam_b, gens) == 0
+    ok &= agreement_blocks(build_charge(dih, 1), rep, lam_b, gens) == 0
+    # "the first power where agreement fails is 3" is refuted: it is the
+    # dense count under the substitution g -> rho(g), 48 blocks at k = 3,
+    # while k = 1, whose elements are involutions, reads 0 either way
+    point = random_torus_point(random.Random(3), 2)
+    rho_g = agreement_blocks_by_definition(build_charge(dih, 3), rep, lam_b, point, inverse=False)
+    ok &= rho_g == 48
+    ok &= agreement_blocks_by_definition(build_charge(dih, 1), rep, lam_b, point, inverse=False) == 0
+    detail = f"k <= 3 zero in both families; rho(g) count at dihedral k=3: {rho_g}"
     elapsed = time.time() - t0
     ok &= elapsed < 600
     assert _report("5 spin layer", ok, f"{elapsed:.1f}s, {detail}")
@@ -307,7 +317,6 @@ def test_criterion_8_backend_consistency():
     dense = dense_iota(lam, rep, enumerate_subgroup(GroupSpec("W(m,N)", 2, 2)))
     ok &= np.max(np.abs(dense @ dense - dense)) < 1e-10
     # 1000 random scalars match the reference evaluation at 53-bit precision
-    import random
 
     rng = random.Random(8)
     for _ in range(1000):

@@ -19,7 +19,12 @@ from wreathdunkl.opalg import (
     op_compose,
 )
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
-from wreathdunkl.spinrep import SpinRepData, agreement_blocks, build_projector
+from wreathdunkl.spinrep import (
+    SpinRepData,
+    agreement_blocks,
+    build_projector,
+    projector_generators,
+)
 
 
 def _basic_ops(N=2, m=3):
@@ -227,9 +232,10 @@ def test_fields_change_only_by_lift():
         RationalCoefficient(LaurentPoly.variable(1, 2, 3), ((q1 - 1, 1),))
     params = ModelParams("cyclic", 2, 6)
     proj = build_projector(params, "exchange")
+    gens = projector_generators(2, 6, "exchange")
     with pytest.raises(ValueError):
-        agreement_blocks(MixedOperator.euler(2, 1, 3), SpinRepData(2, 6, 2), proj)
-    assert agreement_blocks(MixedOperator.euler(2, 1, 6), SpinRepData(2, 6, 2), proj) >= 0
+        agreement_blocks(MixedOperator.euler(2, 1, 3), SpinRepData(2, 6, 2), proj, gens)
+    assert agreement_blocks(MixedOperator.euler(2, 1, 6), SpinRepData(2, 6, 2), proj, gens) >= 0
     z = CycloScalar.root_of_unity(12, 5)
     built = (CycloScalar.root_of_unity(12, 2) + 1) * z - CycloScalar.root_of_unity(12, 7)
     assert built == z and hash(built) == hash(z)

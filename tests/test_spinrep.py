@@ -15,6 +15,7 @@ from helpers import (
     apply_agreement,
     chain_from_dense,
     char_poly_by_trace_recursion,
+    dense_agreement,
     dense_frozen_chain,
     dense_iota,
     dense_spin_sum,
@@ -29,7 +30,13 @@ from helpers import (
     to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar
-from wreathdunkl.dunkl import ModelParams, boundary_element, build_charge, exchange_element
+from wreathdunkl.dunkl import (
+    ModelParams,
+    boundary_element,
+    build_charge,
+    build_dunkl,
+    exchange_element,
+)
 from wreathdunkl import spinrep
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.opalg import MixedOperator
@@ -50,15 +57,18 @@ from wreathdunkl.spinrep import (
     frozen_spin_matrix,
     generating_set,
     global_rotation_element,
+    is_subgroup_average,
     monomial_image,
     pattern_blocks,
     projector_check,
+    projector_generators,
     spin_matrix_of_element,
     spin_representation_check,
     spin_sum,
     substitute_spin,
     twisted_translation_element,
     verify_agreement,
+    wreath_stack,
 )
 from wreathdunkl.static import build_frozen_hamiltonian, build_lattice, equidistant_lattice
 
@@ -131,11 +141,13 @@ def _swapped_order(a, b, m):
 
 
 def _sign_flipped_image(rep, g, image=monomial_image):
-    """The image with the rotation phase of every flipped site negated."""
+    """The image with the rotation phase of every flipped site negated, for
+    one element or a stack."""
     rows, _ = image(rep, g)
-    digits = (rows[:, None] // rep.n ** np.arange(rep.N - 1, -1, -1)) % rep.n
-    sign = 1 - 2 * np.array(g.flip)
-    phases = (np.array(rep.weights)[digits] @ (sign * np.array(g.rot))) % rep.m
+    digits = (rows[..., None] // rep.n ** np.arange(rep.N - 1, -1, -1)) % rep.n
+    sign = 1 - 2 * np.asarray(g.flip)
+    rot = (sign * np.asarray(g.rot))[..., None, :]
+    phases = (np.array(rep.weights)[digits] * rot).sum(axis=-1) % rep.m
     return rows, phases
 
 
@@ -229,52 +241,180 @@ def test_agreement_cyclic(k):
     assert suite.passed, [i.relation for i in suite.failures()]
 
 
+def _blocks(A, rep, params):
+    """agreement_blocks of A against the family's projector."""
+    which = "exchange" if params.family == "cyclic" else "product"
+    proj = build_projector(params)
+    return agreement_blocks(A, rep, proj, projector_generators(params.size, params.order, which))
+
+
 def test_agreement_dihedral_even_k():
     p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     rep = SpinRepData(2, 2, 2)
-    assert agreement_blocks(build_charge(p, 2), rep, build_projector(p)) == 0
+    assert _blocks(build_charge(p, 2), rep, p) == 0
 
 
 def test_agreement_dihedral_odd_k():
-    """No theorem for odd k: k = 3 fails, and k = 1 happens to hold.
-
-    Every group element in the first charge is an involution inside the
-    invariance group, so its position and spin actions agree on projected
-    states; the first genuine violation appears at k = 3.
-    """
+    """Odd k agrees like even k under the exchange-operator substitution
+    g -> rho(g^-1), by the coset count, the engine's verdict and the dense
+    decision.  Under g -> rho(g) the dense count at k = 3 is 48 blocks and
+    the dense decision fails, while k = 1 holds either way (its group
+    elements are involutions, so rho(g) = rho(g^-1)): the "first power
+    where agreement fails is 3" belongs to the substitution order, not to
+    the model."""
     p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     rep = SpinRepData(2, 2, 2)
-    assert agreement_blocks(build_charge(p, 3), rep, build_projector(p)) == 48
-    assert agreement_blocks(build_charge(p, 1), rep, build_projector(p)) == 0
-    # odd dihedral k is recorded, not asserted
-    [item] = verify_agreement(p, rep, 3).items
-    assert item.passed and item.witness == {"zero": False, "terms": 48}
+    proj = build_projector(p)
+    point = random_torus_point(random.Random(3), 2)
+    for k in (1, 3):
+        A = build_charge(p, k)
+        assert _blocks(A, rep, p) == 0
+        [item] = verify_agreement(p, rep, k).items
+        assert item.relation == "(spin charge - charge) * projector = 0"
+        assert item.passed and item.witness is None
+        assert dense_agreement(A, rep, proj, seed=k)
+        assert agreement_blocks_by_definition(A, rep, proj, point) == 0
+    A3 = build_charge(p, 3)
+    assert agreement_blocks_by_definition(A3, rep, proj, point, inverse=False) == 48
+    assert not dense_agreement(A3, rep, proj, seed=3, inverse=False)
+    assert agreement_blocks_by_definition(build_charge(p, 1), rep, proj, point, inverse=False) == 0
 
 
 def test_agreement_cyclic_k3_fails_at_three_sites():
-    """Cyclic agreement is asserted only where the CLI runs it: at N = 3,
-    k = 3 the substitution g -> rho(g) leaves 24 nonzero blocks."""
+    """At N = 3, k = 3 the substitution g -> rho(g) fails on projected
+    states, with 24 nonzero blocks in the dense count; the
+    exchange-operator substitution g -> rho(g^-1) agrees, by the coset
+    count, the engine's verdict and the dense decision."""
     p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
     rep = SpinRepData(2, 2, 3)
-    assert agreement_blocks(build_charge(p, 3), rep, build_projector(p)) == 24
+    A, proj = build_charge(p, 3), build_projector(p)
+    point = random_torus_point(random.Random(5), 3)
+    assert agreement_blocks_by_definition(A, rep, proj, point, inverse=False) == 24
+    assert not dense_agreement(A, rep, proj, seed=5, inverse=False)
+    assert _blocks(A, rep, p) == 0
+    assert agreement_blocks_by_definition(A, rep, proj, point) == 0
+    assert dense_agreement(A, rep, proj, seed=5)
+    assert verify_agreement(p, rep, 3).passed
 
 
 _DIHEDRAL_22 = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
 _CYCLIC_32 = ModelParams("cyclic", 3, 2, Fraction(1, 2))
 
 
+def _outside_term(params):
+    """c Q_1 with c = q_1 / (q_1 - q_2): Q_1 lies outside the support of
+    the family's projector at m = 2 (its rotations do not balance, and in
+    the dihedral family no flip of B can absorb them)."""
+    N, m = params.size, params.order
+    q1, q2 = LaurentPoly.variable(1, N, m), LaurentPoly.variable(2, N, m)
+    Q1 = generator(GroupSpec("W(m,N)", N, m), "Q", i=1)
+    assert Q1 not in build_projector(params)
+    return MixedOperator.term(RationalCoefficient.ratio(q1, q1 - q2), Q1)
+
+
 @pytest.mark.parametrize(
-    "p,n,k,count",
-    [(_DIHEDRAL_22, 2, 3, 48), (_CYCLIC_32, 2, 3, 24), (_DIHEDRAL_22, 3, 2, 0), (_CYCLIC_32, 2, 2, 0)],
-    ids=["dihedral-k3", "cyclic-k3", "dihedral-n3", "cyclic-k2"],
+    "p,n,k,outside,count",
+    [
+        (_DIHEDRAL_22, 2, 3, False, 0),
+        (_CYCLIC_32, 2, 3, False, 0),
+        (_DIHEDRAL_22, 3, 2, False, 0),
+        (_CYCLIC_32, 2, 2, False, 0),
+        (_DIHEDRAL_22, 2, 3, True, 32),
+        (_CYCLIC_32, 2, 3, True, 48),
+    ],
+    ids=["dihedral-k3", "cyclic-k3", "dihedral-n3", "cyclic-k2",
+         "dihedral-k3-outside", "cyclic-k3-outside"],
 )
-def test_agreement_blocks_equal_the_entry_by_entry_sum(p, n, k, count):
+def test_agreement_blocks_equal_the_entry_by_entry_sum(p, n, k, outside, count):
     """Summing each distinct contribution list once gives the count that
-    adding every image into its entries one after another gives, the
-    nonzero k = 3 counts included."""
+    adding every image into its entries one after another gives, and the
+    count of the dense blocks.  The charges agree; a term outside the
+    projector's subgroup leaves nonzero blocks, and the counts stay
+    equal there."""
     rep = SpinRepData(n, p.order, p.size)
     A, proj = build_charge(p, k), build_projector(p)
-    assert agreement_blocks(A, rep, proj) == agreement_blocks_by_entry(A, rep, proj) == count
+    if outside:
+        A = A + _outside_term(p)
+    point = random_torus_point(random.Random(k), p.size)
+    assert _blocks(A, rep, p) == agreement_blocks_by_entry(A, rep, proj) == count
+    assert agreement_blocks_by_definition(A, rep, proj, point) == count
+
+
+_CLI_SPIN_POINTS = [
+    # the default verify grid, the benchmark's spin verifies, and the spin
+    # verifies of tests/report_digests.py
+    (ModelParams("cyclic", 2, 2, Fraction(1, 2)), 2),
+    (_DIHEDRAL_22, 2),
+    (ModelParams("cyclic", 3, 2, Fraction(1, 2)), 4),
+    (_DIHEDRAL_22, 3),
+    (ModelParams("cyclic", 4, 2, Fraction(1, 2)), 3),
+    (ModelParams("dihedral", 3, 2, Fraction(1, 2), Fraction(1), Fraction(1, 2)), 2),
+    (ModelParams("cyclic", 4, 3, Fraction(1, 2)), 2),
+]
+
+
+@pytest.mark.parametrize("p,n", _CLI_SPIN_POINTS,
+                         ids=[f"{p.family}-N{p.size}-m{p.order}-n{n}" for p, n in _CLI_SPIN_POINTS])
+def test_support_route_coset_count_and_dense_decision_agree(p, n):
+    """At every CLI spin point and k <= 3, the engine's verdict (decided
+    from the supports of the d_i), the coset count of the built charge and
+    the dense decision on exact spin vectors all give agreement."""
+    rep = SpinRepData(n, p.order, p.size)
+    proj = build_projector(p)
+    for k in (1, 2, 3):
+        A = build_charge(p, k)
+        assert verify_agreement(p, rep, k).passed
+        assert _blocks(A, rep, p) == 0
+        assert dense_agreement(A, rep, proj, seed=k)
+
+
+def test_agreement_outside_the_subgroup_takes_the_counted_route(monkeypatch):
+    """A build_dunkl rebound with a term outside the projector's subgroup
+    sends verify_agreement to the built charge and the coset count, which
+    fails exactly: the count equals the dense block count and the dense
+    decision fails too."""
+    p = _CYCLIC_32
+    rep = SpinRepData(2, 2, 3)
+    extra = _outside_term(p)
+
+    def rebound(params, i):
+        d = build_dunkl(params, i)
+        return d + extra if i == 1 else d
+
+    def charge(params, k):
+        return sum((rebound(params, i) ** k for i in range(2, params.size + 1)),
+                   rebound(params, 1) ** k)
+
+    counted = []
+    real_blocks = spinrep.agreement_blocks
+
+    def blocks(*args):
+        counted.append(real_blocks(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(spinrep, "build_dunkl", rebound)
+    monkeypatch.setattr(spinrep, "build_charge", charge)
+    monkeypatch.setattr(spinrep, "agreement_blocks", blocks)
+    proj = build_projector(p)
+    for k in (1, 2):
+        [item] = verify_agreement(p, rep, k).items
+        A = charge(p, k)
+        point = random_torus_point(random.Random(k), 3)
+        assert not item.passed
+        assert counted[-1] == agreement_blocks_by_definition(A, rep, proj, point) > 0
+        assert not dense_agreement(A, rep, proj, seed=k)
+    assert len(counted) == 2
+
+
+def test_agreement_inside_the_subgroup_builds_no_charge(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no charge is built when every d_i lies in the subgroup")
+
+    monkeypatch.setattr(spinrep, "build_charge", refuse)
+    monkeypatch.setattr(spinrep, "agreement_blocks", refuse)
+    for p, n in _CLI_SPIN_POINTS[:4]:
+        for k in (1, 2, 3):
+            assert verify_agreement(p, SpinRepData(n, p.order, p.size), k).passed
 
 
 def test_spin_sum_equals_the_entry_by_entry_sum():
@@ -401,18 +541,19 @@ def test_group_algebra_operations_match_dense_iota():
         ("cyclic", 2, 3, 2, True),
         ("dihedral", 2, 2, 1, True),
         ("dihedral", 2, 2, 2, True),
-        ("dihedral", 2, 2, 3, False),
+        ("dihedral", 2, 2, 3, True),
     ],
 )
 def test_agreement_matches_application_and_block_count(family, N, m, k, zero):
     """The agreement verdict against (spin charge - charge) * projector
     applied exactly to a random spin vector, and its term count against
-    the blocks counted densely at a random torus point."""
+    the blocks counted densely at a random torus point.  At dihedral k = 3
+    the substitution g -> rho(g) fails the exact application."""
     rep = SpinRepData(2, m, N)
     params = _family_params(family, N, m)
     charge = build_charge(params, k)
     proj = build_projector(params)
-    terms = agreement_blocks(charge, rep, proj)
+    terms = _blocks(charge, rep, params)
     assert (terms == 0) == zero
     rng = random.Random(k)
     count = agreement_blocks_by_definition(charge, rep, proj, random_torus_point(rng, N))
@@ -420,6 +561,9 @@ def test_agreement_matches_application_and_block_count(family, N, m, k, zero):
     funcs = random_test_functions(rng, N, m, rep.dim)
     applied = apply_agreement(charge, rep, proj, funcs)
     assert all(v.is_zero() for v in applied) == zero
+    if (family, k) == ("dihedral", 3):
+        applied = apply_agreement(charge, rep, proj, funcs, inverse=False)
+        assert not all(v.is_zero() for v in applied)
 
 
 def _uniform(els):
@@ -434,19 +578,21 @@ def test_agreement_blocks_by_cosets_on_subgroups():
     rep = SpinRepData(2, m, N)
     spec = GroupSpec("W(m,N)", N, m)
     ident = WreathElement.identity(N, m)
+    P12, K1 = generator(spec, "P", i=1, j=2), generator(spec, "K", i=1)
     subgroups = [
-        [ident, generator(spec, "P", i=1, j=2)],
-        [ident, generator(spec, "K", i=1)],
-        enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m)),
-        enumerate_subgroup(spec),
+        ([ident, P12], [P12]),
+        ([ident, K1], [K1]),
+        (enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m)),
+         projector_generators(N, m, "exchange")),
+        (enumerate_subgroup(spec), generating_set(N, m)),
     ]
     rng = random.Random(11)
-    for S in subgroups:
+    for S, gens in subgroups:
         proj = _uniform(S)
         for _ in range(4):
             A = random_operator(rng, N, m, nterms=4)
             point = random_torus_point(rng, N)
-            assert agreement_blocks(A, rep, proj) == agreement_blocks_by_definition(
+            assert agreement_blocks(A, rep, proj, gens) == agreement_blocks_by_definition(
                 A, rep, proj, point
             )
 
@@ -465,23 +611,130 @@ def test_agreement_blocks_cancel_within_left_cosets():
     c = RationalCoefficient.ratio(q1, q1 - q2)
     for g in enumerate_subgroup(spec):
         A = MixedOperator.term(c, g) + MixedOperator.term(c, g * Q1)
-        assert agreement_blocks(A, rep, proj) == 0
+        assert agreement_blocks(A, rep, proj, [Q1]) == 0
         funcs = random_test_functions(random.Random(3), N, m, rep.dim)
         assert all(v.is_zero() for v in apply_agreement(A, rep, proj, funcs))
     A = MixedOperator.term(c, generator(spec, "P", i=1, j=2))
-    assert agreement_blocks(A, rep, proj) == 2 * 2  # the cosets S and P_12 S
+    assert agreement_blocks(A, rep, proj, [Q1]) == 2 * 2  # the cosets S and P_12 S
 
 
 def test_agreement_blocks_require_a_subgroup_average():
     rep = SpinRepData(2, 3, 2)
     spec = GroupSpec("W(m,N)", 2, 3)
     ident = WreathElement.identity(2, 3)
+    Q1, K1 = generator(spec, "Q", i=1), generator(spec, "K", i=1)
     A = MixedOperator.from_group(generator(spec, "P", i=1, j=2))
     with pytest.raises(ValueError):  # not closed: Q_1^2 is missing
-        agreement_blocks(A, rep, _uniform([ident, generator(spec, "Q", i=1)]))
+        agreement_blocks(A, rep, _uniform([ident, Q1]), [Q1])
     with pytest.raises(ValueError):  # a subgroup, but not uniform on it
-        K1 = generator(spec, "K", i=1)
-        agreement_blocks(A, rep, {ident: Fraction(1, 3), K1: Fraction(2, 3)})
+        agreement_blocks(A, rep, {ident: Fraction(1, 3), K1: Fraction(2, 3)}, [K1])
+
+
+def test_subgroup_certificate_refuses_what_it_does_not_prove():
+    """The certificate holds for the projectors with their generating sets,
+    and refuses a support that is not <T>, unequal weights, and a T that
+    misses part of the support or leaves it."""
+    N, m = 2, 3
+    spec = GroupSpec("W(m,N)", N, m)
+    ident = WreathElement.identity(N, m)
+    Q1, K1 = generator(spec, "Q", i=1), generator(spec, "K", i=1)
+    for which in ("exchange", "boundary", "product"):
+        params = ModelParams("dihedral", N, m)
+        assert is_subgroup_average(build_projector(params, which),
+                                   projector_generators(N, m, which))
+    lam = build_projector(ModelParams("cyclic", N, m), "exchange")
+    T = projector_generators(N, m, "exchange")
+    # a support that is not <T>: one element of the subgroup missing
+    short = dict(list(lam.items())[:-1])
+    assert not is_subgroup_average({g: Fraction(1, len(short)) for g in short}, T)
+    # not a subgroup at all, whatever the generators
+    assert not is_subgroup_average(_uniform([ident, Q1]), [Q1])
+    # unequal weights on a subgroup
+    assert not is_subgroup_average({ident: Fraction(1, 3), K1: Fraction(2, 3)}, [K1])
+    # a T that generates only part of the support
+    assert not is_subgroup_average(lam, T[:-1])
+    # a T that leaves the support
+    assert not is_subgroup_average(lam, T + (K1,))
+    assert not is_subgroup_average({}, T)
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+@pytest.mark.parametrize("N,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_certified_projectors_equal_the_convolutions(family, N, m):
+    """The product projector read off the certificates is the convolution
+    of the exchange and boundary averages, in either order; each projector
+    is certified with its generating set."""
+    params = ModelParams(family, N, m)
+    lam, lam_b = build_projector(params, "exchange"), build_projector(params, "boundary")
+    product = build_projector(params, "product")
+    assert product == convolve(lam, lam_b) == convolve(lam_b, lam)
+    for which in ("exchange", "boundary", "product"):
+        assert is_subgroup_average(build_projector(params, which),
+                                   projector_generators(N, m, which))
+    assert build_projector(params) == (lam if family == "cyclic" else product)
+
+
+def test_exchange_item_loops_over_keys_for_a_non_involution(monkeypatch):
+    """An exchange element of the subgroup that is not an involution is
+    decided key by key, and fails: rho(g) != rho(g^-1) on the spins."""
+    p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
+    rep = SpinRepData(2, 2, 3)
+    looped = []
+    real_loop = spinrep._acts_like_spin_image
+
+    def loop(rep, lam, g):
+        looped.append(g)
+        return real_loop(rep, lam, g)
+
+    monkeypatch.setattr(spinrep, "_acts_like_spin_image", loop)
+    assert projector_check(p, rep).passed and not looped
+    cycle = WreathElement(3, 2, (1, 2, 0), (0, 0, 0), (0, 0, 0))  # in G(2, 2, 3)
+    assert cycle in build_projector(p) and not (cycle * cycle).is_identity()
+    monkeypatch.setattr(spinrep, "exchange_element", lambda N, m, i, j, s: cycle)
+    exchange = [i for i in projector_check(p, rep).items
+                if i.relation == "exchange acts like its spin image on Lambda"]
+    assert len(looped) == len(exchange) == 3 * 2 * 2
+    assert not any(i.passed for i in exchange)
+
+
+@pytest.mark.parametrize("family,N,m", [("cyclic", 3, 2), ("dihedral", 2, 2), ("dihedral", 2, 3)])
+def test_projector_items_fall_back_to_products_without_certificates(monkeypatch, family, N, m):
+    """With every certificate refused, each item is decided by products of
+    weights and gives the verdict read off the certificates."""
+    p = _family_params(family, N, m)
+    rep = SpinRepData(2, m, N)
+
+    def items():
+        return [(i.relation, i.params, i.passed) for i in projector_check(p, rep).items]
+
+    expected = items()
+    assert all(passed for _, _, passed in expected)
+    spinrep._projector.cache_clear()
+    spinrep._averages_commute.cache_clear()
+    monkeypatch.setattr(spinrep, "is_subgroup_average", lambda weights, gens: False)
+    try:
+        assert not spinrep._projector(N, m, "exchange")[1]
+        assert not spinrep._averages_commute(N, m)
+        assert items() == expected
+    finally:
+        monkeypatch.undo()
+        spinrep._projector.cache_clear()
+        spinrep._averages_commute.cache_clear()
+
+
+def test_wreath_stack_matches_the_enumeration_and_compose():
+    """The stacked W(m, N) lists the elements of enumerate_subgroup in its
+    order, and the stacked product g s and its index agree with compose."""
+    for N, m in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        els = enumerate_subgroup(GroupSpec("W(m,N)", N, m))
+        stack = wreath_stack(N, m)
+        fields = [(tuple(p), tuple(r), tuple(f))
+                  for p, r, f in zip(stack.perm.tolist(), stack.rot.tolist(), stack.flip.tolist())]
+        assert fields == [(g.perm, g.rot, g.flip) for g in els]
+        assert stack.index().tolist() == list(range(len(els)))
+        where = {g: t for t, g in enumerate(els)}
+        for s in generating_set(N, m) + els[:: max(1, len(els) // 7)]:
+            assert stack.times(s).index().tolist() == [where[g * s] for g in els]
 
 
 def test_frozen_chain_exact_vs_numeric_backends():
@@ -561,6 +814,31 @@ def test_monomial_image_equals_dense_definition(n, m, N):
         M = to_numpy(dense)
         residual = commutant_residual(chain_from_dense(H), rep, g)
         assert abs(residual - np.max(np.abs(H @ M - M @ H))) < 1e-12
+
+
+@pytest.mark.parametrize("n,m,N", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_stacked_images_equal_the_images_one_at_a_time(n, m, N):
+    """monomial_image of the stacked W(m, N) holds, row by row, the image of
+    each element, and the representation's shared layout stays unwritten."""
+    rep = SpinRepData(n, m, N)
+    rows, phases = monomial_image(rep, wreath_stack(N, m))
+    for t, g in enumerate(enumerate_subgroup(GroupSpec("W(m,N)", N, m))):
+        r, p = monomial_image(rep, g)
+        assert rows[t].tolist() == r.tolist() and phases[t].tolist() == p.tolist()
+    assert rep.digits is rep.digits and rep.places is rep.places
+    assert np.array_equal(rep.digits, np.indices((n,) * N).reshape(N, -1).T)
+
+
+def test_frozen_chains_do_not_depend_on_the_substitution_order():
+    """Every group element of the image table, the frozen chain's terms, is
+    an involution, so rho(g) = rho(g^-1) on each term."""
+    from wreathdunkl.dunkl import hamiltonian_images
+
+    for N, m in [(2, 2), (3, 2), (3, 3), (4, 1)]:
+        for params in (ModelParams("cyclic", N, m, Fraction(1)),
+                       ModelParams("dihedral", N, m, Fraction(1), Fraction(1), Fraction(1, 2))):
+            elements = [g for _, _, g in hamiltonian_images(params)]
+            assert elements and all((g * g).is_identity() for g in elements)
 
 
 def _random_complex(dim, seed):
