@@ -48,6 +48,7 @@ from .dunkl import (
 from .groups import (
     ENUMERATION_CAP,
     SPIN_GROUP_CAP,
+    SPIN_IMAGE_CAP,
     GroupSpec,
     WreathElement,
     compose,
@@ -470,6 +471,12 @@ def _validate(args):
         if over:
             raise ConfigError(f"{name} at N = {args.N}, m = {args.m} has "
                               f"more than {cap} elements, the enumeration cap")
+    if args.command == "verify" and args.family and args.n:
+        # W(m, N) is within SPIN_GROUP_CAP here, so N is small
+        entries = GroupSpec("W(m,N)", args.N, args.m).cardinality() * args.n**args.N
+        if entries > SPIN_IMAGE_CAP:
+            raise ConfigError(f"the spin images of W(m,N) at N = {args.N}, m = {args.m}, "
+                              f"n = {args.n} have more than {SPIN_IMAGE_CAP} entries")
 
 
 def _check_dense(args):

@@ -278,6 +278,9 @@ def generator(spec: GroupSpec, which: str, i: int = 1, j: int = 2) -> WreathElem
 # verify case, and the groups of the spin checks and the exchange projector.
 ENUMERATION_CAP = 10**6
 SPIN_GROUP_CAP = 10**5
+# The most spin-image entries held at once, |W(m, N)| n^N: the homomorphism
+# item stacks the image of every element of W(m, N), about 50 bytes an entry.
+SPIN_IMAGE_CAP = 4 * 10**6
 
 
 def enumerate_subgroup(spec: GroupSpec, cap: int = ENUMERATION_CAP) -> list[WreathElement]:

@@ -429,18 +429,22 @@ def spin_sum_by_entry(rep, terms):
 
 
 def agreement_blocks_by_entry(A, rep, proj):
-    """The count of ``spinrep.agreement_blocks`` from one sparse sum per
-    (Euler index, left coset of S), each image added into its entries one
-    after another: S_k = sum_g c_{k,g} rho(g^-1) in the coset S itself, minus
-    c_{k,g} rho(g^{-1}) in the coset of g; the reference for the summing
-    of distinct contribution lists."""
+    """The number of nonzero blocks (k, x) of (spin A - A) iota(P), for P
+    the uniform average over a subgroup S, by left cosets of S.
+
+    Block (k, x) times rho(x)^-1 is |S|^-1 ([x in S] S_k - sum_{g in xS}
+    c_{k,g} rho(g^-1)), with S_k = sum_g c_{k,g} rho(g^-1), so it depends
+    on x only through xS and every coset gives |S| equal blocks.  One
+    sparse sum per (Euler index, coset) holds c_{k,g} rho(g^-1) in the
+    coset S and minus it in the coset of g, each image added into its
+    entries one after another; the two images of a term follow each other,
+    so a term in S cancels at once."""
     S = list(proj)
     roots = _spin_roots(rep.m, rep.m)
     brackets = {}
     for (k, g), c in A.terms.items():
-        _add_image_by_entry(brackets.setdefault((k, None), {}), rep, g.inverse(), c, roots)
-    for (k, g), c in A.terms.items():
         xs = None if g in proj else frozenset(g * s for s in S)
+        _add_image_by_entry(brackets.setdefault((k, None), {}), rep, g.inverse(), c, roots)
         _add_image_by_entry(brackets.setdefault((k, xs), {}), rep, g.inverse(), -c, roots)
     return len(S) * sum(1 for mat in brackets.values() if mat)
 

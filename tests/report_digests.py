@@ -38,6 +38,8 @@ VERIFY = [
     "verify --family cyclic --N 4 --m 2 --lambda 1/2",
     "verify --family cyclic --N 4 --m 2 --lambda 1/2 --n 3",
     "verify --family dihedral --N 3 --m 2 --lambda 1/2 --mu 1 --rho 1/2 --n 2",
+    "verify --family dihedral --N 2 --m 3 --lambda 1/2 --mu 1 --rho 1/2 --n 2",
+    "verify --family cyclic --N 2 --m 3 --lambda 1/2 --n 3",
     "verify --family cyclic --N 2 --m 1 --lambda 3",
     "verify --family dihedral --N 2 --m 1 --lambda 1 --mu 1/3 --rho 2",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    agreement_blocks_by_definition, chain_from_dense, dense_iota, eval_exact, lattice_residuals,
+    agreement_blocks_by_definition, agreement_blocks_by_entry, chain_from_dense, dense_iota, eval_exact, lattice_residuals,
     lattice_table_check, numeric_residual, random_operator, random_torus_point, sparse_to_numpy,
 )
 from wreathdunkl.cyclotomic import CycloScalar, CyclotomicField
@@ -55,14 +55,12 @@ from wreathdunkl.opalg import (
 )
 from wreathdunkl.spinrep import (
     SpinRepData,
-    agreement_blocks,
     brute_force_eigvals,
     build_projector,
     convolve,
     diagonalize_hermitian,
     global_rotation_element,
     projector_check,
-    projector_generators,
     spin_matrix_of_element,
     spin_sum,
     twisted_translation_element,
@@ -174,9 +172,8 @@ def test_criterion_5_spin_layer():
         ok &= verify_agreement(dih, rep, k).passed
     # and the coset count of the built odd charges agrees
     lam_b = build_projector(dih, "auto")
-    gens = projector_generators(2, 2, "product")
-    ok &= agreement_blocks(build_charge(dih, 3), rep, lam_b, gens) == 0
-    ok &= agreement_blocks(build_charge(dih, 1), rep, lam_b, gens) == 0
+    ok &= agreement_blocks_by_entry(build_charge(dih, 3), rep, lam_b) == 0
+    ok &= agreement_blocks_by_entry(build_charge(dih, 1), rep, lam_b) == 0
     # "the first power where agreement fails is 3" is refuted: it is the
     # dense count under the substitution g -> rho(g), 48 blocks at k = 3,
     # while k = 1, whose elements are involutions, reads 0 either way

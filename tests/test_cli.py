@@ -651,6 +651,8 @@ def argvs(draw):
 @example(["export", "--object", "Hbar_spin", "--N", "13", "--n", "2"], False)
 @example(["export", "--object", "Lambda_b", "--N", "20", "--m", "1", "--n", "1"], False)
 @example(["export", "--object", "Lambda_b", "--N", "200", "--m", "3", "--n", "1"], False)
+@example(["verify", "--family", "cyclic", "--N", "3", "--m", "2", "--lambda", "1/2", "--n", "200"],
+         False)
 def test_no_argv_reaches_a_traceback(argv, fault):
     """Every argv ends in exit 0, 1 or 2; argparse's usage errors are 2.
     With ``fault``, an internal error raised inside a verify case, after
@@ -691,6 +693,7 @@ def test_no_argv_reaches_a_traceback(argv, fault):
     "export --object Lambda_b --N 7 --m 2 --n 4",
     "export --object Lambda_b --N 20 --m 1 --n 1",
     "export --object Lambda_b --N 200 --m 3 --n 1",
+    "verify --family cyclic --N 3 --m 2 --lambda 1/2 --n 200",
 ])
 def test_oversized_inputs_are_refused_at_once(argv):
     """Groups and projector supports past the enumeration cap and dense

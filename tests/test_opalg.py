@@ -19,12 +19,7 @@ from wreathdunkl.opalg import (
     op_compose,
 )
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
-from wreathdunkl.spinrep import (
-    SpinRepData,
-    agreement_blocks,
-    build_projector,
-    projector_generators,
-)
+from wreathdunkl.spinrep import SpinRepData, projector_check, verify_agreement
 
 
 def _basic_ops(N=2, m=3):
@@ -218,9 +213,9 @@ def test_operators_equal_numbers_as_multiples_of_the_identity():
 
 def test_fields_change_only_by_lift():
     """A rotation acts only on a field holding its phases, a coefficient's
-    factors share its numerator's field, the spin agreement needs the
-    operator's order to be the representation's, and equal irrational
-    scalars hash alike."""
+    factors share its numerator's field, the spin checks need the model's
+    order to be the representation's, and equal irrational scalars hash
+    alike."""
     q1 = LaurentPoly.variable(1, 2, 6)
     with pytest.raises(FieldMismatchError):
         q1.act(generator(GroupSpec("G(m,1,N)", 2, 4), "Q", i=1))
@@ -231,11 +226,10 @@ def test_fields_change_only_by_lift():
     with pytest.raises(FieldMismatchError):
         RationalCoefficient(LaurentPoly.variable(1, 2, 3), ((q1 - 1, 1),))
     params = ModelParams("cyclic", 2, 6)
-    proj = build_projector(params, "exchange")
-    gens = projector_generators(2, 6, "exchange")
-    with pytest.raises(ValueError):
-        agreement_blocks(MixedOperator.euler(2, 1, 3), SpinRepData(2, 6, 2), proj, gens)
-    assert agreement_blocks(MixedOperator.euler(2, 1, 6), SpinRepData(2, 6, 2), proj, gens) >= 0
+    for check in (projector_check, lambda p, rep: verify_agreement(p, rep, 1)):
+        with pytest.raises(ValueError):
+            check(params, SpinRepData(2, 3, 2))
+        assert check(params, SpinRepData(2, 6, 2)).passed
     z = CycloScalar.root_of_unity(12, 5)
     built = (CycloScalar.root_of_unity(12, 2) + 1) * z - CycloScalar.root_of_unity(12, 7)
     assert built == z and hash(built) == hash(z)

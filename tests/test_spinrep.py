@@ -37,14 +37,12 @@ from wreathdunkl.dunkl import (
     build_dunkl,
     exchange_element,
 )
-from wreathdunkl import spinrep
+from wreathdunkl import dunkl, spinrep
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
 from wreathdunkl.opalg import MixedOperator
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.spinrep import (
     SpinRepData,
-    adjoint_weights,
-    agreement_blocks,
     brute_force_eigvals,
     build_projector,
     char_poly_exact,
@@ -242,15 +240,15 @@ def test_agreement_cyclic(k):
 
 
 def _blocks(A, rep, params):
-    """agreement_blocks of A against the family's projector."""
-    which = "exchange" if params.family == "cyclic" else "product"
-    proj = build_projector(params)
-    return agreement_blocks(A, rep, proj, projector_generators(params.size, params.order, which))
+    """The coset count of A against the family's projector
+    (``agreement_blocks_by_entry``)."""
+    return agreement_blocks_by_entry(A, rep, build_projector(params))
 
 
 def test_agreement_dihedral_even_k():
     p = ModelParams("dihedral", 2, 2, Fraction(1), Fraction(1), Fraction(1, 2))
     rep = SpinRepData(2, 2, 2)
+    assert verify_agreement(p, rep, 2).passed
     assert _blocks(build_charge(p, 2), rep, p) == 0
 
 
@@ -325,18 +323,17 @@ def _outside_term(params):
     ids=["dihedral-k3", "cyclic-k3", "dihedral-n3", "cyclic-k2",
          "dihedral-k3-outside", "cyclic-k3-outside"],
 )
-def test_agreement_blocks_equal_the_entry_by_entry_sum(p, n, k, outside, count):
-    """Summing each distinct contribution list once gives the count that
-    adding every image into its entries one after another gives, and the
-    count of the dense blocks.  The charges agree; a term outside the
-    projector's subgroup leaves nonzero blocks, and the counts stay
-    equal there."""
+def test_coset_count_equals_the_dense_count(p, n, k, outside, count):
+    """The coset count, one sparse sum per Euler index and left coset of
+    the projector's subgroup, equals the count of the dense blocks.  The
+    charges agree; a term outside the subgroup leaves nonzero blocks, and
+    the counts stay equal there."""
     rep = SpinRepData(n, p.order, p.size)
     A, proj = build_charge(p, k), build_projector(p)
     if outside:
         A = A + _outside_term(p)
     point = random_torus_point(random.Random(k), p.size)
-    assert _blocks(A, rep, p) == agreement_blocks_by_entry(A, rep, proj) == count
+    assert agreement_blocks_by_entry(A, rep, proj) == count
     assert agreement_blocks_by_definition(A, rep, proj, point) == count
 
 
@@ -368,11 +365,11 @@ def test_support_route_coset_count_and_dense_decision_agree(p, n):
         assert dense_agreement(A, rep, proj, seed=k)
 
 
-def test_agreement_outside_the_subgroup_takes_the_counted_route(monkeypatch):
+def test_agreement_fails_for_a_term_outside_the_subgroup(monkeypatch):
     """A build_dunkl rebound with a term outside the projector's subgroup
-    sends verify_agreement to the built charge and the coset count, which
-    fails exactly: the count equals the dense block count and the dense
-    decision fails too."""
+    fails the item.  The dense references show why: the charge built from
+    the rebound d_i leaves nonzero blocks, counted alike by cosets and
+    densely, and fails the dense decision."""
     p = _CYCLIC_32
     rep = SpinRepData(2, 2, 3)
     extra = _outside_term(p)
@@ -381,37 +378,24 @@ def test_agreement_outside_the_subgroup_takes_the_counted_route(monkeypatch):
         d = build_dunkl(params, i)
         return d + extra if i == 1 else d
 
-    def charge(params, k):
-        return sum((rebound(params, i) ** k for i in range(2, params.size + 1)),
-                   rebound(params, 1) ** k)
-
-    counted = []
-    real_blocks = spinrep.agreement_blocks
-
-    def blocks(*args):
-        counted.append(real_blocks(*args))
-        return counted[-1]
-
     monkeypatch.setattr(spinrep, "build_dunkl", rebound)
-    monkeypatch.setattr(spinrep, "build_charge", charge)
-    monkeypatch.setattr(spinrep, "agreement_blocks", blocks)
     proj = build_projector(p)
     for k in (1, 2):
         [item] = verify_agreement(p, rep, k).items
-        A = charge(p, k)
-        point = random_torus_point(random.Random(k), 3)
         assert not item.passed
-        assert counted[-1] == agreement_blocks_by_definition(A, rep, proj, point) > 0
+        A = sum((rebound(p, i) ** k for i in range(2, p.size + 1)), rebound(p, 1) ** k)
+        point = random_torus_point(random.Random(k), 3)
+        count = agreement_blocks_by_entry(A, rep, proj)
+        assert count == agreement_blocks_by_definition(A, rep, proj, point) > 0
         assert not dense_agreement(A, rep, proj, seed=k)
-    assert len(counted) == 2
 
 
 def test_agreement_inside_the_subgroup_builds_no_charge(monkeypatch):
     def refuse(*args):
         raise AssertionError("no charge is built when every d_i lies in the subgroup")
 
-    monkeypatch.setattr(spinrep, "build_charge", refuse)
-    monkeypatch.setattr(spinrep, "agreement_blocks", refuse)
+    assert not hasattr(spinrep, "build_charge")
+    monkeypatch.setattr(dunkl, "build_charge", refuse)
     for p, n in _CLI_SPIN_POINTS[:4]:
         for k in (1, 2, 3):
             assert verify_agreement(p, SpinRepData(n, p.order, p.size), k).passed
@@ -516,9 +500,8 @@ def test_projector_check_agrees_with_dense_iota(family, n, m, N):
 
 
 def test_group_algebra_operations_match_dense_iota():
-    """convolve and adjoint_weights against products and adjoints of dense
-    matrices, on random signed weights that are neither Hermitian nor
-    idempotent."""
+    """convolve against products of dense matrices, on random signed
+    weights that are neither Hermitian nor idempotent."""
     rep = SpinRepData(2, 3, 2)
     els = enumerate_subgroup(GroupSpec("W(m,N)", 2, 3))
     rng = random.Random(7)
@@ -529,7 +512,6 @@ def test_group_algebra_operations_match_dense_iota():
         )
         Da, Db = dense_iota(a, rep, els), dense_iota(b, rep, els)
         assert _close(dense_iota(convolve(a, b), rep, els), Da @ Db)
-        assert _close(dense_iota(adjoint_weights(a), rep, els), Da.conj().T)
 
 
 @pytest.mark.parametrize(
@@ -571,9 +553,10 @@ def _uniform(els):
 
 
 def test_agreement_blocks_by_cosets_on_subgroups():
-    """agreement_blocks against the dense block count on random operators,
-    for normal and non-normal subgroups S of W(3, 2): left cosets xS and
-    right cosets Sx differ for the two-element ones."""
+    """The coset count against the dense block count on random operators,
+    for normal and non-normal subgroups S of W(3, 2), each certified with
+    its generators: left cosets xS and right cosets Sx differ for the
+    two-element ones."""
     N, m = 2, 3
     rep = SpinRepData(2, m, N)
     spec = GroupSpec("W(m,N)", N, m)
@@ -589,10 +572,11 @@ def test_agreement_blocks_by_cosets_on_subgroups():
     rng = random.Random(11)
     for S, gens in subgroups:
         proj = _uniform(S)
+        assert is_subgroup_average(proj, gens)
         for _ in range(4):
             A = random_operator(rng, N, m, nterms=4)
             point = random_torus_point(rng, N)
-            assert agreement_blocks(A, rep, proj, gens) == agreement_blocks_by_definition(
+            assert agreement_blocks_by_entry(A, rep, proj) == agreement_blocks_by_definition(
                 A, rep, proj, point
             )
 
@@ -611,23 +595,44 @@ def test_agreement_blocks_cancel_within_left_cosets():
     c = RationalCoefficient.ratio(q1, q1 - q2)
     for g in enumerate_subgroup(spec):
         A = MixedOperator.term(c, g) + MixedOperator.term(c, g * Q1)
-        assert agreement_blocks(A, rep, proj, [Q1]) == 0
+        assert agreement_blocks_by_entry(A, rep, proj) == 0
         funcs = random_test_functions(random.Random(3), N, m, rep.dim)
         assert all(v.is_zero() for v in apply_agreement(A, rep, proj, funcs))
     A = MixedOperator.term(c, generator(spec, "P", i=1, j=2))
-    assert agreement_blocks(A, rep, proj, [Q1]) == 2 * 2  # the cosets S and P_12 S
+    assert agreement_blocks_by_entry(A, rep, proj) == 2 * 2  # the cosets S and P_12 S
 
 
-def test_agreement_blocks_require_a_subgroup_average():
-    rep = SpinRepData(2, 3, 2)
-    spec = GroupSpec("W(m,N)", 2, 3)
-    ident = WreathElement.identity(2, 3)
-    Q1, K1 = generator(spec, "Q", i=1), generator(spec, "K", i=1)
-    A = MixedOperator.from_group(generator(spec, "P", i=1, j=2))
-    with pytest.raises(ValueError):  # not closed: Q_1^2 is missing
-        agreement_blocks(A, rep, _uniform([ident, Q1]), [Q1])
-    with pytest.raises(ValueError):  # a subgroup, but not uniform on it
-        agreement_blocks(A, rep, {ident: Fraction(1, 3), K1: Fraction(2, 3)}, [K1])
+def _clear_projector_caches():
+    spinrep._projector.cache_clear()
+    spinrep._averages_commute.cache_clear()
+
+
+def test_a_support_that_is_not_a_subgroup_fails_every_item(monkeypatch):
+    """With one element dropped from the exchange average's support, the
+    certificate refuses it, and every projector item and the agreement
+    fail.  The dense references show why: the weights are no longer
+    idempotent, and the charges no longer agree on the states they
+    project to."""
+    p = _CYCLIC_32
+    N, m = p.size, p.order
+    rep = SpinRepData(2, m, N)
+    real = spinrep.enumerate_subgroup
+    _clear_projector_caches()
+    monkeypatch.setattr(spinrep, "enumerate_subgroup", lambda spec, cap: real(spec, cap)[:-1])
+    try:
+        lam = build_projector(p)
+        assert not is_subgroup_average(lam, projector_generators(N, m, "exchange"))
+        assert not any(i.passed for i in projector_check(p, rep).items)
+        dense = dense_iota(lam, rep, real(GroupSpec("G(m,p,N)", N, m, p=m)))
+        assert not _close(dense @ dense, dense)
+        # J^(1) = sum d_i keeps no group element, so it agrees densely even
+        # here; its item fails all the same, as the certificate is refused
+        for k in (1, 2):
+            assert not verify_agreement(p, rep, k).passed
+            assert dense_agreement(build_charge(p, k), rep, lam, seed=k) == (k == 1)
+    finally:
+        monkeypatch.undo()
+        _clear_projector_caches()
 
 
 def test_subgroup_certificate_refuses_what_it_does_not_prove():
@@ -674,52 +679,93 @@ def test_certified_projectors_equal_the_convolutions(family, N, m):
     assert build_projector(params) == (lam if family == "cyclic" else product)
 
 
-def test_exchange_item_loops_over_keys_for_a_non_involution(monkeypatch):
-    """An exchange element of the subgroup that is not an involution is
-    decided key by key, and fails: rho(g) != rho(g^-1) on the spins."""
-    p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
-    rep = SpinRepData(2, 2, 3)
-    looped = []
-    real_loop = spinrep._acts_like_spin_image
-
-    def loop(rep, lam, g):
-        looped.append(g)
-        return real_loop(rep, lam, g)
-
-    monkeypatch.setattr(spinrep, "_acts_like_spin_image", loop)
-    assert projector_check(p, rep).passed and not looped
-    cycle = WreathElement(3, 2, (1, 2, 0), (0, 0, 0), (0, 0, 0))  # in G(2, 2, 3)
+def test_exchange_item_fails_for_a_non_involution(monkeypatch):
+    """An exchange element of the subgroup that is not an involution fails
+    the item.  The dense reference shows why: on iota(Lambda) it acts as
+    rho(g^-1), which differs from rho(g) on the spins."""
+    p = _CYCLIC_32
+    N, m = p.size, p.order
+    rep = SpinRepData(2, m, N)
+    assert projector_check(p, rep).passed
+    cycle = WreathElement(N, m, (1, 2, 0), (0, 0, 0), (0, 0, 0))  # in G(2, 2, 3)
     assert cycle in build_projector(p) and not (cycle * cycle).is_identity()
     monkeypatch.setattr(spinrep, "exchange_element", lambda N, m, i, j, s: cycle)
     exchange = [i for i in projector_check(p, rep).items
                 if i.relation == "exchange acts like its spin image on Lambda"]
-    assert len(looped) == len(exchange) == 3 * 2 * 2
+    assert len(exchange) == 3 * 2 * 2
     assert not any(i.passed for i in exchange)
+    # the regular representation of H = G(2, 2, 3) holds Lambda and cycle
+    H = enumerate_subgroup(GroupSpec("G(m,p,N)", N, m, p=m))
+    lam = dense_iota(build_projector(p, "exchange"), rep, H)
+    left = np.kron(left_regular(H, cycle), np.eye(rep.dim)) @ lam
+    for g, agrees in ((cycle, False), (cycle.inverse(), True)):
+        rho = to_numpy(spin_image_by_definition(rep, g))
+        assert _close(left, np.kron(np.eye(len(H)), rho) @ lam) == agrees
+
+
+def test_doubled_reflection_item_fails_outside_b(monkeypatch):
+    """A doubled reflection outside B fails the item.  The dense reference
+    shows why: at m = 2, Q_1 lies outside HB, so Q_1 (x) rho(Q_1) moves
+    Lambda Lambda_b."""
+    N, m = 2, 2
+    p = _family_params("dihedral", N, m)
+    rep = SpinRepData(2, m, N)
+    assert projector_check(p, rep).passed  # builds and keeps the projectors
+    Q1 = generator(GroupSpec("W(m,N)", N, m), "Q", i=1)
+    monkeypatch.setattr(spinrep, "boundary_element", lambda N, m, i, s: Q1)
+    items = [i for i in projector_check(p, rep).items
+             if i.relation == "doubled reflection fixes Lambda Lambda_b"]
+    assert len(items) == N * m and not any(i.passed for i in items)
+    els = enumerate_subgroup(GroupSpec("W(m,N)", N, m))
+    plam = dense_iota(build_projector(p, "product"), rep, els)
+    assert not _close(dense_iota({Q1: 1}, rep, els) @ plam, plam)
 
 
 @pytest.mark.parametrize("family,N,m", [("cyclic", 3, 2), ("dihedral", 2, 2), ("dihedral", 2, 3)])
-def test_projector_items_fall_back_to_products_without_certificates(monkeypatch, family, N, m):
-    """With every certificate refused, each item is decided by products of
-    weights and gives the verdict read off the certificates."""
+def test_projector_items_fail_without_certificates(monkeypatch, family, N, m):
+    """With every certificate refused, every projector item and the
+    agreement fail, although each holds (the dense comparison of
+    test_projector_check_agrees_with_dense_iota): an item whose hypotheses
+    are not proved fails, and never passes."""
     p = _family_params(family, N, m)
     rep = SpinRepData(2, m, N)
-
-    def items():
-        return [(i.relation, i.params, i.passed) for i in projector_check(p, rep).items]
-
-    expected = items()
-    assert all(passed for _, _, passed in expected)
-    spinrep._projector.cache_clear()
-    spinrep._averages_commute.cache_clear()
+    assert projector_check(p, rep).passed and verify_agreement(p, rep, 2).passed
+    _clear_projector_caches()
     monkeypatch.setattr(spinrep, "is_subgroup_average", lambda weights, gens: False)
     try:
         assert not spinrep._projector(N, m, "exchange")[1]
         assert not spinrep._averages_commute(N, m)
-        assert items() == expected
+        assert not any(i.passed for i in projector_check(p, rep).items)
+        assert not verify_agreement(p, rep, 2).passed
     finally:
         monkeypatch.undo()
-        spinrep._projector.cache_clear()
-        spinrep._averages_commute.cache_clear()
+        _clear_projector_caches()
+
+
+_CERTIFIED_GRID = [(family, N, m) for family in ("cyclic", "dihedral")
+                   for N in (2, 3) for m in (1, 2, 3, 4)] + [("cyclic", 4, 2)]
+
+
+@pytest.mark.parametrize("family,N,m", _CERTIFIED_GRID,
+                         ids=[f"{f}-N{N}-m{m}" for f, N, m in _CERTIFIED_GRID])
+def test_certificates_hold_at_every_cli_spin_point(family, N, m):
+    """The hypotheses the spin items are read from hold at the CLI spin
+    points: the three projector certificates and the commuting averages;
+    every exchange element is an involution in H, every doubled reflection
+    lies in B, and every group element of every d_i lies in the family's
+    S.  So deciding the items by them changes no verdict."""
+    p = _family_params(family, N, m)
+    for which in ("exchange", "boundary", "product"):
+        assert spinrep._projector(N, m, which)[1], which
+    assert spinrep._averages_commute(N, m)
+    H, B = build_projector(p, "exchange"), build_projector(p, "boundary")
+    for i, j in itertools.permutations(range(1, N + 1), 2):
+        for s in range(m):
+            g = exchange_element(N, m, i, j, s)
+            assert g in H and (g * g).is_identity()
+    assert all(boundary_element(N, m, i, 2 * s) in B for i in range(1, N + 1) for s in range(m))
+    S = build_projector(p)
+    assert all(g in S for i in range(1, N + 1) for _, g in build_dunkl(p, i).terms)
 
 
 def test_wreath_stack_matches_the_enumeration_and_compose():
