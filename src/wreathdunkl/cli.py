@@ -158,9 +158,9 @@ def _verify_case(
     in this case on the same operand values (keyed exactly, by nvars,
     order, numerator terms and denominator factors) returns the stored
     result.  The table is dropped when the case ends or raises.  The
-    coupling pieces of the Dunkl operators and the verdicts decided from
-    them (see ``dunkl``) are kept per (family, N, m) across cases, so the
-    cases of one (family, N, m) share them.
+    coupling coefficients of the Dunkl identities (see ``dunkl``) are kept
+    per (family, N, m) across cases, so the cases of one (family, N, m)
+    share them, and each case evaluates them at its own couplings.
     """
     suite = CheckSuite(f"verify[{params.family} N={params.size} m={params.order}]")
     with result_table():

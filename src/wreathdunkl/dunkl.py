@@ -50,44 +50,44 @@ exactly; see ``rotation_average_check``.
 The charges I^(k) = sum_i D_i^k commute because the D_i do.  The checks
 compute each [D_i, D_j] once (``dunkl_commutator``) and reach every
 [I^(k), I^(l)] from them by the Leibniz rule (``charges_commutator``), so
-commuting operators make no product of charges.  Likewise each [D_j, Q_i]
-is computed once (``dunkl_rotation_commutator``) and gives [I^(k), Q_i]
-(``charge_rotation_commutator``).
+commuting operators make no product of charges.  Likewise each [D_j, g]
+for a group element g is computed once (``dunkl_group_commutator``); the
+[D_j, Q_i] give [I^(k), Q_i] (``charge_rotation_commutator``).
 
-Most identities are decided once per (family, N, m), from coupling
-coefficients.  Let c_1, ..., c_n be the couplings (lambda; or lambda, mu,
-rho), c_0 = 1, and A_{i,0} = d_i(0), A_{i,a} = d_i(e_a) - d_i(0) with e_a
-the unit point of coupling a (``_pieces``, built by ``build_dunkl`` as
-bound when called and kept per builder).  At a point p the checks first
-assert exactly that d_i(p) = sum_a c_a A_{i,a} at the sites they read
-(``_decomposes``).  When it holds, every multilinear f expands:
+The identities are evaluated from coupling coefficients kept per
+(family, N, m).  Let c_1, ..., c_n be the couplings (lambda; or lambda,
+mu, rho), c_0 = 1, and A_{i,0} = d_i(0), A_{i,a} = d_i(e_a) - d_i(0) with
+e_a the unit point of coupling a (``_pieces``, built by ``build_dunkl`` as
+bound when called and kept per builder).  Each d_i is affine in the
+couplings by construction: lambda multiplies every exchange term, and mu
+and rho the boundary terms.  At a point p the checks assert exactly that
+d_i(p) = sum_a c_a A_{i,a} at the sites they read (``_affine``), and a
+builder that is not affine is an engine fault (``ValueError``).  Then
+every multilinear f expands:
 
     f(d_i(p), d_j(p)) = sum_{s,t} c_s c_t f(A_{i,s}, A_{j,t})
                       = sum over monomials u of c^u C_u,
 
 where C_u sums f(A_{i,s}, A_{j,t}) over the (s, t) whose nonzero indices
-form u (``_coefficients``).  If every C_u vanishes, f(d_i(p), d_j(p)) = 0:
-the identity holds at p, and at every coupling where the decomposition
-holds.  This decides, from operators kept per (family, N, m):
+form u (``_coefficients``).  The operator of the item at p is
+sum_u c^u C_u (``_at``): the same operator as the direct computation, so
+verdicts and witnesses are exact, made from operators kept per
+(family, N, m):
 
-* [d_i, d_j] (f the commutator; ``_dunkl_pieces_commute``), and [d_i, g]
-  for a group element g (f linear; ``_pieces_commute``);
+* [d_i, d_j] (f the commutator; ``_dunkl_coefficients``), and [d_i, g]
+  for a group element g (f linear; ``_group_coefficients``);
 * H - sum_i d_i^2.  J2 = sum_i d_i^2 expands with f the product, summed
   over i.  H = sum_i D_i^2 - sum over rows of c (c + g) x / (1 - x)^2
-  expands once the rows of ``hamiltonian_images`` at p are those at the
-  unit points with c = sum_a c_a c_{row,a} (``_linear_images``): its
-  coefficient at c_a is minus the image sum of c_{row,a}, and at c_a c_b
-  minus the identity times the sum of c_{row,a} c_{row,b} (doubled for
-  a != b) x / (1 - x)^2 (``_hamiltonian_pieces_vanish``);
+  expands because the rows of ``hamiltonian_images`` at p are those at the
+  unit points with c = sum_a c_a c_{row,a} (asserted by ``_linear_images``):
+  its coefficient at c_a is minus the image sum of c_{row,a}, and at
+  c_a c_b minus the identity times the sum of c_{row,a} c_{row,b} (doubled
+  for a != b) x / (1 - x)^2 (``_hamiltonian_coefficients``);
 * [J^(k), g] for k <= 2, including the coupling-free part
-  sum_i d_i(0)^k (``_charge_commutes``);
+  sum_i d_i(0)^k (``_charge_group_coefficients``);
 * the rotation average, with the one-copy operator decomposed the same
-  way: Pi_j^0 Pi_i^0 is linear, so it maps the one-copy operator at p to
-  d_i(p) when it maps each one-copy piece to A_{i,a} (``_averages_match``).
-
-If the decomposition fails at p or a coefficient does not vanish, the
-item runs the direct computation at p, so every failing item carries the
-witness of the direct route, and a passing item carries none either way.
+  way: Pi_j^0 Pi_i^0 is linear, so its coefficients are the projected
+  one-copy pieces minus the A_{i,a} (``_average_coefficients``).
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
+from math import prod
 
 from .cyclotomic import CycloScalar
 from .groups import GroupSpec, WreathElement, generator
@@ -345,36 +346,32 @@ def build_charge(params: ModelParams, k: int) -> MixedOperator:
 
 @lru_cache(maxsize=256)
 def dunkl_commutator(params: ModelParams, i: int, j: int) -> MixedOperator:
-    """[d_i, d_j] for sites i < j.
+    """[d_i, d_j] for sites i < j, from its coupling coefficients
+    (``_dunkl_coefficients``).
 
     Kept and shared like ``build_charge``: the Hecke suite's "[d_i, d_j] = 0"
-    items and the charge commutators read the same operator.  It is zero,
-    with no product at p, when d_i and d_j decompose at p and every
-    coupling coefficient of the commutator vanishes
-    (``_dunkl_pieces_commute``); otherwise it is the direct commutator.
+    items and the charge commutators read the same operator.
     """
     if not 1 <= i < j <= params.size:
         raise ValueError(f"need 1 <= i < j <= N, got i={i}, j={j}")
-    N, m = params.size, params.order
-    if (_decomposes(build_dunkl, params, (i, j))
-            and _dunkl_pieces_commute(build_dunkl, params.family, N, m, i, j)):
-        return MixedOperator.zero(N, m)
-    return op_commutator(build_dunkl(params, i), build_dunkl(params, j))
+    _affine(build_dunkl, params, i)
+    _affine(build_dunkl, params, j)
+    return _at(params, _dunkl_coefficients(build_dunkl, params.family, params.size,
+                                           params.order, i, j))
 
 
-@lru_cache(maxsize=256)
-def dunkl_rotation_commutator(params: ModelParams, j: int, i: int) -> MixedOperator:
-    """[d_j, Q_i] for any sites j and i.
+@lru_cache(maxsize=1024)
+def dunkl_group_commutator(params: ModelParams, i: int, g: WreathElement) -> MixedOperator:
+    """[d_i, g] for a site i and a group element g, from its coupling
+    coefficients (``_group_coefficients``).
 
-    Kept and shared like ``dunkl_commutator``: the Hecke suite's
-    "[d_i, Q_j] = 0" items and ``charge_rotation_commutator`` read the same
-    operator.  Zero when every coupling piece of d_j commutes with Q_i
-    (``_commutes_by_pieces``).
+    Kept and shared like ``dunkl_commutator``: the Hecke suite's site
+    items, among them "[d_i, Q_j] = 0", and ``charge_rotation_commutator``
+    read the same operator.
     """
-    qi = generator(params.group_spec, "Q", i=i)
-    if _commutes_by_pieces(params, j, qi):
-        return MixedOperator.zero(params.size, params.order)
-    return op_commutator(build_dunkl(params, j), MixedOperator.from_group(qi))
+    _affine(build_dunkl, params, i)
+    return _at(params, _group_coefficients(build_dunkl, params.family, params.size,
+                                           params.order, i, g))
 
 
 def power_commutator(d: MixedOperator, c: MixedOperator, l: int) -> MixedOperator:
@@ -417,12 +414,13 @@ def charge_rotation_commutator(params: ModelParams, k: int, i: int) -> MixedOper
     """[I^(k), Q_i] = sum_j sum_{s<k} d_j^s [d_j, Q_i] d_j^(k-1-s), an exact
     identity of the operator algebra, without building I^(k).
 
-    Each [d_j, Q_i] is read from ``dunkl_rotation_commutator``; a vanishing
+    Each [d_j, Q_i] is read from ``dunkl_group_commutator``; a vanishing
     one makes no product.
     """
+    qi = generator(params.group_spec, "Q", i=i)
     total = MixedOperator.zero(params.size, params.order)
     for j in range(1, params.size + 1):
-        c = dunkl_rotation_commutator(params, j, i)
+        c = dunkl_group_commutator(params, j, qi)
         total = total + power_commutator(build_dunkl(params, j), c, k)
     return total
 
@@ -475,22 +473,6 @@ def _pieces(build, family: str, N: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _decomposes(build, params: ModelParams, sites) -> bool:
-    """Whether build(p, i) = A_0 + sum_a p_a A_a exactly at every given
-    site, with the ``_pieces`` of ``build``."""
-    return all(_site_decomposes(build, params, i) for i in sites)
-
-
-@lru_cache(maxsize=1024)
-def _site_decomposes(build, params: ModelParams, i: int) -> bool:
-    base, *linear = _pieces(build, params.family, params.size, params.order)[i - 1]
-    combo = base
-    for c, piece in zip(_coordinates(params), linear):
-        if c:
-            combo = combo + piece.scale(c)
-    return build(params, i) == combo
-
-
 def _coefficients(f, *factors) -> dict:
     """f(sum_a p_a A_a, sum_b p_b B_b, ...) for a multilinear f, with
     p_0 = 1, as a polynomial in the couplings: {monomial: operator}, a
@@ -503,32 +485,45 @@ def _coefficients(f, *factors) -> dict:
     return out
 
 
-@lru_cache(maxsize=256)
-def _dunkl_coefficients_vanish(build, family: str, N: int, m: int, i: int, j: int) -> dict:
-    """{monomial: whether its coupling coefficient of [d_i, d_j] vanishes}
-    (``_coefficients``); the cyclic lambda^2 coefficient (1, 1) is
-    [A_{i,lambda}, A_{j,lambda}]."""
-    pieces = _pieces(build, family, N, m)
-    ops = _coefficients(op_commutator, pieces[i - 1], pieces[j - 1])
-    return {key: op.is_zero() for key, op in ops.items()}
-
-
-def _dunkl_pieces_commute(build, family: str, N: int, m: int, i: int, j: int) -> bool:
-    """Whether every coupling coefficient of [d_i, d_j] vanishes."""
-    return all(_dunkl_coefficients_vanish(build, family, N, m, i, j).values())
+def _at(params: ModelParams, coeffs: dict) -> MixedOperator:
+    """sum over monomials u of p^u C_u: the coupling coefficients
+    {u: C_u} of ``_coefficients`` evaluated at the couplings p of
+    ``params``, skipping zero coefficients and zero weights."""
+    c = _coordinates(params)
+    total = MixedOperator.zero(params.size, params.order)
+    for u, C in coeffs.items():
+        weight = prod(c[a - 1] for a in u)
+        if weight and not C.is_zero():
+            total = total + (C if weight == 1 else C.scale(weight))
+    return total
 
 
 @lru_cache(maxsize=1024)
-def _pieces_commute(build, family: str, N: int, m: int, i: int, g: WreathElement) -> bool:
-    """Whether every coupling piece of d_i commutes with g."""
+def _affine(build, params: ModelParams, i: int) -> None:
+    """Assert exactly that build(p, i) = sum_a p_a A_a with the
+    ``_pieces`` of ``build``, and raise ``ValueError`` otherwise.
+
+    The builders are affine in the couplings by construction, so a
+    failure is an engine fault, never a verdict of the model."""
+    pieces = _pieces(build, params.family, params.size, params.order)[i - 1]
+    if build(params, i) != _at(params, _coefficients(lambda A: A, pieces)):
+        raise ValueError(f"{build.__name__} at site {i} is not affine in the couplings "
+                         f"at {params.to_json()}")
+
+
+@lru_cache(maxsize=256)
+def _dunkl_coefficients(build, family: str, N: int, m: int, i: int, j: int) -> dict:
+    """The coupling coefficients of [d_i, d_j]; the cyclic lambda^2
+    coefficient (1, 1) is [A_{i,lambda}, A_{j,lambda}]."""
+    pieces = _pieces(build, family, N, m)
+    return _coefficients(op_commutator, pieces[i - 1], pieces[j - 1])
+
+
+@lru_cache(maxsize=1024)
+def _group_coefficients(build, family: str, N: int, m: int, i: int, g: WreathElement) -> dict:
+    """The coupling coefficients of [d_i, g]."""
     G = MixedOperator.from_group(g)
-    return all(op_commutator(A, G).is_zero() for A in _pieces(build, family, N, m)[i - 1])
-
-
-def _commutes_by_pieces(params: ModelParams, i: int, g: WreathElement) -> bool:
-    """Whether [d_i, g] = 0 follows from the coupling pieces of d_i."""
-    return _site_decomposes(build_dunkl, params, i) and _pieces_commute(
-        build_dunkl, params.family, params.size, params.order, i, g)
+    return _coefficients(lambda A: op_commutator(A, G), _pieces(build, family, N, m)[i - 1])
 
 
 @lru_cache(maxsize=64)
@@ -542,34 +537,35 @@ def _charge_coefficients(build, family: str, N: int, m: int, k: int) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _charge_commutes(build, family: str, N: int, m: int, k: int, g: WreathElement) -> bool:
-    """Whether every coupling coefficient of [sum_i d_i^k, g] vanishes."""
+def _charge_group_coefficients(build, family: str, N: int, m: int, k: int,
+                               g: WreathElement) -> dict:
+    """The coupling coefficients of [sum_i d_i^k, g]."""
     G = MixedOperator.from_group(g)
-    return all(op_commutator(C, G).is_zero()
-               for C in _charge_coefficients(build, family, N, m, k).values())
+    return {key: op_commutator(C, G)
+            for key, C in _charge_coefficients(build, family, N, m, k).items()}
 
 
-def _linear_images(params: ModelParams) -> bool:
-    """Whether the rows of ``hamiltonian_images`` at p are those at the
-    unit points, row by row, with the same x and g and c = sum_a p_a c_a."""
+def _linear_images(params: ModelParams) -> None:
+    """Assert that the rows of ``hamiltonian_images`` at p are those at
+    the unit points, row by row, with the same x and g and
+    c = sum_a p_a c_a, and raise ``ValueError`` otherwise (an engine fault,
+    as the table is linear in the couplings by construction)."""
     table = hamiltonian_images(params)
     tables = [hamiltonian_images(u)
               for u in _coupling_units(params.family, params.size, params.order)]
-    if any(len(t) != len(table) for t in tables):
-        return False
-    for (x, c, g), *units in zip(table, *tables):
-        if any(ux != x or ug != g for ux, _, ug in units):
-            return False
-        if c != sum(p * uc for p, (_, uc, _) in zip(_coordinates(params), units)):
-            return False
-    return True
+    linear = all(len(t) == len(table) for t in tables) and all(
+        all(ux == x and ug == g for ux, _, ug in units)
+        and c == sum(p * uc for p, (_, uc, _) in zip(_coordinates(params), units))
+        for (x, c, g), *units in zip(table, *tables))
+    if not linear:
+        raise ValueError(f"the image table is not linear in the couplings at {params.to_json()}")
 
 
 @lru_cache(maxsize=32)
-def _hamiltonian_pieces_vanish(build, images, family: str, N: int, m: int) -> bool:
-    """Whether every coupling coefficient of H - sum_i d_i^2 vanishes, H
-    being read off the unit tables of ``images`` with the x and g of the
-    first (``_linear_images`` asserts that they share them)."""
+def _hamiltonian_coefficients(build, images, family: str, N: int, m: int) -> dict:
+    """The coupling coefficients of H - sum_i d_i^2, H being read off the
+    unit tables of ``images`` with the x and g of the first
+    (``_linear_images`` asserts that they share them)."""
     units = _coupling_units(family, N, m)
     rows = list(zip(*(images(u) for u in units)))
     kernels = [inverse_square(x) for (x, _, _), *_ in rows]
@@ -588,7 +584,7 @@ def _hamiltonian_pieces_vanish(build, images, family: str, N: int, m: int) -> bo
             if squares:
                 h[(a + 1, b + 1)] = MixedOperator.term(balanced_sum(squares), ident)
     j2 = _charge_coefficients(build, family, N, m, 2)
-    return all((h.get(key, zero) - j2.get(key, zero)).is_zero() for key in h.keys() | j2.keys())
+    return {key: h.get(key, zero) - j2.get(key, zero) for key in dict.fromkeys([*h, *j2])}
 
 
 def _single_site(x: LaurentPoly) -> bool:
@@ -819,22 +815,14 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
     spec = params.group_spec
     idx = params.to_json()
     d1 = build_dunkl(params, 1)
-    zero = MixedOperator.zero(N, m)
-
-    def site_commutator(g, flip=False):
-        """[d_1, g], or [g, d_1] with ``flip``."""
-        if _commutes_by_pieces(params, 1, g):
-            return zero
-        G = MixedOperator.from_group(g)
-        return op_commutator(G, d1) if flip else op_commutator(d1, G)
 
     a = generator(spec, "a")
-    _is_zero_item(suite, "a d = d a", idx, site_commutator(a, flip=True))
+    _is_zero_item(suite, "a d = d a", idx, -dunkl_group_commutator(params, 1, a))
 
     if N >= 2:
         e1_el = generator(spec, "e", i=1)
         e1 = MixedOperator.from_group(e1_el)
-        d1_e1ae1 = site_commutator(e1_el * a * e1_el)
+        d1_e1ae1 = dunkl_group_commutator(params, 1, e1_el * a * e1_el)
         _is_zero_item(suite, "d (e1 a e1) = (e1 a e1) d", idx, d1_e1ae1)
         # the quadratic cross relation, with the full rotation-twisted sum
         twist = MixedOperator.zero(N, m)
@@ -860,7 +848,7 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
     for j in range(2, N):
         _is_zero_item(
             suite, "e_j d = d e_j (j>1)", {**idx, "j": j},
-            site_commutator(generator(spec, "e", i=j), flip=True),
+            -dunkl_group_commutator(params, 1, generator(spec, "e", i=j)),
         )
 
     for i in range(1, N + 1):
@@ -877,7 +865,7 @@ def check_hecke_relations(params: ModelParams, corrupt: str | None = None) -> Ch
                 suite,
                 "[d_i, Q_j] = 0",
                 {**idx, "i": i, "j": j},
-                dunkl_rotation_commutator(params, i, j),
+                dunkl_group_commutator(params, i, generator(spec, "Q", i=j)),
             )
 
     if params.family == "dihedral":
@@ -933,37 +921,35 @@ def rotation_average_check(params: ModelParams) -> CheckSuite:
 
     Projecting the one-copy operator to the rotation-invariant sector at
     sites i and j must reproduce the wreath operator exactly; this is the
-    mechanism behind the commuting property in both families.  When both
-    operators decompose at p, the projection is checked on each coupling
-    piece, once per (family, N, m) (``_averages_match``); otherwise on the
-    operators at p.
+    mechanism behind the commuting property in both families.  The
+    difference is evaluated at p from its coupling coefficients, kept per
+    (family, N, m) (``_average_coefficients``).
     """
     N, m = params.size, params.order
     suite = CheckSuite(f"rotation-average[{params.family}]")
     idx = params.to_json()
     for i in range(1, N + 1):
         j = 1 if i != 1 else 2
-        if (_site_decomposes(build_dunkl, params, i) and _site_decomposes(_one_copy_dunkl, params, i)
-                and _averages_match(build_dunkl, _one_copy_dunkl, params.family, N, m, i, j)):
-            diff = MixedOperator.zero(N, m)
-        else:
-            proj = ad_projector(j, 0, ad_projector(i, 0, _one_copy_dunkl(params, i)))
-            diff = proj - build_dunkl(params, i)
+        _affine(build_dunkl, params, i)
+        _affine(_one_copy_dunkl, params, i)
         _is_zero_item(
             suite,
             "Pi_i^0 Pi_j^0 (one-copy Dunkl) = wreath Dunkl",
             {**idx, "i": i, "j": j},
-            diff,
+            _at(params, _average_coefficients(build_dunkl, _one_copy_dunkl, params.family,
+                                              N, m, i, j)),
         )
     return suite
 
 
 @lru_cache(maxsize=64)
-def _averages_match(build, one_copy, family: str, N: int, m: int, i: int, j: int) -> bool:
-    """Whether Pi_j^0 Pi_i^0 maps every one-copy piece at site i to the
-    matching piece of d_i."""
-    pieces = zip(_pieces(one_copy, family, N, m)[i - 1], _pieces(build, family, N, m)[i - 1])
-    return all(ad_projector(j, 0, ad_projector(i, 0, y)) == d for y, d in pieces)
+def _average_coefficients(build, one_copy, family: str, N: int, m: int, i: int, j: int) -> dict:
+    """The coupling coefficients of Pi_j^0 Pi_i^0 (one-copy d_i) - d_i:
+    the projection is linear, so each is the projected one-copy piece at
+    site i minus the matching piece of d_i."""
+    pairs = tuple(zip(_pieces(one_copy, family, N, m)[i - 1], _pieces(build, family, N, m)[i - 1]))
+    return _coefficients(lambda pair: ad_projector(j, 0, ad_projector(i, 0, pair[0])) - pair[1],
+                         pairs)
 
 
 def _reduces_to_one_copy(params: ModelParams) -> bool:
@@ -1009,21 +995,18 @@ def hamiltonian_check(params: ModelParams) -> CheckSuite:
     at odd m and rho = 0 its simplified boundary form, decided on the
     image table (``simplified_boundary_mismatch``).
 
-    H - J2 has degree 2 in the couplings.  When every d_i decomposes at p
-    and the image rows are linear in the couplings, the item is decided by
-    the coefficients of H - J2, computed once per (family, N, m)
-    (``_hamiltonian_pieces_vanish``; the proof is in the module
-    docstring), and neither H nor J2 is built at p.  Otherwise H and J2
-    are built and subtracted."""
+    H - J2 has degree 2 in the couplings.  The item evaluates at p the
+    coefficients of H - J2, kept per (family, N, m)
+    (``_hamiltonian_coefficients``; the proof is in the module docstring),
+    so neither H nor J2 is built at p."""
     suite = CheckSuite(f"hamiltonian[{params.family}]")
     idx = params.to_json()
     N, m = params.size, params.order
-    if (_decomposes(build_dunkl, params, range(1, N + 1)) and _linear_images(params)
-            and _hamiltonian_pieces_vanish(build_dunkl, hamiltonian_images, params.family, N, m)):
-        diff = MixedOperator.zero(N, m)
-    else:
-        diff = build_hamiltonian(params) - build_charge(params, 2)
-    _is_zero_item(suite, "H = sum_i d_i^2", idx, diff)
+    for i in range(1, N + 1):
+        _affine(build_dunkl, params, i)
+    _linear_images(params)
+    _is_zero_item(suite, "H = sum_i d_i^2", idx, _at(params, _hamiltonian_coefficients(
+        build_dunkl, hamiltonian_images, params.family, N, m)))
     if params.family == "dihedral" and params.order % 2 and params.rho == 0:
         witness = simplified_boundary_mismatch(params)
         suite.add("simplified boundary form agrees", idx, witness is None, witness)
@@ -1040,23 +1023,23 @@ def charge_commutation_check(params: ModelParams, kmax: int = 3) -> CheckSuite:
     either charge or any product of them.  When the d's commute every term
     vanishes and no product is made.  [I^(k), Q_i] comes the same way from
     the [d_j, Q_i] (``charge_rotation_commutator``).  [I^(k), P_{i,i+1}]
-    and [J^(2), K_1] for k <= 2 are decided from the coupling coefficients
-    of the charge, including the coupling-free part sum_i d_i(0)^k, kept
-    per (family, N, m) (``_charge_commutes``), when every d_i decomposes
-    at p.  The charge itself is built only where an operator is needed: at
-    k = 3, for "[J^(1), K_i] != 0", or when the coefficients do not
-    decide.
+    and [J^(2), K_1] for k <= 2 are evaluated at p from the coupling
+    coefficients of [J^(k), g], including the coupling-free part
+    sum_i d_i(0)^k, kept per (family, N, m)
+    (``_charge_group_coefficients``).  The charge itself is built only at
+    k = 3 and for "[J^(1), K_i] != 0".
     """
     N, m = params.size, params.order
     suite = CheckSuite(f"charges[{params.family}]")
     idx = params.to_json()
     spec = params.group_spec
-    affine = _decomposes(build_dunkl, params, range(1, N + 1))
+    for i in range(1, N + 1):
+        _affine(build_dunkl, params, i)
 
     def commutator_with(k, g):
-        """[I^(k), g]: zero when every coupling coefficient commutes with g."""
-        if affine and k <= 2 and _charge_commutes(build_dunkl, params.family, N, m, k, g):
-            return MixedOperator.zero(N, m)
+        """[I^(k), g], from the coupling coefficients for k <= 2."""
+        if k <= 2:
+            return _at(params, _charge_group_coefficients(build_dunkl, params.family, N, m, k, g))
         return op_commutator(build_charge(params, k), MixedOperator.from_group(g))
 
     for k1 in range(1, kmax + 1):

@@ -40,7 +40,7 @@ from math import isqrt, lcm
 from .cyclotomic import CycloScalar
 from .dunkl import (
     ModelParams,
-    _dunkl_coefficients_vanish,
+    _dunkl_coefficients,
     _pieces,
     balanced_sum,
     boundary_element,
@@ -64,11 +64,12 @@ LATTICE_LABELS = ("L2Nm", "L2NmPlusM_halfshift", "L2NmPlusM_integer", "L2Np1m")
 
 
 def build_barred(params: ModelParams, i: int) -> MixedOperator:
-    """The coupling-stripped difference part of the cyclic Dunkl operator."""
+    """The coupling-stripped difference part of the cyclic Dunkl operator:
+    the lambda piece d_i(1) - d_i(0) of ``dunkl._pieces``, as d_i(0) is
+    euler_i."""
     if params.family != "cyclic":
         raise ValueError("barred operators are built for the cyclic family")
-    unit = ModelParams("cyclic", params.size, params.order, Fraction(1))
-    return build_dunkl(unit, i) - MixedOperator.euler(params.size, i, params.order)
+    return _pieces(build_dunkl, "cyclic", params.size, params.order)[i - 1][1]
 
 
 def potential_euler(N: int, m: int, i: int) -> RationalCoefficient:
@@ -143,24 +144,15 @@ def _unit_freezing(N: int, m: int) -> tuple:
     [static H, barred_i] = euler_i(potential) for each i), all at unit
     coupling.
 
-    barred_i = d_i(1) - euler_i is the lambda piece A_{i,lambda} =
-    d_i(1) - d_i(0) of the Dunkl operator (``dunkl._pieces``), as d_i(0)
-    is euler_i.  Where that equality holds exactly, [barred_i, barred_j]
-    is the lambda^2 coefficient [A_{i,lambda}, A_{j,lambda}] of
-    [d_i, d_j], whose verdict ``dunkl._dunkl_coefficients_vanish`` keeps
-    per (N, m); elsewhere the commutator is multiplied out."""
+    barred_i is the lambda piece A_{i,lambda} of the Dunkl operator
+    (``build_barred``), so [barred_i, barred_j] is the lambda^2 coefficient
+    [A_{i,lambda}, A_{j,lambda}] of [d_i, d_j], which
+    ``dunkl._dunkl_coefficients`` keeps per (N, m)."""
     unit = ModelParams("cyclic", N, m, Fraction(1))
     barred = tuple(build_barred(unit, i) for i in range(1, N + 1))
-    pieces = _pieces(build_dunkl, "cyclic", N, m)
-    lam = [b == A[1] for b, A in zip(barred, pieces)]
-
-    def commutes(i: int, j: int) -> bool:
-        if lam[i] and lam[j]:
-            return _dunkl_coefficients_vanish(build_dunkl, "cyclic", N, m, i + 1, j + 1)[(1, 1)]
-        return op_commutator(barred[i], barred[j]).is_zero()
-
     commuting = tuple(
-        (i + 1, j + 1, commutes(i, j)) for i in range(N) for j in range(i + 1, N)
+        (i, j, _dunkl_coefficients(build_dunkl, "cyclic", N, m, i, j)[(1, 1)].is_zero())
+        for i in range(1, N + 1) for j in range(i + 1, N + 1)
     )
     hbar = build_static_hamiltonian(unit)
     static = tuple(

@@ -7,8 +7,8 @@ references of exact spin sums and agreement counts, the dense references of
 exact spin sums, the frozen chain and its characteristic polynomial, the
 extraction references of the static Hamiltonian and the frozen chains,
 the direct-product
-references of the charge commutators, the Hecke cross relation and the
-freezing identities, the
+references of the charge commutators, the Hecke cross relation, every
+item of the coupling-coefficient route and the freezing identities, the
 summed scalar potential, residuals at arbitrary positions, and the
 lattice-table suite."""
 
@@ -20,6 +20,7 @@ from random import Random
 
 import numpy as np
 
+from wreathdunkl import dunkl
 from wreathdunkl.cyclotomic import CycloScalar
 from wreathdunkl.dunkl import (
     ModelParams,
@@ -27,12 +28,14 @@ from wreathdunkl.dunkl import (
     build_charge,
     build_dunkl,
     build_hamiltonian,
+    build_reflection_dunkl,
+    build_symmetric_dunkl,
     exchange_element,
     hamiltonian_images,
     inverse_square,
 )
 from wreathdunkl.groups import GroupSpec, WreathElement, enumerate_subgroup, generator
-from wreathdunkl.opalg import MixedOperator, op_commutator, op_compose
+from wreathdunkl.opalg import MixedOperator, ad_projector, op_commutator, op_compose
 from wreathdunkl.polyalg import LaurentPoly, RationalCoefficient
 from wreathdunkl.reports import CheckSuite
 from wreathdunkl.spinrep import SparseChain, monomial_image
@@ -40,7 +43,6 @@ from wreathdunkl.static import (
     LATTICE_LABELS,
     LatticeConfig,
     _static_params,
-    build_barred,
     build_lattice,
     build_static_hamiltonian,
 )
@@ -595,12 +597,13 @@ def charge_commutator_by_products(A, params, l):
 
 def hecke_cross_by_products(params, corrupt=None):
     """d1 e1 d1 e1 + lam d1 T - e1 d1 e1 d1 - lam' T d1 from the four
-    products, with lam' = lam + 1 under the ``drels`` corruption: the
-    reference for the quadratic cross item of ``check_hecke_relations``,
-    which reads it from the cached [d_1, d_2]."""
+    products, with lam' = lam + 1 under the ``drels`` corruption and d1
+    from ``dunkl.build_dunkl`` as bound when called: the reference for the
+    quadratic cross item of ``check_hecke_relations``, which reads it from
+    the cached [d_1, d_2]."""
     N, m = params.size, params.order
     spec = params.group_spec
-    d1 = build_dunkl(params, 1)
+    d1 = dunkl.build_dunkl(params, 1)
     e1 = MixedOperator.from_group(generator(spec, "e", i=1))
     twist = MixedOperator.zero(N, m)
     for s in range(m):
@@ -613,6 +616,63 @@ def hecke_cross_by_products(params, corrupt=None):
         twist, d1
     ).scale(lam_r)
     return lhs - rhs
+
+
+def coefficient_items_by_products(params, kmax=2) -> dict:
+    """{(relation, sorted item parameters): operator} for every item that
+    the Hecke, rotation-average, Hamiltonian and charge suites (up to
+    ``kmax``) evaluate from coupling coefficients, each computed at p by
+    products of the operators at p, with the Dunkl operators of
+    ``dunkl.build_dunkl`` as bound when called.  The reference for the
+    coefficient route."""
+    N, m = params.size, params.order
+    spec = params.group_spec
+    idx = params.to_json()
+    ds = [None] + [dunkl.build_dunkl(params, i) for i in range(1, N + 1)]
+    out = {}
+
+    def put(relation, op, **extra):
+        out[relation, tuple(sorted({**idx, **extra}.items()))] = op
+
+    def commutator(A, g):
+        return op_commutator(A, MixedOperator.from_group(g))
+
+    a = generator(spec, "a")
+    put("a d = d a", op_commutator(MixedOperator.from_group(a), ds[1]))
+    if N >= 2:
+        e1 = generator(spec, "e", i=1)
+        site = commutator(ds[1], e1 * a * e1)
+        cross = hecke_cross_by_products(params)
+        put("d (e1 a e1) = (e1 a e1) d", site)
+        put("d e1 d e1 + lam d T = e1 d e1 d + lam T d", cross)
+        if params.family == "dihedral":
+            put("D e1 a e1 = e1 a e1 D", site)
+            put("D (e1 D e1 + lam T) = (e1 D e1 + lam T) D", cross)
+    for j in range(2, N):
+        e_j = MixedOperator.from_group(generator(spec, "e", i=j))
+        put("e_j d = d e_j (j>1)", op_commutator(e_j, ds[1]), j=j)
+    one_copy = build_symmetric_dunkl if params.family == "cyclic" else build_reflection_dunkl
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i < j:
+                put("[d_i, d_j] = 0", op_commutator(ds[i], ds[j]), i=i, j=j)
+            put("[d_i, Q_j] = 0", commutator(ds[i], generator(spec, "Q", i=j)), i=i, j=j)
+        j = 1 if i != 1 else 2
+        average = ad_projector(j, 0, ad_projector(i, 0, one_copy(params, i)))
+        put("Pi_i^0 Pi_j^0 (one-copy Dunkl) = wreath Dunkl", average - ds[i], i=i, j=j)
+    charges = [None] + [power_sum_by_products(ds[1:], k) for k in range(1, max(kmax, 2) + 1)]
+    put("H = sum_i d_i^2", build_hamiltonian(params) - charges[2])
+    for k in range(1, kmax + 1):
+        for l in range(k + 1, kmax + 1):
+            put("[I^(k), I^(l)] = 0", op_commutator(charges[k], charges[l]), k=k, l=l)
+        for i in range(1, N + 1):
+            if i < N:
+                put("[I^(k), P_{i,i+1}] = 0", commutator(charges[k], generator(spec, "e", i=i)),
+                    k=k, i=i)
+            put("[I^(k), Q_i] = 0", commutator(charges[k], generator(spec, "Q", i=i)), k=k, i=i)
+    if params.family == "dihedral" and kmax >= 2:
+        put("[J^(2), K_i] = 0", commutator(charges[2], generator(spec, "K", i=1)), k=2)
+    return out
 
 
 def power_sum_by_products(ds, k):
@@ -662,7 +722,9 @@ def freezing_identities_by_products(params) -> CheckSuite:
     N = params.size
     suite = CheckSuite("freezing-identities")
     idx = params.to_json()
-    barred = [build_barred(params, i) for i in range(1, N + 1)]
+    unit = ModelParams("cyclic", N, params.order, Fraction(1))
+    barred = [build_dunkl(unit, i) - MixedOperator.euler(N, i, params.order)
+              for i in range(1, N + 1)]
     for i in range(1, N + 1):
         d = build_dunkl(params, i)
         euler = MixedOperator.euler(N, i, params.order)

@@ -9,7 +9,8 @@ prints one line per argv: the sha256 of its standard output, its exit code
 and the argv.  Run it on two checkouts and diff the output.  The argvs are
 the ``verify`` and ``spectrum`` workload argvs of ``perfbench/workloads.py``
 in this repository, the three ``--corrupt`` controls, ``--kmax 3`` and
-larger ``verify`` cases, spin ``verify`` cases of both families, and the
+larger ``verify`` cases, ``verify`` at even m = 4, at a negative lambda and
+at lambda = mu = 0, spin ``verify`` cases of both families, and the
 exports of every kind of object; ``--slow`` adds the export and the spin
 ``verify`` that take seconds.  The file name keeps pytest from
 collecting it.
@@ -42,6 +43,9 @@ VERIFY = [
     "verify --family cyclic --N 2 --m 3 --lambda 1/2 --n 3",
     "verify --family cyclic --N 2 --m 1 --lambda 3",
     "verify --family dihedral --N 2 --m 1 --lambda 1 --mu 1/3 --rho 2",
+    "verify --family dihedral --N 2 --m 4 --lambda 1/3 --mu 2 --rho 1/5",
+    "verify --family cyclic --N 3 --m 3 --lambda=-2",
+    "verify --family dihedral --N 2 --m 3 --lambda 0 --mu 0 --rho 1",
 ]
 
 DIHEDRAL = "--family dihedral --N 2 --m 3 --lambda 1/2 --mu 1 --rho 1/2"

@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     apply,
     charge_commutator_by_products,
+    coefficient_items_by_products,
     hamiltonian_by_linear_kernels,
     hecke_cross_by_products,
     is_reduced,
@@ -19,7 +19,7 @@ from helpers import (
     power_sum_by_products,
 )
 from wreathdunkl import dunkl, opalg
-from wreathdunkl.cli import DEFAULT_GRID, _verify_case
+from wreathdunkl.cli import DEFAULT_GRID, _verify_case, main
 from wreathdunkl.dunkl import (
     ModelParams,
     _dihedral_dunkl_split,
@@ -35,7 +35,7 @@ from wreathdunkl.dunkl import (
     check_hecke_relations,
     check_recursion,
     dunkl_commutator,
-    dunkl_rotation_commutator,
+    dunkl_group_commutator,
     exchange_element,
     hamiltonian_check,
     hamiltonian_images,
@@ -246,13 +246,18 @@ def test_simplified_boundary_is_the_table_boundary(N, m):
 
 
 def test_simplified_boundary_item_names_a_perturbed_row(monkeypatch):
-    """Negative control: one boundary row with its coupling moved fails the
-    item, and the witness is that row."""
+    """Negative control: one boundary row with its coupling moved by mu
+    (so the table stays linear in the couplings) fails the item, and the
+    witness is that row."""
     p = ModelParams("dihedral", 2, 1, Fraction(1), Fraction(1))
-    table = hamiltonian_images(p)
-    x, c, g = table[-1]
-    perturbed = table[:-1] + ((x, c + 1, g),)
-    monkeypatch.setattr(dunkl, "hamiltonian_images", lambda params: perturbed)
+    real = hamiltonian_images
+    x, c, g = real(p)[-1]
+
+    def perturbed(params):
+        *rows, (y, d, h) = real(params)
+        return (*rows, (y, d + params.mu, h))
+
+    monkeypatch.setattr(dunkl, "hamiltonian_images", perturbed)
     (item,) = [i for i in hamiltonian_check(p).items if i.relation == SIMPLIFIED]
     assert not item.passed
     assert item.witness == {
@@ -477,7 +482,7 @@ def test_charge_rotation_commutator_off_commuting_operators(case, monkeypatch):
     ds = {i: build(p, i) for i in range(1, N + 1)}
     monkeypatch.setattr(dunkl, "build_dunkl", lambda params, i: ds[i])
     monkeypatch.setattr(
-        dunkl, "dunkl_rotation_commutator", dunkl.dunkl_rotation_commutator.__wrapped__
+        dunkl, "dunkl_group_commutator", dunkl.dunkl_group_commutator.__wrapped__
     )
     for k in range(1, kmax + 1):
         charge = power_sum_by_products(list(ds.values()), k)
@@ -507,14 +512,16 @@ def test_charge_rotation_items_make_no_product_when_rotations_commute(monkeypatc
     assert calls == []
 
 
-def test_dunkl_rotation_commutators_are_computed_once_per_pair():
-    """One verify case fills one ``dunkl_rotation_commutator`` entry per
-    (j, i), shared by the Hecke and the charge items."""
+def test_dunkl_group_commutators_are_computed_once_per_pair():
+    """One verify case fills one ``dunkl_group_commutator`` entry per
+    (site, element): the nine [d_j, Q_i], shared by the Hecke and the
+    charge items, and [d_1, e_2].  The Hecke site items with a = Q_1 and
+    e1 a e1 = Q_2 read two of the nine."""
     p = ModelParams("cyclic", 3, 2, Fraction(1, 2))
-    dunkl_rotation_commutator.cache_clear()
+    dunkl_group_commutator.cache_clear()
     assert _verify_case(p, None, 3, None).passed
-    info = dunkl_rotation_commutator.cache_info()
-    assert info.currsize == info.misses == 9
+    info = dunkl_group_commutator.cache_info()
+    assert info.currsize == info.misses == 9 + 1
     assert info.hits > 0
 
 
@@ -540,17 +547,18 @@ def test_hamiltonian_has_the_factorization_of_the_second_charge(p):
 
 
 def test_decomposition_into_barred_part():
+    """barred_i = d_i(1) - euler_i at every coupling, and d_i = euler_i +
+    lambda barred_i."""
     from wreathdunkl.static import build_barred
 
-    p = ModelParams("cyclic", 2, 2, Fraction(1))
-    for i in (1, 2):
-        d = build_dunkl(p, i)
-        barred = build_barred(p, i)
-        euler = MixedOperator.euler(2, i, 2)
-        assert d == euler + barred.scale(p.lam)
-        # the barred operator carries no coupling at all
-        p2 = ModelParams("cyclic", 2, 2, Fraction(7, 3))
-        assert build_barred(p2, i) == barred
+    unit = ModelParams("cyclic", 2, 2, Fraction(1))
+    for lam in (Fraction(1), Fraction(7, 3)):
+        p = ModelParams("cyclic", 2, 2, lam)
+        for i in (1, 2):
+            euler = MixedOperator.euler(2, i, 2)
+            barred = build_dunkl(unit, i) - euler
+            assert build_barred(p, i) == barred
+            assert build_dunkl(p, i) == euler + barred.scale(lam)
 
 
 def test_couplings_must_be_exact():
@@ -629,7 +637,7 @@ def test_hamiltonian_image_elements_are_involutions(family):
 def _clear_point_caches():
     """Drop the operators kept per point, which a rebound ``build_dunkl``
     would otherwise not reach."""
-    for cached in (build_charge, dunkl_commutator, dunkl_rotation_commutator):
+    for cached in (build_charge, dunkl_commutator, dunkl_group_commutator):
         cached.cache_clear()
 
 
@@ -641,14 +649,17 @@ def _suites(p):
     return [item.to_json() for suite in suites for item in suite.items]
 
 
-def _direct_suites(p):
-    """``_suites`` with every decomposition refused, so each item runs the
-    direct computation at p."""
-    with mock.patch.object(dunkl, "_site_decomposes", lambda build, params, i: False):
-        try:
-            return _suites(p)
-        finally:
-            _clear_point_caches()
+def _agrees_with_products(p, items):
+    """Every item of the coefficient route has the verdict and witness of
+    its operator computed at p by products (``coefficient_items_by_products``)."""
+    want = {key: (op.is_zero(), first_term_witness(op))
+            for key, op in coefficient_items_by_products(p).items()}
+    got = {}
+    for item in items:
+        key = (item["relation"], tuple(sorted(item["params"].items())))
+        if key in want:
+            got[key] = (item["pass"], item["witness"])
+    assert got == want
 
 
 _FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -665,51 +676,63 @@ def test_coefficient_route_equals_direct_route(case, lam, mu, rho):
     Hamiltonian and charge suites has the verdict and witness of the direct
     computation at that point."""
     p = ModelParams(*case, lam, mu, rho)
-    assert all(dunkl._site_decomposes(build_dunkl, p, i) for i in range(1, p.size + 1))
-    got = _suites(p)
-    assert got == _direct_suites(p)
-    assert all(item["pass"] for item in got)
+    items = _suites(p)
+    _agrees_with_products(p, items)
+    assert all(item["pass"] for item in items)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2], ids=["constant", "linear", "quadratic"])
-def test_a_perturbed_dunkl_operator_keeps_the_direct_witnesses(order, monkeypatch):
-    """d_i + lambda^order e1.  Up to order 1 it stays affine in the
-    couplings: every d_i decomposes, but the coefficients no longer
-    commute.  With a lambda^2 term no decomposition holds at lambda = 1/2.
-    Either way every item has the verdict and witness of the direct
-    computation, the commutator of the perturbed d_1, d_2 and H minus
-    their J2 among them."""
-    p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
-    e1 = _element(p, "e", i=1)
+_PERTURBED = [
+    (ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2)), name, order)
+    for name in ("e", "K") for order in (0, 1)
+] + [
+    (ModelParams("dihedral", 2, 2, Fraction(1, 2), Fraction(1), Fraction(1, 3)), name, order)
+    for name in ("e", "K") for order in (0, 1)
+] + [(ModelParams("cyclic", 3, 2, Fraction(1, 2)), "e", order) for order in (0, 1)]
+
+
+@pytest.mark.parametrize("p, name, order", _PERTURBED,
+                         ids=lambda v: f"{v.family}-N{v.size}-m{v.order}"
+                         if isinstance(v, ModelParams) else str(v))
+def test_a_perturbed_dunkl_operator_keeps_the_direct_witnesses(p, name, order, monkeypatch):
+    """d_i + lambda^order g with g = e_1 or K_1 stays affine in the
+    couplings, but its coefficients no longer commute: every item has the
+    verdict and witness of the direct computation by products, and some
+    items fail."""
+    g = _element(p, name, i=1)
     real = build_dunkl
     monkeypatch.setattr(dunkl, "build_dunkl",
-                        lambda params, i: real(params, i) + e1.scale(params.lam**order))
-    patched = dunkl.build_dunkl
-    assert all(dunkl._site_decomposes(patched, p, i) for i in (1, 2)) == (order < 2)
+                        lambda params, i: real(params, i) + g.scale(params.lam**order))
     try:
         items = _suites(p)
-        assert items == _direct_suites(p)
+        _agrees_with_products(p, items)
     finally:
         _clear_point_caches()
-    witness = {item["relation"]: item["witness"] for item in items if not item["pass"]}
-    d1, d2 = patched(p, 1), patched(p, 2)
-    assert witness["[d_i, d_j] = 0"] == first_term_witness(op_commutator(d1, d2))
-    j2 = op_compose(d1, d1) + op_compose(d2, d2)
-    assert witness["H = sum_i d_i^2"] == first_term_witness(build_hamiltonian(p) - j2)
+    assert not all(item["pass"] for item in items)
 
 
-def test_image_rows_off_the_unit_tables_take_the_direct_route(monkeypatch):
-    """Rows whose coupling gains lambda (lambda - 1) agree with the unit
-    tables at lambda = 0 and 1 but not at 1/2: the Hamiltonian item builds
-    H from them at that point and fails, as the direct computation does."""
+@pytest.mark.parametrize("target", ["build_dunkl", "hamiltonian_images"])
+def test_a_builder_that_is_not_affine_is_an_internal_error(target, monkeypatch, capsys):
+    """A lambda^2 term in d_i, or image rows whose coupling gains
+    lambda (lambda - 1), agree with the unit points at lambda = 0 and 1
+    but not at 1/2.  The builders are affine by construction, so this is
+    an engine fault: ``verify`` exits 3 with one line and no traceback."""
     p = ModelParams("dihedral", 2, 3, Fraction(1, 2), Fraction(1), Fraction(1, 2))
-    real = hamiltonian_images
-    monkeypatch.setattr(dunkl, "hamiltonian_images", lambda params: tuple(
-        (x, c + params.lam * (params.lam - 1), g) for x, c, g in real(params)))
-    assert not dunkl._linear_images(p)
-    (item,) = [i for i in hamiltonian_check(p).items if i.relation == "H = sum_i d_i^2"]
-    want = build_hamiltonian(p) - build_charge(p, 2)
-    assert not item.passed and item.witness == first_term_witness(want)
+    e1, real_dunkl, real_images = _element(p, "e", i=1), build_dunkl, hamiltonian_images
+    patches = {
+        "build_dunkl": lambda params, i: real_dunkl(params, i) + e1.scale(params.lam**2),
+        "hamiltonian_images": lambda params: tuple(
+            (x, c + params.lam * (params.lam - 1), g) for x, c, g in real_images(params)),
+    }
+    monkeypatch.setattr(dunkl, target, patches[target])
+    _clear_point_caches()
+    try:
+        rc = main(["verify", "--family", "dihedral", "--N", "2", "--m", "3",
+                   "--lambda", "1/2", "--mu", "1", "--rho", "1/2"])
+    finally:
+        _clear_point_caches()
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: ValueError:") and err.count("\n") == 1
 
 
 def test_coupling_coefficients_group_by_monomial():

@@ -90,38 +90,38 @@ def test_freezing_verdicts_are_computed_once_per_size(tmp_path):
     assert _unit_freezing.cache_info().misses == info.misses
 
 
-def test_barred_commutators_are_read_from_the_dunkl_coefficients(monkeypatch):
-    """While barred_i = A_{i,lambda}, [barred_i, barred_j] is read from the
-    lambda^2 coefficient of [d_i, d_j], with no product of two barred
-    operators; a barred operator that differs from its piece is commuted
-    directly, with the verdicts of the direct products."""
+@pytest.mark.parametrize("perturbed", [False, True], ids=["commuting", "perturbed"])
+def test_barred_commutators_are_read_from_the_dunkl_coefficients(perturbed, monkeypatch):
+    """barred_i is d_i(1) - euler_i, and [barred_i, barred_j] is read from
+    the lambda^2 coefficient of [d_i, d_j], with no product of two barred
+    operators.  With lambda P_12 added to d_1 the coefficient of the pair
+    (1, 2) no longer vanishes, and the verdicts are still those of the
+    direct products."""
     calls = []
 
     def spy(a, b):
         calls.append((a, b))
         return op_commutator(a, b)
 
-    def pairs(barred):
-        return [(a, b) for a, b in calls if any(a is x for x in barred)
-                and any(b is y for y in barred)]
-
+    extra = MixedOperator.from_group(exchange_element(3, 2, 1, 2, 0))
+    real = static.build_dunkl
+    if perturbed:
+        monkeypatch.setattr(static, "build_dunkl", lambda p, i: real(p, i) + extra.scale(p.lam)
+                            if i == 1 else real(p, i))
     monkeypatch.setattr(static, "op_commutator", spy)
     _unit_freezing.cache_clear()
     try:
         barred, commuting, _ = _unit_freezing(3, 2)
-        assert [ok for *_, ok in commuting] == [True] * 3
-        assert not pairs(barred)
-        extra = MixedOperator.from_group(exchange_element(3, 2, 1, 2, 0))
-        monkeypatch.setattr(static, "build_barred",
-                            lambda p, i: build_barred(p, i) + extra if i == 1 else build_barred(p, i))
-        _unit_freezing.cache_clear()
-        barred, commuting, _ = _unit_freezing(3, 2)
-        direct = tuple((i + 1, j + 1, op_commutator(barred[i], barred[j]).is_zero())
-                       for i in range(3) for j in range(i + 1, 3))
-        assert commuting == direct and not all(ok for *_, ok in direct)
-        assert len(pairs(barred)) == 2  # the pairs with barred_1
     finally:
         _unit_freezing.cache_clear()
+    unit = ModelParams("cyclic", 3, 2, Fraction(1))
+    direct = [static.build_dunkl(unit, i) - MixedOperator.euler(3, i, 2) for i in (1, 2, 3)]
+    assert list(barred) == direct
+    assert commuting == tuple((i + 1, j + 1, op_commutator(direct[i], direct[j]).is_zero())
+                              for i in range(3) for j in range(i + 1, 3))
+    assert [ok for *_, ok in commuting] == [not perturbed, True, True]
+    assert not [(a, b) for a, b in calls if any(a is x for x in barred)
+                and any(b is y for y in barred)]
 
 
 def test_static_hamiltonian_is_the_two_body_sum():
